@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success (including honest negative outcomes like "no witness
 found"), 1 for configuration problems (unknown identifiers, malformed config,
-unwritable paths), 2 when a requested task errors or a certificate fails
-verification.
+unwritable paths), 2 when a requested task errors or a certificate fails or
+cannot complete verification.
 """
 
 from __future__ import annotations
@@ -235,8 +235,8 @@ def config_from_dict(data: Dict[str, Any]) -> RunConfig:
         kwargs["tasks"] = tasks
     if "c_grid" in data and data["c_grid"] is not None:
         grid = tuple(float(c) for c in data["c_grid"])
-        if not grid or any(not c > 0 for c in grid):
-            raise ConfigError("c_grid must be a nonempty list of positive scales")
+        if not grid or any(not (c > 0 and math.isfinite(c)) for c in grid):
+            raise ConfigError("c_grid must be a nonempty list of positive finite scales")
         kwargs["c_grid"] = grid
     for key, caster in (("ell_max", int), ("precision_bits", int), ("jobs", int)):
         if key in data:
@@ -248,8 +248,8 @@ def config_from_dict(data: Dict[str, Any]) -> RunConfig:
         kwargs["witness_doubling_cap"] = int(section["doubling_cap"])
     if section.get("alpha") is not None:
         alpha = float(section["alpha"])
-        if not alpha > 0:
-            raise ConfigError("witness alpha must be positive")
+        if not (alpha > 0 and math.isfinite(alpha)):
+            raise ConfigError("witness alpha must be positive and finite")
         kwargs["witness_alpha"] = alpha
     section = data.get("psd", {})
     _require_keys(section, {"num_points", "points", "control_x0"}, "psd")
@@ -910,6 +910,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except WitnessSearchError as exc:
+        print(f"witness search error ({exc.reason}): {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,12 +1,17 @@
-"""Whitelisted arithmetic expressions evaluable at double and extended precision.
+"""Whitelisted arithmetic expressions, compiled for double and extended precision.
 
-One small grammar is shared by custom radial profiles (variable ``r``),
-candidate functions (variable ``x``) and custom point sequences (variable
-``n``): numeric literals, the single free variable, ``+ - * /``, unary minus,
+One small grammar defines every built-in radial profile (variable ``r``) and
+built-in candidate function (variable ``x``), and serves custom profiles,
+``expr:`` functions and custom point sequences (variable ``n``) alike:
+numeric literals, the single free variable, ``+ - * /``, unary minus,
 ``pow(base, integer_literal)`` or ``base ** integer_literal``, and the calls
-``exp``, ``sin``, ``cos``, ``sqrt``, ``abs``.  Anything else is rejected at
-compile time, so config files cannot smuggle in attribute access, names or
-general Python.
+``exp``, ``sin``, ``cos``, ``sqrt``, ``abs`` and ``sinpi`` (sin(pi * t)).
+Anything else is rejected before compilation, so config files cannot smuggle
+in attribute access, names or general Python.
+
+A validated tree is compiled once per evaluation context into a plain Python
+function whose namespace holds only the whitelisted functions of that
+context and the literals, converted in advance where that is exact.
 """
 
 from __future__ import annotations
@@ -14,11 +19,17 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, List, Mapping
 
 import mpmath
 
 from .errors import ExpressionError
+
+
+def _sinpi_double(t: float) -> float:
+    # fmod is exact, so the reduction adds no error for large t.
+    return math.sin(math.pi * math.fmod(t, 2.0))
+
 
 _DOUBLE_FUNCS: Mapping[str, Callable[[Any], Any]] = {
     "exp": math.exp,
@@ -26,6 +37,7 @@ _DOUBLE_FUNCS: Mapping[str, Callable[[Any], Any]] = {
     "cos": math.cos,
     "sqrt": math.sqrt,
     "abs": abs,
+    "sinpi": _sinpi_double,
 }
 
 _MP_FUNCS: Mapping[str, Callable[[Any], Any]] = {
@@ -34,10 +46,16 @@ _MP_FUNCS: Mapping[str, Callable[[Any], Any]] = {
     "cos": mpmath.cos,
     "sqrt": mpmath.sqrt,
     "abs": mpmath.fabs,
+    "sinpi": mpmath.sinpi,
 }
 
 _BIN_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARY_OPS = (ast.USub, ast.UAdd)
+
+# Floats and integers below 2^53 in magnitude are exact as doubles, and as
+# mpf at 53 bits or more, so they convert once at compile time.  Wider
+# integers round, so they convert on each call at the caller's precision.
+_EXACT_INT_LIMIT = 2**53
 
 
 def _literal_int(node: ast.expr) -> int | None:
@@ -95,58 +113,58 @@ def _validate(node: ast.expr, variable: str) -> None:
     raise ExpressionError(f"disallowed syntax: {ast.dump(node)}")
 
 
-def _evaluate(node: ast.expr, value: Any, funcs: Mapping[str, Callable], num: Callable) -> Any:
+def _lower(node: ast.expr, literals: List[Any]) -> ast.expr:
+    """Rewrite a validated tree over named literals; append each literal to ``literals``.
+
+    Literal ``i`` becomes the name ``_k<i>``, a wide integer a call of
+    ``_num``; unary plus disappears and every power becomes ``base ** int``.
+    """
     if isinstance(node, ast.Constant):
-        return num(node.value)
+        if type(node.value) is int and abs(node.value) >= _EXACT_INT_LIMIT:
+            return ast.Call(ast.Name("_num", ast.Load()), [ast.Constant(node.value)], [])
+        literals.append(node.value)
+        return ast.Name(f"_k{len(literals) - 1}", ast.Load())
     if isinstance(node, ast.Name):
-        return value
+        return ast.Name(node.id, ast.Load())
     if isinstance(node, ast.UnaryOp):
-        inner = _evaluate(node.operand, value, funcs, num)
-        return -inner if isinstance(node.op, ast.USub) else inner
+        operand = _lower(node.operand, literals)
+        return ast.UnaryOp(ast.USub(), operand) if isinstance(node.op, ast.USub) else operand
+    if isinstance(node, ast.Call) and node.func.id == "pow":  # type: ignore[union-attr]
+        node = ast.BinOp(node.args[0], ast.Pow(), node.args[1])
     if isinstance(node, ast.BinOp):
+        left = _lower(node.left, literals)
         if isinstance(node.op, ast.Pow):
-            base = _evaluate(node.left, value, funcs, num)
-            return base ** _literal_int(node.right)
-        left = _evaluate(node.left, value, funcs, num)
-        right = _evaluate(node.right, value, funcs, num)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        return left / right
-    if isinstance(node, ast.Call):
-        name = node.func.id  # type: ignore[union-attr]
-        if name == "pow":
-            base = _evaluate(node.args[0], value, funcs, num)
-            return base ** _literal_int(node.args[1])
-        return funcs[name](_evaluate(node.args[0], value, funcs, num))
-    raise AssertionError("unreachable: node survived validation")
+            # The exponent stays a Python int in both contexts.
+            return ast.BinOp(left, ast.Pow(), ast.Constant(_literal_int(node.right)))
+        return ast.BinOp(left, node.op, _lower(node.right, literals))
+    # Validation admits nothing else: a call of a whitelisted function.
+    return ast.Call(ast.Name(node.func.id, ast.Load()), [_lower(node.args[0], literals)], [])  # type: ignore[union-attr]
 
 
 @dataclass(frozen=True)
 class Expression:
-    """A compiled single-variable expression with two evaluation paths.
+    """A validated single-variable expression, compiled for two contexts.
 
-    ``eval_double`` runs on machine doubles; ``eval_mp`` runs on mpmath
-    numbers under whatever working precision the caller has set.  Integer
-    literals are kept exact on both paths.
+    ``fn_double`` runs on machine doubles; ``fn_mp`` runs on mpmath numbers
+    under whatever working precision the caller has set.  Both expect an
+    argument already in their context; ``eval_double``/``eval_mp`` convert
+    it first.  No literal is rounded below the precision of its context.
     """
 
     source: str
     variable: str
-    _tree: ast.expr = field(repr=False)
+    fn_double: Callable[[float], float] = field(repr=False, compare=False)
+    fn_mp: Callable[[Any], Any] = field(repr=False, compare=False)
 
     def eval_double(self, value: float) -> float:
-        return float(_evaluate(self._tree, float(value), _DOUBLE_FUNCS, float))
+        return float(self.fn_double(float(value)))
 
     def eval_mp(self, value: Any) -> Any:
-        return _evaluate(self._tree, mpmath.mpf(value), _MP_FUNCS, mpmath.mpf)
+        return self.fn_mp(mpmath.mpf(value))
 
 
 def compile_expression(source: str, variable: str) -> Expression:
-    """Parse and validate ``source`` against the whitelist grammar.
+    """Parse and validate ``source`` against the whitelist grammar, then compile it.
 
     Raises ExpressionError for syntax errors, unknown names, non-integer
     exponents or any construct outside the grammar.
@@ -158,4 +176,23 @@ def compile_expression(source: str, variable: str) -> Expression:
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse expression {source!r}: {exc.msg}") from exc
     _validate(tree.body, variable)
-    return Expression(source=source, variable=variable, _tree=tree.body)
+    literals: List[Any] = []
+    args = ast.arguments(
+        posonlyargs=[], args=[ast.arg(variable)], kwonlyargs=[], kw_defaults=[], defaults=[]
+    )
+    lam = ast.Expression(ast.Lambda(args, _lower(tree.body, literals)))
+    code = compile(ast.fix_missing_locations(lam), f"<expression {source!r}>", "eval")
+
+    def bind(funcs: Mapping[str, Callable[[Any], Any]], num: Callable[[Any], Any]) -> Any:
+        namespace = {"__builtins__": {}, "_num": num, **funcs}
+        # Pinned, so no literal depends on the precision in force right now.
+        with mpmath.workprec(53):
+            namespace.update((f"_k{i}", num(v)) for i, v in enumerate(literals))
+        return eval(code, namespace)
+
+    return Expression(
+        source=source,
+        variable=variable,
+        fn_double=bind(_DOUBLE_FUNCS, float),
+        fn_mp=bind(_MP_FUNCS, mpmath.mpf),
+    )

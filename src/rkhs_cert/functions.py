@@ -11,10 +11,9 @@ actually visits, and every certificate records which kind it used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence, Tuple
 
-import mpmath
 from mpmath import mpf, workprec
 
 from .expressions import Expression, compile_expression
@@ -81,52 +80,35 @@ class CandidateFunction:
         return self.fn_mp(mpf(x))
 
 
-def make_constant(v: float) -> CandidateFunction:
-    """f(x) = v.  For v != 0 the tail bound alpha = |v| holds everywhere."""
-    value = float(v)
-    tail = None
-    if value != 0.0:
-        tail = TailBound(alpha=abs(value), sign=1 if value > 0 else -1, threshold=0.0)
+def _expression_function(function_id: str, source: str, **fields: Any) -> CandidateFunction:
+    """A function whose values in both contexts come from one expression in ``x``."""
+    expr: Expression = compile_expression(source, "x")
     return CandidateFunction(
-        function_id=f"constant:{value!r}",
-        fn_double=lambda x: value,
-        fn_mp=lambda x: mpf(value),
-        tail_pos=tail,
-        tail_neg=tail,
+        function_id=function_id, fn_double=expr.fn_double, fn_mp=expr.fn_mp, **fields
     )
 
 
-def _horner_double(coeffs: Sequence[float]) -> Callable[[float], float]:
-    def fn(x: float) -> float:
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    return fn
-
-
-def _horner_mp(coeffs: Sequence[float]) -> Callable[[Any], Any]:
-    def fn(x: Any) -> Any:
-        acc = mpf(0)
-        for c in reversed(coeffs):
-            acc = acc * x + mpf(c)
-        return acc
-
-    return fn
+def make_constant(v: float) -> CandidateFunction:
+    """f(x) = v.  For v != 0 the tail bound alpha = |v| holds everywhere."""
+    value = float(v)
+    if not math.isfinite(value):
+        raise ValueError(f"constant must be finite, not {value!r}")
+    tail = None
+    if value != 0.0:
+        tail = TailBound(alpha=abs(value), sign=1 if value > 0 else -1, threshold=0.0)
+    return _expression_function(f"constant:{value!r}", repr(value), tail_pos=tail, tail_neg=tail)
 
 
-def _poly_tail(coeffs: Sequence[float], direction: int) -> TailBound:
+def _poly_tail(coeffs: Sequence[float], fn: Callable[[float], float], direction: int) -> TailBound:
     """Tail bound for a degree >= 1 polynomial toward +inf or -inf.
 
     Beyond the classical root bound x* = 1 + max |c_i / c_d| the polynomial
     has no zeros and |p| is increasing in |x|, so halving the sampled minimum
-    of |p| on a grid starting at x* gives a safe alpha.
+    of |p| (evaluated by ``fn``) on a grid starting at x* gives a safe alpha.
     """
     lead = coeffs[-1]
     degree = len(coeffs) - 1
     root_bound = 1.0 + max(abs(c / lead) for c in coeffs[:-1])
-    fn = _horner_double(coeffs)
     sign = 1 if lead * (1 if direction > 0 else (-1) ** degree) > 0 else -1
     lo = root_bound
     samples = [abs(fn(direction * (lo + i * 0.1))) for i in range(10_001)]
@@ -138,25 +120,18 @@ def make_polynomial(coeffs: Sequence[float]) -> CandidateFunction:
     cs = [float(c) for c in coeffs]
     if not cs:
         raise ValueError("polynomial needs at least one coefficient")
+    if not all(math.isfinite(c) for c in cs):
+        raise ValueError("polynomial coefficients must be finite")
     while len(cs) > 1 and cs[-1] == 0.0:
         cs.pop()
     function_id = "poly:" + ",".join(repr(c) for c in cs)
     if len(cs) == 1:
-        const = make_constant(cs[0])
-        return CandidateFunction(
-            function_id=function_id,
-            fn_double=const.fn_double,
-            fn_mp=const.fn_mp,
-            tail_pos=const.tail_pos,
-            tail_neg=const.tail_neg,
-        )
-    return CandidateFunction(
-        function_id=function_id,
-        fn_double=_horner_double(cs),
-        fn_mp=_horner_mp(cs),
-        tail_pos=_poly_tail(cs, +1),
-        tail_neg=_poly_tail(cs, -1),
-    )
+        return replace(make_constant(cs[0]), function_id=function_id)
+    horner = repr(cs[-1])
+    for c in reversed(cs[:-1]):
+        horner = f"({horner})*x + {c!r}"
+    f = _expression_function(function_id, horner)
+    return replace(f, tail_pos=_poly_tail(cs, f.eval, +1), tail_neg=_poly_tail(cs, f.eval, -1))
 
 
 def make_paper_example() -> CandidateFunction:
@@ -166,17 +141,9 @@ def make_paper_example() -> CandidateFunction:
     declared bound alpha = e^-1 with positive sign.
     """
     tail = TailBound(alpha=math.exp(-1.0), sign=1, threshold=0.0)
-
-    def fd(x: float) -> float:
-        return math.exp(-math.sin(x) ** 2 + 1.0 / math.sqrt(1.0 + x * x))
-
-    def fm(x: Any) -> Any:
-        return mpmath.exp(-mpmath.sin(x) ** 2 + 1 / mpmath.sqrt(1 + x * x))
-
-    return CandidateFunction(
-        function_id="paper_example",
-        fn_double=fd,
-        fn_mp=fm,
+    return _expression_function(
+        "paper_example",
+        "exp(-sin(x)**2 + 1/sqrt(1 + x*x))",
         tail_pos=tail,
         tail_neg=tail,
         notes="bounded in [exp(-1), exp(1)] on the whole line",
@@ -190,31 +157,16 @@ def make_sin_squared_shifted() -> CandidateFunction:
     f(n) = 1 exactly at every integer n, which covers integer-valued
     sequences.  Callers must obtain alpha empirically.
     """
-
-    def fd(x: float) -> float:
-        return math.sin(math.pi * (x + 0.5)) ** 2
-
-    def fm(x: Any) -> Any:
-        return mpmath.sinpi(x + mpf(1) / 2) ** 2
-
-    return CandidateFunction(
-        function_id="sin_squared_shifted",
-        fn_double=fd,
-        fn_mp=fm,
-        tail_pos=None,
-        tail_neg=None,
+    return _expression_function(
+        "sin_squared_shifted",
+        "sinpi(x + 1/2)**2",
         notes="equals 1 at every integer; vanishes at half-integers",
     )
 
 
 def make_expression_function(source: str) -> CandidateFunction:
     """Candidate function from a whitelisted expression in ``x`` (no tail data)."""
-    expr: Expression = compile_expression(source, "x")
-    return CandidateFunction(
-        function_id=f"expr:{source}",
-        fn_double=expr.eval_double,
-        fn_mp=expr.eval_mp,
-    )
+    return _expression_function(f"expr:{source}", source)
 
 
 def kernel_section(kernel: KernelSpec, x0: float) -> CandidateFunction:

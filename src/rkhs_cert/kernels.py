@@ -1,4 +1,4 @@
-"""Kernel specifications with dual-precision evaluation and origin Taylor data.
+"""Kernel specifications with origin Taylor data, evaluable at two precisions.
 
 A radial kernel is K(x, y) = phi((x - y)^2) for a profile phi with phi(0) > 0.
 Profiles carry the metadata the rest of the pipeline keys on: closed-form
@@ -9,7 +9,10 @@ downstream code only uses them where they make a computation sound (for
 example truncating banded sums).
 
 Every kernel evaluates on machine doubles (``eval``) and on mpmath numbers
-(``eval_mp``) under the caller's working precision.  Symmetry is exact by
+(``eval_mp``) under the caller's working precision.  The built-in radial
+profiles, like custom ones, are each one whitelisted expression in ``r``
+compiled for both contexts (see ``expressions``); only the non-radial
+``exp_product`` is written as a pair of callables.  Symmetry is exact by
 construction: both orders compute the identical floating-point expression.
 """
 
@@ -131,32 +134,39 @@ def _radial_kernel(kernel_id: str, profile: RadialProfile) -> KernelSpec:
     )
 
 
-def make_gaussian() -> KernelSpec:
-    """K(x, y) = exp(-(x - y)^2); phi(r) = exp(-r), phi^(n)(0) = (-1)^n."""
-    profile = RadialProfile(
-        fn_double=lambda r: math.exp(-r),
-        fn_mp=lambda r: mpmath.exp(-r),
-        deriv_at_zero=lambda n: (-1) ** n,
-        analytic_constants=(1, 1),
+def _expression_profile(source: str, **metadata: Any) -> RadialProfile:
+    """A profile whose values in both contexts come from one expression in ``r``."""
+    expr: Expression = compile_expression(source, "r")
+    return RadialProfile(fn_double=expr.fn_double, fn_mp=expr.fn_mp, **metadata)
+
+
+def _decaying_kernel(
+    kernel_id: str,
+    source: str,
+    deriv_at_zero: Callable[[int], Number],
+    analytic_constants: Optional[Tuple[Number, Number]],
+) -> KernelSpec:
+    profile = _expression_profile(
+        source,
+        deriv_at_zero=deriv_at_zero,
+        analytic_constants=analytic_constants,
         decays_to_zero=True,
         nonneg=True,
         monotone_decreasing=True,
     )
-    return _radial_kernel("gaussian", profile)
+    return _radial_kernel(kernel_id, profile)
+
+
+def make_gaussian() -> KernelSpec:
+    """K(x, y) = exp(-(x - y)^2); phi(r) = exp(-r), phi^(n)(0) = (-1)^n."""
+    return _decaying_kernel("gaussian", "exp(-r)", lambda n: (-1) ** n, (1, 1))
 
 
 def make_inverse_quadratic() -> KernelSpec:
     """K(x, y) = 1 / (1 + (x - y)^2); phi^(n)(0) = (-1)^n * n!."""
-    profile = RadialProfile(
-        fn_double=lambda r: 1.0 / (1.0 + r),
-        fn_mp=lambda r: 1 / (1 + r),
-        deriv_at_zero=lambda n: (-1) ** n * math.factorial(n),
-        analytic_constants=(1, 1),
-        decays_to_zero=True,
-        nonneg=True,
-        monotone_decreasing=True,
+    return _decaying_kernel(
+        "inverse_quadratic", "1/(1+r)", lambda n: (-1) ** n * math.factorial(n), (1, 1)
     )
-    return _radial_kernel("inverse_quadratic", profile)
 
 
 def _laplace_deriv(n: int) -> Number:
@@ -169,16 +179,7 @@ def _laplace_deriv(n: int) -> Number:
 
 def make_laplace() -> KernelSpec:
     """K(x, y) = exp(-|x - y|); phi(r) = exp(-sqrt(r)), kinked at the origin."""
-    profile = RadialProfile(
-        fn_double=lambda r: math.exp(-math.sqrt(r)),
-        fn_mp=lambda r: mpmath.exp(-mpmath.sqrt(r)),
-        deriv_at_zero=_laplace_deriv,
-        analytic_constants=None,
-        decays_to_zero=True,
-        nonneg=True,
-        monotone_decreasing=True,
-    )
-    return _radial_kernel("laplace", profile)
+    return _decaying_kernel("laplace", "exp(-sqrt(r))", _laplace_deriv, None)
 
 
 def make_exp_product() -> KernelSpec:
@@ -225,12 +226,8 @@ def custom_radial_from_expression(
     expression); leave them False when unsure and the pipeline stays on its
     conservative code paths.
     """
-    expr: Expression = compile_expression(source, "r")
-    profile = RadialProfile(
-        fn_double=expr.eval_double,
-        fn_mp=expr.eval_mp,
-        deriv_at_zero=None,
-        analytic_constants=None,
+    profile = _expression_profile(
+        source,
         decays_to_zero=decays_to_zero,
         nonneg=nonneg,
         monotone_decreasing=monotone_decreasing,

@@ -313,10 +313,6 @@ class DeflatedKernel:
     def kernel_id(self) -> str:
         return f"deflate({self.base.kernel_id};{self.f.function_id};c={self.c!r})"
 
-    def eval(self, x: float, y: float) -> float:
-        c2 = self.c * self.c
-        return self.base.eval(x, y) - c2 * self.f.eval(x) * self.f.eval(y)
-
     def eval_mp(self, x: Any, y: Any) -> Any:
         c2 = mpf(self.c) ** 2
         return self.base.eval_mp(x, y) - c2 * self.f.eval_mp(x) * self.f.eval_mp(y)

@@ -16,6 +16,7 @@ sequences:  "triangular+" | "triangular-" | "arithmetic:<step>"
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Optional, Union
 
 from .errors import ConfigError, ExpressionError
@@ -43,6 +44,9 @@ from .sequences import (
 )
 
 
+_KERNEL_FLAGS = ("decays_to_zero", "nonneg", "monotone_decreasing")
+
+
 def resolve_kernel(spec: Union[str, Dict[str, Any]]) -> KernelSpec:
     if isinstance(spec, dict):
         if spec.get("id") != "custom":
@@ -51,13 +55,13 @@ def resolve_kernel(spec: Union[str, Dict[str, Any]]) -> KernelSpec:
             profile = spec["profile"]
         except KeyError:
             raise ConfigError("custom kernel config needs a 'profile' expression") from None
+        flags = {key: spec.get(key, False) for key in _KERNEL_FLAGS}
+        for key, value in flags.items():
+            # The flags gate banded truncation, so "false" must not read as True.
+            if not isinstance(value, bool):
+                raise ConfigError(f"custom kernel flag {key!r} must be true or false, not {value!r}")
         try:
-            return custom_radial_from_expression(
-                str(profile),
-                decays_to_zero=bool(spec.get("decays_to_zero", False)),
-                nonneg=bool(spec.get("nonneg", False)),
-                monotone_decreasing=bool(spec.get("monotone_decreasing", False)),
-            )
+            return custom_radial_from_expression(str(profile), **flags)
         except (ExpressionError, ValueError) as exc:
             raise ConfigError(f"invalid custom kernel: {exc}") from exc
     if not isinstance(spec, str):
@@ -74,9 +78,12 @@ def resolve_kernel(spec: Union[str, Dict[str, Any]]) -> KernelSpec:
 
 def _parse_float(text: str, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"cannot parse {what} from {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, not {text!r}")
+    return value
 
 
 def resolve_function(spec: str, kernel: Optional[KernelSpec] = None) -> CandidateFunction:

@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
 
 import pytest
 
 from rkhs_cert.cli import ALL_TASKS, RunConfig, config_from_dict, main, run
 from rkhs_cert.errors import ConfigError
+from rkhs_cert.registry import resolve_kernel
 from rkhs_cert.serialize import load_json
 
 
@@ -572,3 +574,77 @@ def test_csv_dir_unwritable(tmp_path):
         ]
     )
     assert code == 1
+
+
+# --- input robustness -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--function", "constant:inf"],
+        ["--function", "constant:nan"],
+        ["--function", "poly:1,inf"],
+        ["--function", "kernel_section:inf"],
+        ["--sequence", "arithmetic:inf"],
+        ["--c-grid", "1,inf"],
+        ["--alpha", "inf"],
+    ],
+)
+def test_non_finite_inputs_exit_1_with_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    assert main(["run", "--out", str(out), "--c-grid", "1"] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [{"decays_to_zero": "false"}, {"nonneg": "no"}, {"monotone_decreasing": 1}])
+def test_custom_kernel_flags_must_be_bool(flags):
+    with pytest.raises(ConfigError, match="must be true or false"):
+        resolve_kernel({"id": "custom", "profile": "exp(-r)", **flags})
+    declared = resolve_kernel({"id": "custom", "profile": "exp(-r)", "nonneg": True})
+    assert declared.profile.nonneg and not declared.profile.decays_to_zero
+
+
+def test_verify_search_error_exits_2_without_traceback(tmp_path, capsys):
+    # A custom kernel identifier carries no decay metadata, so a window above
+    # the dense limit cannot be re-evaluated; that is a search error, exit 2.
+    path = tmp_path / "cert.json"
+    args = ["--kernel", "gaussian", "--function", "constant:1.0", "--c", "0.015625"]
+    assert main(["witness", "--out", str(path)] + args) == 0
+    data = json.loads(path.read_text())
+    assert data["n_points"] == 8193
+    data["kernel_id"] = "custom:exp(0 - r)"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("witness search error (window-too-large)") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# --- pinned report bytes ------------------------------------------------------------
+
+# sha256 of the report of a two-scale run with every task, recorded before the
+# built-in kernels and functions became compiled expressions.  A change to any
+# of them must leave these bytes alone.
+REPORT_DIGESTS = [
+    ("gaussian", "paper_example", [], 0, "b5441b77d405b5d0c642c7473c907f9590bdaa52a82df92c72e49b1f9b1e721b"),
+    ("gaussian", "constant:-0.5", [], 0, "b07b3f64cedfb408ed05f192d2bc248a2cea8eb930b9f56733bcb94b111f2f6f"),
+    ("inverse_quadratic", "poly:-6,1", [], 0, "97d1971ca0f64ccd31cec960797f8f8150f2746fb2c8b918c968e11b8349d93b"),
+    ("gaussian", "poly:0.25,-0.5,0.125", [], 0, "6994c823afc07d772024b05fc0edc5d3fcaa4fef0cf4382146dc63047b5d22bd"),
+    ("inverse_quadratic", "expr:2 + cos(x)", [], 0, "fff30f943fa3787ffd14f48a690318699bd472cdc73b5cdb48f6eaf70ac0cdd7"),
+    ("laplace", "sin_squared_shifted", [], 2, "1bd941691b9aad78db6a601079a598c291eba85a8df867a6f2a795ed299553a2"),
+    ("laplace", "poly:0.75", [], 2, "4414d3083325a7bd5b468767b57ade99f113011e7b94eaa004123323a9104c4f"),
+    ("gaussian", "kernel_section:0.0", ["--alpha", "0.5"], 0, "042f16fd3803d77faa8e30fa5c7962901543878280862fe02827e4940a9400e9"),
+]
+
+
+@pytest.mark.parametrize("kernel,function,extra,code,digest", REPORT_DIGESTS)
+def test_report_bytes_are_pinned(tmp_path, kernel, function, extra, code, digest):
+    out = tmp_path / "r.json"
+    argv = ["run", "--kernel", kernel, "--function", function, "--c-grid", "1,0.5"]
+    argv += ["--tasks", ",".join(ALL_TASKS), "--out", str(out)] + extra
+    assert main(argv) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -80,3 +80,33 @@ def test_division_by_zero_raises():
     e = compile_expression("1/x", "x")
     with pytest.raises(ZeroDivisionError):
         e.eval_double(0.0)
+
+
+def test_literals_do_not_depend_on_compile_precision():
+    # 2^53 + 1 is not a double; it must not round at the 53 bits in force
+    # when the expression is compiled, nor may 0.1 round at 20 bits.
+    wide = compile_expression("x + 9007199254740993", "x")
+    with workprec(20):
+        tenth = compile_expression("x + 0.1", "x")
+    with workprec(256):
+        assert wide.eval_mp(0) - 2**53 == 1
+        assert tenth.eval_mp(0) == mpmath.mpf(0.1)
+
+
+@given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+def test_sinpi_agrees_across_contexts(t):
+    e = compile_expression("sinpi(x)", "x")
+    with workprec(128):
+        assert abs(e.eval_mp(t) - mpmath.mpf(e.eval_double(t))) <= mpmath.mpf(1e-14)
+
+
+def test_sinpi_vanishes_exactly_at_integers_in_mp():
+    e = compile_expression("sinpi(x)", "x")
+    with workprec(256):
+        assert all(e.eval_mp(n) == 0 for n in (-3, 0, 1, 10**6))
+
+
+@pytest.mark.parametrize("internal", ["_k0", "_k0 + x", "_num(1)", "__builtins__", "pow", "exp", "exp(x)(x)"])
+def test_rejects_compiler_internal_names(internal):
+    with pytest.raises(ExpressionError):
+        compile_expression(internal, "x")

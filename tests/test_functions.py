@@ -29,6 +29,14 @@ def test_constant_tails():
     assert zero.tail_pos is None and zero.tail_neg is None
 
 
+@pytest.mark.parametrize(
+    "build", [lambda: make_constant(math.inf), lambda: make_polynomial([1.0, math.nan])]
+)
+def test_non_finite_values_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_constant_polynomial_keeps_full_alpha():
     f = make_polynomial([1.0])
     assert f.tail_pos.alpha == 1.0
