@@ -31,6 +31,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
+from mpmath.libmp import mpf_ge, mpf_gt, mpf_mul, mpf_neg, mpf_sign, mpf_sub
 
 from .errors import WitnessSearchError
 from .functions import CandidateFunction, TailBound, tail_lower_bound, DECLARED
@@ -171,28 +172,33 @@ def _banded_ones_form(
     assert profile is not None
     n = len(points)
     with workprec(precision_bits):
+        prec, rnd = mpmath.mp._prec_rounding
         pts = [mpf(p) for p in points]
-        diffs = [pts[i + 1] - pts[i] for i in range(n - 1)]
-        if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+        # Bookkeeping on raw libmp values, rounded exactly as mpf arithmetic
+        # rounds; a nan difference has sign 0 and fails the check.
+        raw = [p._mpf_ for p in pts]
+        diffs = [mpf_sub(b, a, prec, rnd) for a, b in zip(raw, raw[1:])]
+        signs = set(map(mpf_sign, diffs))
+        if not (signs <= {1} or signs <= {-1}):
             raise WitnessSearchError(
                 "banded evaluation needs strictly monotone points",
                 reason="not-monotone",
             )
-        gaps = [abs(d) for d in diffs]
-        gaps_sorted = all(gaps[i + 1] >= gaps[i] for i in range(len(gaps) - 1))
+        gaps = [mpf_neg(d) for d in diffs] if signs == {-1} else diffs
+        gaps_sorted = all(map(mpf_ge, gaps[1:], gaps))
         cutoff = mpf(2) ** (-(precision_bits + 64)) * max(profile.value_mp(0), mpf(1))
-        r_star = _negligible_radius(profile, cutoff)
+        r_star = _negligible_radius(profile, cutoff)._mpf_
         off_terms: List[Any] = []
         for i in range(n - 1):
-            if gaps_sorted and gaps[i] * gaps[i] > r_star:
+            if gaps_sorted and mpf_gt(mpf_mul(gaps[i], gaps[i], prec, rnd), r_star):
                 break
             acc = mpf(0)
             for j in range(i + 1, n):
-                d = pts[j] - pts[i]
-                d2 = d * d
-                if d2 > r_star:
+                d = mpf_sub(raw[j], raw[i], prec, rnd)
+                d2 = mpf_mul(d, d, prec, rnd)
+                if mpf_gt(d2, r_star):
                     break
-                acc += profile.value_mp(d2)
+                acc += profile.value_mp(mpmath.mp.make_mpf(d2))
             off_terms.append(2 * acc)
         diag = n * profile.value_mp(0)
         fsum = neumaier_sum([f.eval_mp(p) for p in pts])
@@ -340,10 +346,10 @@ def build_witness(
         provenance = alpha_provenance or DECLARED
         min_ell = 0
     c_k = kernel.diag_sup
-    n_min = n_threshold(c_k, c, alpha_value)
     with workprec(precision_bits):
         bound = mpf(c) ** 2 * mpf(alpha_value) ** 2 / 2
-    n = n_min
+    # A threshold of 1 still admits two points, the smallest window find_ell probes.
+    n = max(n_threshold(c_k, c, alpha_value), 2)
     last_r = None
     for _ in range(doubling_cap + 1):
         ell = find_ell(kernel, sequence, n, bound, ell_max, precision_bits, min_ell=min_ell)
@@ -387,9 +393,9 @@ def verify_certificate(
 
     Checks: identifier match (raises on mismatch: verifying against the wrong
     objects is a caller bug, not a bad certificate), positive c and alpha,
-    window size above the threshold, stored points consistent with the stated
-    window, and the recomputed r matching the stored value to 2^-100 relative
-    accuracy while being negative.
+    window size above the threshold, as many stored points as n_points (the
+    points are not regenerated from the sequence), and the recomputed r
+    matching the stored value to 2^-100 relative accuracy while being negative.
     """
     if cert.kernel_id != kernel.kernel_id:
         raise ValueError(

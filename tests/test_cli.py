@@ -254,6 +254,24 @@ def test_witness_subcommand_prints_certificate(tmp_path, capsys):
     assert main(["verify", str(out)]) == 0
 
 
+@pytest.mark.parametrize("function", ["constant:-2.5", "poly:3", "poly:1,-0.5,0.25"])
+def test_witness_subcommand_threshold_of_one_point(tmp_path, capsys, function):
+    out = tmp_path / "cert.json"
+    argv = ["witness", "--kernel", "gaussian", "--function", function, "--c", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert "witness found: N=2 " in capsys.readouterr().out
+    assert main(["verify", str(out)]) == 0
+
+
+def test_run_with_threshold_of_one_point_verifies_every_scale(tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["run", "--function", "constant:-2.5", "--c-grid", "1,0.5", "--out", str(out)]
+    assert main(argv) == 0
+    witness = load_json(out)["results"]["witness"]
+    assert witness["verified_scales"] == ["1.0", "0.5"]
+    assert witness["failures"] == []
+
+
 def test_witness_subcommand_member_control(capsys):
     code = main(
         [

@@ -1,10 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf, workprec
+from mpmath.libmp import from_rational, round_nearest
 
 import oracles
 from rkhs_cert.errors import SingularGramError
@@ -40,6 +42,34 @@ def test_neumaier_matches_fsum_on_floats(values):
         exact = mpf(math.fsum(values))
         scale = mpf(1) + neumaier_sum([mpf(abs(v)) for v in values])
         assert abs(ours - exact) <= mpf(2) ** -48 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_neumaier_sum_is_the_exact_sum_rounded_once(data):
+    # every bit of every term lies in one window of 2 * prec bits, signs mixed:
+    # the result must be the exact rational sum rounded once to nearest
+    prec = data.draw(st.sampled_from([53, 64, 256]))
+    base = data.draw(st.integers(-1100, 1100))
+    mantissa = st.integers(-(2**prec) + 1, 2**prec - 1)
+    drawn = data.draw(st.lists(st.tuples(mantissa, st.integers(0, prec)), max_size=40))
+    exact = sum((Fraction(m) * Fraction(2) ** (base + e) for m, e in drawn), Fraction(0))
+    with workprec(prec):
+        terms = [mpmath.ldexp(mpf(m), base + e) for m, e in drawn]
+        rounded = mpmath.mp.make_mpf(
+            from_rational(exact.numerator, exact.denominator, prec, round_nearest)
+        )
+        assert neumaier_sum(terms) == rounded
+
+
+def test_neumaier_sum_rounds_once_where_compensation_rounded_twice():
+    # a Neumaier loop returned the sum one ulp off on this list at 53 bits
+    with workprec(53):
+        terms = [mpf(1), mpmath.ldexp(6302397744507966, 53), mpmath.ldexp(9007199254740991, 53)]
+        exact = 1 + (6302397744507966 + 9007199254740991) * 2**53
+        assert neumaier_sum(terms) == mpmath.mp.make_mpf(
+            from_rational(exact, 1, 53, round_nearest)
+        )
 
 
 def test_neumaier_cancellation():

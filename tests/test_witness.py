@@ -128,24 +128,88 @@ def test_find_ell_matches_slow_scan():
 # --- evaluate_ones_form: dense vs banded ----------------------------------------
 
 
-@pytest.mark.parametrize("n", [3, 33, 120, 129, 200, 513])
+def _agreement_window(n):
+    """(f, points): an int n is the triangular+ window x_2..x_{n+1}; named cases
+    reach the banded evaluator's monotonicity and gap bookkeeping."""
+    if n == "decreasing":
+        return make_constant(1.0), triangular_sequence(-1).points(2, 160)
+    if n == "gaps-unsorted":
+        # a wide first gap, then unit gaps: breaking off rows at the first wide
+        # gap would drop all of the off-diagonal mass
+        return make_constant(1.0), [0] + list(range(100, 259))
+    pts = list(triangular_sequence(1).points(2, 160))
+    if n == "swapped":
+        pts[80], pts[81] = pts[81], pts[80]
+        return make_constant(1.0), pts
+    if n == "repeated":
+        pts[81] = pts[80]
+        return make_constant(1.0), pts
+    return make_paper_example(), triangular_sequence(1).points(2, n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [3, 33, 120, 129, 200, 513, "decreasing", "gaps-unsorted", "swapped", "repeated"],
+)
 def test_dense_and_banded_paths_agree(n):
     k = make_gaussian()
-    f = make_paper_example()
-    seq = triangular_sequence(1)
-    pts = seq.points(2, n)
+    f, pts = _agreement_window(n)
     from rkhs_cert.quadform import assemble_gram, deflate, quadratic_form
     from rkhs_cert.witness import _banded_ones_form
 
+    if n in ("swapped", "repeated"):
+        for evaluate in (_banded_ones_form, evaluate_ones_form):
+            with pytest.raises(WitnessSearchError) as exc:
+                evaluate(k, f, 0.5, pts, 256)
+            assert exc.value.reason == "not-monotone"
+        return
     banded = _banded_ones_form(k, f, 0.5, pts, 256)
-    if n <= 200:
+    if len(pts) <= 200:
         g = assemble_gram(deflate(k, f, 0.5), pts, 256)
-        dense = quadratic_form(g, [1] * n)
+        dense = quadratic_form(g, [1] * len(pts))
         with workprec(256):
             assert abs(banded - dense) <= mpf(2) ** -180 * (1 + abs(dense))
     routed = evaluate_ones_form(k, f, 0.5, pts, 256)
     with workprec(256):
         assert abs(routed - banded) <= mpf(2) ** -180 * (1 + abs(banded))
+
+
+# Full-precision r on banded windows (N > 128), recorded before the banded
+# bookkeeping moved to raw libmp values and the sums to mpmath.fsum.  The
+# 64-bit window of float points is the one whose squared gaps get rounded.
+BANDED_R = [
+    ("gaussian", "paper_example", "triangular+", 300, 0.5, 256,
+     "-9576.839670799254575503950140541343301571294757980311787022107730341513012163307304574"),
+    ("inverse_quadratic", "paper_example", "triangular+", 200, 0.25, 256,
+     "-930.4355955033121171780907821624137410038033676244756380919382885928552341466918294735"),
+    ("laplace", "sin_squared_shifted", "triangular+", 257, 0.5, 256,
+     "-16255.0903538565734055722484115086149218440095537658600475706890821197657923431232783"),
+    ("laplace", "paper_example", "triangular+", 1025, 0.125, 256,
+     "-6182.27880496289262307404941674464260441466027186952612863084328720472018133338542814"),
+    ("gaussian", "constant:1.0", "triangular+", 2049, 0.0625, 256,
+     "-14351.00365920529370085074618445457887303190527159157620547816905194514904113929222077"),
+    ("gaussian", "paper_example", "triangular-", 300, 0.25, 256,
+     "-2169.209732416283919514047173476269980166752643188760100864153721544240033895260617977"),
+    ("inverse_quadratic", "constant:-0.5", "triangular-", 300, 0.125, 256,
+     "-50.49993800712895721361296544703245238534044409313142727381332909300954655799856163749"),
+    ("gaussian", "paper_example", "arithmetic:0.1", 300, 0.5, 64,
+     "-7241.01217760895331965187438"),
+]
+
+
+@pytest.mark.parametrize(
+    "kernel,function,sequence,n,c,bits,expected",
+    BANDED_R,
+    ids=[f"{k}-{f}-{s}-{n}" for k, f, s, n, _, _, _ in BANDED_R],
+)
+def test_banded_r_bits_are_pinned(kernel, function, sequence, n, c, bits, expected):
+    from rkhs_cert.registry import resolve_function, resolve_kernel, resolve_sequence
+    from rkhs_cert.serialize import number_to_str
+
+    k = resolve_kernel(kernel)
+    pts = resolve_sequence(sequence).points(2, n)
+    r = evaluate_ones_form(k, resolve_function(function, k), c, pts, bits)
+    assert number_to_str(r, bits) == expected
 
 
 def test_ones_form_matches_double_oracle():
@@ -187,6 +251,20 @@ def test_witness_negative_direction_sequence():
     cert = build_witness(make_gaussian(), make_constant(1.0), triangular_sequence(-1), 1.0)
     assert cert.r_value < 0
     assert verify_certificate(cert, make_gaussian(), make_constant(1.0))
+
+
+@pytest.mark.parametrize("function", ["constant:-2.5", "poly:3", "poly:1,-0.5,0.25"])
+def test_threshold_of_one_point_starts_at_two(function):
+    # c^2 alpha^2 > 2 sup K puts the size threshold at N = 1
+    from rkhs_cert.registry import resolve_function
+
+    k = make_gaussian()
+    f = resolve_function(function, k)
+    assert n_threshold(k.diag_sup, 1.0, resolve_alpha(f, triangular_sequence(1)).alpha) == 1
+    cert = build_witness(k, f, triangular_sequence(1), 1.0)
+    assert cert.n_points == 2
+    assert cert.r_value < 0
+    assert verify_certificate(cert, k, f)
 
 
 def test_member_exhausts_doubling_cap():
