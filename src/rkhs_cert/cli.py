@@ -41,6 +41,7 @@ from .serialize import (
     witness_to_dict,
 )
 from .witness import (
+    PointTable,
     SweepResult,
     WitnessCertificate,
     build_witness,
@@ -304,27 +305,37 @@ def config_from_dict(data: Dict[str, Any]) -> RunConfig:
     return cfg
 
 
-def _witness_worker(args: Tuple[Any, ...]) -> Tuple[str, float, Any]:
-    """Build one certificate; runs in-process or in a worker process."""
-    (kernel_spec, function_id, sequence_id, c, alpha, provenance, ell_max, bits, cap) = args
+def _witness_worker(args: Tuple[Any, ...]) -> List[Tuple[str, float, Any]]:
+    """Build one certificate per scale of a group; runs in-process or in a worker process.
+
+    The group's scales share one table of f values along the sequence.
+    """
+    (kernel_spec, function_id, sequence_id, scales, alpha, provenance, ell_max, bits, cap) = args
     kernel = resolve_kernel(kernel_spec)
     sequence = resolve_sequence(sequence_id)
     f = resolve_function(function_id, kernel)
-    try:
-        cert = build_witness(
-            kernel,
-            f,
-            sequence,
-            c,
-            alpha=alpha,
-            alpha_provenance=provenance,
-            ell_max=ell_max,
-            precision_bits=bits,
-            doubling_cap=cap,
-        )
-    except WitnessSearchError as exc:
-        return ("fail", c, f"{exc.reason}: {exc}")
-    return ("ok", c, witness_to_dict(cert))
+    table = PointTable(f, sequence, bits)
+    outcomes: List[Tuple[str, float, Any]] = []
+    for c in scales:
+        try:
+            cert = build_witness(
+                kernel,
+                f,
+                sequence,
+                c,
+                alpha=alpha,
+                alpha_provenance=provenance,
+                ell_max=ell_max,
+                precision_bits=bits,
+                doubling_cap=cap,
+                table=table,
+            )
+        except WitnessSearchError as exc:
+            outcomes.append(("fail", c, f"{exc.reason}: {exc}"))
+            continue
+        outcomes.append(("ok", c, cert))
+    del table  # its points and values are garbage before serialization starts
+    return [(status, c, witness_to_dict(x) if status == "ok" else x) for status, c, x in outcomes]
 
 
 def _domain_transfer_note(cfg: RunConfig) -> str:
@@ -354,25 +365,28 @@ def _run_witness_task(cfg: RunConfig, kernel: Any, f: Any, sequence: Any) -> Dic
         tail = TailBound(alpha=cfg.witness_alpha, sign=1, threshold=0.0)
     else:
         tail = resolve_alpha(f, sequence, precision_bits=cfg.precision_bits)
+    # Scales are dealt round-robin to the workers; outcomes return to grid order.
+    groups = min(cfg.jobs, len(grid))
     arglist = [
         (
             cfg.kernel,
             f.function_id,
             cfg.sequence,
-            float(c),
+            [float(c) for c in grid[g::groups]],
             tail.alpha,
             tail.provenance,
             cfg.ell_max,
             cfg.precision_bits,
             cfg.witness_doubling_cap,
         )
-        for c in grid
+        for g in range(groups)
     ]
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(_witness_worker, arglist))
+        with ProcessPoolExecutor(max_workers=groups) as pool:
+            dealt = list(pool.map(_witness_worker, arglist))
     else:
-        outcomes = [_witness_worker(a) for a in arglist]
+        dealt = [_witness_worker(a) for a in arglist]
+    outcomes = [dealt[i % groups][i // groups] for i in range(len(grid))]
     certificates: List[WitnessCertificate] = []
     failures: List[Tuple[float, str]] = []
     scaling: List[Tuple[float, float]] = []
@@ -707,7 +721,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cert = witness_from_dict(data)
     kernel = resolve_kernel(cert.kernel_id)
     f = resolve_function(cert.function_id, kernel)
-    ok = verify_certificate(cert, kernel, f)
+    try:
+        ok = verify_certificate(cert, kernel, f)
+    except ValueError as exc:
+        # The kernel and function come from the certificate itself, so this is
+        # a defect of the stored window (coincident points in a dense one).
+        print(f"certificate FAILED verification: {exc}", file=sys.stderr)
+        return 2
     if ok:
         print(
             f"certificate verified: kernel={cert.kernel_id} function={cert.function_id} "
@@ -776,7 +796,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--c-grid", dest="c_grid", help="comma-separated positive scales")
     p_run.add_argument("--ell-max", dest="ell_max", type=int)
     p_run.add_argument("--precision-bits", dest="precision_bits", type=int)
-    p_run.add_argument("--jobs", type=int, help="parallel workers across the scale grid")
+    p_run.add_argument(
+        "--jobs",
+        type=int,
+        help="at most this many worker processes; scales are dealt round-robin and each worker shares f values",
+    )
     p_run.add_argument("--alpha", type=float, help="declared tail lower bound for the witness task")
     p_run.add_argument("--out", required=True, help="report output path")
     p_run.add_argument("--certs-dir", dest="certs_dir", help="also write one JSON file per certificate")

@@ -49,6 +49,19 @@ _MP_FUNCS: Mapping[str, Callable[[Any], Any]] = {
     "sinpi": mpmath.sinpi,
 }
 
+
+def as_mpf(x: Any) -> Any:
+    """``x`` as an mpf at the working precision, without copying one that already is.
+
+    An mpf whose mantissa fits the working precision converts to an equal
+    value, so it is returned unchanged; anything else goes through ``mpf``,
+    which rounds it.
+    """
+    if type(x) is mpmath.mpf and x._mpf_[3] <= mpmath.mp._prec_rounding[0]:
+        return x
+    return mpmath.mpf(x)
+
+
 _BIN_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARY_OPS = (ast.USub, ast.UAdd)
 
@@ -160,7 +173,7 @@ class Expression:
         return float(self.fn_double(float(value)))
 
     def eval_mp(self, value: Any) -> Any:
-        return self.fn_mp(mpmath.mpf(value))
+        return self.fn_mp(as_mpf(value))
 
 
 def compile_expression(source: str, variable: str) -> Expression:

@@ -16,7 +16,7 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 
 from mpmath import mpf, workprec
 
-from .expressions import Expression, compile_expression
+from .expressions import Expression, as_mpf, compile_expression
 from .kernels import KernelSpec
 
 DECLARED = "declared"
@@ -77,7 +77,7 @@ class CandidateFunction:
         return float(self.fn_double(float(x)))
 
     def eval_mp(self, x: Any) -> Any:
-        return self.fn_mp(mpf(x))
+        return self.fn_mp(as_mpf(x))
 
 
 def _expression_function(function_id: str, source: str, **fields: Any) -> CandidateFunction:
@@ -172,10 +172,12 @@ def make_expression_function(source: str) -> CandidateFunction:
 def kernel_section(kernel: KernelSpec, x0: float) -> CandidateFunction:
     """f = K(., x0): the canonical member of the kernel's space (norm sqrt(K(x0, x0)))."""
     center = float(x0)
+    with workprec(53):
+        center_mp = mpf(center)  # exact: a double has 53 bits
     return CandidateFunction(
         function_id=f"kernel_section:{center!r}",
         fn_double=lambda x: kernel.eval(x, center),
-        fn_mp=lambda x: kernel.eval_mp(x, mpf(center)),
+        fn_mp=lambda x: kernel.eval_mp(x, center_mp),
         notes="member control: lies in the kernel's space by construction",
     )
 

@@ -27,7 +27,7 @@ import mpmath
 from mpmath import mpf
 
 from .errors import ProfileDerivativeError
-from .expressions import Expression, compile_expression
+from .expressions import Expression, as_mpf, compile_expression
 
 Number = Union[int, float, Fraction]
 
@@ -53,7 +53,7 @@ class RadialProfile:
         return float(self.fn_double(float(r)))
 
     def value_mp(self, r: Any) -> Any:
-        return self.fn_mp(mpf(r))
+        return self.fn_mp(as_mpf(r))
 
     def derivative_at_zero(self, n: int) -> Number:
         if n < 0:
@@ -82,7 +82,7 @@ class KernelSpec:
         return float(self.fn_double(float(x), float(y)))
 
     def eval_mp(self, x: Any, y: Any) -> Any:
-        return self.fn_mp(mpf(x), mpf(y))
+        return self.fn_mp(as_mpf(x), as_mpf(y))
 
     def diag_sup_mp(self) -> Any:
         """sup_x K(x, x) as an mpf at the ambient precision."""

@@ -21,12 +21,19 @@ dropped pairs, the omitted mass is below N^2 * 2^-(precision + 64), far under
 the certificate's comparison tolerance.  Builder and verifier select the
 evaluation path by the same rule, so reverification reproduces r to working
 accuracy.
+
+A search evaluates f once per sequence index: its windows are served from
+one ``PointTable``, which ``build_witness`` shares across its doublings and
+``sweep_c`` across its scales (their windows start at nearby offsets and
+mostly contain one another).  Verification shares nothing with the builder
+and recomputes every value from the stored points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, List, Optional, Sequence, Tuple
 
 import mpmath
@@ -34,6 +41,7 @@ from mpmath import mpf, workprec
 from mpmath.libmp import mpf_ge, mpf_gt, mpf_mul, mpf_neg, mpf_sign, mpf_sub
 
 from .errors import WitnessSearchError
+from .expressions import as_mpf
 from .functions import CandidateFunction, TailBound, tail_lower_bound, DECLARED
 from .kernels import KernelSpec
 from .quadform import (
@@ -161,6 +169,7 @@ def _banded_ones_form(
     c: float,
     points: Sequence[Any],
     precision_bits: int,
+    f_values: Optional[Sequence[Any]] = None,
 ) -> Any:
     """r for the all-ones vector via banded kernel summation.
 
@@ -173,7 +182,7 @@ def _banded_ones_form(
     n = len(points)
     with workprec(precision_bits):
         prec, rnd = mpmath.mp._prec_rounding
-        pts = [mpf(p) for p in points]
+        pts = [as_mpf(p) for p in points]
         # Bookkeeping on raw libmp values, rounded exactly as mpf arithmetic
         # rounds; a nan difference has sign 0 and fails the check.
         raw = [p._mpf_ for p in pts]
@@ -201,8 +210,37 @@ def _banded_ones_form(
                 acc += profile.value_mp(mpmath.mp.make_mpf(d2))
             off_terms.append(2 * acc)
         diag = n * profile.value_mp(0)
-        fsum = neumaier_sum([f.eval_mp(p) for p in pts])
+        if f_values is None:
+            f_values = [f.eval_mp(p) for p in pts]
+        fsum = neumaier_sum(f_values)
         return diag + neumaier_sum(off_terms) - mpf(c) ** 2 * fsum * fsum
+
+
+def _dense_ones_form(
+    kernel: KernelSpec,
+    f: CandidateFunction,
+    c: float,
+    points: Sequence[Any],
+    precision_bits: int,
+    f_values: Optional[Sequence[Any]] = None,
+) -> Any:
+    """r for the all-ones vector via the Gram matrix of ``deflate(kernel, f, c)``.
+
+    The deflated kernel reads f from a table keyed by point, filled from
+    ``f_values`` or else by evaluating f the first time a point is met, so f
+    runs at most once per point rather than twice per entry.
+    """
+    with workprec(precision_bits):
+        values = {} if f_values is None else dict(zip(map(as_mpf, points), f_values))
+
+    def value(x: Any) -> Any:
+        if x not in values:
+            values[x] = f.eval_mp(x)
+        return values[x]
+
+    tabulated = SimpleNamespace(function_id=f.function_id, eval_mp=value)
+    gram = assemble_gram(deflate(kernel, tabulated, c), points, precision_bits)
+    return quadratic_form(gram, [1] * len(points))
 
 
 def evaluate_ones_form(
@@ -211,6 +249,7 @@ def evaluate_ones_form(
     c: float,
     points: Sequence[Any],
     precision_bits: int = DEFAULT_PRECISION_BITS,
+    f_values: Optional[Sequence[Any]] = None,
 ) -> Any:
     """The witness quadratic form r on the given window, all-ones coefficients.
 
@@ -218,8 +257,17 @@ def evaluate_ones_form(
     points; beyond that, banded evaluation when the kernel's metadata makes
     truncation sound.  The selection rule depends only on (kernel, window
     size), so verification reproduces the builder's path.
+
+    ``f_values`` are f at the points, computed at ``precision_bits``; when
+    absent, f is evaluated once per point.
     """
-    n = len(points)
+    if _is_dense(kernel, len(points)):
+        return _dense_ones_form(kernel, f, c, points, precision_bits, f_values)
+    return _banded_ones_form(kernel, f, c, points, precision_bits, f_values)
+
+
+def _is_dense(kernel: KernelSpec, n: int) -> bool:
+    """Whether a window of n points takes the dense path; raises when no path can take it."""
     profile = kernel.profile
     banded_ok = (
         profile is not None
@@ -227,16 +275,63 @@ def evaluate_ones_form(
         and profile.decays_to_zero
         and profile.nonneg
     )
-    if n <= DENSE_EVAL_CAP or not banded_ok:
-        if n > DENSE_FALLBACK_LIMIT:
-            raise WitnessSearchError(
-                f"window of {n} points exceeds the dense evaluation limit and the "
-                "kernel lacks the decay metadata needed for banded summation",
-                reason="window-too-large",
-            )
-        gram = assemble_gram(deflate(kernel, f, c), points, precision_bits)
-        return quadratic_form(gram, [1] * n)
-    return _banded_ones_form(kernel, f, c, points, precision_bits)
+    if n > DENSE_EVAL_CAP and banded_ok:
+        return False
+    if n > DENSE_FALLBACK_LIMIT:
+        raise WitnessSearchError(
+            f"window of {n} points exceeds the dense evaluation limit and the "
+            "kernel lacks the decay metadata needed for banded summation",
+            reason="window-too-large",
+        )
+    return True
+
+
+class PointTable:
+    """Points x_k, mpf(x_k) and values f(x_k) over one contiguous range of indices k.
+
+    ``window`` computes only the indices it has not stored, so a search that
+    serves all its windows from one table evaluates f at most once per index.
+    A request that neither overlaps nor adjoins the stored range restarts the
+    table there, so no index outside a requested window is ever computed.
+    Windows are list slices: the caller may keep them, but not modify them.
+    """
+
+    def __init__(
+        self,
+        f: CandidateFunction,
+        sequence: SequenceSpec,
+        precision_bits: int = DEFAULT_PRECISION_BITS,
+    ) -> None:
+        self.f = f
+        self.sequence = sequence
+        self.precision_bits = precision_bits
+        self.first = 1
+        self.raw: List[Any] = []
+        self.mp: List[Any] = []
+        self.values: List[Any] = []
+
+    def _extend(self, start: int, count: int, at: int) -> None:
+        raw = self.sequence.points(start, count)
+        with workprec(self.precision_bits):
+            mp = [as_mpf(x) for x in raw]
+            values = [self.f.eval_mp(x) for x in mp]
+        self.raw[at:at] = raw
+        self.mp[at:at] = mp
+        self.values[at:at] = values
+
+    def window(self, start: int, count: int) -> Tuple[List[Any], List[Any], List[Any]]:
+        """Raw points, mpf points and f values at indices start, ..., start + count - 1."""
+        stop = self.first + len(self.raw)
+        if start > stop or start + count < self.first:
+            self.first, self.raw, self.mp, self.values = start, [], [], []
+            stop = start
+        if start < self.first:
+            self._extend(start, self.first - start, 0)
+            self.first = start
+        if start + count > stop:
+            self._extend(stop, start + count - stop, len(self.raw))
+        i = start - self.first
+        return self.raw[i : i + count], self.mp[i : i + count], self.values[i : i + count]
 
 
 @dataclass(frozen=True)
@@ -324,6 +419,7 @@ def build_witness(
     ell_max: int = 10**6,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     doubling_cap: int = DEFAULT_DOUBLING_CAP,
+    table: Optional[PointTable] = None,
 ) -> WitnessCertificate:
     """Search for a negativity certificate at scale c.
 
@@ -331,9 +427,16 @@ def build_witness(
     ``doubling_cap`` times when r fails to come out negative; exhausting the
     cap raises, which is the expected outcome when f actually lies in the
     kernel's space (or alpha was declared too optimistically).
+
+    Windows are served from ``table``, which callers share across scales;
+    without one, the search makes its own for its doublings.
     """
     if not c > 0:
         raise ValueError("scale c must be positive")
+    if table is None:
+        table = PointTable(f, sequence, precision_bits)
+    elif (table.f, table.sequence, table.precision_bits) != (f, sequence, precision_bits):
+        raise ValueError("point table was made for another function, sequence or precision")
     if alpha is None:
         tail = resolve_alpha(f, sequence, precision_bits=precision_bits)
         alpha_value = tail.alpha
@@ -353,8 +456,9 @@ def build_witness(
     last_r = None
     for _ in range(doubling_cap + 1):
         ell = find_ell(kernel, sequence, n, bound, ell_max, precision_bits, min_ell=min_ell)
-        points = sequence.points(ell + 1, n)
-        r = evaluate_ones_form(kernel, f, c, points, precision_bits)
+        _is_dense(kernel, n)  # refuse a window no path can take before computing f on it
+        points, mp_points, f_values = table.window(ell + 1, n)
+        r = evaluate_ones_form(kernel, f, c, mp_points, precision_bits, f_values=f_values)
         if r < 0:
             return WitnessCertificate(
                 kernel_id=kernel.kernel_id,
@@ -456,13 +560,17 @@ def sweep_c(
     precision_bits: int = DEFAULT_PRECISION_BITS,
     doubling_cap: int = DEFAULT_DOUBLING_CAP,
 ) -> SweepResult:
-    """Run build_witness for every scale on the grid, collecting outcomes."""
+    """Run build_witness for every scale on the grid, collecting outcomes.
+
+    All scales share one PointTable, so f runs once per sequence index.
+    """
     grid = tuple(float(c) for c in (c_grid if c_grid is not None else default_c_grid()))
     if not grid:
         raise ValueError("scale grid must be nonempty")
     if any(not c > 0 for c in grid):
         raise ValueError("scales must be positive")
     tail = resolve_alpha(f, sequence, precision_bits=precision_bits)
+    table = PointTable(f, sequence, precision_bits)
     certs: List[WitnessCertificate] = []
     failures: List[Tuple[float, str]] = []
     scaling: List[Tuple[float, float]] = []
@@ -478,6 +586,7 @@ def sweep_c(
                 ell_max=ell_max,
                 precision_bits=precision_bits,
                 doubling_cap=doubling_cap,
+                table=table,
             )
         except WitnessSearchError as exc:
             failures.append((c, f"{exc.reason}: {exc}"))

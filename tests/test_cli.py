@@ -86,13 +86,20 @@ def test_rerun_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_jobs_do_not_change_report_bytes(tmp_path):
-    args = ["--function", "constant:1.0", "--c-grid", "1,0.5,0.25"]
+@pytest.mark.parametrize(
+    "grid,jobs",
+    [("1,0.5,0.25", 3), ("0.25,1,0.5,0.25", 2), ("0.25,1,0.5,0.25", 5)],
+    ids=["sorted-3", "repeated-2", "repeated-5"],
+)
+def test_jobs_do_not_change_report_bytes(tmp_path, grid, jobs):
+    args = ["--function", "constant:1.0", "--c-grid", grid]
     serial = tmp_path / "serial.json"
     parallel = tmp_path / "parallel.json"
     assert main(["run", "--out", str(serial), "--jobs", "1"] + args) == 0
-    assert main(["run", "--out", str(parallel), "--jobs", "3"] + args) == 0
+    assert main(["run", "--out", str(parallel), "--jobs", str(jobs)] + args) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+    witness = load_json(serial)["results"]["witness"]
+    assert [float(c["c"]) for c in witness["certificates"]] == [float(c) for c in grid.split(",")]
 
 
 def test_certificates_written_and_verifiable(tmp_path, capsys):
@@ -132,16 +139,27 @@ def test_verify_detects_tampering(tmp_path, capsys):
             "--function",
             "constant:1.0",
             "--c-grid",
-            "1",
+            "1,0.125",
         ]
     )
     path = certs / "certificate_00.json"
     data = json.loads(path.read_text())
     data["n_points"] = 2
     data["points"] = data["points"][:2]
-    path.write_text(json.dumps(data))
-    assert main(["verify", str(path)]) == 2
+    (tmp_path / "short.json").write_text(json.dumps(data))
+    assert main(["verify", str(tmp_path / "short.json")]) == 2
     assert "FAILED" in capsys.readouterr().err
+    # A repeated point fails on the dense (N = 3) and the banded (N = 129) path alike.
+    for name, n in (("certificate_00.json", 3), ("certificate_01.json", 129)):
+        path = certs / name
+        data = json.loads(path.read_text())
+        assert data["n_points"] == n
+        data["points"][1] = data["points"][0]
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(("certificate FAILED verification", "witness search error"))
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_verify_missing_file_is_config_error(tmp_path):
@@ -489,6 +507,11 @@ def test_config_witness_alpha_validation():
 # --- csv tables --------------------------------------------------------------------
 
 
+def _read_csv(path):
+    with path.open(newline="") as handle:
+        return list(csv.reader(handle))
+
+
 def test_csv_tables_written_and_deterministic(tmp_path, capsys):
     args = [
         "run",
@@ -505,7 +528,7 @@ def test_csv_tables_written_and_deterministic(tmp_path, capsys):
     assert "wrote 3 csv table(s)" in capsys.readouterr().out
     assert sorted(p.name for p in csv1.iterdir()) == ["decay.csv", "psd.csv", "witness.csv"]
 
-    rows = list(csv.reader((csv1 / "witness.csv").open()))
+    rows = _read_csv(csv1 / "witness.csv")
     assert rows[0] == ["c", "status", "n_points", "ell", "r_value", "verified", "detail"]
     report = load_json(out1)
     witness = report["results"]["witness"]
@@ -517,11 +540,11 @@ def test_csv_tables_written_and_deterministic(tmp_path, capsys):
     assert rows[1][2] == "3"  # N at c=1
     assert rows[1][4] == witness["certificates"][0]["r_value"]
 
-    decay_rows = list(csv.reader((csv1 / "decay.csv").open()))
+    decay_rows = _read_csv(csv1 / "decay.csv")
     assert decay_rows[0] == ["ell", "max_offdiag"]
     assert len(decay_rows) == len(report["results"]["decay"]["ell_values"]) + 1
 
-    psd_rows = list(csv.reader((csv1 / "psd.csv").open()))
+    psd_rows = _read_csv(csv1 / "psd.csv")
     assert psd_rows[0] == ["label", "is_psd", "min_pivot_or_eigenvalue", "tolerance_used"]
     assert [r[0] for r in psd_rows[1:]] == ["gram", "schur_control:x0=0.0"]
     assert all(r[1] == "true" for r in psd_rows[1:])
@@ -554,21 +577,21 @@ def test_csv_failure_rows_and_diagnostic_tables(tmp_path):
         ]
     )
     assert code == 0
-    rows = list(csv.reader((tables / "witness.csv").open()))
+    rows = _read_csv(tables / "witness.csv")
     assert len(rows) == 2
     assert rows[1][1] == "failure"
     assert rows[1][2] == ""  # no window size for a failed scale
     assert rows[1][6].startswith("doubling-cap-exhausted")
 
     report = load_json(out)
-    analytic_rows = list(csv.reader((tables / "analytic.csv").open()))
+    analytic_rows = _read_csv(tables / "analytic.csv")
     assert analytic_rows[0] == ["order", "dnn_value", "exact_bound", "bound_curve", "fd_value"]
     assert len(analytic_rows) == len(report["results"]["analytic"]["orders"]) + 1
     assert analytic_rows[1][0] == "0" and analytic_rows[1][4] == ""  # no stencil at order 0
     assert analytic_rows[2][4] != "" and analytic_rows[3][4] != ""  # orders 1 and 2
     assert analytic_rows[4][4] == ""
 
-    interp_rows = list(csv.reader((tables / "interpolant.csv").open()))
+    interp_rows = _read_csv(tables / "interpolant.csv")
     assert interp_rows[0] == ["step", "num_points", "norm", "precision_bits"]
     assert len(interp_rows) == len(report["results"]["interpolant"]["norms"]) + 1
     assert [r[0] for r in interp_rows[1:]] == [str(i) for i in range(len(interp_rows) - 1)]

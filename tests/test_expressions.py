@@ -3,10 +3,10 @@ import math
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import workprec
+from mpmath import mpf, workprec
 
 from rkhs_cert.errors import ExpressionError
-from rkhs_cert.expressions import compile_expression
+from rkhs_cert.expressions import as_mpf, compile_expression
 
 
 def test_basic_arithmetic():
@@ -110,3 +110,17 @@ def test_sinpi_vanishes_exactly_at_integers_in_mp():
 def test_rejects_compiler_internal_names(internal):
     with pytest.raises(ExpressionError):
         compile_expression(internal, "x")
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_as_mpf_equals_mpf(bits):
+    with workprec(400):
+        wide = mpf(1) / 3
+    inputs = [7, 2**300 + 1, 0.1, "0.1", wide, math.inf, -math.inf, math.nan]
+    inputs += [mpf("inf"), mpf("-inf"), mpf("nan"), mpmath.pi, 0]
+    with workprec(bits):
+        narrow = mpf(1) / 7
+        for x in inputs + [narrow]:
+            assert as_mpf(x)._mpf_ == mpf(x)._mpf_, x
+        assert as_mpf(narrow) is narrow
+        assert as_mpf(wide)._mpf_ != wide._mpf_  # a wider mpf still rounds

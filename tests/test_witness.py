@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -22,6 +23,7 @@ from rkhs_cert.kernels import (
 )
 from rkhs_cert.sequences import triangular_sequence
 from rkhs_cert.witness import (
+    PointTable,
     build_witness,
     default_c_grid,
     evaluate_ones_form,
@@ -172,6 +174,110 @@ def test_dense_and_banded_paths_agree(n):
     routed = evaluate_ones_form(k, f, 0.5, pts, 256)
     with workprec(256):
         assert abs(routed - banded) <= mpf(2) ** -180 * (1 + abs(banded))
+
+
+# --- shared f values ----------------------------------------------------------------
+
+
+def _counting(f):
+    """f with every extended-precision evaluation recorded (as a float argument)."""
+    calls = []
+
+    def fn_mp(x):
+        calls.append(float(x))
+        return f.fn_mp(x)
+
+    return replace(f, fn_mp=fn_mp), calls
+
+
+def test_dense_window_evaluates_f_once_per_point():
+    from rkhs_cert.quadform import assemble_gram, deflate, quadratic_form
+
+    k = make_gaussian()
+    f, calls = _counting(make_paper_example())
+    pts = triangular_sequence(1).points(2, 60)
+    # At this scale r = 60 - c^2 (sum f)^2 + (off-diagonal mass) nearly
+    # cancels, so the rounding of every entry K - c^2 f_i f_j shows in r.
+    with workprec(256):
+        c = math.sqrt(60) / float(mpmath.fsum(make_paper_example().eval_mp(x) for x in pts))
+    r = evaluate_ones_form(k, f, c, pts, 256)
+    assert len(calls) == 60
+    gram = assemble_gram(deflate(k, make_paper_example(), c), pts, 256)
+    assert r._mpf_ == quadratic_form(gram, [1] * 60)._mpf_
+
+
+def test_doublings_evaluate_f_once_per_index():
+    k = make_gaussian()
+    member, calls = _counting(kernel_section(k, 0.0))
+    with pytest.raises(WitnessSearchError) as exc:
+        build_witness(k, member, triangular_sequence(1), 1.0, alpha=0.5)
+    assert exc.value.reason == "doubling-cap-exhausted"
+    # windows of N, 2N, ..., 64N points at one offset: 64N distinct indices
+    assert len(calls) == len(set(calls)) == 64 * n_threshold(1.0, 1.0, 0.5)
+
+
+def test_sweep_evaluates_f_once_per_index():
+    f, calls = _counting(make_paper_example())
+    sweep = sweep_c(make_gaussian(), f, triangular_sequence(1), c_grid=(1.0, 0.5, 0.25))
+    assert len(sweep.certificates) == 3
+    assert len(calls) == len(set(calls))
+    assert set(calls) >= {float(p) for cert in sweep.certificates for p in cert.points}
+
+
+def test_window_no_path_can_take_costs_no_f_values():
+    from rkhs_cert.kernels import custom_radial_from_expression
+
+    # monotone but not declared decaying: offsets are found fast, yet a window
+    # above the dense limit has no evaluation path
+    k = custom_radial_from_expression("exp(-r)", monotone_decreasing=True, nonneg=True)
+    f, calls = _counting(make_constant(1.0))
+    with pytest.raises(WitnessSearchError) as exc:
+        build_witness(k, f, triangular_sequence(1), 2.0**-6)
+    assert exc.value.reason == "window-too-large"
+    assert calls == []
+
+
+def test_point_table_extends_and_restarts():
+    f, calls = _counting(make_paper_example())
+    seq = triangular_sequence(1)
+    table = PointTable(f, seq, 256)
+    table.window(5, 4)
+    raw, pts, values = table.window(3, 8)  # extends on both sides
+    table.window(1, 2)  # adjoins the stored range
+    assert len(calls) == 10
+    assert raw == list(seq.points(3, 8))
+    with workprec(256):
+        assert [v._mpf_ for v in values] == [make_paper_example().eval_mp(x)._mpf_ for x in raw]
+        assert pts == [mpf(x) for x in raw]
+    table.window(20, 2)  # disjoint: the table starts over there
+    assert len(calls) == 12 and table.first == 20 and len(table.raw) == 2
+
+
+def test_shared_table_certificates_match_unshared():
+    k = make_gaussian()
+    f = make_paper_example()
+    seq = triangular_sequence(1)
+    table = PointTable(f, seq, 256)
+    for c in (0.25, 1.0, 0.5, 0.125):
+        shared = build_witness(k, f, seq, c, table=table)
+        alone = build_witness(k, f, seq, c)
+        assert shared.r_value._mpf_ == alone.r_value._mpf_
+        assert (shared.points, shared.ell, shared.n_points) == (alone.points, alone.ell, alone.n_points)
+        # recomputed from the stored points alone, as verification does
+        assert evaluate_ones_form(k, f, c, shared.points, 256)._mpf_ == shared.r_value._mpf_
+
+
+@pytest.mark.parametrize("other", ["function", "sequence", "precision"])
+def test_table_for_other_inputs_is_rejected(other):
+    f = make_constant(1.0)
+    seq = triangular_sequence(1)
+    args = {
+        "function": (make_paper_example(), seq, 256),
+        "sequence": (f, triangular_sequence(-1), 256),
+        "precision": (f, seq, 128),
+    }[other]
+    with pytest.raises(ValueError, match="another function, sequence or precision"):
+        build_witness(make_gaussian(), f, seq, 1.0, table=PointTable(*args))
 
 
 # Full-precision r on banded windows (N > 128), recorded before the banded
