@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .analytic import analyticity_envelope
-from .errors import ConfigError, SingularGramError, WitnessSearchError
+from .errors import ConfigError, EvaluationError, SingularGramError, WitnessSearchError
 from .functions import TailBound
 from .interpolant import norm_growth_trace
 from .quadform import assemble_gram, psd_check, schur_deflation_control
@@ -43,6 +43,7 @@ from .serialize import (
 from .witness import (
     PointTable,
     SweepResult,
+    VerifierStore,
     WitnessCertificate,
     build_witness,
     default_c_grid,
@@ -390,7 +391,6 @@ def _run_witness_task(cfg: RunConfig, kernel: Any, f: Any, sequence: Any) -> Dic
     certificates: List[WitnessCertificate] = []
     failures: List[Tuple[float, str]] = []
     scaling: List[Tuple[float, float]] = []
-    verified: List[float] = []
     for status, c, payload in outcomes:
         if status == "fail":
             failures.append((c, payload))
@@ -398,8 +398,16 @@ def _run_witness_task(cfg: RunConfig, kernel: Any, f: Any, sequence: Any) -> Dic
         cert = witness_from_dict(payload)
         certificates.append(cert)
         scaling.append((c, cert.n_points * c * c))
-        if verify_certificate(cert, kernel, f):
-            verified.append(c)
+    # The windows mostly contain one another, so one store evaluates f once
+    # per distinct stored point; largest first keeps its memory at the
+    # largest certificate's.
+    store = VerifierStore(f)
+    passed = set()
+    for i in sorted(range(len(certificates)), key=lambda i: -certificates[i].n_points):
+        if verify_certificate(certificates[i], kernel, f, store):
+            passed.add(i)
+    del store  # its kept values are garbage before serialization starts
+    verified = [c for i, (c, _) in enumerate(scaling) if i in passed]
     result = SweepResult(
         c_values=tuple(float(c) for c in grid),
         certificates=tuple(certificates),
@@ -936,6 +944,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except WitnessSearchError as exc:
         print(f"witness search error ({exc.reason}): {exc}", file=sys.stderr)
+        return 2
+    except EvaluationError as exc:
+        print(f"evaluation error: {exc}", file=sys.stderr)
         return 2
 
 

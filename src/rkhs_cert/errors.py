@@ -22,6 +22,14 @@ class WitnessSearchError(RuntimeError):
         self.reason = reason
 
 
+class EvaluationError(ArithmeticError):
+    """Raised when a candidate function is undefined at a point it must be evaluated at.
+
+    The message names the function and the point; the cause is the
+    arithmetic error (division by zero, a complex result) that arose there.
+    """
+
+
 class SingularGramError(ArithmeticError):
     """Raised when a Gram matrix is numerically singular at the working precision."""
 

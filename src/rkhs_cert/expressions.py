@@ -10,8 +10,30 @@ Anything else is rejected before compilation, so config files cannot smuggle
 in attribute access, names or general Python.
 
 A validated tree is compiled once per evaluation context into a plain Python
-function whose namespace holds only the whitelisted functions of that
-context and the literals, converted in advance where that is exact.
+function whose namespace holds only the routines of that context and the
+literals, converted in advance where that is exact.
+
+The double context calls ``math`` functions on floats.  The extended context
+calls mpmath's low-level ``libmp`` routines on raw ``_mpf_`` values, reading
+the working precision and rounding once per call from
+``mpmath.mp._prec_rounding``:
+
+    ``+ - * /``  mpf_add, mpf_sub, mpf_mul, mpf_div
+    unary ``-``  mpf_neg
+    ``** k``     mpf_pow_int (k a Python int)
+    exp, sin, cos, sqrt, abs, sinpi
+                 mpf_exp, mpf_sin, mpf_cos, mpf_sqrt, mpf_abs, mpf_sin_pi
+    literals     raw values converted once at 53 bits (exact); integers of
+                 2^53 or more through from_int at the call's precision
+
+These are the routines that mpmath's ``mpf`` operators and ``mpmath.exp``
+and friends call, with the same arguments, so every result is bit-identical
+to evaluating the expression on ``mpf`` objects; only the wrapper objects
+between the operations are gone.  One difference is deliberate: where the
+``mpf`` wrappers silently continue in complex arithmetic (``sqrt`` of a
+negative number), the compiled function raises ``ComplexResult``, a
+``ValueError``, as the double context raises on ``math.sqrt``.  A body that
+is only the variable or one literal returns its argument or one shared mpf.
 """
 
 from __future__ import annotations
@@ -22,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Mapping
 
 import mpmath
+from mpmath import libmp
 
 from .errors import ExpressionError
 
@@ -40,13 +63,21 @@ _DOUBLE_FUNCS: Mapping[str, Callable[[Any], Any]] = {
     "sinpi": _sinpi_double,
 }
 
-_MP_FUNCS: Mapping[str, Callable[[Any], Any]] = {
-    "exp": mpmath.exp,
-    "sin": mpmath.sin,
-    "cos": mpmath.cos,
-    "sqrt": mpmath.sqrt,
-    "abs": mpmath.fabs,
-    "sinpi": mpmath.sinpi,
+# The libmp routine behind each operator and whitelisted function of the
+# extended context; each takes raw values and then (precision, rounding).
+_LIBMP_OPS = {ast.Add: "mpf_add", ast.Sub: "mpf_sub", ast.Mult: "mpf_mul", ast.Div: "mpf_div"}
+_LIBMP_CALLS = {
+    "exp": "mpf_exp",
+    "sin": "mpf_sin",
+    "cos": "mpf_cos",
+    "sqrt": "mpf_sqrt",
+    "abs": "mpf_abs",
+    "sinpi": "mpf_sin_pi",
+    "_num": "from_int",
+}
+_LIBMP_NAMESPACE = {
+    name: getattr(libmp, name)
+    for name in (*_LIBMP_OPS.values(), *_LIBMP_CALLS.values(), "mpf_neg", "mpf_pow_int")
 }
 
 
@@ -154,14 +185,41 @@ def _lower(node: ast.expr, literals: List[Any]) -> ast.expr:
     return ast.Call(ast.Name(node.func.id, ast.Load()), [_lower(node.args[0], literals)], [])  # type: ignore[union-attr]
 
 
+def _libmp_call(routine: str, *args: ast.expr) -> ast.expr:
+    extra = [ast.Name("_prec", ast.Load()), ast.Name("_rnd", ast.Load())]
+    return ast.Call(ast.Name(routine, ast.Load()), [*args, *extra], [])
+
+
+def _libmp_tree(node: ast.expr) -> ast.expr:
+    """A lowered tree rewritten as nested libmp calls over raw values.
+
+    Names (the variable and the literals) stand for raw values; every other
+    node becomes its routine, called with ``_prec`` and ``_rnd`` appended.
+    """
+    if isinstance(node, ast.Name):
+        return node
+    if isinstance(node, ast.UnaryOp):
+        return _libmp_call("mpf_neg", _libmp_tree(node.operand))
+    if isinstance(node, ast.BinOp):
+        left = _libmp_tree(node.left)
+        if isinstance(node.op, ast.Pow):
+            return _libmp_call("mpf_pow_int", left, node.right)
+        return _libmp_call(_LIBMP_OPS[type(node.op)], left, _libmp_tree(node.right))
+    # A whitelisted call, or _num of a wide integer literal.
+    arg = node.args[0]  # type: ignore[attr-defined]
+    name = node.func.id  # type: ignore[attr-defined]
+    return _libmp_call(_LIBMP_CALLS[name], arg if name == "_num" else _libmp_tree(arg))
+
+
 @dataclass(frozen=True)
 class Expression:
     """A validated single-variable expression, compiled for two contexts.
 
-    ``fn_double`` runs on machine doubles; ``fn_mp`` runs on mpmath numbers
-    under whatever working precision the caller has set.  Both expect an
-    argument already in their context; ``eval_double``/``eval_mp`` convert
-    it first.  No literal is rounded below the precision of its context.
+    ``fn_double`` runs on machine doubles; ``fn_mp`` takes an mpf and
+    returns one, computed under whatever working precision the caller has
+    set.  Both expect an argument already in their context;
+    ``eval_double``/``eval_mp`` convert it first.  No literal is rounded
+    below the precision of its context.
     """
 
     source: str
@@ -190,22 +248,35 @@ def compile_expression(source: str, variable: str) -> Expression:
         raise ExpressionError(f"cannot parse expression {source!r}: {exc.msg}") from exc
     _validate(tree.body, variable)
     literals: List[Any] = []
+    body = _lower(tree.body, literals)
+    # Pinned, so no literal depends on the precision in force right now.
+    with mpmath.workprec(53):
+        mp_literals = [mpmath.mpf(v) for v in literals]
+    names = [f"_k{i}" for i in range(len(literals))]
     args = ast.arguments(
         posonlyargs=[], args=[ast.arg(variable)], kwonlyargs=[], kw_defaults=[], defaults=[]
     )
-    lam = ast.Expression(ast.Lambda(args, _lower(tree.body, literals)))
+    lam = ast.Expression(ast.Lambda(args, body))
     code = compile(ast.fix_missing_locations(lam), f"<expression {source!r}>", "eval")
-
-    def bind(funcs: Mapping[str, Callable[[Any], Any]], num: Callable[[Any], Any]) -> Any:
-        namespace = {"__builtins__": {}, "_num": num, **funcs}
-        # Pinned, so no literal depends on the precision in force right now.
-        with mpmath.workprec(53):
-            namespace.update((f"_k{i}", num(v)) for i, v in enumerate(literals))
-        return eval(code, namespace)
-
-    return Expression(
-        source=source,
-        variable=variable,
-        fn_double=bind(_DOUBLE_FUNCS, float),
-        fn_mp=bind(_MP_FUNCS, mpmath.mpf),
-    )
+    double_literals = dict(zip(names, map(float, literals)))
+    fn_double = eval(code, {"__builtins__": {}, "_num": float, **_DOUBLE_FUNCS, **double_literals})
+    if isinstance(body, ast.Name):
+        # The variable itself, or one literal: its one shared mpf, no arithmetic.
+        fn_mp = eval(code, {"__builtins__": {}, **dict(zip(names, mp_literals))})
+    else:
+        mp_source = (
+            f"def _fn({variable}):\n"
+            "    _prec, _rnd = _prec_rounding\n"
+            f"    {variable} = {variable}._mpf_\n"
+            f"    return _make_mpf({ast.unparse(_libmp_tree(body))})\n"
+        )
+        namespace = {
+            "__builtins__": {},
+            "_prec_rounding": mpmath.mp._prec_rounding,
+            "_make_mpf": mpmath.mp.make_mpf,
+            **_LIBMP_NAMESPACE,
+            **dict(zip(names, (k._mpf_ for k in mp_literals))),
+        }
+        exec(compile(mp_source, f"<expression {source!r}>", "exec"), namespace)
+        fn_mp = namespace["_fn"]
+    return Expression(source=source, variable=variable, fn_double=fn_double, fn_mp=fn_mp)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from mpmath import mpf, workprec
+from mpmath import mpf, nstr, workprec
 
+from .errors import EvaluationError
 from .expressions import Expression, as_mpf, compile_expression
 from .kernels import KernelSpec
 
@@ -78,6 +79,23 @@ class CandidateFunction:
 
     def eval_mp(self, x: Any) -> Any:
         return self.fn_mp(as_mpf(x))
+
+    def values_mp(self, points: Iterable[Any]) -> List[Any]:
+        """f at each point, at the working precision.
+
+        A point where f is undefined (a division by zero, a complex
+        intermediate) raises EvaluationError naming the function and the point.
+        """
+        values = []
+        try:
+            for x in points:
+                values.append(self.eval_mp(x))
+        except (ArithmeticError, ValueError) as exc:
+            reason = "division by zero" if isinstance(exc, ZeroDivisionError) else str(exc)
+            raise EvaluationError(
+                f"function {self.function_id} is undefined at x = {nstr(x, 17)}: {reason}"
+            ) from exc
+        return values
 
 
 def _expression_function(function_id: str, source: str, **fields: Any) -> CandidateFunction:
@@ -200,7 +218,7 @@ def tail_lower_bound(
     if start < 1:
         raise ValueError("sequence indices start at 1")
     with workprec(precision_bits):
-        values = [f.eval_mp(sequence.point(n)) for n in range(start, start + count)]
+        values = f.values_mp(sequence.point(n) for n in range(start, start + count))
         signs = {(-1 if v < 0 else (1 if v > 0 else 0)) for v in values}
         if len(signs) != 1 or 0 in signs:
             return None

@@ -25,16 +25,20 @@ accuracy.
 A search evaluates f once per sequence index: its windows are served from
 one ``PointTable``, which ``build_witness`` shares across its doublings and
 ``sweep_c`` across its scales (their windows start at nearby offsets and
-mostly contain one another).  Verification shares nothing with the builder
-and recomputes every value from the stored points.
+mostly contain one another).  A window's f values are computed only after
+it passes the evaluator's point checks.  Verification shares nothing with
+the builder and recomputes every value from the stored points; certificates
+verified together may share the verifier's own f values through a
+``VerifierStore``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from types import SimpleNamespace
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
@@ -169,7 +173,7 @@ def _banded_ones_form(
     c: float,
     points: Sequence[Any],
     precision_bits: int,
-    f_values: Optional[Sequence[Any]] = None,
+    f_values: Optional[Callable[[], Sequence[Any]]] = None,
 ) -> Any:
     """r for the all-ones vector via banded kernel summation.
 
@@ -182,10 +186,15 @@ def _banded_ones_form(
     n = len(points)
     with workprec(precision_bits):
         prec, rnd = mpmath.mp._prec_rounding
-        pts = [as_mpf(p) for p in points]
         # Bookkeeping on raw libmp values, rounded exactly as mpf arithmetic
-        # rounds; a nan difference has sign 0 and fails the check.
-        raw = [p._mpf_ for p in pts]
+        # rounds; a nan difference has sign 0 and fails the check.  Points
+        # convert once; the mpf list is kept only if f must be evaluated here.
+        if f_values is None:
+            pts = [as_mpf(p) for p in points]
+            raw = [p._mpf_ for p in pts]
+            f_values = lambda: f.values_mp(pts)  # noqa: E731
+        else:
+            raw = [as_mpf(p)._mpf_ for p in points]
         diffs = [mpf_sub(b, a, prec, rnd) for a, b in zip(raw, raw[1:])]
         signs = set(map(mpf_sign, diffs))
         if not (signs <= {1} or signs <= {-1}):
@@ -210,9 +219,7 @@ def _banded_ones_form(
                 acc += profile.value_mp(mpmath.mp.make_mpf(d2))
             off_terms.append(2 * acc)
         diag = n * profile.value_mp(0)
-        if f_values is None:
-            f_values = [f.eval_mp(p) for p in pts]
-        fsum = neumaier_sum(f_values)
+        fsum = neumaier_sum(f_values())
         return diag + neumaier_sum(off_terms) - mpf(c) ** 2 * fsum * fsum
 
 
@@ -222,23 +229,17 @@ def _dense_ones_form(
     c: float,
     points: Sequence[Any],
     precision_bits: int,
-    f_values: Optional[Sequence[Any]] = None,
+    f_values: Optional[Callable[[], Sequence[Any]]] = None,
 ) -> Any:
     """r for the all-ones vector via the Gram matrix of ``deflate(kernel, f, c)``.
 
-    The deflated kernel reads f from a table keyed by point, filled from
-    ``f_values`` or else by evaluating f the first time a point is met, so f
-    runs at most once per point rather than twice per entry.
+    The deflated kernel reads f from a table keyed by point, so f runs once
+    per point rather than twice per entry.
     """
     with workprec(precision_bits):
-        values = {} if f_values is None else dict(zip(map(as_mpf, points), f_values))
-
-    def value(x: Any) -> Any:
-        if x not in values:
-            values[x] = f.eval_mp(x)
-        return values[x]
-
-    tabulated = SimpleNamespace(function_id=f.function_id, eval_mp=value)
+        pts = [as_mpf(p) for p in points]
+        values = dict(zip(pts, f.values_mp(pts) if f_values is None else f_values()))
+    tabulated = SimpleNamespace(function_id=f.function_id, eval_mp=values.__getitem__)
     gram = assemble_gram(deflate(kernel, tabulated, c), points, precision_bits)
     return quadratic_form(gram, [1] * len(points))
 
@@ -249,7 +250,7 @@ def evaluate_ones_form(
     c: float,
     points: Sequence[Any],
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    f_values: Optional[Sequence[Any]] = None,
+    f_values: Optional[Callable[[], Sequence[Any]]] = None,
 ) -> Any:
     """The witness quadratic form r on the given window, all-ones coefficients.
 
@@ -258,8 +259,10 @@ def evaluate_ones_form(
     truncation sound.  The selection rule depends only on (kernel, window
     size), so verification reproduces the builder's path.
 
-    ``f_values`` are f at the points, computed at ``precision_bits``; when
-    absent, f is evaluated once per point.
+    ``f_values``, when given, returns f at the points, computed at
+    ``precision_bits``.  The banded path calls it only once the window has
+    passed its point checks, so a window rejected as not monotone costs no
+    f values.  Without it, f is evaluated once per point.
     """
     if _is_dense(kernel, len(points)):
         return _dense_ones_form(kernel, f, c, points, precision_bits, f_values)
@@ -287,13 +290,15 @@ def _is_dense(kernel: KernelSpec, n: int) -> bool:
 
 
 class PointTable:
-    """Points x_k, mpf(x_k) and values f(x_k) over one contiguous range of indices k.
+    """Points x_k and mpf(x_k), and values f(x_k), each over a contiguous range of indices k.
 
-    ``window`` computes only the indices it has not stored, so a search that
-    serves all its windows from one table evaluates f at most once per index.
-    A request that neither overlaps nor adjoins the stored range restarts the
-    table there, so no index outside a requested window is ever computed.
-    Windows are list slices: the caller may keep them, but not modify them.
+    ``points`` and ``window`` compute only what they have not stored, so a
+    search that serves all its windows from one table evaluates f at most
+    once per index, and only at indices of windows whose values it asked
+    for.  A request that neither overlaps nor adjoins a stored range
+    restarts that range there, so no index outside a requested window is
+    ever computed.  Windows are list slices: the caller may keep them, but
+    not modify them.
     """
 
     def __init__(
@@ -308,22 +313,21 @@ class PointTable:
         self.first = 1
         self.raw: List[Any] = []
         self.mp: List[Any] = []
+        self.values_first = 1
         self.values: List[Any] = []
 
     def _extend(self, start: int, count: int, at: int) -> None:
         raw = self.sequence.points(start, count)
         with workprec(self.precision_bits):
             mp = [as_mpf(x) for x in raw]
-            values = [self.f.eval_mp(x) for x in mp]
         self.raw[at:at] = raw
         self.mp[at:at] = mp
-        self.values[at:at] = values
 
-    def window(self, start: int, count: int) -> Tuple[List[Any], List[Any], List[Any]]:
-        """Raw points, mpf points and f values at indices start, ..., start + count - 1."""
+    def points(self, start: int, count: int) -> Tuple[List[Any], List[Any]]:
+        """Raw and mpf points at indices start, ..., start + count - 1; f is not evaluated."""
         stop = self.first + len(self.raw)
         if start > stop or start + count < self.first:
-            self.first, self.raw, self.mp, self.values = start, [], [], []
+            self.first, self.raw, self.mp = start, [], []
             stop = start
         if start < self.first:
             self._extend(start, self.first - start, 0)
@@ -331,7 +335,23 @@ class PointTable:
         if start + count > stop:
             self._extend(stop, start + count - stop, len(self.raw))
         i = start - self.first
-        return self.raw[i : i + count], self.mp[i : i + count], self.values[i : i + count]
+        return self.raw[i : i + count], self.mp[i : i + count]
+
+    def window(self, start: int, count: int) -> Tuple[List[Any], List[Any], List[Any]]:
+        """Raw points, mpf points and f values at indices start, ..., start + count - 1."""
+        raw, mp = self.points(start, count)
+        stop = self.values_first + len(self.values)
+        if start > stop or start + count < self.values_first:
+            self.values_first, self.values = start, []
+            stop = start
+        with workprec(self.precision_bits):
+            if start < self.values_first:
+                self.values[0:0] = self.f.values_mp(mp[: self.values_first - start])
+                self.values_first = start
+            if start + count > stop:
+                self.values += self.f.values_mp(mp[stop - start :])
+        i = start - self.values_first
+        return raw, mp, self.values[i : i + count]
 
 
 @dataclass(frozen=True)
@@ -456,9 +476,10 @@ def build_witness(
     last_r = None
     for _ in range(doubling_cap + 1):
         ell = find_ell(kernel, sequence, n, bound, ell_max, precision_bits, min_ell=min_ell)
-        _is_dense(kernel, n)  # refuse a window no path can take before computing f on it
-        points, mp_points, f_values = table.window(ell + 1, n)
-        r = evaluate_ones_form(kernel, f, c, mp_points, precision_bits, f_values=f_values)
+        points, mp_points = table.points(ell + 1, n)
+        r = evaluate_ones_form(
+            kernel, f, c, mp_points, precision_bits, f_values=lambda: table.window(ell + 1, n)[2]
+        )
         if r < 0:
             return WitnessCertificate(
                 kernel_id=kernel.kernel_id,
@@ -488,10 +509,54 @@ def build_witness(
 VERIFY_REL_TOL_BITS = 100
 
 
+_raw = attrgetter("_mpf_")
+
+
+class VerifierStore:
+    """f values the verifier has computed, kept per certificate for the ones checked later.
+
+    A later certificate reuses a kept certificate's values where the two
+    offsets ``ell`` place their points over each other and the raw libmp
+    values of those points are equal at the same precision, so it reuses only
+    f computed by the verifier itself at equal points; nothing comes from the
+    builder.  ``ell`` only says where to compare: a wrong one costs f
+    evaluations, never a wrong value.  Reused values are slices of the kept
+    lists, so sharing allocates no numbers and hashes no points.
+    """
+
+    def __init__(self, f: CandidateFunction) -> None:
+        self.f = f
+        self._kept: List[Tuple[int, int, List[Any], List[Any]]] = []  # bits, ell, keys, values
+
+    def values(self, cert: WitnessCertificate, points: Sequence[Any]) -> List[Any]:
+        """f at the certificate's mpf ``points``: kept values where they match, the rest now."""
+        values: List[Any] = [None] * len(points)
+        keys = list(map(_raw, points)) if self._kept else []
+        reused = False
+        for bits, ell, kept_keys, kept_values in self._kept:
+            shift = cert.ell - ell  # point i sits over kept point i + shift
+            lo, hi = max(0, -shift), min(len(keys), len(kept_keys) - shift)
+            if bits != cert.precision_bits or lo >= hi:
+                continue
+            if keys[lo:hi] == kept_keys[lo + shift : hi + shift]:
+                values[lo:hi] = kept_values[lo + shift : hi + shift]
+                reused = True
+        with workprec(cert.precision_bits):
+            if not reused:
+                return self.f.values_mp(points)
+            fresh = iter(self.f.values_mp(p for p, v in zip(points, values) if v is None))
+        return [next(fresh) if v is None else v for v in values]
+
+    def keep(self, cert: WitnessCertificate, points: Sequence[Any], values: List[Any]) -> None:
+        """Keep ``values``, f at the certificate's mpf ``points``, for later certificates."""
+        self._kept.append((cert.precision_bits, cert.ell, list(map(_raw, points)), values))
+
+
 def verify_certificate(
     cert: WitnessCertificate,
     kernel: KernelSpec,
     f: CandidateFunction,
+    store: Optional[VerifierStore] = None,
 ) -> bool:
     """Recompute everything a certificate claims; True iff it all checks out.
 
@@ -500,6 +565,15 @@ def verify_certificate(
     window size above the threshold, as many stored points as n_points (the
     points are not regenerated from the sequence), and the recomputed r
     matching the stored value to 2^-100 relative accuracy while being negative.
+
+    A caller checking several certificates of one function may pass one
+    ``store`` to all of them, largest first: where their windows overlap, as
+    the nested windows of one run do, f is then evaluated once per distinct
+    stored point.  This is still a recomputation:
+    every certificate's r is computed afresh from its own stored points, and
+    the only values shared are f computed here, by the verifier, at equal
+    points and precision.  A point where f is undefined raises
+    EvaluationError.
     """
     if cert.kernel_id != kernel.kernel_id:
         raise ValueError(
@@ -509,6 +583,8 @@ def verify_certificate(
         raise ValueError(
             f"certificate function {cert.function_id!r} does not match {f.function_id!r}"
         )
+    if store is not None and store.f is not f:
+        raise ValueError("verifier store was made for another function")
     if not (cert.c > 0 and cert.alpha > 0):
         return False
     if cert.coefficients is not None and any(a != 1 for a in cert.coefficients):
@@ -523,10 +599,19 @@ def verify_certificate(
         return False
     if cert.kernel_diag_sup < kernel.diag_sup:
         return False
-    r = evaluate_ones_form(kernel, f, cert.c, cert.points, cert.precision_bits)
+    bits = cert.precision_bits
+    if store is None:
+        r = evaluate_ones_form(kernel, f, cert.c, cert.points, bits)
+    else:
+        with workprec(bits):
+            points = [as_mpf(p) for p in cert.points]
+        values = store.values(cert, points)
+        r = evaluate_ones_form(kernel, f, cert.c, points, bits, f_values=lambda: values)
+        # Kept only now, so the kept keys never add to the evaluator's peak memory.
+        store.keep(cert, points, values)
     if not r < 0:
         return False
-    with workprec(cert.precision_bits):
+    with workprec(bits):
         stored = mpf(cert.r_value)
         if stored >= 0:
             return False

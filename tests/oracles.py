@@ -1,14 +1,18 @@
 """Independent reference implementations and frozen expected values.
 
 Everything here is deliberately built from the standard library (math,
-math.fsum) plus numpy for eigenvalues, with no imports from the package under
+math.fsum), numpy for eigenvalues and mpmath's ``mpf`` objects for the
+reference expression evaluator, with no imports from the package under
 test.  The frozen constants below were produced by running this module
 directly; rerun ``python3 tests/oracles.py`` to regenerate them.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+
+import mpmath
 
 # --- frozen double-precision expected values ---------------------------------
 
@@ -95,6 +99,79 @@ def min_eig(entries) -> float:
     import numpy as np
 
     return float(np.linalg.eigvalsh(np.array(entries, dtype=float)).min())
+
+
+# --- reference expression evaluator (extended precision) ----------------------
+
+
+class TooLarge(Exception):
+    """An intermediate value exceeded the magnitude limit given to ``reference_mp``."""
+
+
+_REFERENCE_FUNCS = {
+    "exp": mpmath.exp,
+    "sin": mpmath.sin,
+    "cos": mpmath.cos,
+    "sqrt": mpmath.sqrt,
+    "abs": mpmath.fabs,
+    "sinpi": mpmath.sinpi,
+}
+
+
+def reference_mp(source: str, variable: str, x, max_mag: int = 64):
+    """Evaluate a whitelisted expression by walking its tree with ``mpf`` objects.
+
+    Every operation is an ``mpf`` operator or ``mpmath`` function at the
+    working precision: literals below 2^53 convert at 53 bits, wider integers
+    at the working precision, exponents stay Python ints and unary plus is
+    dropped.  A complex intermediate, where mpmath would silently continue
+    in complex arithmetic, raises ValueError; an intermediate of magnitude
+    above 2^max_mag raises TooLarge, so that no trigonometric function is
+    asked to reduce a huge argument.
+    """
+
+    def literal(value):
+        if type(value) is int and abs(value) >= 2**53:
+            return mpmath.mpf(value)
+        with mpmath.workprec(53):
+            return mpmath.mpf(value)
+
+    def exponent(node):
+        if isinstance(node, ast.UnaryOp):
+            return -exponent(node.operand) if isinstance(node.op, ast.USub) else exponent(node.operand)
+        return node.value
+
+    def walk(node):
+        if isinstance(node, ast.Constant):
+            value = literal(node.value)
+        elif isinstance(node, ast.Name):
+            assert node.id == variable
+            value = x
+        elif isinstance(node, ast.UnaryOp):
+            value = -walk(node.operand) if isinstance(node.op, ast.USub) else walk(node.operand)
+        elif isinstance(node, ast.BinOp):
+            left = walk(node.left)
+            if isinstance(node.op, ast.Pow):
+                value = left ** exponent(node.right)
+            else:
+                right = walk(node.right)
+                value = {
+                    ast.Add: lambda a, b: a + b,
+                    ast.Sub: lambda a, b: a - b,
+                    ast.Mult: lambda a, b: a * b,
+                    ast.Div: lambda a, b: a / b,
+                }[type(node.op)](left, right)
+        elif node.func.id == "pow":
+            value = walk(node.args[0]) ** exponent(node.args[1])
+        else:
+            value = _REFERENCE_FUNCS[node.func.id](walk(node.args[0]))
+        if isinstance(value, mpmath.mpc):
+            raise ValueError("complex intermediate")
+        if mpmath.isfinite(value) and value != 0 and mpmath.mag(value) > max_mag:
+            raise TooLarge(source)
+        return value
+
+    return walk(ast.parse(source, mode="eval").body)
 
 
 if __name__ == "__main__":

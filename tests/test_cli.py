@@ -689,3 +689,90 @@ def test_report_bytes_are_pinned(tmp_path, kernel, function, extra, code, digest
     argv += ["--tasks", ",".join(ALL_TASKS), "--out", str(out)] + extra
     assert main(argv) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# --- verification inside a run --------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kernel,function,grid",
+    [
+        ("gaussian", "paper_example", "1,0.5,0.25,0.125"),
+        ("inverse_quadratic", "poly:-6,1", "0.5,1"),
+        ("laplace", "sin_squared_shifted", "1,0.5,0.25"),
+    ],
+)
+def test_run_verdicts_agree_with_standalone_verify(tmp_path, capsys, kernel, function, grid):
+    certs = tmp_path / "certs"
+    argv = ["--kernel", kernel, "--function", function, "--c-grid", grid, "--certs-dir", str(certs)]
+    code, report = _run_report(tmp_path, "r.json", argv)
+    assert code == 0
+    witness = report["results"]["witness"]
+    files = sorted(certs.glob("certificate_*.json"))
+    assert len(files) == len(witness["certificates"]) > 0
+    for path in files:
+        c = load_json(path)["c"]
+        assert (main(["verify", str(path)]) == 0) == (c in witness["verified_scales"])
+    assert len(witness["verified_scales"]) == len(files)
+
+
+def test_run_verification_evaluates_f_once_per_distinct_point(monkeypatch):
+    from rkhs_cert import cli
+    from rkhs_cert.functions import CandidateFunction
+
+    calls, verifying = [], []
+    eval_mp, verify = CandidateFunction.eval_mp, cli.verify_certificate
+
+    def counting_eval(self, x):
+        if verifying:
+            calls.append(float(x))
+        return eval_mp(self, x)
+
+    def marked_verify(*args):
+        verifying.append(True)
+        try:
+            return verify(*args)
+        finally:
+            verifying.pop()
+
+    monkeypatch.setattr(CandidateFunction, "eval_mp", counting_eval)
+    monkeypatch.setattr(cli, "verify_certificate", marked_verify)
+    report, code = run(config_from_dict({"c_grid": [1.0, 0.5, 0.25, 0.125]}))
+    assert code == 0
+    certificates = report["results"]["witness"]["certificates"]
+    stored = [float(p) for cert in certificates for p in cert["points"]]
+    assert len(calls) == len(set(calls)) == len(set(stored)) < len(stored)
+
+
+@pytest.mark.parametrize("alpha", [["--alpha", "0.5"], []], ids=["window", "sampled"])
+@pytest.mark.parametrize(
+    "command,function,point",
+    [
+        ("witness", "expr:sqrt(x - 10)", "x = 1"),
+        ("witness", "expr:1/(x-3)", "x = 3"),
+        ("run", "expr:sqrt(x - 10)", "x = 1"),
+        ("run", "expr:1/(x-3)", "x = 3"),
+    ],
+)
+def test_undefined_function_value_exits_2_with_one_line(tmp_path, capsys, command, function, point, alpha):
+    # With --alpha the first window meets the point; without, the tail sample does.
+    argv = [command, "--kernel", "gaussian", "--function", function] + alpha
+    argv += ["--c", "0.5"] if command == "witness" else ["--c-grid", "0.5", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"function {function} is undefined at {point}" in err
+
+
+def test_verify_of_undefined_stored_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    args = ["--kernel", "gaussian", "--function", "constant:1.0", "--c", "1"]
+    assert main(["witness", "--out", str(path)] + args) == 0
+    data = json.loads(path.read_text())
+    assert data["points"] == ["1", "3", "6"]
+    data["function_id"] = "expr:1/(x-3)"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "function expr:1/(x-3) is undefined at x = 3" in err

@@ -2,9 +2,10 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mpf, workprec
 
+import oracles
 from rkhs_cert.errors import ExpressionError
 from rkhs_cert.expressions import as_mpf, compile_expression
 
@@ -124,3 +125,71 @@ def test_as_mpf_equals_mpf(bits):
             assert as_mpf(x)._mpf_ == mpf(x)._mpf_, x
         assert as_mpf(narrow) is narrow
         assert as_mpf(wide)._mpf_ != wide._mpf_  # a wider mpf still rounds
+
+
+# --- the extended context against the mpf reference walker ---------------------
+
+_LEAVES = st.one_of(
+    st.just("x"),
+    st.integers(min_value=0, max_value=40).map(str),
+    st.integers(min_value=-3, max_value=60).map(lambda k: str(2**53 + k)),
+    st.floats(min_value=-10, max_value=10, allow_nan=False).map(repr),
+)
+
+
+def _extend(children):
+    unary = st.sampled_from(["exp", "sin", "cos", "sqrt", "abs", "sinpi", "-", "+"])
+    ops = st.sampled_from(["+", "-", "*", "/"])
+    powers = st.integers(min_value=-3, max_value=5)
+    return st.one_of(
+        st.tuples(children, ops, children).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(unary, children).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(children, powers).map(lambda t: f"({t[0]})**{t[1]}"),
+        st.tuples(children, powers).map(lambda t: f"pow({t[0]}, {t[1]})"),
+    )
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _extend, max_leaves=6)
+_POINTS = st.one_of(
+    st.floats(min_value=-60, max_value=60, allow_nan=False),
+    st.integers(min_value=-100, max_value=100),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=_EXPRESSIONS, x=_POINTS, bits=st.sampled_from([64, 256]))
+def test_compiled_mp_context_matches_mpf_reference(source, x, bits):
+    fn_mp = compile_expression(source, "x").fn_mp
+    with workprec(bits):
+        point = as_mpf(x)
+        try:
+            expected = oracles.reference_mp(source, "x", point)
+        except oracles.TooLarge:
+            assume(False)
+        except (ZeroDivisionError, ValueError) as exc:
+            with pytest.raises(type(exc) if isinstance(exc, ZeroDivisionError) else ValueError):
+                fn_mp(point)
+            return
+        assert fn_mp(point)._mpf_ == expected._mpf_
+
+
+@pytest.mark.parametrize("source,x", [("sqrt(x)", -4), ("abs(sqrt(x))", -4), ("cos(sqrt(x - 10))", 1)])
+def test_complex_intermediate_raises(source, x):
+    e = compile_expression(source, "x")
+    with workprec(256):
+        with pytest.raises(ValueError, match="square root of a negative number"):
+            e.eval_mp(x)
+    with pytest.raises(ValueError):  # as in the double context
+        e.eval_double(x)
+
+
+def test_bare_literal_returns_one_shared_mpf():
+    for source in ("2.5", "7"):
+        e = compile_expression(source, "x")
+        with workprec(256):
+            first = e.eval_mp(1)
+            assert e.eval_mp(3) is first and first == float(source)
+    ident = compile_expression("x", "x")
+    with workprec(256):
+        point = mpf(3)
+        assert ident.fn_mp(point) is point

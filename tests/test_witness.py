@@ -24,6 +24,7 @@ from rkhs_cert.kernels import (
 from rkhs_cert.sequences import triangular_sequence
 from rkhs_cert.witness import (
     PointTable,
+    VerifierStore,
     build_witness,
     default_c_grid,
     evaluate_ones_form,
@@ -280,6 +281,28 @@ def test_table_for_other_inputs_is_rejected(other):
         build_witness(make_gaussian(), f, seq, 1.0, table=PointTable(*args))
 
 
+@pytest.mark.parametrize("reason", ["not-monotone", "truncation-failed"])
+def test_window_failing_point_checks_costs_no_f_values(reason):
+    from rkhs_cert.kernels import custom_radial_from_expression
+    from rkhs_cert.sequences import mixed_sign_sequence
+
+    if reason == "not-monotone":
+        # no declared tail along a sequence without direction: alpha is
+        # sampled from 32 points, then the 237-point window is rejected
+        k, seq, expected = make_gaussian(), mixed_sign_sequence(), 32
+    else:
+        # declared decaying, yet never below 2^-(precision + 64)
+        k = custom_radial_from_expression(
+            "1/(1 + r) + 1/2**300", decays_to_zero=True, nonneg=True, monotone_decreasing=True
+        )
+        seq, expected = triangular_sequence(1), 0
+    f, calls = _counting(make_paper_example())
+    with pytest.raises(WitnessSearchError) as exc:
+        build_witness(k, f, seq, 0.25)
+    assert exc.value.reason == reason
+    assert len(calls) == expected
+
+
 # Full-precision r on banded windows (N > 128), recorded before the banded
 # bookkeeping moved to raw libmp values and the sums to mpmath.fsum.  The
 # 64-bit window of float points is the one whose squared gaps get rounded.
@@ -472,6 +495,55 @@ def test_verify_rejects_perturbed_low_bits():
     assert not verify_certificate(
         replace(cert, r_value=nudged), make_gaussian(), make_constant(1.0)
     )
+
+
+def test_shared_store_gives_standalone_verdicts_and_r(monkeypatch):
+    import rkhs_cert.witness as witness_module
+
+    k, f, seq = make_gaussian(), make_paper_example(), triangular_sequence(1)
+    certs = list(sweep_c(k, f, seq, c_grid=(1.0, 0.5, 0.25, 0.125)).certificates)
+    largest = certs[-1]
+    inner = certs[1]  # the 60-point window at ell = 1 lies inside the 946-point one
+    assert set(inner.points) < set(largest.points)
+    moved = list(inner.points)
+    moved[30] += 1
+    with workprec(inner.precision_bits):
+        nudged = inner.r_value * (1 + mpf(2) ** -80)
+    certs += [
+        replace(inner, r_value=nudged),
+        replace(inner, points=tuple(moved)),
+        replace(inner, ell=inner.ell + 1, points=tuple(seq.points(inner.ell + 2, inner.n_points))),
+        replace(inner, precision_bits=128),
+    ]
+    recomputed = []
+    evaluate = witness_module.evaluate_ones_form
+
+    def recording(*args, **kwargs):
+        r = evaluate(*args, **kwargs)
+        recomputed.append(r._mpf_)
+        return r
+
+    monkeypatch.setattr(witness_module, "evaluate_ones_form", recording)
+    order = sorted(range(len(certs)), key=lambda i: -certs[i].n_points)
+    alone = [verify_certificate(certs[i], k, f) for i in order]
+    alone_r, recomputed[:] = list(recomputed), []
+    counted, calls = _counting(f)
+    store = VerifierStore(counted)
+    shared, fresh = [], []
+    for i in order:
+        before = len(calls)
+        shared.append(verify_certificate(certs[i], k, counted, store))
+        fresh.append(len(calls) - before)
+    assert shared == alone
+    assert recomputed == alone_r
+    assert alone.count(True) == 5  # the sweep's four and the relabelled precision
+    # the sweep's certificates cost one f value per distinct point; the
+    # relabelled precision reuses nothing computed at 256 bits
+    swept = sum(n for i, n in zip(order, fresh) if i < 4)
+    assert swept == len({p for cert in certs[:4] for p in cert.points})
+    assert fresh[order.index(len(certs) - 1)] == inner.n_points
+    with pytest.raises(ValueError, match="another function"):
+        verify_certificate(inner, k, f, VerifierStore(make_paper_example()))
 
 
 # --- sweep ------------------------------------------------------------------------
