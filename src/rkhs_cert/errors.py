@@ -23,11 +23,17 @@ class WitnessSearchError(RuntimeError):
 
 
 class EvaluationError(ArithmeticError):
-    """Raised when a candidate function is undefined at a point it must be evaluated at.
+    """Raised when a candidate function or a sequence is undefined where it must be evaluated.
 
-    The message names the function and the point; the cause is the
-    arithmetic error (division by zero, a complex result) that arose there.
+    The message names the function or sequence and the point; the cause is
+    the arithmetic error (division by zero, a complex result) that arose there.
     """
+
+    @classmethod
+    def undefined(cls, subject: str, point: str, cause: BaseException) -> "EvaluationError":
+        """``subject`` is undefined at ``point``, as the arithmetic error ``cause`` shows."""
+        reason = "division by zero" if isinstance(cause, ZeroDivisionError) else str(cause)
+        return cls(f"{subject} is undefined at {point}: {reason}")
 
 
 class SingularGramError(ArithmeticError):

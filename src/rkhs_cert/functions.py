@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from mpmath import mpf, nstr, workprec
 
@@ -80,7 +80,7 @@ class CandidateFunction:
     def eval_mp(self, x: Any) -> Any:
         return self.fn_mp(as_mpf(x))
 
-    def values_mp(self, points: Iterable[Any]) -> List[Any]:
+    def values_mp(self, points: Sequence[Any]) -> List[Any]:
         """f at each point, at the working precision.
 
         A point where f is undefined (a division by zero, a complex
@@ -91,9 +91,8 @@ class CandidateFunction:
             for x in points:
                 values.append(self.eval_mp(x))
         except (ArithmeticError, ValueError) as exc:
-            reason = "division by zero" if isinstance(exc, ZeroDivisionError) else str(exc)
-            raise EvaluationError(
-                f"function {self.function_id} is undefined at x = {nstr(x, 17)}: {reason}"
+            raise EvaluationError.undefined(
+                f"function {self.function_id}", f"x = {nstr(x, 17)}", exc
             ) from exc
         return values
 
@@ -217,8 +216,9 @@ def tail_lower_bound(
         raise ValueError("need at least two sample points for an empirical tail bound")
     if start < 1:
         raise ValueError("sequence indices start at 1")
+    points = [sequence.point(n) for n in range(start, start + count)]
     with workprec(precision_bits):
-        values = f.values_mp(sequence.point(n) for n in range(start, start + count))
+        values = f.values_mp(points)
         signs = {(-1 if v < 0 else (1 if v > 0 else 0)) for v in values}
         if len(signs) != 1 or 0 in signs:
             return None

@@ -17,6 +17,7 @@ from typing import Any, Callable, Optional, Tuple
 import mpmath
 from mpmath import mpf, workprec
 
+from .errors import EvaluationError
 from .expressions import compile_expression
 from .kernels import KernelSpec
 
@@ -90,7 +91,10 @@ def custom_sequence(source: str) -> SequenceSpec:
     expr = compile_expression(source, "n")
 
     def gen(n: int) -> Any:
-        return expr.eval_double(float(n))
+        try:
+            return expr.eval_double(float(n))
+        except (ArithmeticError, ValueError) as exc:
+            raise EvaluationError.undefined(f"sequence custom:{source}", f"n = {n}", exc) from exc
 
     return SequenceSpec(
         name=f"custom:{source}",

@@ -316,42 +316,58 @@ class PointTable:
         self.values_first = 1
         self.values: List[Any] = []
 
-    def _extend(self, start: int, count: int, at: int) -> None:
+    def _new_points(self, start: int, count: int) -> Tuple[Sequence[Any], List[Any]]:
         raw = self.sequence.points(start, count)
         with workprec(self.precision_bits):
-            mp = [as_mpf(x) for x in raw]
-        self.raw[at:at] = raw
-        self.mp[at:at] = mp
+            return raw, [as_mpf(x) for x in raw]
 
     def points(self, start: int, count: int) -> Tuple[List[Any], List[Any]]:
         """Raw and mpf points at indices start, ..., start + count - 1; f is not evaluated."""
-        stop = self.first + len(self.raw)
-        if start > stop or start + count < self.first:
-            self.first, self.raw, self.mp = start, [], []
-            stop = start
-        if start < self.first:
-            self._extend(start, self.first - start, 0)
-            self.first = start
-        if start + count > stop:
-            self._extend(stop, start + count - stop, len(self.raw))
+        self.first, (self.raw, self.mp) = _cover(
+            self.first, (self.raw, self.mp), start, count, self._new_points
+        )
         i = start - self.first
         return self.raw[i : i + count], self.mp[i : i + count]
 
     def window(self, start: int, count: int) -> Tuple[List[Any], List[Any], List[Any]]:
         """Raw points, mpf points and f values at indices start, ..., start + count - 1."""
         raw, mp = self.points(start, count)
-        stop = self.values_first + len(self.values)
-        if start > stop or start + count < self.values_first:
-            self.values_first, self.values = start, []
-            stop = start
-        with workprec(self.precision_bits):
-            if start < self.values_first:
-                self.values[0:0] = self.f.values_mp(mp[: self.values_first - start])
-                self.values_first = start
-            if start + count > stop:
-                self.values += self.f.values_mp(mp[stop - start :])
+
+        def new_values(first: int, n: int) -> Tuple[List[Any]]:
+            with workprec(self.precision_bits):
+                return (self.f.values_mp(mp[first - start : first - start + n]),)
+
+        self.values_first, (self.values,) = _cover(
+            self.values_first, (self.values,), start, count, new_values
+        )
         i = start - self.values_first
         return raw, mp, self.values[i : i + count]
+
+
+def _cover(
+    first: int,
+    lists: Tuple[List[Any], ...],
+    start: int,
+    count: int,
+    new: Callable[[int, int], Tuple[Sequence[Any], ...]],
+) -> Tuple[int, Tuple[List[Any], ...]]:
+    """Grow parallel lists over indices first, first + 1, ... to cover start, ..., start + count - 1.
+
+    ``new(a, k)`` returns, for each list, its items at indices a, ..., a + k - 1.
+    A request that neither overlaps nor adjoins the covered range restarts it
+    there.  Returns the new first index and the lists.
+    """
+    stop = first + len(lists[0])
+    if start > stop or start + count < first:
+        first, lists, stop = start, tuple([] for _ in lists), start
+    if start < first:
+        for items, added in zip(lists, new(start, first - start)):
+            items[0:0] = added
+        first = start
+    if start + count > stop:
+        for items, added in zip(lists, new(stop, start + count - stop)):
+            items += added
+    return first, lists
 
 
 @dataclass(frozen=True)
@@ -544,7 +560,7 @@ class VerifierStore:
         with workprec(cert.precision_bits):
             if not reused:
                 return self.f.values_mp(points)
-            fresh = iter(self.f.values_mp(p for p, v in zip(points, values) if v is None))
+            fresh = iter(self.f.values_mp([p for p, v in zip(points, values) if v is None]))
         return [next(fresh) if v is None else v for v in values]
 
     def keep(self, cert: WitnessCertificate, points: Sequence[Any], values: List[Any]) -> None:
@@ -566,13 +582,16 @@ def verify_certificate(
     points are not regenerated from the sequence), and the recomputed r
     matching the stored value to 2^-100 relative accuracy while being negative.
 
-    A caller checking several certificates of one function may pass one
-    ``store`` to all of them, largest first: where their windows overlap, as
-    the nested windows of one run do, f is then evaluated once per distinct
-    stored point.  This is still a recomputation:
-    every certificate's r is computed afresh from its own stored points, and
-    the only values shared are f computed here, by the verifier, at equal
-    points and precision.  A point where f is undefined raises
+    f comes from ``store``; without one, from a new store, so a certificate
+    checked alone costs one f value per stored point.  A caller checking
+    several certificates of one function may pass one ``store`` to all of
+    them, largest first: where their windows overlap, as the nested windows
+    of one run do, f is then evaluated once per distinct stored point.  This
+    is still a recomputation: every certificate's r is computed afresh from
+    its own stored points, and the only values shared are f computed here,
+    by the verifier, at equal points and precision.  f is asked for only once
+    the window has passed the evaluator's point checks, so a window rejected
+    there costs no f values.  A point where f is undefined raises
     EvaluationError.
     """
     if cert.kernel_id != kernel.kernel_id:
@@ -600,15 +619,19 @@ def verify_certificate(
     if cert.kernel_diag_sup < kernel.diag_sup:
         return False
     bits = cert.precision_bits
-    if store is None:
-        r = evaluate_ones_form(kernel, f, cert.c, cert.points, bits)
-    else:
-        with workprec(bits):
-            points = [as_mpf(p) for p in cert.points]
-        values = store.values(cert, points)
-        r = evaluate_ones_form(kernel, f, cert.c, points, bits, f_values=lambda: values)
+    store = store if store is not None else VerifierStore(f)
+    with workprec(bits):
+        points = [as_mpf(p) for p in cert.points]
+    computed: List[List[Any]] = []
+
+    def f_values() -> List[Any]:
+        computed.append(store.values(cert, points))
+        return computed[0]
+
+    r = evaluate_ones_form(kernel, f, cert.c, points, bits, f_values=f_values)
+    if computed:
         # Kept only now, so the kept keys never add to the evaluator's peak memory.
-        store.keep(cert, points, values)
+        store.keep(cert, points, computed[0])
     if not r < 0:
         return False
     with workprec(bits):

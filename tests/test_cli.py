@@ -764,6 +764,21 @@ def test_undefined_function_value_exits_2_with_one_line(tmp_path, capsys, comman
     assert f"function {function} is undefined at {point}" in err
 
 
+@pytest.mark.parametrize("command", ["witness", "run"])
+@pytest.mark.parametrize(
+    "sequence,index", [("custom:1/(n-5)", 5), ("custom:1/(n-1)", 1), ("custom:sqrt(n-3)", 1)]
+)
+def test_undefined_sequence_point_blames_the_sequence(tmp_path, capsys, command, sequence, index):
+    # A custom sequence has no direction, so alpha is sampled along it.
+    argv = [command, "--kernel", "gaussian", "--function", "paper_example", "--sequence", sequence]
+    argv += ["--c", "0.5"] if command == "witness" else ["--c-grid", "0.5", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"sequence {sequence} is undefined at n = {index}" in err
+    assert "function" not in err
+
+
 def test_verify_of_undefined_stored_value_exits_2(tmp_path, capsys):
     path = tmp_path / "cert.json"
     args = ["--kernel", "gaussian", "--function", "constant:1.0", "--c", "1"]

@@ -546,6 +546,24 @@ def test_shared_store_gives_standalone_verdicts_and_r(monkeypatch):
         verify_certificate(inner, k, f, VerifierStore(make_paper_example()))
 
 
+def test_rejected_stored_window_costs_no_f_values():
+    k, f, seq = make_gaussian(), make_paper_example(), triangular_sequence(1)
+    largest, inner = [sweep_c(k, f, seq, c_grid=(c,)).certificates[0] for c in (0.125, 0.25)]
+    assert inner.n_points > 128  # banded, where the point checks run before f
+    swapped = list(inner.points)
+    swapped[10], swapped[11] = swapped[11], swapped[10]
+    bad = replace(inner, points=tuple(swapped))
+    counted, calls = _counting(f)
+    store = VerifierStore(counted)
+    assert verify_certificate(largest, k, counted, store)
+    for verifier_store in (store, None):
+        before = len(calls)
+        with pytest.raises(WitnessSearchError) as exc:
+            verify_certificate(bad, k, counted, verifier_store)
+        assert exc.value.reason == "not-monotone"
+        assert len(calls) == before
+
+
 # --- sweep ------------------------------------------------------------------------
 
 
