@@ -731,9 +731,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     f = resolve_function(cert.function_id, kernel)
     try:
         ok = verify_certificate(cert, kernel, f)
-    except ValueError as exc:
-        # The kernel and function come from the certificate itself, so this is
-        # a defect of the stored window (coincident points in a dense one).
+    except (ValueError, WitnessSearchError) as exc:
+        # The kernel and function come from the certificate itself, so a
+        # ValueError is a defect of the stored window (coincident points in a
+        # dense one), as is a banded one that is not monotone.  Other search
+        # errors are about the kernel and stay search errors.
+        if isinstance(exc, WitnessSearchError) and exc.reason != "not-monotone":
+            raise
         print(f"certificate FAILED verification: {exc}", file=sys.stderr)
         return 2
     if ok:

@@ -80,16 +80,23 @@ _LIBMP_NAMESPACE = {
     for name in (*_LIBMP_OPS.values(), *_LIBMP_CALLS.values(), "mpf_neg", "mpf_pow_int")
 }
 
+_make_mpf = mpmath.mp.make_mpf
+
 
 def as_mpf(x: Any) -> Any:
     """``x`` as an mpf at the working precision, without copying one that already is.
 
     An mpf whose mantissa fits the working precision converts to an equal
-    value, so it is returned unchanged; anything else goes through ``mpf``,
-    which rounds it.
+    value, so it is returned unchanged.  An ``int`` goes straight to
+    ``from_int`` at the working precision and rounding, the call the ``mpf``
+    constructor makes for it, so its ``_mpf_`` is the constructor's without
+    the constructor's dispatch.  Anything else goes through ``mpf``, which
+    rounds it.
     """
     if type(x) is mpmath.mpf and x._mpf_[3] <= mpmath.mp._prec_rounding[0]:
         return x
+    if type(x) is int:
+        return _make_mpf(libmp.from_int(x, *mpmath.mp._prec_rounding))
     return mpmath.mpf(x)
 
 

@@ -61,15 +61,16 @@ def assemble_gram(
     """Evaluate the kernel on all pairs at the given precision.
 
     Each unordered pair is evaluated once and mirrored, so the matrix is
-    exactly symmetric.  Coincident points are rejected: they make the matrix
-    trivially singular and usually indicate a config mistake.
+    exactly symmetric.  Points that coincide at the working precision are
+    rejected: they make the matrix trivially singular and usually indicate a
+    config mistake.
     """
     if len(points) == 0:
         raise ValueError("need at least one point")
-    if len(set(float(p) for p in points)) != len(points):
-        raise ValueError("coincident points in node set")
     with workprec(precision_bits):
         pts = tuple(mpf(p) for p in points)
+        if len(set(p._mpf_ for p in pts)) != len(pts):
+            raise ValueError("coincident points in node set")
         n = len(pts)
         rows: List[List[Any]] = [[mpf(0)] * n for _ in range(n)]
         for i in range(n):

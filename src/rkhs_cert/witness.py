@@ -22,6 +22,14 @@ the certificate's comparison tolerance.  Builder and verifier select the
 evaluation path by the same rule, so reverification reproduces r to working
 accuracy.
 
+The banded path's bookkeeping (monotonicity, gaps, the band test) runs on
+Python ints when every point is an int below 2^(precision // 2 - 2) in
+magnitude, as the built-in integer sequences are at 256 bits: libmp computes
+every difference and square of such points exactly, so r is bit-identical to
+the libmp path that every other window takes.  Points are handed around as
+the sequence or the certificate gives them and become mpf values only where f
+or phi needs a value.
+
 A search evaluates f once per sequence index: its windows are served from
 one ``PointTable``, which ``build_witness`` shares across its doublings and
 ``sweep_c`` across its scales (their windows start at nearby offsets and
@@ -35,14 +43,17 @@ verified together may share the verifier's own f values through a
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
-from mpmath.libmp import mpf_ge, mpf_gt, mpf_mul, mpf_neg, mpf_sign, mpf_sub
+from mpmath.libmp import fzero, from_int, mpf_gt, mpf_mul, mpf_neg, mpf_sub, to_int
 
 from .errors import WitnessSearchError
 from .expressions import as_mpf
@@ -58,6 +69,8 @@ from .quadform import (
 from .sequences import SequenceSpec, max_offdiag
 
 WITNESS_SCHEMA = "rkhs-cert/witness/v1"
+
+_make_mpf = mpmath.mp.make_mpf
 
 # Dense Gram evaluation is used up to this window size; beyond it the banded
 # path applies (and requires monotone decay metadata).
@@ -167,6 +180,51 @@ def _negligible_radius(profile: Any, cutoff: Any) -> Any:
     )
 
 
+def _exact_int_window(points: Sequence[Any], prec: int) -> bool:
+    """Whether every point is an ``int`` below 2^(prec // 2 - 2) in magnitude.
+
+    Then every difference d of two points has |d| < 2^(prec // 2 - 1) and
+    d^2 < 2^(prec - 2), so the points, their differences and the squares all
+    fit in prec bits: libmp would compute each of them exactly.
+    """
+    if set(map(type, points)) != {int}:
+        return False
+    limit = 1 << (prec // 2 - 2)
+    return -limit < min(points) and max(points) < limit
+
+
+class _Arithmetic(NamedTuple):
+    """How the banded bookkeeping computes with points: on ints, or on raw libmp values."""
+
+    keys: Sequence[Any]  # the points, as ints or as raw libmp values
+    sub: Callable[[Any, Any], Any]
+    mul: Callable[[Any, Any], Any]
+    gt: Callable[[Any, Any], bool]
+    neg: Callable[[Any], Any]
+    zero: Any
+    from_raw: Callable[[Any], Any]  # the radius r*, a raw libmp value, for comparing with d^2
+    to_raw: Callable[[Any], Any]  # a squared difference d^2 as a raw libmp value, for phi
+
+
+def _arithmetic(points: Sequence[Any], prec: int, rnd: str) -> _Arithmetic:
+    """Exact ints for a window that ``_exact_int_window`` admits, else libmp at (prec, rnd)."""
+    if _exact_int_window(points, prec):
+        return _Arithmetic(
+            points, operator.sub, operator.mul, operator.gt, operator.neg, 0,
+            # d^2 > r* iff d^2 > floor(r*) for an integer d^2
+            partial(to_int, rnd="f"), partial(from_int, prec=prec, rnd=rnd),
+        )
+    return _Arithmetic(
+        [as_mpf(p)._mpf_ for p in points],
+        partial(mpf_sub, prec=prec, rnd=rnd), partial(mpf_mul, prec=prec, rnd=rnd),
+        mpf_gt, mpf_neg, fzero, _same, _same,
+    )
+
+
+def _same(x: Any) -> Any:
+    return x
+
+
 def _banded_ones_form(
     kernel: KernelSpec,
     f: CandidateFunction,
@@ -180,46 +238,53 @@ def _banded_ones_form(
     Requires a monotone nonincreasing decaying profile and strictly monotone
     points.  The rank-one part uses the algebraic identity
     sum_{i,j} f_i f_j = (sum_i f_i)^2.
+
+    The bookkeeping (the monotonicity check, the gaps, the early break and
+    the band test d^2 > r*) runs on Python ints when every point is an int
+    below 2^(precision_bits // 2 - 2) in magnitude, as the points of the
+    built-in integer sequences are at 256 bits.  libmp computes every
+    difference and square of such points exactly, so each int result, and
+    each d^2 passed to phi through ``from_int``, equals libmp's bit for bit.
+    Any other window (floats, decimals, mpf, wider ints) runs on raw libmp
+    values, rounded as mpf arithmetic rounds; there a nan difference fails
+    the monotonicity check.  Points become mpf values only for f.
     """
     profile = kernel.profile
     assert profile is not None
     n = len(points)
     with workprec(precision_bits):
         prec, rnd = mpmath.mp._prec_rounding
-        # Bookkeeping on raw libmp values, rounded exactly as mpf arithmetic
-        # rounds; a nan difference has sign 0 and fails the check.  Points
-        # convert once; the mpf list is kept only if f must be evaluated here.
-        if f_values is None:
-            pts = [as_mpf(p) for p in points]
-            raw = [p._mpf_ for p in pts]
-            f_values = lambda: f.values_mp(pts)  # noqa: E731
+        a = _arithmetic(points, prec, rnd)
+        keys, sub, mul, gt = a.keys, a.sub, a.mul, a.gt
+        diffs = list(map(sub, keys[1:], keys))
+        if all(map(gt, diffs, repeat(a.zero))):
+            gaps = diffs
+        elif all(map(gt, repeat(a.zero), diffs)):
+            gaps = list(map(a.neg, diffs))
         else:
-            raw = [as_mpf(p)._mpf_ for p in points]
-        diffs = [mpf_sub(b, a, prec, rnd) for a, b in zip(raw, raw[1:])]
-        signs = set(map(mpf_sign, diffs))
-        if not (signs <= {1} or signs <= {-1}):
             raise WitnessSearchError(
                 "banded evaluation needs strictly monotone points",
                 reason="not-monotone",
             )
-        gaps = [mpf_neg(d) for d in diffs] if signs == {-1} else diffs
-        gaps_sorted = all(map(mpf_ge, gaps[1:], gaps))
+        gaps_sorted = not any(map(gt, gaps, gaps[1:]))
         cutoff = mpf(2) ** (-(precision_bits + 64)) * max(profile.value_mp(0), mpf(1))
-        r_star = _negligible_radius(profile, cutoff)._mpf_
+        r_star = a.from_raw(_negligible_radius(profile, cutoff)._mpf_)
         off_terms: List[Any] = []
         for i in range(n - 1):
-            if gaps_sorted and mpf_gt(mpf_mul(gaps[i], gaps[i], prec, rnd), r_star):
+            if gaps_sorted and gt(mul(gaps[i], gaps[i]), r_star):
                 break
             acc = mpf(0)
+            x = keys[i]
             for j in range(i + 1, n):
-                d = mpf_sub(raw[j], raw[i], prec, rnd)
-                d2 = mpf_mul(d, d, prec, rnd)
-                if mpf_gt(d2, r_star):
+                d = sub(keys[j], x)
+                d2 = mul(d, d)
+                if gt(d2, r_star):
                     break
-                acc += profile.value_mp(mpmath.mp.make_mpf(d2))
+                acc += profile.value_mp(_make_mpf(a.to_raw(d2)))
             off_terms.append(2 * acc)
+        del a, keys, diffs, gaps  # garbage before f, which may keep mpf points of its own
         diag = n * profile.value_mp(0)
-        fsum = neumaier_sum(f_values())
+        fsum = neumaier_sum(f.values_mp(points) if f_values is None else f_values())
         return diag + neumaier_sum(off_terms) - mpf(c) ** 2 * fsum * fsum
 
 
@@ -240,7 +305,7 @@ def _dense_ones_form(
         pts = [as_mpf(p) for p in points]
         values = dict(zip(pts, f.values_mp(pts) if f_values is None else f_values()))
     tabulated = SimpleNamespace(function_id=f.function_id, eval_mp=values.__getitem__)
-    gram = assemble_gram(deflate(kernel, tabulated, c), points, precision_bits)
+    gram = assemble_gram(deflate(kernel, tabulated, c), pts, precision_bits)
     return quadratic_form(gram, [1] * len(points))
 
 
@@ -290,15 +355,15 @@ def _is_dense(kernel: KernelSpec, n: int) -> bool:
 
 
 class PointTable:
-    """Points x_k and mpf(x_k), and values f(x_k), each over a contiguous range of indices k.
+    """Points x_k, and mpf(x_k) and f(x_k), each over a contiguous range of indices k.
 
     ``points`` and ``window`` compute only what they have not stored, so a
     search that serves all its windows from one table evaluates f at most
     once per index, and only at indices of windows whose values it asked
-    for.  A request that neither overlaps nor adjoins a stored range
-    restarts that range there, so no index outside a requested window is
-    ever computed.  Windows are list slices: the caller may keep them, but
-    not modify them.
+    for; points become mpf values only there, for f.  A request that neither
+    overlaps nor adjoins a stored range restarts that range there, so no
+    index outside a requested window is ever computed.  Windows are list
+    slices: the caller may keep them, but not modify them.
     """
 
     def __init__(
@@ -312,36 +377,32 @@ class PointTable:
         self.precision_bits = precision_bits
         self.first = 1
         self.raw: List[Any] = []
-        self.mp: List[Any] = []
         self.values_first = 1
+        self.mp: List[Any] = []
         self.values: List[Any] = []
 
-    def _new_points(self, start: int, count: int) -> Tuple[Sequence[Any], List[Any]]:
-        raw = self.sequence.points(start, count)
-        with workprec(self.precision_bits):
-            return raw, [as_mpf(x) for x in raw]
-
-    def points(self, start: int, count: int) -> Tuple[List[Any], List[Any]]:
-        """Raw and mpf points at indices start, ..., start + count - 1; f is not evaluated."""
-        self.first, (self.raw, self.mp) = _cover(
-            self.first, (self.raw, self.mp), start, count, self._new_points
+    def points(self, start: int, count: int) -> List[Any]:
+        """The points at indices start, ..., start + count - 1, as the sequence gives them."""
+        self.first, (self.raw,) = _cover(
+            self.first, (self.raw,), start, count, lambda a, k: (self.sequence.points(a, k),)
         )
         i = start - self.first
-        return self.raw[i : i + count], self.mp[i : i + count]
+        return self.raw[i : i + count]
 
     def window(self, start: int, count: int) -> Tuple[List[Any], List[Any], List[Any]]:
-        """Raw points, mpf points and f values at indices start, ..., start + count - 1."""
-        raw, mp = self.points(start, count)
+        """Points, mpf points and f values at indices start, ..., start + count - 1."""
+        raw = self.points(start, count)
 
-        def new_values(first: int, n: int) -> Tuple[List[Any]]:
+        def new_values(first: int, n: int) -> Tuple[List[Any], List[Any]]:
             with workprec(self.precision_bits):
-                return (self.f.values_mp(mp[first - start : first - start + n]),)
+                mp = [as_mpf(x) for x in raw[first - start : first - start + n]]
+                return mp, self.f.values_mp(mp)
 
-        self.values_first, (self.values,) = _cover(
-            self.values_first, (self.values,), start, count, new_values
+        self.values_first, (self.mp, self.values) = _cover(
+            self.values_first, (self.mp, self.values), start, count, new_values
         )
         i = start - self.values_first
-        return raw, mp, self.values[i : i + count]
+        return raw, self.mp[i : i + count], self.values[i : i + count]
 
 
 def _cover(
@@ -492,9 +553,9 @@ def build_witness(
     last_r = None
     for _ in range(doubling_cap + 1):
         ell = find_ell(kernel, sequence, n, bound, ell_max, precision_bits, min_ell=min_ell)
-        points, mp_points = table.points(ell + 1, n)
+        points = table.points(ell + 1, n)
         r = evaluate_ones_form(
-            kernel, f, c, mp_points, precision_bits, f_values=lambda: table.window(ell + 1, n)[2]
+            kernel, f, c, points, precision_bits, f_values=lambda: table.window(ell + 1, n)[2]
         )
         if r < 0:
             return WitnessCertificate(
@@ -589,10 +650,12 @@ def verify_certificate(
     of one run do, f is then evaluated once per distinct stored point.  This
     is still a recomputation: every certificate's r is computed afresh from
     its own stored points, and the only values shared are f computed here,
-    by the verifier, at equal points and precision.  f is asked for only once
-    the window has passed the evaluator's point checks, so a window rejected
-    there costs no f values.  A point where f is undefined raises
-    EvaluationError.
+    by the verifier, at equal points and precision.  The stored points become
+    mpf values, and f is asked for, only once the window has passed the
+    evaluator's point checks, so a window rejected there costs neither.  A
+    point where f is undefined raises EvaluationError; a banded window that is
+    not strictly monotone raises WitnessSearchError with reason
+    ``not-monotone``.
     """
     if cert.kernel_id != kernel.kernel_id:
         raise ValueError(
@@ -620,18 +683,18 @@ def verify_certificate(
         return False
     bits = cert.precision_bits
     store = store if store is not None else VerifierStore(f)
-    with workprec(bits):
-        points = [as_mpf(p) for p in cert.points]
-    computed: List[List[Any]] = []
+    computed: List[Tuple[List[Any], List[Any]]] = []
 
     def f_values() -> List[Any]:
-        computed.append(store.values(cert, points))
-        return computed[0]
+        with workprec(bits):
+            points = [as_mpf(p) for p in cert.points]
+        computed.append((points, store.values(cert, points)))
+        return computed[0][1]
 
-    r = evaluate_ones_form(kernel, f, cert.c, points, bits, f_values=f_values)
+    r = evaluate_ones_form(kernel, f, cert.c, cert.points, bits, f_values=f_values)
     if computed:
         # Kept only now, so the kept keys never add to the evaluator's peak memory.
-        store.keep(cert, points, computed[0])
+        store.keep(cert, *computed[0])
     if not r < 0:
         return False
     with workprec(bits):

@@ -101,6 +101,22 @@ def test_assemble_gram_rejects_duplicates():
         assemble_gram(make_gaussian(), [1.0, 2.0, 1.0])
 
 
+def test_coincidence_is_tested_at_the_working_precision():
+    from rkhs_cert.witness import evaluate_ones_form
+
+    k, f = make_gaussian(), make_constant(1.0)
+    with workprec(256):
+        near = mpf(1) + mpf(2) ** -60
+    evaluate_ones_form(k, f, 1.0, [1, near, 5], 256)
+    with pytest.raises(ValueError, match="coincident"):
+        evaluate_ones_form(k, f, 1.0, [1, near, 5], 53)
+    # distinct integers whose doubles coincide
+    evaluate_ones_form(k, f, 1.0, [2**60, 2**60 + 1, 2**61], 256)
+    assemble_gram(k, [2**60, 2**60 + 1, 2**61], 256)
+    with pytest.raises(ValueError, match="coincident"):
+        assemble_gram(k, [2**60, 5, 2**60], 256)
+
+
 def test_quadratic_form_length_mismatch():
     g = assemble_gram(make_gaussian(), [0.0, 1.0])
     with pytest.raises(ValueError):

@@ -177,6 +177,68 @@ def test_dense_and_banded_paths_agree(n):
         assert abs(routed - banded) <= mpf(2) ** -180 * (1 + abs(banded))
 
 
+@st.composite
+def _int_windows(draw):
+    """(bits, points): a strictly monotone int window of 129-260 points whose
+    magnitude lies below or above the int bookkeeping's gate
+    2^(bits // 2 - 2), up to points wider than bits; its gaps are sorted (so
+    rows break off early) or not."""
+    bits = draw(st.sampled_from([64, 128, 256]))
+    n = draw(st.integers(min_value=129, max_value=260))
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=24), min_size=n - 1, max_size=n - 1))
+    if draw(st.booleans()):
+        gaps.sort()
+    # near the gate, or near the width where the points themselves round
+    exponent = draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=bits // 2 + 2),
+            st.integers(min_value=bits - 2, max_value=bits + 8),
+        )
+    )
+    base = draw(st.integers(min_value=-1, max_value=1)) * 2**exponent
+    direction = draw(st.sampled_from([1, -1]))
+    points = [base]
+    for g in gaps:
+        points.append(points[-1] + direction * g)
+    return bits, points
+
+
+def _banded_outcome(points, bits):
+    from rkhs_cert.witness import _banded_ones_form
+
+    try:
+        return _banded_ones_form(make_gaussian(), make_constant(1.0), 0.25, points, bits)._mpf_
+    except WitnessSearchError as exc:
+        return exc.reason
+
+
+@given(window=_int_windows(), tamper=st.sampled_from([None, "swap", "repeat"]), at=st.integers(0, 127))
+@settings(max_examples=40, deadline=None)
+def test_int_window_r_equals_libmp_r(window, tamper, at):
+    bits, points = window
+    if tamper == "swap":
+        points[at], points[at + 1] = points[at + 1], points[at]
+    elif tamper == "repeat":
+        points[at + 1] = points[at]
+    with workprec(bits):
+        mp_points = [mpf(p) for p in points]  # mpf points take the libmp path
+    outcome = _banded_outcome(points, bits)
+    assert outcome == _banded_outcome(mp_points, bits)
+    if tamper is not None:
+        assert outcome == "not-monotone"
+
+
+def test_triangular_window_bookkeeping_runs_on_ints(monkeypatch):
+    from rkhs_cert import witness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("libmp bookkeeping on an integer window")
+
+    monkeypatch.setattr(witness, "mpf_sub", refuse)
+    pts = triangular_sequence(1).points(2, 300)
+    assert evaluate_ones_form(make_gaussian(), make_paper_example(), 0.5, pts, 256) < 0
+
+
 # --- shared f values ----------------------------------------------------------------
 
 
@@ -339,6 +401,30 @@ def test_banded_r_bits_are_pinned(kernel, function, sequence, n, c, bits, expect
     pts = resolve_sequence(sequence).points(2, n)
     r = evaluate_ones_form(k, resolve_function(function, k), c, pts, bits)
     assert number_to_str(r, bits) == expected
+
+
+# r at 64 bits on triangular windows whose points exceed 2^30, recorded before
+# integer windows got exact-integer bookkeeping.  Such points are too wide for
+# it at 64 bits, so they keep the libmp path; in the second window the
+# squared differences exceed 2^64 and round.
+WIDE_INT_R = [
+    ("inverse_quadratic", "paper_example", 50000, 300, 0.25,
+     "-2104.60844039844876407485685"),
+    ("inverse_quadratic", "paper_example", 2**25, 200, 0.25,
+     "-850.694634552587535036849431"),
+]
+
+
+@pytest.mark.parametrize("kernel,function,start,n,c,expected", WIDE_INT_R)
+def test_wide_int_r_bits_are_pinned(kernel, function, start, n, c, expected):
+    from rkhs_cert.registry import resolve_function, resolve_kernel, resolve_sequence
+    from rkhs_cert.serialize import number_to_str
+
+    k = resolve_kernel(kernel)
+    pts = resolve_sequence("triangular+").points(start, n)
+    assert min(pts) > 2**30
+    r = evaluate_ones_form(k, resolve_function(function, k), c, pts, 64)
+    assert number_to_str(r, 64) == expected
 
 
 def test_ones_form_matches_double_oracle():
