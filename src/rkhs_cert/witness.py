@@ -27,8 +27,9 @@ Python ints when every point is an int below 2^(precision // 2 - 2) in
 magnitude, as the built-in integer sequences are at 256 bits: libmp computes
 every difference and square of such points exactly, so r is bit-identical to
 the libmp path that every other window takes.  Points are handed around as
-the sequence or the certificate gives them and become mpf values only where f
-or phi needs a value.
+the sequence or the certificate gives them.  The points of an int window
+become mpf values only where f needs a value; a window on the libmp path
+converts its points once and hands the mpf values on to f.
 
 A search evaluates f once per sequence index: its windows are served from
 one ``PointTable``, which ``build_witness`` shares across its doublings and
@@ -197,6 +198,7 @@ class _Arithmetic(NamedTuple):
     """How the banded bookkeeping computes with points: on ints, or on raw libmp values."""
 
     keys: Sequence[Any]  # the points, as ints or as raw libmp values
+    mp: Optional[List[Any]]  # the points as mpf values; None on ints, which convert only for f
     sub: Callable[[Any, Any], Any]
     mul: Callable[[Any, Any], Any]
     gt: Callable[[Any, Any], bool]
@@ -210,13 +212,14 @@ def _arithmetic(points: Sequence[Any], prec: int, rnd: str) -> _Arithmetic:
     """Exact ints for a window that ``_exact_int_window`` admits, else libmp at (prec, rnd)."""
     if _exact_int_window(points, prec):
         return _Arithmetic(
-            points, operator.sub, operator.mul, operator.gt, operator.neg, 0,
+            points, None, operator.sub, operator.mul, operator.gt, operator.neg, 0,
             # d^2 > r* iff d^2 > floor(r*) for an integer d^2
-            partial(to_int, rnd="f"), partial(from_int, prec=prec, rnd=rnd),
+            lambda r: to_int(r, "f"), lambda d2: from_int(d2, prec, rnd),
         )
+    mp = [as_mpf(p) for p in points]
     return _Arithmetic(
-        [as_mpf(p)._mpf_ for p in points],
-        partial(mpf_sub, prec=prec, rnd=rnd), partial(mpf_mul, prec=prec, rnd=rnd),
+        [p._mpf_ for p in mp], mp,
+        lambda a, b: mpf_sub(a, b, prec, rnd), lambda a, b: mpf_mul(a, b, prec, rnd),
         mpf_gt, mpf_neg, fzero, _same, _same,
     )
 
@@ -225,13 +228,17 @@ def _same(x: Any) -> Any:
     return x
 
 
+# f at a window's points, given them as mpf values or None; see evaluate_ones_form.
+FValues = Callable[[Optional[List[Any]]], Sequence[Any]]
+
+
 def _banded_ones_form(
     kernel: KernelSpec,
     f: CandidateFunction,
     c: float,
     points: Sequence[Any],
     precision_bits: int,
-    f_values: Optional[Callable[[], Sequence[Any]]] = None,
+    f_values: Optional[FValues] = None,
 ) -> Any:
     """r for the all-ones vector via banded kernel summation.
 
@@ -247,7 +254,8 @@ def _banded_ones_form(
     each d^2 passed to phi through ``from_int``, equals libmp's bit for bit.
     Any other window (floats, decimals, mpf, wider ints) runs on raw libmp
     values, rounded as mpf arithmetic rounds; there a nan difference fails
-    the monotonicity check.  Points become mpf values only for f.
+    the monotonicity check.  Its points convert to mpf once, for the
+    bookkeeping and for f; the points of an int window convert only for f.
     """
     profile = kernel.profile
     assert profile is not None
@@ -282,9 +290,13 @@ def _banded_ones_form(
                     break
                 acc += profile.value_mp(_make_mpf(a.to_raw(d2)))
             off_terms.append(2 * acc)
+        mp = a.mp
         del a, keys, diffs, gaps  # garbage before f, which may keep mpf points of its own
         diag = n * profile.value_mp(0)
-        fsum = neumaier_sum(f.values_mp(points) if f_values is None else f_values())
+        if f_values is None:
+            fsum = neumaier_sum(f.values_mp(points if mp is None else mp))
+        else:
+            fsum = neumaier_sum(f_values(mp))
         return diag + neumaier_sum(off_terms) - mpf(c) ** 2 * fsum * fsum
 
 
@@ -294,7 +306,7 @@ def _dense_ones_form(
     c: float,
     points: Sequence[Any],
     precision_bits: int,
-    f_values: Optional[Callable[[], Sequence[Any]]] = None,
+    f_values: Optional[FValues] = None,
 ) -> Any:
     """r for the all-ones vector via the Gram matrix of ``deflate(kernel, f, c)``.
 
@@ -303,7 +315,7 @@ def _dense_ones_form(
     """
     with workprec(precision_bits):
         pts = [as_mpf(p) for p in points]
-        values = dict(zip(pts, f.values_mp(pts) if f_values is None else f_values()))
+        values = dict(zip(pts, f.values_mp(pts) if f_values is None else f_values(pts)))
     tabulated = SimpleNamespace(function_id=f.function_id, eval_mp=values.__getitem__)
     gram = assemble_gram(deflate(kernel, tabulated, c), pts, precision_bits)
     return quadratic_form(gram, [1] * len(points))
@@ -315,7 +327,7 @@ def evaluate_ones_form(
     c: float,
     points: Sequence[Any],
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    f_values: Optional[Callable[[], Sequence[Any]]] = None,
+    f_values: Optional[FValues] = None,
 ) -> Any:
     """The witness quadratic form r on the given window, all-ones coefficients.
 
@@ -325,7 +337,9 @@ def evaluate_ones_form(
     size), so verification reproduces the builder's path.
 
     ``f_values``, when given, returns f at the points, computed at
-    ``precision_bits``.  The banded path calls it only once the window has
+    ``precision_bits``.  It is passed the points as mpf values when the
+    evaluator has converted them, else None (an int window on the banded
+    path converts none).  The banded path calls it only once the window has
     passed its point checks, so a window rejected as not monotone costs no
     f values.  Without it, f is evaluated once per point.
     """
@@ -355,15 +369,16 @@ def _is_dense(kernel: KernelSpec, n: int) -> bool:
 
 
 class PointTable:
-    """Points x_k, and mpf(x_k) and f(x_k), each over a contiguous range of indices k.
+    """Points x_k and values f(x_k), each over a contiguous range of indices k.
 
     ``points`` and ``window`` compute only what they have not stored, so a
     search that serves all its windows from one table evaluates f at most
     once per index, and only at indices of windows whose values it asked
-    for; points become mpf values only there, for f.  A request that neither
-    overlaps nor adjoins a stored range restarts that range there, so no
-    index outside a requested window is ever computed.  Windows are list
-    slices: the caller may keep them, but not modify them.
+    for.  The table keeps no mpf points: a point converts only when f is
+    evaluated there, unless the caller passes the window already converted.
+    A request that neither overlaps nor adjoins a stored range restarts that
+    range there, so no index outside a requested window is ever computed.
+    Windows are list slices: the caller may keep them, but not modify them.
     """
 
     def __init__(
@@ -378,7 +393,6 @@ class PointTable:
         self.first = 1
         self.raw: List[Any] = []
         self.values_first = 1
-        self.mp: List[Any] = []
         self.values: List[Any] = []
 
     def points(self, start: int, count: int) -> List[Any]:
@@ -389,20 +403,26 @@ class PointTable:
         i = start - self.first
         return self.raw[i : i + count]
 
-    def window(self, start: int, count: int) -> Tuple[List[Any], List[Any], List[Any]]:
-        """Points, mpf points and f values at indices start, ..., start + count - 1."""
+    def window(self, start: int, count: int, mp: Optional[List[Any]] = None) -> List[Any]:
+        """f values at indices start, ..., start + count - 1.
+
+        ``mp``, when given, is the window's points as mpf values at the
+        table's precision; f reads its points from there instead of
+        converting them again.
+        """
         raw = self.points(start, count)
 
-        def new_values(first: int, n: int) -> Tuple[List[Any], List[Any]]:
+        def new_values(first: int, n: int) -> Tuple[List[Any]]:
+            lo = first - start
             with workprec(self.precision_bits):
-                mp = [as_mpf(x) for x in raw[first - start : first - start + n]]
-                return mp, self.f.values_mp(mp)
+                pts = mp[lo : lo + n] if mp is not None else [as_mpf(x) for x in raw[lo : lo + n]]
+                return (self.f.values_mp(pts),)
 
-        self.values_first, (self.mp, self.values) = _cover(
-            self.values_first, (self.mp, self.values), start, count, new_values
+        self.values_first, (self.values,) = _cover(
+            self.values_first, (self.values,), start, count, new_values
         )
         i = start - self.values_first
-        return raw, self.mp[i : i + count], self.values[i : i + count]
+        return self.values[i : i + count]
 
 
 def _cover(
@@ -555,7 +575,7 @@ def build_witness(
         ell = find_ell(kernel, sequence, n, bound, ell_max, precision_bits, min_ell=min_ell)
         points = table.points(ell + 1, n)
         r = evaluate_ones_form(
-            kernel, f, c, points, precision_bits, f_values=lambda: table.window(ell + 1, n)[2]
+            kernel, f, c, points, precision_bits, f_values=partial(table.window, ell + 1, n)
         )
         if r < 0:
             return WitnessCertificate(
@@ -650,9 +670,9 @@ def verify_certificate(
     of one run do, f is then evaluated once per distinct stored point.  This
     is still a recomputation: every certificate's r is computed afresh from
     its own stored points, and the only values shared are f computed here,
-    by the verifier, at equal points and precision.  The stored points become
-    mpf values, and f is asked for, only once the window has passed the
-    evaluator's point checks, so a window rejected there costs neither.  A
+    by the verifier, at equal points and precision.  f is asked for only once
+    the window has passed the evaluator's point checks, so a window rejected
+    there costs no f values; stored int points convert to mpf only then.  A
     point where f is undefined raises EvaluationError; a banded window that is
     not strictly monotone raises WitnessSearchError with reason
     ``not-monotone``.
@@ -685,9 +705,10 @@ def verify_certificate(
     store = store if store is not None else VerifierStore(f)
     computed: List[Tuple[List[Any], List[Any]]] = []
 
-    def f_values() -> List[Any]:
-        with workprec(bits):
-            points = [as_mpf(p) for p in cert.points]
+    def f_values(points: Optional[List[Any]]) -> List[Any]:
+        if points is None:
+            with workprec(bits):
+                points = [as_mpf(p) for p in cert.points]
         computed.append((points, store.values(cert, points)))
         return computed[0][1]
 

@@ -239,6 +239,33 @@ def test_triangular_window_bookkeeping_runs_on_ints(monkeypatch):
     assert evaluate_ones_form(make_gaussian(), make_paper_example(), 0.5, pts, 256) < 0
 
 
+def test_float_window_converts_each_point_once(monkeypatch):
+    from rkhs_cert import witness
+    from rkhs_cert.expressions import as_mpf
+    from rkhs_cert.registry import resolve_sequence
+    from rkhs_cert.serialize import witness_from_dict, witness_to_dict
+
+    converted = []
+
+    def counting(x):
+        converted.append(x)
+        return as_mpf(x)
+
+    monkeypatch.setattr(witness, "as_mpf", counting)
+    k, f = make_gaussian(), make_constant(1.0)
+    # 129 float points take the libmp bookkeeping; f reads the same mpf points
+    cert = build_witness(k, f, resolve_sequence("arithmetic:7.5"), 0.125)
+    assert cert.n_points == 129 and all(type(p) is float for p in cert.points)
+    assert converted == list(cert.points)
+    converted.clear()
+    assert verify_certificate(cert, k, f)
+    assert converted == list(cert.points)
+    converted.clear()
+    # stored points read back as mpf values, which need no conversion for f
+    assert verify_certificate(witness_from_dict(witness_to_dict(cert)), k, f)
+    assert len(converted) == 129
+
+
 # --- shared f values ----------------------------------------------------------------
 
 
@@ -305,13 +332,13 @@ def test_point_table_extends_and_restarts():
     seq = triangular_sequence(1)
     table = PointTable(f, seq, 256)
     table.window(5, 4)
-    raw, pts, values = table.window(3, 8)  # extends on both sides
+    values = table.window(3, 8)  # extends on both sides
     table.window(1, 2)  # adjoins the stored range
     assert len(calls) == 10
+    raw = table.points(3, 8)
     assert raw == list(seq.points(3, 8))
     with workprec(256):
         assert [v._mpf_ for v in values] == [make_paper_example().eval_mp(x)._mpf_ for x in raw]
-        assert pts == [mpf(x) for x in raw]
     table.window(20, 2)  # disjoint: the table starts over there
     assert len(calls) == 12 and table.first == 20 and len(table.raw) == 2
 
