@@ -18,13 +18,12 @@ import mpmath
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .analytic import analyticity_envelope
 from .errors import ConfigError, EvaluationError, SingularGramError, WitnessSearchError
-from .functions import TailBound
 from .interpolant import norm_growth_trace
-from .quadform import assemble_gram, psd_check, schur_deflation_control
+from .quadform import MAX_PRECISION_BITS, MIN_PRECISION_BITS, assemble_gram, psd_check, schur_deflation_control
 from .registry import resolve_function, resolve_kernel, resolve_sequence
 from .sequences import verify_decay
 from .serialize import (
@@ -41,13 +40,11 @@ from .serialize import (
     witness_to_dict,
 )
 from .witness import (
-    PointTable,
     SweepResult,
     VerifierStore,
-    WitnessCertificate,
     build_witness,
     default_c_grid,
-    resolve_alpha,
+    sweep_c,
     verify_certificate,
 )
 
@@ -143,28 +140,53 @@ class RunConfig:
         }
 
 
-_TOP_KEYS = {
-    "kernel",
-    "function",
-    "sequence",
-    "tasks",
-    "c_grid",
-    "ell_max",
-    "precision_bits",
-    "jobs",
-    "domain",
-    "witness",
-    "psd",
-    "decay",
-    "analytic",
-    "interpolant",
-}
+# The config schema is the echo's, plus "jobs", which the echo omits.
+_ECHO = RunConfig().to_dict()
+
+# Plain numbers in the config: (section, "" for the top level; RunConfig
+# field prefix; keys).  A value must convert to the type of the field's default.
+_NUMBERS = (
+    ("", "", ("ell_max", "precision_bits", "jobs")),
+    ("witness", "witness_", ("doubling_cap",)),
+    ("psd", "psd_", ("num_points", "control_x0")),
+    ("decay", "decay_", ("window", "ell_max", "threshold")),
+    ("analytic", "analytic_", ("n_max", "norm_bound", "fd_x")),
+    ("interpolant", "interp_", ("steps", "ridge", "divergence_factor")),
+)
 
 
 def _require_keys(section: Dict[str, Any], allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _section(data: Dict[str, Any], key: str) -> Dict[str, Any]:
+    """The config object under ``key`` (empty when absent), holding only keys the echo shows there."""
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be a JSON object, not {section!r}")
+    _require_keys(section, set(_ECHO[key]), key)
+    return section
+
+
+def _cast(caster: Callable[[Any], Any], value: Any, where: str) -> Any:
+    """``caster(value)``, with a value it cannot take reported as a ConfigError naming ``where``."""
+    try:
+        return caster(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if caster is int else "a number"
+        raise ConfigError(f"{where} must be {kind}, not {value!r}") from None
+
+
+def _list(value: Any, where: str) -> Tuple[Any, ...]:
+    if not isinstance(value, (list, tuple)):  # a string or an object would iterate
+        raise ConfigError(f"{where} must be a list, not {value!r}")
+    return tuple(value)
+
+
+def _numbers(value: Any, where: str) -> Tuple[float, ...]:
+    return tuple(_cast(float, v, f"each entry of {where}") for v in _list(value, where))
 
 
 def _parse_domain(section: Dict[str, Any]) -> Dict[str, Any]:
@@ -174,7 +196,6 @@ def _parse_domain(section: Dict[str, Any]) -> Dict[str, Any]:
     supported domain shapes its truth is decidable, so contradictory
     declarations are rejected rather than recorded.
     """
-    _require_keys(section, {"kind", "endpoints", "points", "has_accumulation_point"}, "domain")
     kind = section.get("kind", "full_line")
     if kind not in DOMAIN_KINDS:
         raise ConfigError(f"unknown domain kind {kind!r}; choose from {list(DOMAIN_KINDS)}")
@@ -184,7 +205,7 @@ def _parse_domain(section: Dict[str, Any]) -> Dict[str, Any]:
     if kind == "interval":
         if endpoints is None:
             raise ConfigError("interval domain needs endpoints [a, b]")
-        pair = tuple(float(e) for e in endpoints)
+        pair = _numbers(endpoints, "interval endpoints")
         if len(pair) != 2 or not all(math.isfinite(e) for e in pair):
             raise ConfigError("interval endpoints must be two finite numbers")
         if not pair[0] < pair[1]:
@@ -195,7 +216,7 @@ def _parse_domain(section: Dict[str, Any]) -> Dict[str, Any]:
     if kind == "finite_set":
         if points is None:
             raise ConfigError("finite_set domain needs a list of points")
-        pts = tuple(float(p) for p in points)
+        pts = _numbers(points, "finite_set points")
         if not pts or not all(math.isfinite(p) for p in pts):
             raise ConfigError("finite_set points must be a nonempty list of finite numbers")
         if len(set(pts)) != len(pts):
@@ -219,14 +240,13 @@ def _parse_domain(section: Dict[str, Any]) -> Dict[str, Any]:
 def config_from_dict(data: Dict[str, Any]) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    _require_keys(data, _TOP_KEYS, "config")
-    cfg = RunConfig()
+    _require_keys(data, set(_ECHO) | {"jobs"}, "config")
     kwargs: Dict[str, Any] = {}
     for key in ("kernel", "function", "sequence"):
         if key in data:
             kwargs[key] = data[key]
     if "tasks" in data:
-        tasks = tuple(data["tasks"])
+        tasks = _list(data["tasks"], "tasks")
         bad = [t for t in tasks if t not in ALL_TASKS]
         if bad:
             raise ConfigError(f"unknown tasks {bad}; choose from {list(ALL_TASKS)}")
@@ -236,107 +256,56 @@ def config_from_dict(data: Dict[str, Any]) -> RunConfig:
             raise ConfigError("tasks must not repeat")
         kwargs["tasks"] = tasks
     if "c_grid" in data and data["c_grid"] is not None:
-        grid = tuple(float(c) for c in data["c_grid"])
+        grid = _numbers(data["c_grid"], "c_grid")
         if not grid or any(not (c > 0 and math.isfinite(c)) for c in grid):
             raise ConfigError("c_grid must be a nonempty list of positive finite scales")
         kwargs["c_grid"] = grid
-    for key, caster in (("ell_max", int), ("precision_bits", int), ("jobs", int)):
-        if key in data:
-            kwargs[key] = caster(data[key])
-    kwargs.update(_parse_domain(data.get("domain", {})))
-    section = data.get("witness", {})
-    _require_keys(section, {"doubling_cap", "alpha"}, "witness")
-    if "doubling_cap" in section:
-        kwargs["witness_doubling_cap"] = int(section["doubling_cap"])
+    kwargs.update(_parse_domain(_section(data, "domain")))
+    for name, prefix, keys in _NUMBERS:
+        section = _section(data, name) if name else data
+        for key in keys:
+            if key in section:
+                field = prefix + key
+                caster = type(getattr(RunConfig, field))
+                kwargs[field] = _cast(caster, section[key], f"{name} {key}".lstrip())
+    section = _section(data, "witness")
     if section.get("alpha") is not None:
-        alpha = float(section["alpha"])
+        alpha = _cast(float, section["alpha"], "witness alpha")
         if not (alpha > 0 and math.isfinite(alpha)):
             raise ConfigError("witness alpha must be positive and finite")
         kwargs["witness_alpha"] = alpha
-    section = data.get("psd", {})
-    _require_keys(section, {"num_points", "points", "control_x0"}, "psd")
-    if "num_points" in section:
-        kwargs["psd_num_points"] = int(section["num_points"])
+    section = _section(data, "psd")
     if section.get("points") is not None:
-        kwargs["psd_points"] = tuple(float(p) for p in section["points"])
-    if "control_x0" in section:
-        kwargs["psd_control_x0"] = float(section["control_x0"])
-    section = data.get("decay", {})
-    _require_keys(section, {"window", "ell_max", "threshold"}, "decay")
-    if "window" in section:
-        kwargs["decay_window"] = int(section["window"])
-    if "ell_max" in section:
-        kwargs["decay_ell_max"] = int(section["ell_max"])
-    if "threshold" in section:
-        kwargs["decay_threshold"] = float(section["threshold"])
-    section = data.get("analytic", {})
-    _require_keys(section, {"n_max", "norm_bound", "fd_step", "fd_x"}, "analytic")
-    if "n_max" in section:
-        kwargs["analytic_n_max"] = int(section["n_max"])
-    if "norm_bound" in section:
-        kwargs["analytic_norm_bound"] = float(section["norm_bound"])
+        kwargs["psd_points"] = _numbers(section["points"], "psd points")
+    section = _section(data, "analytic")
     if "fd_step" in section:
-        kwargs["analytic_fd_step"] = None if section["fd_step"] is None else float(section["fd_step"])
-    if "fd_x" in section:
-        kwargs["analytic_fd_x"] = float(section["fd_x"])
-    section = data.get("interpolant", {})
-    _require_keys(
-        section,
-        {"base_points", "rule", "steps", "ridge", "divergence_factor"},
-        "interpolant",
-    )
+        step = section["fd_step"]
+        kwargs["analytic_fd_step"] = None if step is None else _cast(float, step, "analytic fd_step")
+    section = _section(data, "interpolant")
     if section.get("base_points") is not None:
-        kwargs["interp_base_points"] = tuple(float(p) for p in section["base_points"])
+        kwargs["interp_base_points"] = _numbers(section["base_points"], "interpolant base_points")
     if "rule" in section:
         kwargs["interp_rule"] = str(section["rule"])
-    if "steps" in section:
-        kwargs["interp_steps"] = int(section["steps"])
-    if "ridge" in section:
-        kwargs["interp_ridge"] = float(section["ridge"])
-    if "divergence_factor" in section:
-        kwargs["interp_divergence_factor"] = float(section["divergence_factor"])
-    try:
-        cfg = replace(cfg, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
-    if cfg.precision_bits < 64:
-        raise ConfigError("precision_bits must be at least 64")
+    cfg = RunConfig(**kwargs)
+    if not MIN_PRECISION_BITS <= cfg.precision_bits <= MAX_PRECISION_BITS:
+        raise ConfigError(f"precision_bits must be {MIN_PRECISION_BITS} to {MAX_PRECISION_BITS}")
     if cfg.jobs < 1:
         raise ConfigError("jobs must be >= 1")
+    if cfg.witness_doubling_cap < 0:
+        raise ConfigError("witness doubling_cap must be >= 0")
     return cfg
 
 
-def _witness_worker(args: Tuple[Any, ...]) -> List[Tuple[str, float, Any]]:
-    """Build one certificate per scale of a group; runs in-process or in a worker process.
-
-    The group's scales share one table of f values along the sequence.
-    """
-    (kernel_spec, function_id, sequence_id, scales, alpha, provenance, ell_max, bits, cap) = args
-    kernel = resolve_kernel(kernel_spec)
-    sequence = resolve_sequence(sequence_id)
-    f = resolve_function(function_id, kernel)
-    table = PointTable(f, sequence, bits)
-    outcomes: List[Tuple[str, float, Any]] = []
-    for c in scales:
-        try:
-            cert = build_witness(
-                kernel,
-                f,
-                sequence,
-                c,
-                alpha=alpha,
-                alpha_provenance=provenance,
-                ell_max=ell_max,
-                precision_bits=bits,
-                doubling_cap=cap,
-                table=table,
-            )
-        except WitnessSearchError as exc:
-            outcomes.append(("fail", c, f"{exc.reason}: {exc}"))
-            continue
-        outcomes.append(("ok", c, cert))
-    del table  # its points and values are garbage before serialization starts
-    return [(status, c, witness_to_dict(x) if status == "ok" else x) for status, c, x in outcomes]
+def _witness_worker(args: Tuple[RunConfig, Tuple[float, ...]]) -> SweepResult:
+    """Sweep one group of scales; runs in-process or in a worker process."""
+    cfg, scales = args
+    kernel = resolve_kernel(cfg.kernel)
+    sequence = resolve_sequence(cfg.sequence)
+    f = resolve_function(cfg.function, kernel)
+    return sweep_c(
+        kernel, f, sequence, scales, cfg.ell_max, cfg.precision_bits, cfg.witness_doubling_cap,
+        alpha=cfg.witness_alpha,
+    )
 
 
 def _domain_transfer_note(cfg: RunConfig) -> str:
@@ -361,64 +330,42 @@ def _domain_transfer_note(cfg: RunConfig) -> str:
 
 
 def _run_witness_task(cfg: RunConfig, kernel: Any, f: Any, sequence: Any) -> Dict[str, Any]:
-    grid = cfg.c_grid if cfg.c_grid is not None else default_c_grid()
-    if cfg.witness_alpha is not None:
-        tail = TailBound(alpha=cfg.witness_alpha, sign=1, threshold=0.0)
-    else:
-        tail = resolve_alpha(f, sequence, precision_bits=cfg.precision_bits)
-    # Scales are dealt round-robin to the workers; outcomes return to grid order.
+    grid = tuple(float(c) for c in (cfg.c_grid if cfg.c_grid is not None else default_c_grid()))
+    # Scales are dealt round-robin to the sweeps.  A scale's outcome depends
+    # on its value alone, so outcomes return to grid order by value, repeated
+    # scales included.
     groups = min(cfg.jobs, len(grid))
-    arglist = [
-        (
-            cfg.kernel,
-            f.function_id,
-            cfg.sequence,
-            [float(c) for c in grid[g::groups]],
-            tail.alpha,
-            tail.provenance,
-            cfg.ell_max,
-            cfg.precision_bits,
-            cfg.witness_doubling_cap,
-        )
-        for g in range(groups)
-    ]
+    arglist = [(cfg, grid[g::groups]) for g in range(groups)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=groups) as pool:
-            dealt = list(pool.map(_witness_worker, arglist))
+            sweeps = list(pool.map(_witness_worker, arglist))
     else:
-        dealt = [_witness_worker(a) for a in arglist]
-    outcomes = [dealt[i % groups][i // groups] for i in range(len(grid))]
-    certificates: List[WitnessCertificate] = []
-    failures: List[Tuple[float, str]] = []
-    scaling: List[Tuple[float, float]] = []
-    for status, c, payload in outcomes:
-        if status == "fail":
-            failures.append((c, payload))
-            continue
-        cert = witness_from_dict(payload)
-        certificates.append(cert)
-        scaling.append((c, cert.n_points * c * c))
+        sweeps = [_witness_worker(a) for a in arglist]
+    built = {cert.c: cert for sweep in sweeps for cert in sweep.certificates}
+    failed = dict(failure for sweep in sweeps for failure in sweep.failures)
+    scaled = dict(entry for sweep in sweeps for entry in sweep.scaling)
+    result = replace(
+        sweeps[0],
+        c_values=grid,
+        certificates=tuple(built[c] for c in grid if c in built),
+        failures=tuple((c, failed[c]) for c in grid if c not in built),
+        scaling=tuple((c, scaled[c]) for c in grid if c in built),
+    )
     # The windows mostly contain one another, so one store evaluates f once
     # per distinct stored point; largest first keeps its memory at the
     # largest certificate's.
+    certificates = result.certificates
     store = VerifierStore(f)
     passed = set()
     for i in sorted(range(len(certificates)), key=lambda i: -certificates[i].n_points):
         if verify_certificate(certificates[i], kernel, f, store):
             passed.add(i)
     del store  # its kept values are garbage before serialization starts
-    verified = [c for i, (c, _) in enumerate(scaling) if i in passed]
-    result = SweepResult(
-        c_values=tuple(float(c) for c in grid),
-        certificates=tuple(certificates),
-        failures=tuple(failures),
-        scaling=tuple(scaling),
-        alpha=tail.alpha,
-        alpha_provenance=tail.provenance,
-    )
     out = sweep_to_dict(result, cfg.precision_bits)
-    out["verified_scales"] = [number_to_str(c, cfg.precision_bits) for c in verified]
-    out["all_verified"] = len(verified) == len(grid)
+    out["verified_scales"] = [
+        number_to_str(cert.c, cfg.precision_bits) for i, cert in enumerate(certificates) if i in passed
+    ]
+    out["all_verified"] = len(passed) == len(grid)
     out["domain_transfer"] = _domain_transfer_note(cfg)
     return out
 
@@ -671,7 +618,9 @@ def _apply_overrides(data: Dict[str, Any], args: argparse.Namespace) -> Dict[str
     if getattr(args, "jobs", None) is not None:
         data["jobs"] = args.jobs
     if getattr(args, "alpha", None) is not None:
-        data.setdefault("witness", {})["alpha"] = args.alpha
+        section = data.setdefault("witness", {})
+        if isinstance(section, dict):  # config_from_dict rejects anything else
+            section["alpha"] = args.alpha
     return data
 
 

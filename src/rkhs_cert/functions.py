@@ -205,20 +205,27 @@ def tail_lower_bound(
     start: int,
     count: int,
     precision_bits: int = 256,
+    table: Any = None,
 ) -> Optional[TailBound]:
     """Sample |f| at ``count`` consecutive sequence points from index ``start``.
 
     Returns an empirical TailBound (alpha = min |f|, common sign) or None when
     the samples mix signs or touch zero.  Evidence only: the bound is labeled
-    EMPIRICAL and certificates propagate that label.
+    EMPIRICAL and certificates propagate that label.  ``table``, a search's
+    ``witness.PointTable`` for f and the sequence, serves the sample when
+    given.  The points are listed before f is evaluated, so an undefined
+    sequence point blames the sequence.
     """
     if count < 2:
         raise ValueError("need at least two sample points for an empirical tail bound")
     if start < 1:
         raise ValueError("sequence indices start at 1")
-    points = [sequence.point(n) for n in range(start, start + count)]
+    if table is None:
+        points = [sequence.point(n) for n in range(start, start + count)]
+    else:
+        points = table.points(start, count)
     with workprec(precision_bits):
-        values = f.values_mp(points)
+        values = f.values_mp(points) if table is None else table.window(start, count)
         signs = {(-1 if v < 0 else (1 if v > 0 else 0)) for v in values}
         if len(signs) != 1 or 0 in signs:
             return None

@@ -27,6 +27,11 @@ from .kernels import KernelSpec
 
 DEFAULT_PRECISION_BITS = 256
 
+# Bounds on a requested working precision.  Parsing a single decimal at 2^24
+# bits takes minutes, so a config or certificate may not ask for more than this.
+MIN_PRECISION_BITS = 64
+MAX_PRECISION_BITS = 1 << 16
+
 
 def neumaier_sum(terms: Sequence[Any]) -> Any:
     """The terms' sum as an mpf: ``mpmath.fsum``, rounded once at the working precision.

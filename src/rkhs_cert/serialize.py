@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
 
 from .analytic import DerivativeReport
 from .interpolant import NormTrace
-from .quadform import PsdVerdict
+from .quadform import MAX_PRECISION_BITS, MIN_PRECISION_BITS, PsdVerdict
 from .sequences import DecayReport
 from .witness import WITNESS_SCHEMA, SweepResult, WitnessCertificate
 
@@ -104,6 +105,7 @@ def witness_to_dict(cert: WitnessCertificate) -> Dict[str, Any]:
 
 
 def witness_from_dict(data: Dict[str, Any]) -> WitnessCertificate:
+    """The certificate a JSON object describes; a malformed field is a ValueError naming it."""
     if not isinstance(data, dict):
         raise ValueError("certificate must be a JSON object")
     if data.get("schema") != WITNESS_SCHEMA:
@@ -126,28 +128,42 @@ def witness_from_dict(data: Dict[str, Any]) -> WitnessCertificate:
     missing = [k for k in required if k not in data]
     if missing:
         raise ValueError(f"certificate is missing fields: {missing}")
-    bits = int(data["precision_bits"])
-    if bits < 64:
-        raise ValueError("certificate precision must be at least 64 bits")
-    coeffs = data["coefficients"]
+    bits = _field(data, "precision_bits", int)
+    if not MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS:
+        raise ValueError(f"certificate precision must be {MIN_PRECISION_BITS} to {MAX_PRECISION_BITS} bits")
+    numbers = partial(_number_tuple, precision_bits=bits)
     coefficients = None
-    if coeffs != "ones":
-        coefficients = tuple(str_to_number(c, bits) for c in coeffs)
+    if data["coefficients"] != "ones":
+        coefficients = _field(data, "coefficients", numbers)
     return WitnessCertificate(
         kernel_id=str(data["kernel_id"]),
         function_id=str(data["function_id"]),
         sequence_id=str(data["sequence_id"]),
-        c=float(data["c"]),
-        alpha=float(data["alpha"]),
+        c=_field(data, "c", float),
+        alpha=_field(data, "alpha", float),
         alpha_provenance=str(data["alpha_provenance"]),
-        kernel_diag_sup=float(data["kernel_diag_sup"]),
-        n_points=int(data["n_points"]),
-        ell=int(data["ell"]),
-        r_value=str_to_number(str(data["r_value"]), bits),
-        points=tuple(str_to_number(str(p), bits) for p in data["points"]),
+        kernel_diag_sup=_field(data, "kernel_diag_sup", float),
+        n_points=_field(data, "n_points", int),
+        ell=_field(data, "ell", int),
+        r_value=_field(data, "r_value", lambda value: str_to_number(str(value), bits)),
+        points=_field(data, "points", numbers),
         precision_bits=bits,
         coefficients=coefficients,
     )
+
+
+def _field(data: Dict[str, Any], key: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse(data[key])``, with a value it cannot take reported as a ValueError naming ``key``."""
+    try:
+        return parse(data[key])
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"certificate field {key!r} is malformed: {exc}") from None
+
+
+def _number_tuple(value: Any, precision_bits: int) -> Tuple[Any, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, not {value!r}")
+    return tuple(str_to_number(str(v), precision_bits) for v in value)
 
 
 def psd_to_dict(verdict: PsdVerdict, precision_bits: int) -> Dict[str, Any]:

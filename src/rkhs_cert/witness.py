@@ -31,14 +31,15 @@ the sequence or the certificate gives them.  The points of an int window
 become mpf values only where f needs a value; a window on the libmp path
 converts its points once and hands the mpf values on to f.
 
-A search evaluates f once per sequence index: its windows are served from
-one ``PointTable``, which ``build_witness`` shares across its doublings and
-``sweep_c`` across its scales (their windows start at nearby offsets and
-mostly contain one another).  A window's f values are computed only after
-it passes the evaluator's point checks.  Verification shares nothing with
-the builder and recomputes every value from the stored points; certificates
-verified together may share the verifier's own f values through a
-``VerifierStore``.
+``sweep_c`` is the one loop over scales, for the library and for
+``rkhs-cert run``.  A search evaluates f once per sequence index: its windows
+and its tail sample are served from one ``PointTable``, which
+``build_witness`` shares across its doublings and ``sweep_c`` across its
+scales (their windows start at nearby offsets and mostly contain one
+another).  A window's f values are computed only after it passes the
+evaluator's point checks.  Verification shares nothing with the builder and
+recomputes every value from the stored points; certificates verified
+together may share the verifier's own f values through a ``VerifierStore``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from mpmath.libmp import fzero, from_int, mpf_gt, mpf_mul, mpf_neg, mpf_sub, to_
 
 from .errors import WitnessSearchError
 from .expressions import as_mpf
-from .functions import CandidateFunction, TailBound, tail_lower_bound, DECLARED
+from .functions import DECLARED, CandidateFunction, TailBound, tail_lower_bound
 from .kernels import KernelSpec
 from .quadform import (
     DEFAULT_PRECISION_BITS,
@@ -374,8 +375,9 @@ class PointTable:
     ``points`` and ``window`` compute only what they have not stored, so a
     search that serves all its windows from one table evaluates f at most
     once per index, and only at indices of windows whose values it asked
-    for.  The table keeps no mpf points: a point converts only when f is
-    evaluated there, unless the caller passes the window already converted.
+    for.  The table keeps no mpf points: f receives the points as the
+    sequence gives them and converts each itself, unless the caller passes
+    the window already converted.
     A request that neither overlaps nor adjoins a stored range restarts that
     range there, so no index outside a requested window is ever computed.
     Windows are list slices: the caller may keep them, but not modify them.
@@ -397,9 +399,7 @@ class PointTable:
 
     def points(self, start: int, count: int) -> List[Any]:
         """The points at indices start, ..., start + count - 1, as the sequence gives them."""
-        self.first, (self.raw,) = _cover(
-            self.first, (self.raw,), start, count, lambda a, k: (self.sequence.points(a, k),)
-        )
+        self.first, self.raw = _cover(self.first, self.raw, start, count, self.sequence.points)
         i = start - self.first
         return self.raw[i : i + count]
 
@@ -411,44 +411,40 @@ class PointTable:
         converting them again.
         """
         raw = self.points(start, count)
+        pts = raw if mp is None else mp
 
-        def new_values(first: int, n: int) -> Tuple[List[Any]]:
+        def new_values(first: int, n: int) -> List[Any]:
             lo = first - start
             with workprec(self.precision_bits):
-                pts = mp[lo : lo + n] if mp is not None else [as_mpf(x) for x in raw[lo : lo + n]]
-                return (self.f.values_mp(pts),)
+                return self.f.values_mp(pts[lo : lo + n])
 
-        self.values_first, (self.values,) = _cover(
-            self.values_first, (self.values,), start, count, new_values
-        )
+        self.values_first, self.values = _cover(self.values_first, self.values, start, count, new_values)
         i = start - self.values_first
         return self.values[i : i + count]
 
 
 def _cover(
     first: int,
-    lists: Tuple[List[Any], ...],
+    items: List[Any],
     start: int,
     count: int,
-    new: Callable[[int, int], Tuple[Sequence[Any], ...]],
-) -> Tuple[int, Tuple[List[Any], ...]]:
-    """Grow parallel lists over indices first, first + 1, ... to cover start, ..., start + count - 1.
+    new: Callable[[int, int], Sequence[Any]],
+) -> Tuple[int, List[Any]]:
+    """Grow a list over indices first, first + 1, ... to cover start, ..., start + count - 1.
 
-    ``new(a, k)`` returns, for each list, its items at indices a, ..., a + k - 1.
-    A request that neither overlaps nor adjoins the covered range restarts it
-    there.  Returns the new first index and the lists.
+    ``new(a, k)`` returns the items at indices a, ..., a + k - 1.  A request
+    that neither overlaps nor adjoins the covered range restarts the list
+    there.  Returns the new first index and the list.
     """
-    stop = first + len(lists[0])
+    stop = first + len(items)
     if start > stop or start + count < first:
-        first, lists, stop = start, tuple([] for _ in lists), start
+        first, items, stop = start, [], start
     if start < first:
-        for items, added in zip(lists, new(start, first - start)):
-            items[0:0] = added
+        items[0:0] = new(start, first - start)
         first = start
     if start + count > stop:
-        for items, added in zip(lists, new(stop, start + count - stop)):
-            items += added
-    return first, lists
+        items += new(stop, start + count - stop)
+    return first, items
 
 
 @dataclass(frozen=True)
@@ -475,11 +471,6 @@ class WitnessCertificate:
     coefficients: Optional[Tuple[Any, ...]] = None
     schema: str = WITNESS_SCHEMA
 
-    def coefficient_vector(self) -> Tuple[Any, ...]:
-        if self.coefficients is not None:
-            return self.coefficients
-        return tuple([1] * self.n_points)
-
 
 def resolve_alpha(
     f: CandidateFunction,
@@ -487,11 +478,14 @@ def resolve_alpha(
     start: int = 1,
     count: int = 32,
     precision_bits: int = DEFAULT_PRECISION_BITS,
+    table: Optional[PointTable] = None,
 ) -> TailBound:
     """Tail bound to use along the sequence: declared if available, else sampled.
 
-    Raises WitnessSearchError when neither a declared bound matching the
-    sequence direction nor a clean empirical sample exists.
+    A search passes its ``table``, so f is evaluated once at the sampled
+    points it also puts in windows.  Raises WitnessSearchError when neither
+    a declared bound matching the sequence direction nor a clean empirical
+    sample exists.
     """
     declared = None
     if sequence.direction == 1:
@@ -500,7 +494,7 @@ def resolve_alpha(
         declared = f.tail_neg
     if declared is not None:
         return declared
-    sampled = tail_lower_bound(f, sequence, start, count, precision_bits)
+    sampled = tail_lower_bound(f, sequence, start, count, precision_bits, table)
     if sampled is None:
         raise WitnessSearchError(
             "no usable tail bound: the function has no declared bound along this "
@@ -546,16 +540,19 @@ def build_witness(
     kernel's space (or alpha was declared too optimistically).
 
     Windows are served from ``table``, which callers share across scales;
-    without one, the search makes its own for its doublings.
+    without one, the search makes its own for its doublings.  Without
+    ``alpha``, the bound is resolved along the sequence through that table.
     """
     if not c > 0:
         raise ValueError("scale c must be positive")
+    if doubling_cap < 0:
+        raise ValueError("doubling cap must be nonnegative")
     if table is None:
         table = PointTable(f, sequence, precision_bits)
     elif (table.f, table.sequence, table.precision_bits) != (f, sequence, precision_bits):
         raise ValueError("point table was made for another function, sequence or precision")
     if alpha is None:
-        tail = resolve_alpha(f, sequence, precision_bits=precision_bits)
+        tail = resolve_alpha(f, sequence, precision_bits=precision_bits, table=table)
         alpha_value = tail.alpha
         provenance = tail.provenance
         min_ell = _tail_entry_offset(sequence, tail)
@@ -751,18 +748,27 @@ def sweep_c(
     ell_max: int = 10**6,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     doubling_cap: int = DEFAULT_DOUBLING_CAP,
+    alpha: Optional[float] = None,
 ) -> SweepResult:
     """Run build_witness for every scale on the grid, collecting outcomes.
 
-    All scales share one PointTable, so f runs once per sequence index.
+    ``alpha`` is a declared tail bound, as for build_witness.  All scales and
+    the tail sample share one PointTable, so f runs once per sequence index;
+    the table only saves evaluations, so a scale's outcome depends on c alone.
     """
     grid = tuple(float(c) for c in (c_grid if c_grid is not None else default_c_grid()))
     if not grid:
         raise ValueError("scale grid must be nonempty")
     if any(not c > 0 for c in grid):
         raise ValueError("scales must be positive")
-    tail = resolve_alpha(f, sequence, precision_bits=precision_bits)
+    if doubling_cap < 0:
+        raise ValueError("doubling cap must be nonnegative")
     table = PointTable(f, sequence, precision_bits)
+    if alpha is None:
+        tail = resolve_alpha(f, sequence, precision_bits=precision_bits, table=table)
+        alpha, provenance = tail.alpha, tail.provenance
+    else:
+        alpha, provenance = float(alpha), DECLARED
     certs: List[WitnessCertificate] = []
     failures: List[Tuple[float, str]] = []
     scaling: List[Tuple[float, float]] = []
@@ -773,8 +779,8 @@ def sweep_c(
                 f,
                 sequence,
                 c,
-                alpha=tail.alpha,
-                alpha_provenance=tail.provenance,
+                alpha=alpha,
+                alpha_provenance=provenance,
                 ell_max=ell_max,
                 precision_bits=precision_bits,
                 doubling_cap=doubling_cap,
@@ -790,6 +796,6 @@ def sweep_c(
         certificates=tuple(certs),
         failures=tuple(failures),
         scaling=tuple(scaling),
-        alpha=tail.alpha,
-        alpha_provenance=tail.provenance,
+        alpha=alpha,
+        alpha_provenance=provenance,
     )

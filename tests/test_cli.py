@@ -676,6 +676,62 @@ def test_verify_search_error_exits_2_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"c_grid": [None]},
+        {"c_grid": 5},
+        {"tasks": 5},
+        {"jobs": None},
+        {"witness": {"doubling_cap": [1]}},
+        {"witness": {"doubling_cap": -1}},
+        {"witness": 5},
+        {"psd": {"points": [None]}},
+        {"domain": {"kind": "interval", "endpoints": [0, None]}},
+        {"precision_bits": 1 << 20},
+    ],
+)
+@pytest.mark.parametrize("extra", [[], ["--alpha", "0.5"]], ids=["config", "alpha-override"])
+def test_mistyped_config_exits_1_with_one_line(tmp_path, capsys, config, extra):
+    path, out = tmp_path / "config.json", tmp_path / "r.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(out)] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("points", 5),
+        ("points", None),
+        ("points", ["1", ["3"], "1/0"]),
+        ("coefficients", 1),
+        ("coefficients", {"a": 1}),
+        ("n_points", None),
+        ("n_points", [3]),
+        ("c", None),
+        ("c", {"c": 1}),
+        ("precision_bits", [256]),
+        ("precision_bits", "many"),
+        ("precision_bits", 10**400),
+    ],
+)
+def test_verify_of_mistyped_certificate_exits_1_with_one_line(tmp_path, capsys, field, value):
+    path = tmp_path / "cert.json"
+    args = ["--kernel", "gaussian", "--function", "constant:1.0", "--c", "1"]
+    assert main(["witness", "--out", str(path)] + args) == 0
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: certificate") and field.split("_")[-1] in err
+    assert err.count("\n") == 1
+
+
 # --- pinned report bytes ------------------------------------------------------------
 
 # sha256 of the report of a two-scale run with every task, recorded before the
@@ -709,16 +765,20 @@ def test_report_bytes_are_pinned(tmp_path, kernel, function, extra, code, digest
 
 
 @pytest.mark.parametrize(
-    "kernel,function,grid",
+    "kernel,function,grid,extra",
     [
-        ("gaussian", "paper_example", "1,0.5,0.25,0.125"),
-        ("inverse_quadratic", "poly:-6,1", "0.5,1"),
-        ("laplace", "sin_squared_shifted", "1,0.5,0.25"),
+        pytest.param("gaussian", "paper_example", "1,0.5,0.25,0.125", [], id="gaussian-paper_example-1,0.5,0.25,0.125"),
+        pytest.param("inverse_quadratic", "poly:-6,1", "0.5,1", [], id="inverse_quadratic-poly:-6,1-0.5,1"),
+        pytest.param("laplace", "sin_squared_shifted", "1,0.5,0.25", [], id="laplace-sin_squared_shifted-1,0.5,0.25"),
+        # the 129-point window takes the banded evaluator's libmp path
+        pytest.param("gaussian", "constant:1.0", "1,0.125", ["--sequence", "arithmetic:7.5"], id="float-points"),
+        pytest.param("gaussian", "paper_example", "1,0.5,0.25", ["--sequence", "custom:n*n"], id="custom-sequence"),
+        pytest.param("gaussian", "paper_example", "0.25,1,0.5,0.125", ["--jobs", "2"], id="jobs-2"),
     ],
 )
-def test_run_verdicts_agree_with_standalone_verify(tmp_path, capsys, kernel, function, grid):
+def test_run_verdicts_agree_with_standalone_verify(tmp_path, capsys, kernel, function, grid, extra):
     certs = tmp_path / "certs"
-    argv = ["--kernel", kernel, "--function", function, "--c-grid", grid, "--certs-dir", str(certs)]
+    argv = ["--kernel", kernel, "--function", function, "--c-grid", grid, "--certs-dir", str(certs)] + extra
     code, report = _run_report(tmp_path, "r.json", argv)
     assert code == 0
     witness = report["results"]["witness"]
@@ -730,16 +790,16 @@ def test_run_verdicts_agree_with_standalone_verify(tmp_path, capsys, kernel, fun
     assert len(witness["verified_scales"]) == len(files)
 
 
-def test_run_verification_evaluates_f_once_per_distinct_point(monkeypatch):
+def _count_f_calls(monkeypatch):
+    """Points f is evaluated at in a run, as floats: (in the search, in verification)."""
     from rkhs_cert import cli
     from rkhs_cert.functions import CandidateFunction
 
-    calls, verifying = [], []
+    search, verifying, verification = [], [], []
     eval_mp, verify = CandidateFunction.eval_mp, cli.verify_certificate
 
     def counting_eval(self, x):
-        if verifying:
-            calls.append(float(x))
+        (verification if verifying else search).append(float(x))
         return eval_mp(self, x)
 
     def marked_verify(*args):
@@ -751,11 +811,53 @@ def test_run_verification_evaluates_f_once_per_distinct_point(monkeypatch):
 
     monkeypatch.setattr(CandidateFunction, "eval_mp", counting_eval)
     monkeypatch.setattr(cli, "verify_certificate", marked_verify)
+    return search, verification
+
+
+def test_run_verification_evaluates_f_once_per_distinct_point(monkeypatch):
+    _, calls = _count_f_calls(monkeypatch)
     report, code = run(config_from_dict({"c_grid": [1.0, 0.5, 0.25, 0.125]}))
     assert code == 0
     certificates = report["results"]["witness"]["certificates"]
     stored = [float(p) for cert in certificates for p in cert["points"]]
     assert len(calls) == len(set(calls)) == len(set(stored)) < len(stored)
+
+
+def test_run_search_evaluates_f_once_per_index(monkeypatch):
+    # no declared tail bound: the sampled points x_1 .. x_32 are also window points
+    calls, _ = _count_f_calls(monkeypatch)
+    cfg = {"function": "expr:2 + cos(x)", "c_grid": [1.0, 0.5, 0.25], "jobs": 1}
+    report, code = run(config_from_dict(cfg))
+    assert code == 0 and report["results"]["witness"]["alpha_provenance"] == "empirical"
+    assert len(calls) == len(set(calls)) >= 32
+
+
+# --- the run and the library sweep ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "function,grid,alpha,jobs",
+    [
+        ("paper_example", (0.25, 1.0, 0.5, 0.25), None, 1),
+        ("paper_example", (0.25, 1.0, 0.5, 0.25), None, 2),
+        ("kernel_section:0.0", (1.0, 0.5), 0.5, 1),
+    ],
+)
+def test_run_witness_section_is_the_library_sweep(function, grid, alpha, jobs):
+    from rkhs_cert.registry import resolve_function, resolve_sequence
+    from rkhs_cert.serialize import sweep_to_dict
+    from rkhs_cert.witness import sweep_c
+
+    cfg = {"function": function, "c_grid": list(grid), "jobs": jobs, "witness": {"alpha": alpha}}
+    report, code = run(config_from_dict(cfg))
+    assert code == 0
+    witness = dict(report["results"]["witness"])
+    for key in ("verified_scales", "all_verified", "domain_transfer"):
+        del witness[key]
+    kernel = resolve_kernel("gaussian")
+    f = resolve_function(function, kernel)
+    sweep = sweep_c(kernel, f, resolve_sequence("triangular+"), grid, alpha=alpha)
+    assert witness == sweep_to_dict(sweep, 256)
 
 
 @pytest.mark.parametrize("alpha", [["--alpha", "0.5"], []], ids=["window", "sampled"])

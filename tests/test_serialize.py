@@ -178,3 +178,22 @@ def test_explicit_coefficients_survive():
     data["coefficients"] = ["1", "1", "1"]
     back = witness_from_dict(data)
     assert back.coefficients == (1, 1, 1)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=8,
+)
+_FIELDS = sorted(witness_to_dict(_cert()))
+
+
+@given(field=st.sampled_from(_FIELDS), value=_JSON)
+@settings(max_examples=300, deadline=None)
+def test_witness_dict_of_any_json_is_a_certificate_or_value_error(field, value):
+    data = witness_to_dict(_cert())
+    data[field] = value
+    try:
+        witness_from_dict(json.loads(json.dumps(data)))
+    except ValueError as exc:
+        assert "\n" not in str(exc)

@@ -314,6 +314,39 @@ def test_sweep_evaluates_f_once_per_index():
     assert set(calls) >= {float(p) for cert in sweep.certificates for p in cert.points}
 
 
+@pytest.mark.parametrize("search", ["sweep_c", "build_witness"])
+def test_tail_sample_shares_the_search_table(search):
+    # no declared tail bound: alpha is sampled at x_1 .. x_32, which the windows reuse
+    from rkhs_cert.functions import tail_lower_bound
+    from rkhs_cert.registry import resolve_function
+
+    k, seq = make_gaussian(), triangular_sequence(1)
+    f, calls = _counting(resolve_function("expr:2 + cos(x)", k))
+    if search == "sweep_c":
+        sweep = sweep_c(k, f, seq, c_grid=(1.0, 0.5, 0.25))
+        alpha, provenance = sweep.alpha, sweep.alpha_provenance
+    else:
+        cert = build_witness(k, f, seq, 0.5)
+        alpha, provenance = cert.alpha, cert.alpha_provenance
+    assert len(calls) == len(set(calls)) >= 32
+    assert (alpha, provenance) == (tail_lower_bound(f, seq, 1, 32).alpha, "empirical")
+
+
+def test_sweep_with_declared_alpha_matches_single_searches():
+    k, f, seq = make_gaussian(), make_constant(1.0), triangular_sequence(1)
+    sweep = sweep_c(k, f, seq, c_grid=(1.0, 0.5), alpha=0.5)
+    assert (sweep.alpha, sweep.alpha_provenance) == (0.5, "declared")
+    assert list(sweep.certificates) == [build_witness(k, f, seq, c, alpha=0.5) for c in (1.0, 0.5)]
+
+
+def test_negative_doubling_cap_is_rejected():
+    k, f, seq = make_gaussian(), make_constant(1.0), triangular_sequence(1)
+    with pytest.raises(ValueError, match="doubling cap"):
+        build_witness(k, f, seq, 1.0, doubling_cap=-1)
+    with pytest.raises(ValueError, match="doubling cap"):
+        sweep_c(k, f, seq, c_grid=(1.0,), doubling_cap=-1)
+
+
 def test_window_no_path_can_take_costs_no_f_values():
     from rkhs_cert.kernels import custom_radial_from_expression
 
