@@ -40,8 +40,8 @@ from .serialize import (
     witness_to_dict,
 )
 from .witness import (
+    PointTable,
     SweepResult,
-    VerifierStore,
     build_witness,
     default_c_grid,
     sweep_c,
@@ -171,11 +171,16 @@ def _section(data: Dict[str, Any], key: str) -> Dict[str, Any]:
 
 
 def _cast(caster: Callable[[Any], Any], value: Any, where: str) -> Any:
-    """``caster(value)``, with a value it cannot take reported as a ConfigError naming ``where``."""
+    """``caster(value)``, with a value it cannot take reported as a ConfigError naming ``where``.
+
+    A boolean is no number here, and an integer takes no fractional float.
+    """
+    kind = "an integer" if caster is int else "a number"
+    if isinstance(value, bool) or (caster is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{where} must be {kind}, not {value!r}")
     try:
         return caster(value)
     except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if caster is int else "a number"
         raise ConfigError(f"{where} must be {kind}, not {value!r}") from None
 
 
@@ -351,16 +356,16 @@ def _run_witness_task(cfg: RunConfig, kernel: Any, f: Any, sequence: Any) -> Dic
         failures=tuple((c, failed[c]) for c in grid if c not in built),
         scaling=tuple((c, scaled[c]) for c in grid if c in built),
     )
-    # The windows mostly contain one another, so one store evaluates f once
+    # The windows mostly contain one another, so one table evaluates f once
     # per distinct stored point; largest first keeps its memory at the
     # largest certificate's.
     certificates = result.certificates
-    store = VerifierStore(f)
+    table = PointTable(f, None, cfg.precision_bits)
     passed = set()
     for i in sorted(range(len(certificates)), key=lambda i: -certificates[i].n_points):
-        if verify_certificate(certificates[i], kernel, f, store):
+        if verify_certificate(certificates[i], kernel, f, table):
             passed.add(i)
-    del store  # its kept values are garbage before serialization starts
+    del table  # its values are garbage before serialization starts
     out = sweep_to_dict(result, cfg.precision_bits)
     out["verified_scales"] = [
         number_to_str(cert.c, cfg.precision_bits) for i, cert in enumerate(certificates) if i in passed

@@ -55,13 +55,15 @@ def resolve_kernel(spec: Union[str, Dict[str, Any]]) -> KernelSpec:
             profile = spec["profile"]
         except KeyError:
             raise ConfigError("custom kernel config needs a 'profile' expression") from None
+        if not isinstance(profile, str):
+            raise ConfigError(f"custom kernel profile must be an expression string, not {profile!r}")
         flags = {key: spec.get(key, False) for key in _KERNEL_FLAGS}
         for key, value in flags.items():
             # The flags gate banded truncation, so "false" must not read as True.
             if not isinstance(value, bool):
                 raise ConfigError(f"custom kernel flag {key!r} must be true or false, not {value!r}")
         try:
-            return custom_radial_from_expression(str(profile), **flags)
+            return custom_radial_from_expression(profile, **flags)
         except (ExpressionError, ValueError) as exc:
             raise ConfigError(f"invalid custom kernel: {exc}") from exc
     if not isinstance(spec, str):

@@ -131,10 +131,10 @@ def witness_from_dict(data: Dict[str, Any]) -> WitnessCertificate:
     bits = _field(data, "precision_bits", int)
     if not MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS:
         raise ValueError(f"certificate precision must be {MIN_PRECISION_BITS} to {MAX_PRECISION_BITS} bits")
-    numbers = partial(_number_tuple, precision_bits=bits)
+    number, real = partial(str_to_number, precision_bits=bits), partial(_real, precision_bits=bits)
     coefficients = None
     if data["coefficients"] != "ones":
-        coefficients = _field(data, "coefficients", numbers)
+        coefficients = _field(data, "coefficients", partial(_number_tuple, parse=number))
     return WitnessCertificate(
         kernel_id=str(data["kernel_id"]),
         function_id=str(data["function_id"]),
@@ -145,8 +145,8 @@ def witness_from_dict(data: Dict[str, Any]) -> WitnessCertificate:
         kernel_diag_sup=_field(data, "kernel_diag_sup", float),
         n_points=_field(data, "n_points", int),
         ell=_field(data, "ell", int),
-        r_value=_field(data, "r_value", lambda value: str_to_number(str(value), bits)),
-        points=_field(data, "points", numbers),
+        r_value=_field(data, "r_value", lambda value: real(str(value))),
+        points=_field(data, "points", partial(_number_tuple, parse=real)),
         precision_bits=bits,
         coefficients=coefficients,
     )
@@ -160,10 +160,18 @@ def _field(data: Dict[str, Any], key: str, parse: Callable[[Any], Any]) -> Any:
         raise ValueError(f"certificate field {key!r} is malformed: {exc}") from None
 
 
-def _number_tuple(value: Any, precision_bits: int) -> Tuple[Any, ...]:
+def _number_tuple(value: Any, parse: Callable[[str], Any]) -> Tuple[Any, ...]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, not {value!r}")
-    return tuple(str_to_number(str(v), precision_bits) for v in value)
+    return tuple(parse(str(v)) for v in value)
+
+
+def _real(text: str, precision_bits: int) -> Any:
+    """``str_to_number(text)``, refusing a fraction, which mpf arithmetic does not take."""
+    value = str_to_number(text, precision_bits)
+    if isinstance(value, Fraction):
+        raise ValueError(f"expected an integer or a decimal, not the fraction {text!r}")
+    return value
 
 
 def psd_to_dict(verdict: PsdVerdict, precision_bits: int) -> Dict[str, Any]:

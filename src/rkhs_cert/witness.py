@@ -39,7 +39,8 @@ scales (their windows start at nearby offsets and mostly contain one
 another).  A window's f values are computed only after it passes the
 evaluator's point checks.  Verification shares nothing with the builder and
 recomputes every value from the stored points; certificates verified
-together may share the verifier's own f values through a ``VerifierStore``.
+together may share the verifier's own f values through a ``PointTable`` of
+stored points, made without a sequence.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import operator
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from operator import attrgetter
 from types import SimpleNamespace
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -375,18 +375,20 @@ class PointTable:
     ``points`` and ``window`` compute only what they have not stored, so a
     search that serves all its windows from one table evaluates f at most
     once per index, and only at indices of windows whose values it asked
-    for.  The table keeps no mpf points: f receives the points as the
-    sequence gives them and converts each itself, unless the caller passes
-    the window already converted.
+    for.  The table keeps no mpf points: f receives the points as they were
+    given and converts each itself, unless the caller passes the window
+    already converted.
     A request that neither overlaps nor adjoins a stored range restarts that
     range there, so no index outside a requested window is ever computed.
     Windows are list slices: the caller may keep them, but not modify them.
+    A verifier's table has no ``sequence``: it holds the certificates' stored
+    points, passed to ``points`` as ``given``.
     """
 
     def __init__(
         self,
         f: CandidateFunction,
-        sequence: SequenceSpec,
+        sequence: Optional[SequenceSpec],
         precision_bits: int = DEFAULT_PRECISION_BITS,
     ) -> None:
         self.f = f
@@ -397,9 +399,24 @@ class PointTable:
         self.values_first = 1
         self.values: List[Any] = []
 
-    def points(self, start: int, count: int) -> List[Any]:
-        """The points at indices start, ..., start + count - 1, as the sequence gives them."""
-        self.first, self.raw = _cover(self.first, self.raw, start, count, self.sequence.points)
+    def points(self, start: int, count: int, given: Optional[Sequence[Any]] = None) -> List[Any]:
+        """The points at indices start, ..., start + count - 1, as the sequence gives them.
+
+        ``given`` supplies them instead.  Where the table holds a point at one
+        of those indices, the given one must be ``==`` to it (exact on ints,
+        floats and mpf, so equal points convert to the same mpf and share f
+        values), else ValueError, and the table is left as it was.
+        """
+        if given is None:
+            # bound late: a verifier's table has no sequence, and window() asks it only for held points
+            new = lambda first, n: self.sequence.points(first, n)
+        else:
+            lo, hi = max(start, self.first), min(start + count, self.first + len(self.raw))
+            held = self.raw[lo - self.first : max(lo, hi) - self.first]
+            if tuple(held) != tuple(given[lo - start : lo - start + len(held)]):
+                raise ValueError("given points differ from the points the table holds")
+            new = lambda first, n: given[first - start : first - start + n]
+        self.first, self.raw = _cover(self.first, self.raw, start, count, new)
         i = start - self.first
         return self.raw[i : i + count]
 
@@ -440,7 +457,7 @@ def _cover(
     if start > stop or start + count < first:
         first, items, stop = start, [], start
     if start < first:
-        items[0:0] = new(start, first - start)
+        items = [*new(start, first - start), *items]  # not in place: a raising new() leaves it whole
         first = start
     if start + count > stop:
         items += new(stop, start + count - stop)
@@ -603,54 +620,11 @@ def build_witness(
 VERIFY_REL_TOL_BITS = 100
 
 
-_raw = attrgetter("_mpf_")
-
-
-class VerifierStore:
-    """f values the verifier has computed, kept per certificate for the ones checked later.
-
-    A later certificate reuses a kept certificate's values where the two
-    offsets ``ell`` place their points over each other and the raw libmp
-    values of those points are equal at the same precision, so it reuses only
-    f computed by the verifier itself at equal points; nothing comes from the
-    builder.  ``ell`` only says where to compare: a wrong one costs f
-    evaluations, never a wrong value.  Reused values are slices of the kept
-    lists, so sharing allocates no numbers and hashes no points.
-    """
-
-    def __init__(self, f: CandidateFunction) -> None:
-        self.f = f
-        self._kept: List[Tuple[int, int, List[Any], List[Any]]] = []  # bits, ell, keys, values
-
-    def values(self, cert: WitnessCertificate, points: Sequence[Any]) -> List[Any]:
-        """f at the certificate's mpf ``points``: kept values where they match, the rest now."""
-        values: List[Any] = [None] * len(points)
-        keys = list(map(_raw, points)) if self._kept else []
-        reused = False
-        for bits, ell, kept_keys, kept_values in self._kept:
-            shift = cert.ell - ell  # point i sits over kept point i + shift
-            lo, hi = max(0, -shift), min(len(keys), len(kept_keys) - shift)
-            if bits != cert.precision_bits or lo >= hi:
-                continue
-            if keys[lo:hi] == kept_keys[lo + shift : hi + shift]:
-                values[lo:hi] = kept_values[lo + shift : hi + shift]
-                reused = True
-        with workprec(cert.precision_bits):
-            if not reused:
-                return self.f.values_mp(points)
-            fresh = iter(self.f.values_mp([p for p, v in zip(points, values) if v is None]))
-        return [next(fresh) if v is None else v for v in values]
-
-    def keep(self, cert: WitnessCertificate, points: Sequence[Any], values: List[Any]) -> None:
-        """Keep ``values``, f at the certificate's mpf ``points``, for later certificates."""
-        self._kept.append((cert.precision_bits, cert.ell, list(map(_raw, points)), values))
-
-
 def verify_certificate(
     cert: WitnessCertificate,
     kernel: KernelSpec,
     f: CandidateFunction,
-    store: Optional[VerifierStore] = None,
+    table: Optional[PointTable] = None,
 ) -> bool:
     """Recompute everything a certificate claims; True iff it all checks out.
 
@@ -660,19 +634,22 @@ def verify_certificate(
     points are not regenerated from the sequence), and the recomputed r
     matching the stored value to 2^-100 relative accuracy while being negative.
 
-    f comes from ``store``; without one, from a new store, so a certificate
-    checked alone costs one f value per stored point.  A caller checking
-    several certificates of one function may pass one ``store`` to all of
-    them, largest first: where their windows overlap, as the nested windows
-    of one run do, f is then evaluated once per distinct stored point.  This
-    is still a recomputation: every certificate's r is computed afresh from
-    its own stored points, and the only values shared are f computed here,
-    by the verifier, at equal points and precision.  f is asked for only once
-    the window has passed the evaluator's point checks, so a window rejected
-    there costs no f values; stored int points convert to mpf only then.  A
-    point where f is undefined raises EvaluationError; a banded window that is
-    not strictly monotone raises WitnessSearchError with reason
-    ``not-monotone``.
+    f comes from ``table``, a ``PointTable(f, None, bits)`` holding the
+    stored points at indices ell + 1, ..., ell + N; without one, from a new
+    table, so a certificate checked alone costs one f value per stored point.
+    A caller checking several certificates of one function may pass one
+    table to all of them, largest first: where their windows overlap, as the
+    nested windows of one run do, f is then evaluated once per distinct
+    stored point.  This is still a recomputation: every certificate's r is
+    computed afresh from its own stored points, and the only values shared
+    are f computed here, by the verifier, at equal points.  A certificate
+    whose points differ from the table's at a shared index, or whose
+    precision differs, gets a new table and leaves the shared one as it was;
+    a table for another function, or a search's table, raises ValueError.
+    f is asked for only once the window has passed the evaluator's point
+    checks, so a window rejected there costs no f values.  A point where f
+    is undefined raises EvaluationError; a banded window that is not
+    strictly monotone raises WitnessSearchError with reason ``not-monotone``.
     """
     if cert.kernel_id != kernel.kernel_id:
         raise ValueError(
@@ -682,8 +659,8 @@ def verify_certificate(
         raise ValueError(
             f"certificate function {cert.function_id!r} does not match {f.function_id!r}"
         )
-    if store is not None and store.f is not f:
-        raise ValueError("verifier store was made for another function")
+    if table is not None and (table.f is not f or table.sequence is not None):
+        raise ValueError("point table was made for another function or for a search")
     if not (cert.c > 0 and cert.alpha > 0):
         return False
     if cert.coefficients is not None and any(a != 1 for a in cert.coefficients):
@@ -698,21 +675,15 @@ def verify_certificate(
         return False
     if cert.kernel_diag_sup < kernel.diag_sup:
         return False
-    bits = cert.precision_bits
-    store = store if store is not None else VerifierStore(f)
-    computed: List[Tuple[List[Any], List[Any]]] = []
-
-    def f_values(points: Optional[List[Any]]) -> List[Any]:
-        if points is None:
-            with workprec(bits):
-                points = [as_mpf(p) for p in cert.points]
-        computed.append((points, store.values(cert, points)))
-        return computed[0][1]
-
-    r = evaluate_ones_form(kernel, f, cert.c, cert.points, bits, f_values=f_values)
-    if computed:
-        # Kept only now, so the kept keys never add to the evaluator's peak memory.
-        store.keep(cert, *computed[0])
+    bits, start, n = cert.precision_bits, cert.ell + 1, cert.n_points
+    if table is None or table.precision_bits != bits:
+        table = PointTable(f, None, bits)
+    try:
+        table.points(start, n, cert.points)
+    except ValueError:  # the stored points differ from those checked before
+        table = PointTable(f, None, bits)
+        table.points(start, n, cert.points)
+    r = evaluate_ones_form(kernel, f, cert.c, cert.points, bits, f_values=partial(table.window, start, n))
     if not r < 0:
         return False
     with workprec(bits):

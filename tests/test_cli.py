@@ -1,13 +1,19 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rkhs_cert.cli import ALL_TASKS, RunConfig, config_from_dict, main, run
 from rkhs_cert.errors import ConfigError
 from rkhs_cert.registry import resolve_kernel
-from rkhs_cert.serialize import load_json
+from rkhs_cert.serialize import load_json, witness_to_dict
+from test_serialize import _JSON, _cert
 
 
 # --- config parsing ----------------------------------------------------------
@@ -651,6 +657,17 @@ def test_non_finite_inputs_exit_1_with_one_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_custom_kernel_profile_must_be_a_string(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="profile must be an expression string"):
+        resolve_kernel({"id": "custom", "profile": 5})
+    path, out = tmp_path / "config.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"kernel": {"id": "custom", "profile": 5}}))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [{"decays_to_zero": "false"}, {"nonneg": "no"}, {"monotone_decreasing": 1}])
 def test_custom_kernel_flags_must_be_bool(flags):
     with pytest.raises(ConfigError, match="must be true or false"):
@@ -689,6 +706,10 @@ def test_verify_search_error_exits_2_without_traceback(tmp_path, capsys):
         {"psd": {"points": [None]}},
         {"domain": {"kind": "interval", "endpoints": [0, None]}},
         {"precision_bits": 1 << 20},
+        {"jobs": True},
+        {"witness": {"doubling_cap": 2.7}},
+        {"c_grid": [True]},
+        {"decay": {"threshold": False}},
     ],
 )
 @pytest.mark.parametrize("extra", [[], ["--alpha", "0.5"]], ids=["config", "alpha-override"])
@@ -730,6 +751,34 @@ def test_verify_of_mistyped_certificate_exits_1_with_one_line(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("config error: certificate") and field.split("_")[-1] in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field,value", [("points", ["1", "3/2", "6"]), ("r_value", "-1/2")])
+def test_verify_of_fraction_point_or_r_exits_1_with_one_line(tmp_path, capsys, field, value):
+    # mpf arithmetic takes no Fraction: points and r are integers or decimals
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(witness_to_dict(_cert()), **{field: value})))
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: certificate field {field!r} is malformed") and "fraction" in err
+    assert err.count("\n") == 1
+
+
+_CERT_DICT = witness_to_dict(_cert())
+
+
+@given(field=st.sampled_from(sorted(_CERT_DICT)), value=_JSON)
+@settings(max_examples=200, deadline=None)
+def test_verify_of_any_json_field_exits_with_at_most_one_line(field, value):
+    data = dict(_CERT_DICT, **{field: value})
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(json.dumps(data))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["verify", str(path)])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1
 
 
 # --- pinned report bytes ------------------------------------------------------------

@@ -24,7 +24,6 @@ from rkhs_cert.kernels import (
 from rkhs_cert.sequences import triangular_sequence
 from rkhs_cert.witness import (
     PointTable,
-    VerifierStore,
     build_witness,
     default_c_grid,
     evaluate_ones_form,
@@ -674,7 +673,7 @@ def test_shared_store_gives_standalone_verdicts_and_r(monkeypatch):
     alone = [verify_certificate(certs[i], k, f) for i in order]
     alone_r, recomputed[:] = list(recomputed), []
     counted, calls = _counting(f)
-    store = VerifierStore(counted)
+    store = PointTable(counted, None, 256)
     shared, fresh = [], []
     for i in order:
         before = len(calls)
@@ -689,7 +688,7 @@ def test_shared_store_gives_standalone_verdicts_and_r(monkeypatch):
     assert swept == len({p for cert in certs[:4] for p in cert.points})
     assert fresh[order.index(len(certs) - 1)] == inner.n_points
     with pytest.raises(ValueError, match="another function"):
-        verify_certificate(inner, k, f, VerifierStore(make_paper_example()))
+        verify_certificate(inner, k, f, PointTable(make_paper_example(), None, 256))
 
 
 def test_rejected_stored_window_costs_no_f_values():
@@ -700,7 +699,7 @@ def test_rejected_stored_window_costs_no_f_values():
     swapped[10], swapped[11] = swapped[11], swapped[10]
     bad = replace(inner, points=tuple(swapped))
     counted, calls = _counting(f)
-    store = VerifierStore(counted)
+    store = PointTable(counted, None, 256)
     assert verify_certificate(largest, k, counted, store)
     for verifier_store in (store, None):
         before = len(calls)
@@ -708,6 +707,62 @@ def test_rejected_stored_window_costs_no_f_values():
             verify_certificate(bad, k, counted, verifier_store)
         assert exc.value.reason == "not-monotone"
         assert len(calls) == before
+
+
+def test_verifier_table_converts_no_integer_point(monkeypatch):
+    from rkhs_cert import witness
+    from rkhs_cert.expressions import as_mpf
+
+    k, f = make_gaussian(), make_constant(1.0)
+    # N = 129, 513 and 2,049: nested banded windows of integer points
+    certs = sweep_c(k, f, triangular_sequence(1), c_grid=(0.125, 0.0625, 0.03125)).certificates
+    converted = []
+
+    def counting(x):
+        converted.append(x)
+        return as_mpf(x)
+
+    monkeypatch.setattr(witness, "as_mpf", counting)
+    table = PointTable(f, None, 256)
+    assert all(verify_certificate(cert, k, f, table) for cert in reversed(certs))
+    assert converted == []
+
+
+def test_verifier_table_compares_points_as_given():
+    f, calls = _counting(make_paper_example())
+    table = PointTable(f, None, 256)
+    table.points(1, 3, (1, 3, 6))
+    table.window(1, 3)
+    table.points(2, 3, (3.0, mpf(6), 10))  # equal values of other types
+    table.window(2, 3)
+    assert calls == [1.0, 3.0, 6.0, 10.0]
+    with pytest.raises(ValueError, match="differ"):
+        table.points(1, 2, (1, 4))
+    assert (table.first, table.raw) == (1, [1, 3, 6, 10])
+
+
+def test_table_keeps_its_values_when_f_fails_mid_window():
+    from rkhs_cert.errors import EvaluationError
+    from rkhs_cert.functions import make_expression_function
+
+    f = make_expression_function("1/(x - 45)")
+    table = PointTable(f, None, 256)
+    table.points(3, 3, (6, 10, 15))
+    held = table.window(3, 3)
+    # extends on both sides; f is undefined at 45, on the right
+    table.points(1, 9, (1, 3, 6, 10, 15, 21, 28, 36, 45))
+    with pytest.raises(EvaluationError):
+        table.window(1, 9)
+    assert table.window(3, 3) == held
+
+
+@pytest.mark.parametrize("table", ["search", "other function"])
+def test_verify_rejects_a_search_table_or_another_functions(table):
+    k, f, seq = make_gaussian(), make_constant(1.0), triangular_sequence(1)
+    cert = build_witness(k, f, seq, 1.0)
+    made = {"search": PointTable(f, seq, 256), "other function": PointTable(make_paper_example(), None, 256)}
+    with pytest.raises(ValueError, match="another function or for a search"):
+        verify_certificate(cert, k, f, made[table])
 
 
 # --- sweep ------------------------------------------------------------------------
