@@ -380,6 +380,7 @@ class PointTable:
     already converted.
     A request that neither overlaps nor adjoins a stored range restarts that
     range there, so no index outside a requested window is ever computed.
+    Restarting the points drops the values: a value is held only with its point.
     Windows are list slices: the caller may keep them, but not modify them.
     A verifier's table has no ``sequence``: it holds the certificates' stored
     points, passed to ``points`` as ``given``.
@@ -417,6 +418,8 @@ class PointTable:
                 raise ValueError("given points differ from the points the table holds")
             new = lambda first, n: given[first - start : first - start + n]
         self.first, self.raw = _cover(self.first, self.raw, start, count, new)
+        if not self.first <= self.values_first <= self.first + len(self.raw) - len(self.values):
+            self.values = []  # the points restarted: drop the values of the old ones
         i = start - self.first
         return self.raw[i : i + count]
 

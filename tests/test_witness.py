@@ -709,6 +709,31 @@ def test_rejected_stored_window_costs_no_f_values():
         assert len(calls) == before
 
 
+def test_rejected_far_window_leaves_no_values_for_other_points():
+    k, f, seq = make_gaussian(), make_paper_example(), triangular_sequence(1)
+    a = sweep_c(k, f, seq, c_grid=(0.25,)).certificates[0]
+    assert a.n_points > 128  # banded, where the point checks run before f
+    swapped = list(a.points)
+    swapped[10], swapped[11] = swapped[11], swapped[10]
+    # a window far from a's, rejected before f is asked for
+    b = replace(a, ell=a.ell + 10 * a.n_points, points=tuple(swapped))
+    moved = list(a.points)
+    moved[30] += 1
+    with workprec(a.precision_bits):
+        a_values = f.values_mp(a.points)
+    # r as it would come out with a's f values under c's points
+    forged = evaluate_ones_form(k, f, a.c, moved, a.precision_bits, f_values=lambda pts: a_values)
+    c = replace(a, points=tuple(moved), r_value=forged)
+    counted, calls = _counting(f)
+    table = PointTable(counted, None, 256)
+    assert verify_certificate(a, k, counted, table)
+    with pytest.raises(WitnessSearchError):
+        verify_certificate(b, k, counted, table)
+    before = len(calls)
+    assert verify_certificate(c, k, counted, table) == verify_certificate(c, k, f)
+    assert len(calls) - before == c.n_points
+
+
 def test_verifier_table_converts_no_integer_point(monkeypatch):
     from rkhs_cert import witness
     from rkhs_cert.expressions import as_mpf
