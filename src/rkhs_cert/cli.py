@@ -16,7 +16,7 @@ import sys
 
 import mpmath
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -91,68 +91,41 @@ class RunConfig:
     interp_divergence_factor: float = 1e3
 
     def to_dict(self) -> Dict[str, Any]:
-        # The echo omits "jobs": parallelism must not influence report bytes.
-        return {
-            "kernel": self.kernel,
-            "function": self.function,
-            "sequence": self.sequence,
-            "tasks": list(self.tasks),
-            "c_grid": None if self.c_grid is None else list(self.c_grid),
-            "ell_max": self.ell_max,
-            "precision_bits": self.precision_bits,
-            "domain": {
-                "kind": self.domain_kind,
-                "endpoints": None
-                if self.domain_endpoints is None
-                else list(self.domain_endpoints),
-                "points": None if self.domain_points is None else list(self.domain_points),
-                "has_accumulation_point": self.has_accumulation_point,
-            },
-            "witness": {
-                "doubling_cap": self.witness_doubling_cap,
-                "alpha": self.witness_alpha,
-            },
-            "psd": {
-                "num_points": self.psd_num_points,
-                "points": None if self.psd_points is None else list(self.psd_points),
-                "control_x0": self.psd_control_x0,
-            },
-            "decay": {
-                "window": self.decay_window,
-                "ell_max": self.decay_ell_max,
-                "threshold": self.decay_threshold,
-            },
-            "analytic": {
-                "n_max": self.analytic_n_max,
-                "norm_bound": self.analytic_norm_bound,
-                "fd_step": self.analytic_fd_step,
-                "fd_x": self.analytic_fd_x,
-            },
-            "interpolant": {
-                "base_points": None
-                if self.interp_base_points is None
-                else list(self.interp_base_points),
-                "rule": self.interp_rule,
-                "steps": self.interp_steps,
-                "ridge": self.interp_ridge,
-                "divergence_factor": self.interp_divergence_factor,
-            },
-        }
+        """The config echo: every field at its config key, but "jobs"."""
+        out: Dict[str, Any] = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            section, key = _place(field.name)
+            target = out.setdefault(section, {}) if section else out
+            target[key] = list(value) if isinstance(value, tuple) else value
+        del out["jobs"]  # parallelism must not influence report bytes
+        return out
+
+
+# A RunConfig field's name prefix names its config section.
+_SECTIONS = {
+    "domain_": "domain",
+    "witness_": "witness",
+    "psd_": "psd",
+    "decay_": "decay",
+    "analytic_": "analytic",
+    "interp_": "interpolant",
+}
+
+
+def _place(name: str) -> Tuple[str, str]:
+    """The (section, key) of RunConfig field ``name`` in a config; section "" is the top level."""
+    if name == "has_accumulation_point":
+        return "domain", name
+    for prefix, section in _SECTIONS.items():
+        if name.startswith(prefix):
+            return section, name[len(prefix) :]
+    return "", name
 
 
 # The config schema is the echo's, plus "jobs", which the echo omits.
 _ECHO = RunConfig().to_dict()
-
-# Plain numbers in the config: (section, "" for the top level; RunConfig
-# field prefix; keys).  A value must convert to the type of the field's default.
-_NUMBERS = (
-    ("", "", ("ell_max", "precision_bits", "jobs")),
-    ("witness", "witness_", ("doubling_cap",)),
-    ("psd", "psd_", ("num_points", "control_x0")),
-    ("decay", "decay_", ("window", "ell_max", "threshold")),
-    ("analytic", "analytic_", ("n_max", "norm_bound", "fd_x")),
-    ("interpolant", "interp_", ("steps", "ridge", "divergence_factor")),
-)
+_KEYS = set(_ECHO) | {"jobs"}
 
 
 def _require_keys(section: Dict[str, Any], allowed: set, where: str) -> None:
@@ -245,7 +218,7 @@ def _parse_domain(section: Dict[str, Any]) -> Dict[str, Any]:
 def config_from_dict(data: Dict[str, Any]) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    _require_keys(data, set(_ECHO) | {"jobs"}, "config")
+    _require_keys(data, _KEYS, "config")
     kwargs: Dict[str, Any] = {}
     for key in ("kernel", "function", "sequence"):
         if key in data:
@@ -266,13 +239,18 @@ def config_from_dict(data: Dict[str, Any]) -> RunConfig:
             raise ConfigError("c_grid must be a nonempty list of positive finite scales")
         kwargs["c_grid"] = grid
     kwargs.update(_parse_domain(_section(data, "domain")))
-    for name, prefix, keys in _NUMBERS:
+    # A plain number must convert to the type of its field's default; an
+    # Optional one may also be null.
+    for field in fields(RunConfig):
+        caster = type(field.default)
+        if caster not in (int, float):
+            continue
+        name, key = _place(field.name)
         section = _section(data, name) if name else data
-        for key in keys:
-            if key in section:
-                field = prefix + key
-                caster = type(getattr(RunConfig, field))
-                kwargs[field] = _cast(caster, section[key], f"{name} {key}".lstrip())
+        if key in section:
+            value = section[key]
+            nullable = value is None and field.type.startswith("Optional")
+            kwargs[field.name] = None if nullable else _cast(caster, value, f"{name} {key}".lstrip())
     section = _section(data, "witness")
     if section.get("alpha") is not None:
         alpha = _cast(float, section["alpha"], "witness alpha")
@@ -282,10 +260,6 @@ def config_from_dict(data: Dict[str, Any]) -> RunConfig:
     section = _section(data, "psd")
     if section.get("points") is not None:
         kwargs["psd_points"] = _numbers(section["points"], "psd points")
-    section = _section(data, "analytic")
-    if "fd_step" in section:
-        step = section["fd_step"]
-        kwargs["analytic_fd_step"] = None if step is None else _cast(float, step, "analytic fd_step")
     section = _section(data, "interpolant")
     if section.get("base_points") is not None:
         kwargs["interp_base_points"] = _numbers(section["base_points"], "interpolant base_points")
@@ -602,37 +576,24 @@ def _load_config_file(path: Optional[str]) -> Dict[str, Any]:
     return data
 
 
-def _apply_overrides(data: Dict[str, Any], args: argparse.Namespace) -> Dict[str, Any]:
-    if getattr(args, "kernel", None) is not None:
-        data["kernel"] = args.kernel
-    if getattr(args, "function", None) is not None:
-        data["function"] = args.function
-    if getattr(args, "sequence", None) is not None:
-        data["sequence"] = args.sequence
-    if getattr(args, "tasks", None) is not None:
-        data["tasks"] = [t.strip() for t in args.tasks.split(",") if t.strip()]
-    if getattr(args, "c_grid", None) is not None:
-        try:
-            data["c_grid"] = [float(c) for c in args.c_grid.split(",") if c.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"malformed --c-grid: {exc}") from exc
-    if getattr(args, "ell_max", None) is not None:
-        data["ell_max"] = args.ell_max
-    if getattr(args, "precision_bits", None) is not None:
-        data["precision_bits"] = args.precision_bits
-    if getattr(args, "jobs", None) is not None:
-        data["jobs"] = args.jobs
-    if getattr(args, "alpha", None) is not None:
-        section = data.setdefault("witness", {})
-        if isinstance(section, dict):  # config_from_dict rejects anything else
-            section["alpha"] = args.alpha
+def _apply_flags(data: Dict[str, Any], args: argparse.Namespace) -> Dict[str, Any]:
+    """``data`` with every config flag given in ``args`` set at its config key.
+
+    A config flag's argparse dest is its key, dotted inside a section
+    (``decay.ell_max``); the other dests (``out``, ``config``, ``c``) are no keys.
+    """
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if value is None or (section or key) not in _KEYS:
+            continue
+        target = data.setdefault(section, {}) if section else data
+        if isinstance(target, dict):  # config_from_dict rejects anything else
+            target[key] = value
     return data
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    data = _apply_overrides(_load_config_file(args.config), args)
-    cfg = config_from_dict(data)
-    report, code = run(cfg)
+    report, code = run(config_from_dict(_apply_flags(_load_config_file(args.config), args)))
     _write_output(args.out, report)
     if args.certs_dir is not None and "witness" in report["results"]:
         written = _write_certificates(args.certs_dir, report["results"]["witness"])
@@ -647,20 +608,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    kernel = resolve_kernel(args.kernel)
-    f = resolve_function(args.function, kernel)
-    sequence = resolve_sequence(args.sequence)
-    if not args.c > 0:
-        raise ConfigError("--c must be positive")
+    cfg = config_from_dict(_apply_flags({"c_grid": [args.c]}, args))
+    kernel = resolve_kernel(cfg.kernel)
+    f = resolve_function(cfg.function, kernel)
+    sequence = resolve_sequence(cfg.sequence)
     try:
         cert = build_witness(
             kernel,
             f,
             sequence,
-            args.c,
-            alpha=args.alpha,
-            ell_max=args.ell_max,
-            precision_bits=args.precision_bits,
+            cfg.c_grid[0],
+            alpha=cfg.witness_alpha,
+            ell_max=cfg.ell_max,
+            precision_bits=cfg.precision_bits,
+            doubling_cap=cfg.witness_doubling_cap,
         )
     except WitnessSearchError as exc:
         print(f"no witness: {exc}", file=sys.stderr)
@@ -704,22 +665,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 2
 
 
-def _single_task_run(args: argparse.Namespace, task: str, extra: Dict[str, Any]) -> int:
-    data: Dict[str, Any] = {"tasks": [task]}
-    if getattr(args, "kernel", None) is not None:
-        data["kernel"] = args.kernel
-    if getattr(args, "function", None) is not None:
-        data["function"] = args.function
-    if getattr(args, "sequence", None) is not None:
-        data["sequence"] = args.sequence
-    if getattr(args, "precision_bits", None) is not None:
-        data["precision_bits"] = args.precision_bits
-    data.update(extra)
-    cfg = config_from_dict(data)
-    report, code = run(cfg)
-    if getattr(args, "out", None):
+def _cmd_task(args: argparse.Namespace) -> int:
+    """A single-task subcommand: a run of that task alone, summed up in one line."""
+    report, code = run(config_from_dict(_apply_flags({}, args)))
+    if args.out:
         _write_output(args.out, report)
     if code == 0:
+        (task,) = args.tasks
         result = report["results"][task]
         if task == "decay":
             state = "passed" if result["passed"] else f"failed: {result.get('reason')}"
@@ -743,6 +695,17 @@ def _single_task_run(args: argparse.Namespace, task: str, extra: Dict[str, Any])
     return code
 
 
+def _comma_list(text: str) -> List[str]:
+    """A comma-separated flag value as its nonempty entries; config_from_dict converts them."""
+    return [entry.strip() for entry in text.split(",") if entry.strip()]
+
+
+def _flag(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs: Any) -> None:
+    """Add ``flag``, which sets config key ``key``; it has no default, the config does."""
+    metavar = None if "choices" in kwargs else flag[2:].replace("-", "_").upper()
+    parser.add_argument(flag, dest=key, metavar=metavar, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rkhs-cert",
@@ -755,132 +718,79 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute configured diagnostic tasks")
     p_run.add_argument("--config", help="JSON config file")
-    p_run.add_argument("--kernel")
-    p_run.add_argument("--function")
-    p_run.add_argument("--sequence")
-    p_run.add_argument("--tasks", help="comma-separated subset of: " + ",".join(ALL_TASKS))
-    p_run.add_argument("--c-grid", dest="c_grid", help="comma-separated positive scales")
-    p_run.add_argument("--ell-max", dest="ell_max", type=int)
-    p_run.add_argument("--precision-bits", dest="precision_bits", type=int)
-    p_run.add_argument(
+    _flag(p_run, "--kernel", "kernel")
+    _flag(p_run, "--function", "function")
+    _flag(p_run, "--sequence", "sequence")
+    _flag(p_run, "--tasks", "tasks", type=_comma_list, help="comma-separated subset of: " + ",".join(ALL_TASKS))
+    _flag(p_run, "--c-grid", "c_grid", type=_comma_list, help="comma-separated positive scales")
+    _flag(p_run, "--ell-max", "ell_max", type=int)
+    _flag(p_run, "--precision-bits", "precision_bits", type=int)
+    _flag(
+        p_run,
         "--jobs",
+        "jobs",
         type=int,
         help="at most this many worker processes; scales are dealt round-robin and each worker shares f values",
     )
-    p_run.add_argument("--alpha", type=float, help="declared tail lower bound for the witness task")
+    _flag(p_run, "--alpha", "witness.alpha", type=float, help="declared tail lower bound for the witness task")
     p_run.add_argument("--out", required=True, help="report output path")
     p_run.add_argument("--certs-dir", dest="certs_dir", help="also write one JSON file per certificate")
     p_run.add_argument("--csv-dir", dest="csv_dir", help="also write one CSV table per task result")
     p_run.set_defaults(func=_cmd_run)
 
     p_wit = sub.add_parser("witness", help="build a single negativity certificate")
-    p_wit.add_argument("--kernel", required=True)
-    p_wit.add_argument("--function", required=True)
-    p_wit.add_argument("--sequence", default="triangular+")
+    _flag(p_wit, "--kernel", "kernel", required=True)
+    _flag(p_wit, "--function", "function", required=True)
+    _flag(p_wit, "--sequence", "sequence")
     p_wit.add_argument("--c", type=float, required=True)
-    p_wit.add_argument("--alpha", type=float, help="override the tail lower bound")
-    p_wit.add_argument("--ell-max", dest="ell_max", type=int, default=10**6)
-    p_wit.add_argument("--precision-bits", dest="precision_bits", type=int, default=256)
+    _flag(p_wit, "--alpha", "witness.alpha", type=float, help="override the tail lower bound")
+    _flag(p_wit, "--ell-max", "ell_max", type=int)
+    _flag(p_wit, "--precision-bits", "precision_bits", type=int)
     p_wit.add_argument("--out", help="certificate output path")
     p_wit.set_defaults(func=_cmd_witness)
 
     p_decay = sub.add_parser("decay-check", help="measure off-diagonal kernel decay")
-    p_decay.add_argument("--kernel", required=True)
-    p_decay.add_argument("--sequence", default="triangular+")
-    p_decay.add_argument("--window", type=int, default=3)
-    p_decay.add_argument("--ell-max", dest="ell_max", type=int, default=10)
-    p_decay.add_argument("--threshold", type=float, default=1e-8)
-    p_decay.add_argument("--precision-bits", dest="precision_bits", type=int)
+    _flag(p_decay, "--kernel", "kernel", required=True)
+    _flag(p_decay, "--sequence", "sequence")
+    _flag(p_decay, "--window", "decay.window", type=int)
+    _flag(p_decay, "--ell-max", "decay.ell_max", type=int)
+    _flag(p_decay, "--threshold", "decay.threshold", type=float)
+    _flag(p_decay, "--precision-bits", "precision_bits", type=int)
     p_decay.add_argument("--out")
-
-    def run_decay(args: argparse.Namespace) -> int:
-        return _single_task_run(
-            args,
-            "decay",
-            {
-                "decay": {
-                    "window": args.window,
-                    "ell_max": args.ell_max,
-                    "threshold": args.threshold,
-                }
-            },
-        )
-
-    p_decay.set_defaults(func=run_decay)
+    p_decay.set_defaults(func=_cmd_task, tasks=["decay"])
 
     p_psd = sub.add_parser("psd-check", help="PSD test of the kernel Gram matrix")
-    p_psd.add_argument("--kernel", required=True)
-    p_psd.add_argument("--sequence", default="triangular+")
-    p_psd.add_argument("--points", help="comma-separated nodes (default: first sequence points)")
-    p_psd.add_argument("--num-points", dest="num_points", type=int, default=8)
-    p_psd.add_argument("--control-x0", dest="control_x0", type=float, default=0.0)
-    p_psd.add_argument("--precision-bits", dest="precision_bits", type=int)
+    _flag(p_psd, "--kernel", "kernel", required=True)
+    _flag(p_psd, "--sequence", "sequence")
+    points_help = "comma-separated nodes (default: first sequence points)"
+    _flag(p_psd, "--points", "psd.points", type=_comma_list, help=points_help)
+    _flag(p_psd, "--num-points", "psd.num_points", type=int)
+    _flag(p_psd, "--control-x0", "psd.control_x0", type=float)
+    _flag(p_psd, "--precision-bits", "precision_bits", type=int)
     p_psd.add_argument("--out")
-
-    def run_psd(args: argparse.Namespace) -> int:
-        section: Dict[str, Any] = {
-            "num_points": args.num_points,
-            "control_x0": args.control_x0,
-        }
-        if args.points is not None:
-            try:
-                section["points"] = [float(p) for p in args.points.split(",") if p.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"malformed --points: {exc}") from exc
-        return _single_task_run(args, "psd", {"psd": section})
-
-    p_psd.set_defaults(func=run_psd)
+    p_psd.set_defaults(func=_cmd_task, tasks=["psd"])
 
     p_der = sub.add_parser("derivatives", help="diagonal derivative bounds and envelope")
-    p_der.add_argument("--kernel", required=True)
-    p_der.add_argument("--n-max", dest="n_max", type=int, default=10)
-    p_der.add_argument("--norm-bound", dest="norm_bound", type=float, default=1.0)
-    p_der.add_argument("--fd-step", dest="fd_step", type=float, default=1e-4)
-    p_der.add_argument("--fd-x", dest="fd_x", type=float, default=0.0)
-    p_der.add_argument("--precision-bits", dest="precision_bits", type=int)
+    _flag(p_der, "--kernel", "kernel", required=True)
+    _flag(p_der, "--n-max", "analytic.n_max", type=int)
+    _flag(p_der, "--norm-bound", "analytic.norm_bound", type=float)
+    _flag(p_der, "--fd-step", "analytic.fd_step", type=float)
+    _flag(p_der, "--fd-x", "analytic.fd_x", type=float)
+    _flag(p_der, "--precision-bits", "precision_bits", type=int)
     p_der.add_argument("--out")
-
-    def run_der(args: argparse.Namespace) -> int:
-        return _single_task_run(
-            args,
-            "analytic",
-            {
-                "analytic": {
-                    "n_max": args.n_max,
-                    "norm_bound": args.norm_bound,
-                    "fd_step": args.fd_step,
-                    "fd_x": args.fd_x,
-                }
-            },
-        )
-
-    p_der.set_defaults(func=run_der)
+    p_der.set_defaults(func=_cmd_task, tasks=["analytic"])
 
     p_interp = sub.add_parser("interp-norm", help="minimum-norm interpolant growth trace")
-    p_interp.add_argument("--kernel", required=True)
-    p_interp.add_argument("--function", required=True)
-    p_interp.add_argument("--sequence", default="triangular+")
-    p_interp.add_argument("--points", help="comma-separated base nodes")
-    p_interp.add_argument("--rule", choices=("widen", "refine"), default="widen")
-    p_interp.add_argument("--steps", type=int, default=6)
-    p_interp.add_argument("--ridge", type=float, default=0.0)
-    p_interp.add_argument("--precision-bits", dest="precision_bits", type=int)
+    _flag(p_interp, "--kernel", "kernel", required=True)
+    _flag(p_interp, "--function", "function", required=True)
+    _flag(p_interp, "--sequence", "sequence")
+    _flag(p_interp, "--points", "interpolant.base_points", type=_comma_list, help="comma-separated base nodes")
+    _flag(p_interp, "--rule", "interpolant.rule", choices=("widen", "refine"))
+    _flag(p_interp, "--steps", "interpolant.steps", type=int)
+    _flag(p_interp, "--ridge", "interpolant.ridge", type=float)
+    _flag(p_interp, "--precision-bits", "precision_bits", type=int)
     p_interp.add_argument("--out")
-
-    def run_interp(args: argparse.Namespace) -> int:
-        section: Dict[str, Any] = {
-            "rule": args.rule,
-            "steps": args.steps,
-            "ridge": args.ridge,
-        }
-        if args.points is not None:
-            try:
-                section["base_points"] = [float(p) for p in args.points.split(",") if p.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"malformed --points: {exc}") from exc
-        return _single_task_run(args, "interpolant", {"interpolant": section})
-
-    p_interp.set_defaults(func=run_interp)
+    p_interp.set_defaults(func=_cmd_task, tasks=["interpolant"])
 
     p_ver = sub.add_parser("verify", help="re-check a certificate from its JSON file alone")
     p_ver.add_argument("certificate", help="path to a certificate JSON file")

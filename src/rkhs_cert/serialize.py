@@ -128,10 +128,11 @@ def witness_from_dict(data: Dict[str, Any]) -> WitnessCertificate:
     missing = [k for k in required if k not in data]
     if missing:
         raise ValueError(f"certificate is missing fields: {missing}")
-    bits = _field(data, "precision_bits", int)
+    bits = _field(data, "precision_bits", _integer)
     if not MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS:
         raise ValueError(f"certificate precision must be {MIN_PRECISION_BITS} to {MAX_PRECISION_BITS} bits")
-    number, real = partial(str_to_number, precision_bits=bits), partial(_real, precision_bits=bits)
+    number = partial(str_to_number, precision_bits=bits)
+    real, point = partial(_real, precision_bits=bits), partial(_point, precision_bits=bits)
     coefficients = None
     if data["coefficients"] != "ones":
         coefficients = _field(data, "coefficients", partial(_number_tuple, parse=number))
@@ -143,10 +144,10 @@ def witness_from_dict(data: Dict[str, Any]) -> WitnessCertificate:
         alpha=_field(data, "alpha", float),
         alpha_provenance=str(data["alpha_provenance"]),
         kernel_diag_sup=_field(data, "kernel_diag_sup", float),
-        n_points=_field(data, "n_points", int),
-        ell=_field(data, "ell", int),
+        n_points=_field(data, "n_points", _integer),
+        ell=_field(data, "ell", _integer),
         r_value=_field(data, "r_value", lambda value: real(str(value))),
-        points=_field(data, "points", partial(_number_tuple, parse=real)),
+        points=_field(data, "points", partial(_number_tuple, parse=point)),
         precision_bits=bits,
         coefficients=coefficients,
     )
@@ -164,6 +165,30 @@ def _number_tuple(value: Any, parse: Callable[[str], Any]) -> Tuple[Any, ...]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, not {value!r}")
     return tuple(parse(str(v)) for v in value)
+
+
+def _integer(value: Any) -> int:
+    """A JSON integer as it is; a bool, a float or a string is no integer here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, not {value!r}")
+    return value
+
+
+# Stored points lie in the double range, below 2**1024 in magnitude.  A
+# kernel value at a point far beyond it costs time that grows with the
+# point's magnitude (about 0.5 s at 2**65536 and 256 bits, against 1 ms at
+# 2**1024), so such a point would stall the verifier; it is a malformed field.
+_MAX_POINT_BITS = 1024
+
+
+def _point(text: str, precision_bits: int) -> Any:
+    """A stored point: ``_real(text)``, finite and below 2**1024 in magnitude."""
+    value = _real(text, precision_bits)
+    # |value| < 2**bits exactly; mag is inf or nan for an infinite or nan value
+    bits = value.bit_length() if isinstance(value, int) else mpmath.mag(value)
+    if not bits <= _MAX_POINT_BITS:
+        raise ValueError(f"expected a finite point below 2**1024 in magnitude, not {text!r}")
+    return value
 
 
 def _real(text: str, precision_bits: int) -> Any:

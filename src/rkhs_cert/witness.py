@@ -632,7 +632,7 @@ def verify_certificate(
     """Recompute everything a certificate claims; True iff it all checks out.
 
     Checks: identifier match (raises on mismatch: verifying against the wrong
-    objects is a caller bug, not a bad certificate), positive c and alpha,
+    objects is a caller bug, not a bad certificate), positive finite c and alpha,
     window size above the threshold, as many stored points as n_points (the
     points are not regenerated from the sequence), and the recomputed r
     matching the stored value to 2^-100 relative accuracy while being negative.
@@ -664,7 +664,7 @@ def verify_certificate(
         )
     if table is not None and (table.f is not f or table.sequence is not None):
         raise ValueError("point table was made for another function or for a search")
-    if not (cert.c > 0 and cert.alpha > 0):
+    if not (0 < cert.c < math.inf and 0 < cert.alpha < math.inf):
         return False
     if cert.coefficients is not None and any(a != 1 for a in cert.coefficients):
         return False

@@ -325,8 +325,14 @@ def test_witness_subcommand_member_control(capsys):
     assert "no witness" in capsys.readouterr().err
 
 
-def test_witness_subcommand_rejects_bad_scale():
-    assert main(["witness", "--kernel", "gaussian", "--function", "constant:1.0", "--c", "-1"]) == 1
+def test_witness_subcommand_rejects_bad_scale(capsys):
+    # witness flags pass the checks of the config keys they set, as run's do
+    argv = ["witness", "--kernel", "gaussian", "--function", "constant:1.0"]
+    bad = [["--c", "-1"], ["--c", "inf"], ["--c", "1", "--alpha", "inf"], ["--c", "1", "--precision-bits", "8"]]
+    for flags in bad:
+        assert main(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_decay_check_subcommand(capsys):
@@ -737,6 +743,12 @@ def test_mistyped_config_exits_1_with_one_line(tmp_path, capsys, config, extra):
         ("precision_bits", [256]),
         ("precision_bits", "many"),
         ("precision_bits", 10**400),
+        ("ell", 2.7),
+        ("ell", True),
+        ("n_points", "15"),
+        ("precision_bits", 256.0),
+        # a kernel value at such a point would take longer than any test
+        ("points", ["1e99999999", "3", "6"]),
     ],
 )
 def test_verify_of_mistyped_certificate_exits_1_with_one_line(tmp_path, capsys, field, value):
@@ -751,6 +763,20 @@ def test_verify_of_mistyped_certificate_exits_1_with_one_line(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("config error: certificate") and field.split("_")[-1] in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["alpha", "c"])
+def test_verify_rejects_an_infinite_scale_or_tail_bound(tmp_path, capsys, field):
+    # either one makes the window threshold 0, which any window would clear
+    path = tmp_path / "cert.json"
+    args = ["--kernel", "gaussian", "--function", "constant:1.0", "--c", "1"]
+    assert main(["witness", "--out", str(path)] + args) == 0
+    data = json.loads(path.read_text())
+    data[field] = "inf"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "certificate FAILED verification\n"
 
 
 @pytest.mark.parametrize("field,value", [("points", ["1", "3/2", "6"]), ("r_value", "-1/2")])
@@ -779,6 +805,52 @@ def test_verify_of_any_json_field_exits_with_at_most_one_line(field, value):
             code = main(["verify", str(path)])
     assert code in (0, 1, 2)
     assert err.getvalue().count("\n") <= 1
+
+
+# --- every subcommand's flags are config keys ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command,flags,config",
+    [
+        (
+            "decay-check",
+            ["--kernel", "inverse_quadratic", "--sequence", "triangular-", "--window", "4", "--ell-max", "12",
+             "--threshold", "1e-3", "--precision-bits", "128"],
+            {"kernel": "inverse_quadratic", "sequence": "triangular-", "precision_bits": 128, "tasks": ["decay"],
+             "decay": {"window": 4, "ell_max": 12, "threshold": 1e-3}},
+        ),
+        (
+            "psd-check",
+            ["--kernel", "gaussian", "--sequence", "arithmetic:0.5", "--points", "1, 2.5,4", "--num-points", "5",
+             "--control-x0", "0.25", "--precision-bits", "128"],
+            {"kernel": "gaussian", "sequence": "arithmetic:0.5", "precision_bits": 128, "tasks": ["psd"],
+             "psd": {"points": [1, 2.5, 4], "num_points": 5, "control_x0": 0.25}},
+        ),
+        (
+            "derivatives",
+            ["--kernel", "gaussian", "--n-max", "5", "--norm-bound", "2", "--fd-step", "1e-3", "--fd-x", "0.5",
+             "--precision-bits", "128"],
+            {"kernel": "gaussian", "precision_bits": 128, "tasks": ["analytic"],
+             "analytic": {"n_max": 5, "norm_bound": 2, "fd_step": 1e-3, "fd_x": 0.5}},
+        ),
+        (
+            "interp-norm",
+            ["--kernel", "gaussian", "--function", "constant:1.0", "--sequence", "arithmetic:2", "--points", "1,3,6",
+             "--rule", "refine", "--steps", "3", "--ridge", "1e-10", "--precision-bits", "128"],
+            {"kernel": "gaussian", "function": "constant:1.0", "sequence": "arithmetic:2", "precision_bits": 128,
+             "tasks": ["interpolant"],
+             "interpolant": {"base_points": [1, 3, 6], "rule": "refine", "steps": 3, "ridge": 1e-10}},
+        ),
+    ],
+    ids=["decay-check", "psd-check", "derivatives", "interp-norm"],
+)
+def test_single_task_subcommand_is_a_run_of_that_task(tmp_path, capsys, command, flags, config):
+    single, path, full = tmp_path / "single.json", tmp_path / "config.json", tmp_path / "run.json"
+    assert main([command, "--out", str(single)] + flags) == 0
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(full)]) == 0
+    assert single.read_bytes() == full.read_bytes()
 
 
 # --- pinned report bytes ------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The perfbench trace harness still finds every call site it patches.
 
 ``perfbench/trace_child.py`` wraps functions by name (``witness.find_ell``,
-``witness.evaluate_ones_form``, ``cli.verify_certificate`` and others), so a
-rename in the program breaks ``perfbench/run.py --trace 1``.  This runs it on
-``verify`` of one small certificate.
+``witness.evaluate_ones_form``, ``cli.verify_certificate``,
+``cli.build_witness``, ``cli.resolve_kernel`` and others), so a rename in the
+program breaks ``perfbench/run.py --trace 1``.  This runs it on ``witness``,
+on ``verify`` of one small certificate and on a one-scale ``run``.
 """
 
 import json
@@ -15,19 +16,40 @@ from pathlib import Path
 from rkhs_cert.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+WITNESS = ["--kernel", "gaussian", "--function", "paper_example"]
 
 
-def test_trace_child_runs_verify(tmp_path, capsys):
-    cert, trace = tmp_path / "cert.json", tmp_path / "trace.json"
-    args = ["--kernel", "gaussian", "--function", "paper_example", "--c", "0.5", "--out", str(cert)]
-    assert main(["witness"] + args) == 0
+def _traced(tmp_path, *argv):
+    """The per-name stats of ``rkhs-cert argv`` run under the trace harness."""
+    trace = tmp_path / "trace.json"
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "trace_child.py"), str(trace), "verify", str(cert)],
+        [sys.executable, str(ROOT / "perfbench" / "trace_child.py"), str(trace), *argv],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    stats = json.loads(trace.read_text())["stats"]
+    return json.loads(trace.read_text())["stats"]
+
+
+def test_trace_child_runs_verify(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert main(["witness"] + WITNESS + ["--c", "0.5", "--out", str(cert)]) == 0
+    stats = _traced(tmp_path, "verify", str(cert))
     assert stats["functions.eval_mp"][0] > 0
     assert stats["witness.verify_certificate"][0] == 1
+
+
+def test_trace_child_runs_witness(tmp_path):
+    stats = _traced(tmp_path, "witness", *WITNESS, "--c", "0.5", "--out", str(tmp_path / "cert.json"))
+    assert stats["witness.build_witness"][0] == 1
+    assert stats["registry.resolve_kernel"][0] == 1
+
+
+def test_trace_child_runs_a_one_scale_run(tmp_path):
+    stats = _traced(tmp_path, "run", *WITNESS, "--c-grid", "0.5", "--out", str(tmp_path / "r.json"))
+    assert stats["registry.resolve_kernel"][0] >= 1
+    assert stats["witness.find_ell"][0] == 1
+    assert stats["witness.verify_certificate"][0] == 1
+    assert stats["serialize.canonical_dumps"][0] == 1
+    assert stats["functions.eval_mp"][0] > 0
