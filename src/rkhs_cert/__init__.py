@@ -53,12 +53,10 @@ from .kernels import (
     make_laplace,
 )
 from .quadform import (
-    DeflatedKernel,
     GramMatrix,
     PsdVerdict,
     assemble_gram,
     cholesky_solve,
-    deflate,
     neumaier_sum,
     psd_check,
     quadratic_form,

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .analytic import analyticity_envelope
 from .errors import ConfigError, EvaluationError, SingularGramError, WitnessSearchError
-from .interpolant import norm_growth_trace
+from .interpolant import EXTENSION_RULES, norm_growth_trace
 from .quadform import MAX_PRECISION_BITS, MIN_PRECISION_BITS, assemble_gram, psd_check, schur_deflation_control
 from .registry import resolve_function, resolve_kernel, resolve_sequence
 from .sequences import verify_decay
@@ -264,7 +264,10 @@ def config_from_dict(data: Dict[str, Any]) -> RunConfig:
     if section.get("base_points") is not None:
         kwargs["interp_base_points"] = _numbers(section["base_points"], "interpolant base_points")
     if "rule" in section:
-        kwargs["interp_rule"] = str(section["rule"])
+        rule = section["rule"]
+        if rule not in EXTENSION_RULES:
+            raise ConfigError(f"interpolant rule must be one of {list(EXTENSION_RULES)}, not {rule!r}")
+        kwargs["interp_rule"] = rule
     cfg = RunConfig(**kwargs)
     if not MIN_PRECISION_BITS <= cfg.precision_bits <= MAX_PRECISION_BITS:
         raise ConfigError(f"precision_bits must be {MIN_PRECISION_BITS} to {MAX_PRECISION_BITS}")
@@ -275,16 +278,18 @@ def config_from_dict(data: Dict[str, Any]) -> RunConfig:
     return cfg
 
 
-def _witness_worker(args: Tuple[RunConfig, Tuple[float, ...]]) -> SweepResult:
-    """Sweep one group of scales; runs in-process or in a worker process."""
-    cfg, scales = args
-    kernel = resolve_kernel(cfg.kernel)
-    sequence = resolve_sequence(cfg.sequence)
-    f = resolve_function(cfg.function, kernel)
+def _sweep(cfg: RunConfig, scales: Tuple[float, ...], kernel: Any, f: Any, sequence: Any) -> SweepResult:
     return sweep_c(
         kernel, f, sequence, scales, cfg.ell_max, cfg.precision_bits, cfg.witness_doubling_cap,
         alpha=cfg.witness_alpha,
     )
+
+
+def _witness_worker(args: Tuple[RunConfig, Tuple[float, ...]]) -> SweepResult:
+    """Sweep one group of scales in a worker process, which resolves its own objects."""
+    cfg, scales = args
+    kernel = resolve_kernel(cfg.kernel)
+    return _sweep(cfg, scales, kernel, resolve_function(cfg.function, kernel), resolve_sequence(cfg.sequence))
 
 
 def _domain_transfer_note(cfg: RunConfig) -> str:
@@ -314,12 +319,11 @@ def _run_witness_task(cfg: RunConfig, kernel: Any, f: Any, sequence: Any) -> Dic
     # on its value alone, so outcomes return to grid order by value, repeated
     # scales included.
     groups = min(cfg.jobs, len(grid))
-    arglist = [(cfg, grid[g::groups]) for g in range(groups)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=groups) as pool:
-            sweeps = list(pool.map(_witness_worker, arglist))
+            sweeps = list(pool.map(_witness_worker, [(cfg, grid[g::groups]) for g in range(groups)]))
     else:
-        sweeps = [_witness_worker(a) for a in arglist]
+        sweeps = [_sweep(cfg, grid, kernel, f, sequence)]
     built = {cert.c: cert for sweep in sweeps for cert in sweep.certificates}
     failed = dict(failure for sweep in sweeps for failure in sweep.failures)
     scaled = dict(entry for sweep in sweeps for entry in sweep.scaling)
@@ -649,8 +653,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except (ValueError, WitnessSearchError) as exc:
         # The kernel and function come from the certificate itself, so a
         # ValueError is a defect of the stored window (coincident points in a
-        # dense one), as is a banded one that is not monotone.  Other search
-        # errors are about the kernel and stay search errors.
+        # window that sums all pairs), as is a band-truncated one that is not
+        # monotone.  Other search errors are about the kernel and stay search
+        # errors.
         if isinstance(exc, WitnessSearchError) and exc.reason != "not-monotone":
             raise
         print(f"certificate FAILED verification: {exc}", file=sys.stderr)
@@ -785,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(p_interp, "--function", "function", required=True)
     _flag(p_interp, "--sequence", "sequence")
     _flag(p_interp, "--points", "interpolant.base_points", type=_comma_list, help="comma-separated base nodes")
-    _flag(p_interp, "--rule", "interpolant.rule", choices=("widen", "refine"))
+    _flag(p_interp, "--rule", "interpolant.rule", choices=EXTENSION_RULES)
     _flag(p_interp, "--steps", "interpolant.steps", type=int)
     _flag(p_interp, "--ridge", "interpolant.ridge", type=float)
     _flag(p_interp, "--precision-bits", "precision_bits", type=int)

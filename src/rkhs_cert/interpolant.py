@@ -86,6 +86,10 @@ def _refine_step(points: List[Any]) -> List[Any]:
     return merged
 
 
+# How norm_growth_trace extends the point set at each step.
+EXTENSION_RULES = ("widen", "refine")
+
+
 def norm_growth_trace(
     kernel: KernelSpec,
     f: CandidateFunction,
@@ -108,7 +112,7 @@ def norm_growth_trace(
     """
     if steps < 1:
         raise ValueError("need at least one extension step")
-    if extension_rule not in ("widen", "refine"):
+    if extension_rule not in EXTENSION_RULES:
         raise ValueError(f"unknown extension rule {extension_rule!r}")
     if not base_points:
         raise ValueError("base point set must be nonempty")

@@ -298,30 +298,6 @@ def cholesky_solve(
         return out
 
 
-@dataclass(frozen=True)
-class DeflatedKernel:
-    """R(x, y) = K(x, y) - c^2 f(x) f(y): PSD for some c > 0 iff f lies in K's space."""
-
-    base: KernelSpec
-    f: Any
-    c: float
-
-    @property
-    def kernel_id(self) -> str:
-        return f"deflate({self.base.kernel_id};{self.f.function_id};c={self.c!r})"
-
-    def eval_mp(self, x: Any, y: Any) -> Any:
-        c2 = mpf(self.c) ** 2
-        return self.base.eval_mp(x, y) - c2 * self.f.eval_mp(x) * self.f.eval_mp(y)
-
-
-def deflate(kernel: KernelSpec, f: Any, c: float) -> DeflatedKernel:
-    """Subtract the rank-one part c^2 f(x) f(y) from the kernel."""
-    if not c > 0:
-        raise ValueError("deflation scale c must be positive")
-    return DeflatedKernel(base=kernel, f=f, c=float(c))
-
-
 def schur_deflation_control(
     kernel: KernelSpec,
     x0: float,

@@ -97,9 +97,7 @@ def witness_to_dict(cert: WitnessCertificate) -> Dict[str, Any]:
         "r_value": number_to_str(cert.r_value, bits),
         "points": _num_list(cert.points, bits),
         "precision_bits": bits,
-        "coefficients": "ones"
-        if cert.coefficients is None
-        else _num_list(cert.coefficients, bits),
+        "coefficients": "ones",
     }
     return out
 
@@ -131,11 +129,8 @@ def witness_from_dict(data: Dict[str, Any]) -> WitnessCertificate:
     bits = _field(data, "precision_bits", _integer)
     if not MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS:
         raise ValueError(f"certificate precision must be {MIN_PRECISION_BITS} to {MAX_PRECISION_BITS} bits")
-    number = partial(str_to_number, precision_bits=bits)
+    _field(data, "coefficients", _ones)
     real, point = partial(_real, precision_bits=bits), partial(_point, precision_bits=bits)
-    coefficients = None
-    if data["coefficients"] != "ones":
-        coefficients = _field(data, "coefficients", partial(_number_tuple, parse=number))
     return WitnessCertificate(
         kernel_id=str(data["kernel_id"]),
         function_id=str(data["function_id"]),
@@ -149,7 +144,6 @@ def witness_from_dict(data: Dict[str, Any]) -> WitnessCertificate:
         r_value=_field(data, "r_value", lambda value: real(str(value))),
         points=_field(data, "points", partial(_number_tuple, parse=point)),
         precision_bits=bits,
-        coefficients=coefficients,
     )
 
 
@@ -165,6 +159,12 @@ def _number_tuple(value: Any, parse: Callable[[str], Any]) -> Tuple[Any, ...]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, not {value!r}")
     return tuple(parse(str(v)) for v in value)
+
+
+def _ones(value: Any) -> None:
+    """The all-ones coefficient vector is the only one a certificate may name."""
+    if value != "ones":
+        raise ValueError('only the all-ones vector, "ones", is supported')
 
 
 def _integer(value: Any) -> int:

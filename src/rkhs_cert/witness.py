@@ -13,16 +13,19 @@ recomputes r from the stored points and re-checks the size threshold, and
 never trusts the builder.
 
 Window sizes reach 2^17 + 1 at the smallest default scale, where a dense
-Gram matrix is out of reach.  For monotone point sets under a radial profile
-that is nonincreasing and decays to zero, the kernel part of r is evaluated
-in banded form: pairs whose squared gap exceeds a radius r* with
-phi(r*) < 2^-(precision + 64) are dropped.  Since 0 <= phi <= phi(r*) on the
-dropped pairs, the omitted mass is below N^2 * 2^-(precision + 64), far under
-the certificate's comparison tolerance.  Builder and verifier select the
-evaluation path by the same rule, so reverification reproduces r to working
-accuracy.
+Gram matrix is out of reach.  One evaluator computes r as
+n phi(0) + 2 sum_{i<j} phi((x_j - x_i)^2) - c^2 (sum_i f(x_i))^2 for a radial
+profile phi, holding O(N) numbers.  A window of more than DENSE_EVAL_CAP
+strictly monotone points under a profile that is nonincreasing, nonnegative
+and decays to zero is band-truncated: pairs whose squared gap exceeds a
+radius r* with phi(r*) < 2^-(precision + 64) are dropped.  Since
+0 <= phi <= phi(r*) on the dropped pairs, the omitted mass is below
+N^2 * 2^-(precision + 64), far under the certificate's comparison tolerance.
+Every other window sums all of its pairs, up to DENSE_FALLBACK_LIMIT points.
+Builder and verifier select the truncation by the same rule, so
+reverification reproduces r to working accuracy.
 
-The banded path's bookkeeping (monotonicity, gaps, the band test) runs on
+The evaluator's bookkeeping (point checks, gaps, the band test) runs on
 Python ints when every point is an int below 2^(precision // 2 - 2) in
 magnitude, as the built-in integer sequences are at 256 bits: libmp computes
 every difference and square of such points exactly, so r is bit-identical to
@@ -50,35 +53,29 @@ import operator
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from types import SimpleNamespace
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
-from mpmath.libmp import fzero, from_int, mpf_gt, mpf_mul, mpf_neg, mpf_sub, to_int
+from mpmath.libmp import finf, fzero, from_int, mpf_gt, mpf_mul, mpf_neg, mpf_sub, to_int
 
 from .errors import WitnessSearchError
 from .expressions import as_mpf
 from .functions import DECLARED, CandidateFunction, TailBound, tail_lower_bound
 from .kernels import KernelSpec
-from .quadform import (
-    DEFAULT_PRECISION_BITS,
-    assemble_gram,
-    deflate,
-    neumaier_sum,
-    quadratic_form,
-)
+from .quadform import DEFAULT_PRECISION_BITS, neumaier_sum
+from .quadform import assemble_gram, quadratic_form  # noqa: F401  unused; perfbench/trace_child.py patches them here
 from .sequences import SequenceSpec, max_offdiag
 
 WITNESS_SCHEMA = "rkhs-cert/witness/v1"
 
 _make_mpf = mpmath.mp.make_mpf
 
-# Dense Gram evaluation is used up to this window size; beyond it the banded
-# path applies (and requires monotone decay metadata).
+# Windows of up to this many points sum all pairs; larger ones are
+# band-truncated when the kernel's profile carries monotone decay metadata.
 DENSE_EVAL_CAP = 128
 
-# Hard stop for dense evaluation without decay metadata.
+# Most points a full sum takes: without decay metadata it costs N^2 / 2 profile values.
 DENSE_FALLBACK_LIMIT = 4096
 
 DEFAULT_DOUBLING_CAP = 6
@@ -196,7 +193,7 @@ def _exact_int_window(points: Sequence[Any], prec: int) -> bool:
 
 
 class _Arithmetic(NamedTuple):
-    """How the banded bookkeeping computes with points: on ints, or on raw libmp values."""
+    """How the evaluator computes with points: on ints, or on raw libmp values."""
 
     keys: Sequence[Any]  # the points, as ints or as raw libmp values
     mp: Optional[List[Any]]  # the points as mpf values; None on ints, which convert only for f
@@ -205,6 +202,7 @@ class _Arithmetic(NamedTuple):
     gt: Callable[[Any, Any], bool]
     neg: Callable[[Any], Any]
     zero: Any
+    inf: Any  # above every squared difference: the radius of a full sum
     from_raw: Callable[[Any], Any]  # the radius r*, a raw libmp value, for comparing with d^2
     to_raw: Callable[[Any], Any]  # a squared difference d^2 as a raw libmp value, for phi
 
@@ -213,7 +211,7 @@ def _arithmetic(points: Sequence[Any], prec: int, rnd: str) -> _Arithmetic:
     """Exact ints for a window that ``_exact_int_window`` admits, else libmp at (prec, rnd)."""
     if _exact_int_window(points, prec):
         return _Arithmetic(
-            points, None, operator.sub, operator.mul, operator.gt, operator.neg, 0,
+            points, None, operator.sub, operator.mul, operator.gt, operator.neg, 0, math.inf,
             # d^2 > r* iff d^2 > floor(r*) for an integer d^2
             lambda r: to_int(r, "f"), lambda d2: from_int(d2, prec, rnd),
         )
@@ -221,7 +219,7 @@ def _arithmetic(points: Sequence[Any], prec: int, rnd: str) -> _Arithmetic:
     return _Arithmetic(
         [p._mpf_ for p in mp], mp,
         lambda a, b: mpf_sub(a, b, prec, rnd), lambda a, b: mpf_mul(a, b, prec, rnd),
-        mpf_gt, mpf_neg, fzero, _same, _same,
+        mpf_gt, mpf_neg, fzero, finf, _same, _same,
     )
 
 
@@ -233,51 +231,77 @@ def _same(x: Any) -> Any:
 FValues = Callable[[Optional[List[Any]]], Sequence[Any]]
 
 
-def _banded_ones_form(
+def evaluate_ones_form(
     kernel: KernelSpec,
     f: CandidateFunction,
     c: float,
     points: Sequence[Any],
-    precision_bits: int,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
     f_values: Optional[FValues] = None,
 ) -> Any:
-    """r for the all-ones vector via banded kernel summation.
+    """The witness quadratic form r on the given window, all-ones coefficients.
 
-    Requires a monotone nonincreasing decaying profile and strictly monotone
-    points.  The rank-one part uses the algebraic identity
-    sum_{i,j} f_i f_j = (sum_i f_i)^2.
+        r = n phi(0) + sum_i 2 sum_{j > i} phi((x_j - x_i)^2) - c^2 (sum_i f(x_i))^2
 
-    The bookkeeping (the monotonicity check, the gaps, the early break and
-    the band test d^2 > r*) runs on Python ints when every point is an int
-    below 2^(precision_bits // 2 - 2) in magnitude, as the points of the
-    built-in integer sequences are at 256 bits.  libmp computes every
-    difference and square of such points exactly, so each int result, and
-    each d^2 passed to phi through ``from_int``, equals libmp's bit for bit.
-    Any other window (floats, decimals, mpf, wider ints) runs on raw libmp
-    values, rounded as mpf arithmetic rounds; there a nan difference fails
-    the monotonicity check.  Its points convert to mpf once, for the
-    bookkeeping and for f; the points of an int window convert only for f.
+    with the rank-one part from the identity sum_{i,j} f_i f_j = (sum_i f_i)^2.
+    A window of more than DENSE_EVAL_CAP points under a profile flagged
+    monotone decreasing, decaying to zero and nonnegative is band-truncated:
+    its points must be strictly monotone (else WitnessSearchError
+    ``not-monotone``), and each row stops at the first squared gap beyond r*.
+    Every other window sums all pairs, in any order: its points must be
+    distinct (else ValueError), and it may hold at most DENSE_FALLBACK_LIMIT
+    points (else ``window-too-large``).  The rule depends only on the kernel
+    and the window size, so verification reproduces the builder's choice.  A
+    kernel without a radial profile raises ``no-radial-profile``.
+
+    The bookkeeping (the point checks, the gaps and the band test d^2 > r*)
+    runs on exact ints or on raw libmp values, as the module docstring says;
+    on libmp values a nan difference fails the monotonicity check.
+
+    ``f_values``, when given, returns f at the points, computed at
+    ``precision_bits``.  It is passed the points as mpf values when the
+    evaluator has converted them, else None (an int window converts none).
+    It is called only once the window has passed its point checks, so a
+    window rejected there costs no f values.  Without it, f is evaluated
+    once per point.
     """
     profile = kernel.profile
-    assert profile is not None
+    if profile is None:
+        raise WitnessSearchError(
+            f"kernel {kernel.kernel_id!r} has no radial profile to evaluate the form with",
+            reason="no-radial-profile",
+        )
     n = len(points)
+    banded = n > DENSE_EVAL_CAP and profile.monotone_decreasing and profile.decays_to_zero and profile.nonneg
+    if not banded and n > DENSE_FALLBACK_LIMIT:
+        raise WitnessSearchError(
+            f"window of {n} points exceeds the full-sum limit of {DENSE_FALLBACK_LIMIT}, and the "
+            "kernel lacks the decay metadata needed for banded summation",
+            reason="window-too-large",
+        )
     with workprec(precision_bits):
         prec, rnd = mpmath.mp._prec_rounding
         a = _arithmetic(points, prec, rnd)
         keys, sub, mul, gt = a.keys, a.sub, a.mul, a.gt
-        diffs = list(map(sub, keys[1:], keys))
-        if all(map(gt, diffs, repeat(a.zero))):
-            gaps = diffs
-        elif all(map(gt, repeat(a.zero), diffs)):
-            gaps = list(map(a.neg, diffs))
+        if banded:
+            diffs = list(map(sub, keys[1:], keys))
+            if all(map(gt, diffs, repeat(a.zero))):
+                gaps = diffs
+            elif all(map(gt, repeat(a.zero), diffs)):
+                gaps = list(map(a.neg, diffs))
+            else:
+                raise WitnessSearchError(
+                    "banded evaluation needs strictly monotone points",
+                    reason="not-monotone",
+                )
+            gaps_sorted = not any(map(gt, gaps, gaps[1:]))
+            cutoff = mpf(2) ** (-(precision_bits + 64)) * max(profile.value_mp(0), mpf(1))
+            r_star = a.from_raw(_negligible_radius(profile, cutoff)._mpf_)
         else:
-            raise WitnessSearchError(
-                "banded evaluation needs strictly monotone points",
-                reason="not-monotone",
-            )
-        gaps_sorted = not any(map(gt, gaps, gaps[1:]))
-        cutoff = mpf(2) ** (-(precision_bits + 64)) * max(profile.value_mp(0), mpf(1))
-        r_star = a.from_raw(_negligible_radius(profile, cutoff)._mpf_)
+            if len(set(keys)) != n:
+                raise ValueError("coincident points in node set")
+            diffs = gaps = []
+            gaps_sorted, r_star = False, a.inf
         off_terms: List[Any] = []
         for i in range(n - 1):
             if gaps_sorted and gt(mul(gaps[i], gaps[i]), r_star):
@@ -301,74 +325,6 @@ def _banded_ones_form(
         return diag + neumaier_sum(off_terms) - mpf(c) ** 2 * fsum * fsum
 
 
-def _dense_ones_form(
-    kernel: KernelSpec,
-    f: CandidateFunction,
-    c: float,
-    points: Sequence[Any],
-    precision_bits: int,
-    f_values: Optional[FValues] = None,
-) -> Any:
-    """r for the all-ones vector via the Gram matrix of ``deflate(kernel, f, c)``.
-
-    The deflated kernel reads f from a table keyed by point, so f runs once
-    per point rather than twice per entry.
-    """
-    with workprec(precision_bits):
-        pts = [as_mpf(p) for p in points]
-        values = dict(zip(pts, f.values_mp(pts) if f_values is None else f_values(pts)))
-    tabulated = SimpleNamespace(function_id=f.function_id, eval_mp=values.__getitem__)
-    gram = assemble_gram(deflate(kernel, tabulated, c), pts, precision_bits)
-    return quadratic_form(gram, [1] * len(points))
-
-
-def evaluate_ones_form(
-    kernel: KernelSpec,
-    f: CandidateFunction,
-    c: float,
-    points: Sequence[Any],
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    f_values: Optional[FValues] = None,
-) -> Any:
-    """The witness quadratic form r on the given window, all-ones coefficients.
-
-    Dense evaluation through the deflated Gram matrix up to DENSE_EVAL_CAP
-    points; beyond that, banded evaluation when the kernel's metadata makes
-    truncation sound.  The selection rule depends only on (kernel, window
-    size), so verification reproduces the builder's path.
-
-    ``f_values``, when given, returns f at the points, computed at
-    ``precision_bits``.  It is passed the points as mpf values when the
-    evaluator has converted them, else None (an int window on the banded
-    path converts none).  The banded path calls it only once the window has
-    passed its point checks, so a window rejected as not monotone costs no
-    f values.  Without it, f is evaluated once per point.
-    """
-    if _is_dense(kernel, len(points)):
-        return _dense_ones_form(kernel, f, c, points, precision_bits, f_values)
-    return _banded_ones_form(kernel, f, c, points, precision_bits, f_values)
-
-
-def _is_dense(kernel: KernelSpec, n: int) -> bool:
-    """Whether a window of n points takes the dense path; raises when no path can take it."""
-    profile = kernel.profile
-    banded_ok = (
-        profile is not None
-        and profile.monotone_decreasing
-        and profile.decays_to_zero
-        and profile.nonneg
-    )
-    if n > DENSE_EVAL_CAP and banded_ok:
-        return False
-    if n > DENSE_FALLBACK_LIMIT:
-        raise WitnessSearchError(
-            f"window of {n} points exceeds the dense evaluation limit and the "
-            "kernel lacks the decay metadata needed for banded summation",
-            reason="window-too-large",
-        )
-    return True
-
-
 class PointTable:
     """Points x_k and values f(x_k), each over a contiguous range of indices k.
 
@@ -384,6 +340,9 @@ class PointTable:
     Windows are list slices: the caller may keep them, but not modify them.
     A verifier's table has no ``sequence``: it holds the certificates' stored
     points, passed to ``points`` as ``given``.
+    ``tails`` keeps the tail bounds ``resolve_alpha`` sampled through the
+    table, by (start, count), so each search of a sweep reuses the sample
+    even after the windows have moved the table's points away from it.
     """
 
     def __init__(
@@ -399,6 +358,7 @@ class PointTable:
         self.raw: List[Any] = []
         self.values_first = 1
         self.values: List[Any] = []
+        self.tails: Dict[Tuple[int, int], Optional[TailBound]] = {}
 
     def points(self, start: int, count: int, given: Optional[Sequence[Any]] = None) -> List[Any]:
         """The points at indices start, ..., start + count - 1, as the sequence gives them.
@@ -471,9 +431,7 @@ def _cover(
 class WitnessCertificate:
     """Self-contained negativity certificate for the deflated kernel at scale c.
 
-    ``coefficients`` is None for the all-ones vector (the only kind the
-    builder emits; the field exists so externally produced certificates with
-    general coefficients can be represented).
+    The form's coefficient vector is all ones, the only kind built or verified.
     """
 
     kernel_id: str
@@ -488,7 +446,6 @@ class WitnessCertificate:
     r_value: Any
     points: Tuple[Any, ...]
     precision_bits: int
-    coefficients: Optional[Tuple[Any, ...]] = None
     schema: str = WITNESS_SCHEMA
 
 
@@ -503,9 +460,9 @@ def resolve_alpha(
     """Tail bound to use along the sequence: declared if available, else sampled.
 
     A search passes its ``table``, so f is evaluated once at the sampled
-    points it also puts in windows.  Raises WitnessSearchError when neither
-    a declared bound matching the sequence direction nor a clean empirical
-    sample exists.
+    points it also puts in windows, and the sample is taken once per table.
+    Raises WitnessSearchError when neither a declared bound matching the
+    sequence direction nor a clean empirical sample exists.
     """
     declared = None
     if sequence.direction == 1:
@@ -514,7 +471,10 @@ def resolve_alpha(
         declared = f.tail_neg
     if declared is not None:
         return declared
-    sampled = tail_lower_bound(f, sequence, start, count, precision_bits, table)
+    tails = {} if table is None else table.tails
+    if (start, count) not in tails:
+        tails[start, count] = tail_lower_bound(f, sequence, start, count, precision_bits, table)
+    sampled = tails[start, count]
     if sampled is None:
         raise WitnessSearchError(
             "no usable tail bound: the function has no declared bound along this "
@@ -546,7 +506,6 @@ def build_witness(
     sequence: SequenceSpec,
     c: float,
     alpha: Optional[float] = None,
-    alpha_provenance: Optional[str] = None,
     ell_max: int = 10**6,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     doubling_cap: int = DEFAULT_DOUBLING_CAP,
@@ -580,7 +539,7 @@ def build_witness(
         if not alpha > 0:
             raise ValueError("tail bound alpha must be positive")
         alpha_value = float(alpha)
-        provenance = alpha_provenance or DECLARED
+        provenance = DECLARED
         min_ell = 0
     c_k = kernel.diag_sup
     with workprec(precision_bits):
@@ -651,8 +610,9 @@ def verify_certificate(
     a table for another function, or a search's table, raises ValueError.
     f is asked for only once the window has passed the evaluator's point
     checks, so a window rejected there costs no f values.  A point where f
-    is undefined raises EvaluationError; a banded window that is not
-    strictly monotone raises WitnessSearchError with reason ``not-monotone``.
+    is undefined raises EvaluationError; a band-truncated window that is not
+    strictly monotone raises WitnessSearchError with reason ``not-monotone``,
+    and a window summed in full with coincident points raises ValueError.
     """
     if cert.kernel_id != kernel.kernel_id:
         raise ValueError(
@@ -665,8 +625,6 @@ def verify_certificate(
     if table is not None and (table.f is not f or table.sequence is not None):
         raise ValueError("point table was made for another function or for a search")
     if not (0 < cert.c < math.inf and 0 < cert.alpha < math.inf):
-        return False
-    if cert.coefficients is not None and any(a != 1 for a in cert.coefficients):
         return False
     if len(cert.points) != cert.n_points:
         return False
@@ -726,9 +684,12 @@ def sweep_c(
 ) -> SweepResult:
     """Run build_witness for every scale on the grid, collecting outcomes.
 
-    ``alpha`` is a declared tail bound, as for build_witness.  All scales and
-    the tail sample share one PointTable, so f runs once per sequence index;
-    the table only saves evaluations, so a scale's outcome depends on c alone.
+    ``alpha`` is a declared tail bound, as for build_witness, and is passed on
+    to it; without one, each build_witness resolves the bound itself, with its
+    tail's entry offset.  All scales and the tail sample share one PointTable,
+    so f runs once per sequence index (the table keeps the sampled bound, so
+    resolving it again costs no f values); the table only saves evaluations,
+    so a scale's outcome depends on c alone.
     """
     grid = tuple(float(c) for c in (c_grid if c_grid is not None else default_c_grid()))
     if not grid:
@@ -740,9 +701,9 @@ def sweep_c(
     table = PointTable(f, sequence, precision_bits)
     if alpha is None:
         tail = resolve_alpha(f, sequence, precision_bits=precision_bits, table=table)
-        alpha, provenance = tail.alpha, tail.provenance
+        swept_alpha, provenance = tail.alpha, tail.provenance
     else:
-        alpha, provenance = float(alpha), DECLARED
+        swept_alpha, provenance = float(alpha), DECLARED
     certs: List[WitnessCertificate] = []
     failures: List[Tuple[float, str]] = []
     scaling: List[Tuple[float, float]] = []
@@ -754,7 +715,6 @@ def sweep_c(
                 sequence,
                 c,
                 alpha=alpha,
-                alpha_provenance=provenance,
                 ell_max=ell_max,
                 precision_bits=precision_bits,
                 doubling_cap=doubling_cap,
@@ -770,6 +730,6 @@ def sweep_c(
         certificates=tuple(certs),
         failures=tuple(failures),
         scaling=tuple(scaling),
-        alpha=alpha,
+        alpha=swept_alpha,
         alpha_provenance=provenance,
     )

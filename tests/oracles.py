@@ -2,8 +2,8 @@
 
 Everything here is deliberately built from the standard library (math,
 math.fsum), numpy for eigenvalues and mpmath's ``mpf`` objects for the
-reference expression evaluator, with no imports from the package under
-test.  The frozen constants below were produced by running this module
+reference expression evaluator and the deflated kernel, with no imports
+from the package under test.  The frozen constants below were produced by running this module
 directly; rerun ``python3 tests/oracles.py`` to regenerate them.
 """
 
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import ast
 import math
+from dataclasses import dataclass
+from typing import Any
 
 import mpmath
 
@@ -74,6 +76,34 @@ def paper_f_double(x: float) -> float:
 
 def triangular(n: int) -> int:
     return n * (n + 1) // 2
+
+
+@dataclass(frozen=True)
+class DeflatedKernel:
+    """R(x, y) = K(x, y) - c^2 f(x) f(y): PSD for some c > 0 iff f lies in K's space.
+
+    The reference for the witness evaluator: the all-ones form of this
+    kernel's Gram matrix is the r that ``evaluate_ones_form`` computes.
+    """
+
+    base: Any
+    f: Any
+    c: float
+
+    @property
+    def kernel_id(self) -> str:
+        return f"deflate({self.base.kernel_id};{self.f.function_id};c={self.c!r})"
+
+    def eval_mp(self, x, y):
+        c2 = mpmath.mpf(self.c) ** 2
+        return self.base.eval_mp(x, y) - c2 * self.f.eval_mp(x) * self.f.eval_mp(y)
+
+
+def deflate(kernel, f, c: float) -> DeflatedKernel:
+    """Subtract the rank-one part c^2 f(x) f(y) from the kernel."""
+    if not c > 0:
+        raise ValueError("deflation scale c must be positive")
+    return DeflatedKernel(base=kernel, f=f, c=float(c))
 
 
 def ones_form_double(kfun, ffun, c: float, points) -> float:

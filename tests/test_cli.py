@@ -716,6 +716,8 @@ def test_verify_search_error_exits_2_without_traceback(tmp_path, capsys):
         {"witness": {"doubling_cap": 2.7}},
         {"c_grid": [True]},
         {"decay": {"threshold": False}},
+        {"interpolant": {"rule": "bogus"}},
+        {"interpolant": {"rule": 5}},
     ],
 )
 @pytest.mark.parametrize("extra", [[], ["--alpha", "0.5"]], ids=["config", "alpha-override"])
@@ -857,19 +859,22 @@ def test_single_task_subcommand_is_a_run_of_that_task(tmp_path, capsys, command,
 
 # sha256 of the report of a two-scale run with every task, recorded before the
 # built-in kernels and functions became compiled expressions.  A change to any
-# of them must leave these bytes alone.
+# of them must leave these bytes alone.  Regenerated since: paper_example and
+# constant:1.0 when windows of up to 128 points moved from the deflated Gram
+# matrix to the pair loop (r moved in its last bits), and the two poly entries
+# when sweeps began starting at their declared tail's entry offset.
 REPORT_DIGESTS = [
-    ("gaussian", "paper_example", [], 0, "b5441b77d405b5d0c642c7473c907f9590bdaa52a82df92c72e49b1f9b1e721b"),
+    ("gaussian", "paper_example", [], 0, "bf641097723bcf0a3f5f52706adc06dc47589d70cc50d1489b136800c81dbb4c"),
     ("gaussian", "constant:-0.5", [], 0, "b07b3f64cedfb408ed05f192d2bc248a2cea8eb930b9f56733bcb94b111f2f6f"),
-    ("inverse_quadratic", "poly:-6,1", [], 0, "97d1971ca0f64ccd31cec960797f8f8150f2746fb2c8b918c968e11b8349d93b"),
-    ("gaussian", "poly:0.25,-0.5,0.125", [], 0, "6994c823afc07d772024b05fc0edc5d3fcaa4fef0cf4382146dc63047b5d22bd"),
+    ("inverse_quadratic", "poly:-6,1", [], 0, "b0b9f554c0629b9b8f2c137874cd93da9acf1176e97928560c5070d2366875ba"),
+    ("gaussian", "poly:0.25,-0.5,0.125", [], 0, "9091f1499c4fc2db61826f06f59f79a6d0fc26aae499b5e6defc751df5a0f78a"),
     ("inverse_quadratic", "expr:2 + cos(x)", [], 0, "fff30f943fa3787ffd14f48a690318699bd472cdc73b5cdb48f6eaf70ac0cdd7"),
     ("laplace", "sin_squared_shifted", [], 2, "1bd941691b9aad78db6a601079a598c291eba85a8df867a6f2a795ed299553a2"),
     ("laplace", "poly:0.75", [], 2, "4414d3083325a7bd5b468767b57ade99f113011e7b94eaa004123323a9104c4f"),
     ("gaussian", "kernel_section:0.0", ["--alpha", "0.5"], 0, "042f16fd3803d77faa8e30fa5c7962901543878280862fe02827e4940a9400e9"),
     # banded windows up to N = 8,193; recorded before integer windows got
     # exact-integer bookkeeping
-    ("gaussian", "constant:1.0", ["--c-grid", "1,0.25,0.0625,0.015625"], 0, "b293521b0ada76b38e1524441cd9cc2d6e43fff1a62e64b2d4c54613cb87e353"),
+    ("gaussian", "constant:1.0", ["--c-grid", "1,0.25,0.0625,0.015625"], 0, "c806ac0f6440a26ba3ecb81ed9fda4f840ef33d0502e1d31bc3b5181437e6dfd"),
 ]
 
 
@@ -951,6 +956,52 @@ def test_run_search_evaluates_f_once_per_index(monkeypatch):
     report, code = run(config_from_dict(cfg))
     assert code == 0 and report["results"]["witness"]["alpha_provenance"] == "empirical"
     assert len(calls) == len(set(calls)) >= 32
+
+
+def test_one_scale_run_resolves_each_object_once(monkeypatch):
+    # at --jobs 1 the sweep uses the objects the run resolved
+    from rkhs_cert import cli
+
+    calls = []
+
+    def counted(name):
+        resolve = getattr(cli, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return resolve(*args)
+
+        return wrapper
+
+    for name in ("resolve_kernel", "resolve_function", "resolve_sequence"):
+        monkeypatch.setattr(cli, name, counted(name))
+    report, code = run(config_from_dict({"c_grid": [0.5]}))
+    assert code == 0 and len(report["results"]["witness"]["certificates"]) == 1
+    assert sorted(calls) == ["resolve_function", "resolve_kernel", "resolve_sequence"]
+
+
+def test_run_and_witness_start_at_the_tail_entry_offset(tmp_path, capsys):
+    # poly:-30,1 declares alpha = 0.5 from x >= 31 on; x_8 = 36 is the first such point
+    args = ["--kernel", "gaussian", "--function", "poly:-30,1"]
+    code, report = _run_report(tmp_path, "r.json", args + ["--c-grid", "1"])
+    assert code == 0
+    (cert,) = report["results"]["witness"]["certificates"]
+    assert main(["witness", "--c", "1", "--out", str(tmp_path / "cert.json")] + args) == 0
+    assert cert["ell"] == load_json(tmp_path / "cert.json")["ell"] == 7
+
+
+def test_mixed_sign_run_outcomes_are_pinned(tmp_path):
+    # windows of up to 128 points sum all pairs in any order; a larger one
+    # under the gaussian is band-truncated and must be monotone
+    code, report = _run_report(tmp_path, "r.json", ["--sequence", "mixed_sign_triangular", "--c-grid", "1,0.5,0.25"])
+    assert code == 0
+    witness = report["results"]["witness"]
+    assert [(cert["c"], cert["n_points"], cert["ell"]) for cert in witness["certificates"]] == [
+        ("1.0", 15, 0),
+        ("0.5", 59, 0),
+    ]
+    assert witness["verified_scales"] == ["1.0", "0.5"]
+    assert [(item["c"], item["reason"].split(":")[0]) for item in witness["failures"]] == [("0.25", "not-monotone")]
 
 
 # --- the run and the library sweep ------------------------------------------------

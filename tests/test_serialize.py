@@ -136,7 +136,7 @@ def test_witness_round_trip_preserves_everything():
         assert back.r_value == cert.r_value
     assert back.points == cert.points
     assert all(isinstance(p, int) for p in back.points)
-    assert back.coefficients is None
+    assert witness_to_dict(back)["coefficients"] == "ones"
     assert verify_certificate(back, make_gaussian(), make_constant(1.0))
 
 
@@ -173,11 +173,12 @@ def test_witness_dict_rejects_low_precision():
         witness_from_dict(data)
 
 
-def test_explicit_coefficients_survive():
+def test_explicit_coefficients_are_refused():
+    # the all-ones vector is the only one built or verified, and only as "ones"
     data = witness_to_dict(_cert())
     data["coefficients"] = ["1", "1", "1"]
-    back = witness_from_dict(data)
-    assert back.coefficients == (1, 1, 1)
+    with pytest.raises(ValueError, match="'coefficients' is malformed"):
+        witness_from_dict(data)
 
 
 _JSON = st.recursive(

@@ -127,53 +127,80 @@ def test_find_ell_matches_slow_scan():
             assert max_offdiag(k, seq, prev, 4, 256) > mpf(bound)
 
 
-# --- evaluate_ones_form: dense vs banded ----------------------------------------
+# --- evaluate_ones_form against the deflated-Gram oracle -------------------------
 
 
 def _agreement_window(n):
-    """(f, points): an int n is the triangular+ window x_2..x_{n+1}; named cases
-    reach the banded evaluator's monotonicity and gap bookkeeping."""
+    """(kernel, f, c, points): an int n is the triangular+ window x_2..x_{n+1}
+    under the gaussian; named cases reach the band truncation's monotonicity
+    and gap bookkeeping, mixed-sign windows of the full sum, and the full sum
+    under a kernel without decay flags."""
+    k = make_gaussian()
     if n == "decreasing":
-        return make_constant(1.0), triangular_sequence(-1).points(2, 160)
+        return k, make_constant(1.0), 0.5, triangular_sequence(-1).points(2, 160)
     if n == "gaps-unsorted":
         # a wide first gap, then unit gaps: breaking off rows at the first wide
         # gap would drop all of the off-diagonal mass
-        return make_constant(1.0), [0] + list(range(100, 259))
+        return k, make_constant(1.0), 0.5, [0] + list(range(100, 259))
+    if n in ("mixed-sign-15", "mixed-sign-59"):
+        from rkhs_cert.sequences import mixed_sign_sequence
+
+        size = int(n.rsplit("-", 1)[1])
+        return k, make_paper_example(), 1.0 if size == 15 else 0.5, mixed_sign_sequence().points(1, size)
+    if n in ("unflagged-60", "unflagged-repeated"):
+        from rkhs_cert.kernels import custom_radial_from_expression
+
+        # exp(-r) with no decay flags: every window sums all of its pairs
+        pts = list(triangular_sequence(1).points(2, 60))
+        if n == "unflagged-repeated":
+            pts[31] = pts[30]
+        return custom_radial_from_expression("exp(-r)"), make_paper_example(), 0.5, pts
     pts = list(triangular_sequence(1).points(2, 160))
     if n == "swapped":
         pts[80], pts[81] = pts[81], pts[80]
-        return make_constant(1.0), pts
+        return k, make_constant(1.0), 0.5, pts
     if n == "repeated":
         pts[81] = pts[80]
-        return make_constant(1.0), pts
-    return make_paper_example(), triangular_sequence(1).points(2, n)
+        return k, make_constant(1.0), 0.5, pts
+    return k, make_paper_example(), 0.5, triangular_sequence(1).points(2, n)
+
+
+def _gram_oracle_r(k, f, c, pts, bits=256):
+    """The all-ones form of the deflated kernel's Gram matrix, f tabulated once per point."""
+    from types import SimpleNamespace
+
+    from rkhs_cert.quadform import assemble_gram, quadratic_form
+
+    with workprec(bits):
+        values = {mpf(p): f.eval_mp(p) for p in pts}
+    tabulated = SimpleNamespace(function_id=f.function_id, eval_mp=values.__getitem__)
+    return quadratic_form(assemble_gram(oracles.deflate(k, tabulated, c), pts, bits), [1] * len(pts))
 
 
 @pytest.mark.parametrize(
     "n",
-    [3, 33, 120, 129, 200, 513, "decreasing", "gaps-unsorted", "swapped", "repeated"],
+    [
+        3, 33, 120, 129, 200, 513, "decreasing", "gaps-unsorted", "swapped", "repeated",
+        "mixed-sign-15", "mixed-sign-59", "unflagged-60", "unflagged-repeated",
+    ],
 )
 def test_dense_and_banded_paths_agree(n):
-    k = make_gaussian()
-    f, pts = _agreement_window(n)
-    from rkhs_cert.quadform import assemble_gram, deflate, quadratic_form
-    from rkhs_cert.witness import _banded_ones_form
-
+    """evaluate_ones_form, band-truncated or summing all pairs, agrees with the
+    dense Gram matrix of the deflated kernel, the oracle in tests/oracles.py."""
+    k, f, c, pts = _agreement_window(n)
     if n in ("swapped", "repeated"):
-        for evaluate in (_banded_ones_form, evaluate_ones_form):
-            with pytest.raises(WitnessSearchError) as exc:
-                evaluate(k, f, 0.5, pts, 256)
-            assert exc.value.reason == "not-monotone"
+        with pytest.raises(WitnessSearchError) as exc:
+            evaluate_ones_form(k, f, c, pts, 256)
+        assert exc.value.reason == "not-monotone"
         return
-    banded = _banded_ones_form(k, f, 0.5, pts, 256)
-    if len(pts) <= 200:
-        g = assemble_gram(deflate(k, f, 0.5), pts, 256)
-        dense = quadratic_form(g, [1] * len(pts))
-        with workprec(256):
-            assert abs(banded - dense) <= mpf(2) ** -180 * (1 + abs(dense))
-    routed = evaluate_ones_form(k, f, 0.5, pts, 256)
+    if n == "unflagged-repeated":
+        with pytest.raises(ValueError, match="coincident"):
+            evaluate_ones_form(k, f, c, pts, 256)
+        return
+    r = evaluate_ones_form(k, f, c, pts, 256)
+    oracle = _gram_oracle_r(k, f, c, pts)
     with workprec(256):
-        assert abs(routed - banded) <= mpf(2) ** -180 * (1 + abs(banded))
+        assert abs(r - oracle) <= mpf(2) ** -180 * (1 + abs(r))
 
 
 @st.composite
@@ -203,10 +230,8 @@ def _int_windows(draw):
 
 
 def _banded_outcome(points, bits):
-    from rkhs_cert.witness import _banded_ones_form
-
     try:
-        return _banded_ones_form(make_gaussian(), make_constant(1.0), 0.25, points, bits)._mpf_
+        return evaluate_ones_form(make_gaussian(), make_constant(1.0), 0.25, points, bits)._mpf_
     except WitnessSearchError as exc:
         return exc.reason
 
@@ -280,8 +305,6 @@ def _counting(f):
 
 
 def test_dense_window_evaluates_f_once_per_point():
-    from rkhs_cert.quadform import assemble_gram, deflate, quadratic_form
-
     k = make_gaussian()
     f, calls = _counting(make_paper_example())
     pts = triangular_sequence(1).points(2, 60)
@@ -291,8 +314,8 @@ def test_dense_window_evaluates_f_once_per_point():
         c = math.sqrt(60) / float(mpmath.fsum(make_paper_example().eval_mp(x) for x in pts))
     r = evaluate_ones_form(k, f, c, pts, 256)
     assert len(calls) == 60
-    gram = assemble_gram(deflate(k, make_paper_example(), c), pts, 256)
-    assert r._mpf_ == quadratic_form(gram, [1] * 60)._mpf_
+    with workprec(256):
+        assert abs(r - _gram_oracle_r(k, make_paper_example(), c, pts)) <= mpf(2) ** -180 * (1 + abs(r))
 
 
 def test_doublings_evaluate_f_once_per_index():
@@ -331,6 +354,19 @@ def test_tail_sample_shares_the_search_table(search):
     assert (alpha, provenance) == (tail_lower_bound(f, seq, 1, 32).alpha, "empirical")
 
 
+def test_sampled_tail_is_resolved_once_per_sweep():
+    # slow decay puts every window beyond the sample x_1 .. x_32, so each
+    # window restarts the table's points; the sample must not be taken again
+    from rkhs_cert.kernels import custom_radial_from_expression
+    from rkhs_cert.registry import resolve_function
+
+    k = custom_radial_from_expression("100/(100 + r)", decays_to_zero=True, nonneg=True, monotone_decreasing=True)
+    f, calls = _counting(resolve_function("expr:2 + cos(x)", k))
+    sweep = sweep_c(k, f, triangular_sequence(1), c_grid=(0.3, 0.25))
+    assert [cert.ell for cert in sweep.certificates] == [64, 64]
+    assert len(calls) == len(set(calls))
+
+
 def test_sweep_with_declared_alpha_matches_single_searches():
     k, f, seq = make_gaussian(), make_constant(1.0), triangular_sequence(1)
     sweep = sweep_c(k, f, seq, c_grid=(1.0, 0.5), alpha=0.5)
@@ -356,6 +392,16 @@ def test_window_no_path_can_take_costs_no_f_values():
     with pytest.raises(WitnessSearchError) as exc:
         build_witness(k, f, triangular_sequence(1), 2.0**-6)
     assert exc.value.reason == "window-too-large"
+    assert calls == []
+
+
+def test_kernel_without_radial_profile_is_refused():
+    # bounded but not radial: the offset search scans it, the evaluator refuses it
+    k = replace(make_gaussian(), kernel_id="gaussian-unprofiled", profile=None)
+    f, calls = _counting(make_constant(1.0))
+    with pytest.raises(WitnessSearchError) as exc:
+        build_witness(k, f, triangular_sequence(1), 1.0)
+    assert exc.value.reason == "no-radial-profile" and "\n" not in str(exc.value)
     assert calls == []
 
 
