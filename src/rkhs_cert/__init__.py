@@ -29,7 +29,6 @@ from .errors import (
 from .expressions import Expression, compile_expression
 from .functions import (
     CandidateFunction,
-    DomainSpec,
     TailBound,
     kernel_section,
     make_constant,

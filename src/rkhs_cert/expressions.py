@@ -13,7 +13,10 @@ A validated tree is compiled once per evaluation context into a plain Python
 function whose namespace holds only the routines of that context and the
 literals, converted in advance where that is exact.
 
-The double context calls ``math`` functions on floats.  The extended context
+The double context calls ``math`` functions on floats.  It serves only the
+values that are doubles by design: the points of a custom sequence and a
+polynomial's sampled tail bound.  Kernels and candidate functions keep only
+the extended context, their one numeric definition.  The extended context
 calls mpmath's low-level ``libmp`` routines on raw ``_mpf_`` values, reading
 the working precision and rounding once per call from
 ``mpmath.mp._prec_rounding``:

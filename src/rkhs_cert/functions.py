@@ -6,13 +6,18 @@ the function definition; empirical bounds are measured on finitely many
 sequence points by ``tail_lower_bound`` and are labeled as evidence, not
 proof.  Witness construction only needs the bound to hold at the points it
 actually visits, and every certificate records which kind it used.
+
+Every function has one numeric definition, ``eval_mp``, on mpmath numbers
+under the caller's working precision.  Machine doubles appear only in a
+polynomial's sampled tail bound, which evaluates its Horner expression in
+the double context of ``expressions``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 from mpmath import mpf, nstr, workprec
 
@@ -39,43 +44,13 @@ class TailBound:
 
 
 @dataclass(frozen=True)
-class DomainSpec:
-    """Declared evaluation domain of a candidate function.
-
-    ``has_accumulation_point`` is a user declaration used only for reporting;
-    nothing downstream verifies it.
-    """
-
-    kind: str = "full_line"
-    endpoints: Optional[Tuple[float, float]] = None
-    points: Optional[Tuple[float, ...]] = None
-    has_accumulation_point: Optional[bool] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("full_line", "interval", "finite_set"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "interval":
-            if self.endpoints is None or not self.endpoints[0] < self.endpoints[1]:
-                raise ValueError("interval domains need ordered endpoints")
-        if self.kind == "finite_set":
-            if not self.points or len(set(self.points)) != len(self.points):
-                raise ValueError("finite-set domains need distinct points")
-
-
-@dataclass(frozen=True)
 class CandidateFunction:
-    """A real function under test, evaluable at double and extended precision."""
+    """A real function under test, evaluated at the working precision."""
 
     function_id: str
-    fn_double: Callable[[float], float]
     fn_mp: Callable[[Any], Any]
     tail_pos: Optional[TailBound] = None
     tail_neg: Optional[TailBound] = None
-    domain: DomainSpec = DomainSpec()
-    notes: str = ""
-
-    def eval(self, x: float) -> float:
-        return float(self.fn_double(float(x)))
 
     def eval_mp(self, x: Any) -> Any:
         return self.fn_mp(as_mpf(x))
@@ -98,11 +73,9 @@ class CandidateFunction:
 
 
 def _expression_function(function_id: str, source: str, **fields: Any) -> CandidateFunction:
-    """A function whose values in both contexts come from one expression in ``x``."""
+    """A function whose values come from one expression in ``x``."""
     expr: Expression = compile_expression(source, "x")
-    return CandidateFunction(
-        function_id=function_id, fn_double=expr.fn_double, fn_mp=expr.fn_mp, **fields
-    )
+    return CandidateFunction(function_id=function_id, fn_mp=expr.fn_mp, **fields)
 
 
 def make_constant(v: float) -> CandidateFunction:
@@ -121,7 +94,9 @@ def _poly_tail(coeffs: Sequence[float], fn: Callable[[float], float], direction:
 
     Beyond the classical root bound x* = 1 + max |c_i / c_d| the polynomial
     has no zeros and |p| is increasing in |x|, so halving the sampled minimum
-    of |p| (evaluated by ``fn``) on a grid starting at x* gives a safe alpha.
+    of |p| (evaluated by ``fn`` on doubles) on a grid starting at x* gives a
+    safe alpha.  A sample that overflows or underflows leaves no finite
+    positive alpha and raises ValueError.
     """
     lead = coeffs[-1]
     degree = len(coeffs) - 1
@@ -129,7 +104,11 @@ def _poly_tail(coeffs: Sequence[float], fn: Callable[[float], float], direction:
     sign = 1 if lead * (1 if direction > 0 else (-1) ** degree) > 0 else -1
     lo = root_bound
     samples = [abs(fn(direction * (lo + i * 0.1))) for i in range(10_001)]
-    return TailBound(alpha=min(samples) / 2.0, sign=sign, threshold=root_bound)
+    alpha = min(samples) / 2.0
+    if not 0.0 < alpha < math.inf:
+        side = "+inf" if direction > 0 else "-inf"
+        raise ValueError(f"polynomial tail sample toward {side} gives no finite positive alpha ({alpha!r})")
+    return TailBound(alpha=alpha, sign=sign, threshold=root_bound)
 
 
 def make_polynomial(coeffs: Sequence[float]) -> CandidateFunction:
@@ -147,8 +126,13 @@ def make_polynomial(coeffs: Sequence[float]) -> CandidateFunction:
     horner = repr(cs[-1])
     for c in reversed(cs[:-1]):
         horner = f"({horner})*x + {c!r}"
-    f = _expression_function(function_id, horner)
-    return replace(f, tail_pos=_poly_tail(cs, f.eval, +1), tail_neg=_poly_tail(cs, f.eval, -1))
+    expr = compile_expression(horner, "x")
+    return CandidateFunction(
+        function_id=function_id,
+        fn_mp=expr.fn_mp,
+        tail_pos=_poly_tail(cs, expr.eval_double, +1),
+        tail_neg=_poly_tail(cs, expr.eval_double, -1),
+    )
 
 
 def make_paper_example() -> CandidateFunction:
@@ -163,7 +147,6 @@ def make_paper_example() -> CandidateFunction:
         "exp(-sin(x)**2 + 1/sqrt(1 + x*x))",
         tail_pos=tail,
         tail_neg=tail,
-        notes="bounded in [exp(-1), exp(1)] on the whole line",
     )
 
 
@@ -174,11 +157,7 @@ def make_sin_squared_shifted() -> CandidateFunction:
     f(n) = 1 exactly at every integer n, which covers integer-valued
     sequences.  Callers must obtain alpha empirically.
     """
-    return _expression_function(
-        "sin_squared_shifted",
-        "sinpi(x + 1/2)**2",
-        notes="equals 1 at every integer; vanishes at half-integers",
-    )
+    return _expression_function("sin_squared_shifted", "sinpi(x + 1/2)**2")
 
 
 def make_expression_function(source: str) -> CandidateFunction:
@@ -193,9 +172,7 @@ def kernel_section(kernel: KernelSpec, x0: float) -> CandidateFunction:
         center_mp = mpf(center)  # exact: a double has 53 bits
     return CandidateFunction(
         function_id=f"kernel_section:{center!r}",
-        fn_double=lambda x: kernel.eval(x, center),
         fn_mp=lambda x: kernel.eval_mp(x, center_mp),
-        notes="member control: lies in the kernel's space by construction",
     )
 
 

@@ -1,4 +1,4 @@
-"""Kernel specifications with origin Taylor data, evaluable at two precisions.
+"""Kernel specifications with origin Taylor data, evaluated in mpmath.
 
 A radial kernel is K(x, y) = phi((x - y)^2) for a profile phi with phi(0) > 0.
 Profiles carry the metadata the rest of the pipeline keys on: closed-form
@@ -8,12 +8,13 @@ monotone decreasing and decaying to zero.  The flags are declarative inputs;
 downstream code only uses them where they make a computation sound (for
 example truncating banded sums).
 
-Every kernel evaluates on machine doubles (``eval``) and on mpmath numbers
-(``eval_mp``) under the caller's working precision.  The built-in radial
-profiles, like custom ones, are each one whitelisted expression in ``r``
-compiled for both contexts (see ``expressions``); only the non-radial
-``exp_product`` is written as a pair of callables.  Symmetry is exact by
-construction: both orders compute the identical floating-point expression.
+Every kernel has one numeric definition, ``eval_mp``, on mpmath numbers
+under the caller's working precision.  The built-in radial profiles, like
+custom ones, are each one whitelisted expression in ``r`` (see
+``expressions``); only the non-radial ``exp_product`` is a plain callable.
+A radial kernel's diagonal bound phi(0) is that definition evaluated at 53
+bits.  Symmetry is exact by construction: both orders compute the identical
+floating-point expression.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Tuple, Union
 
 import mpmath
-from mpmath import mpf
+from mpmath import workprec
 
-from .errors import ProfileDerivativeError
+from .errors import EvaluationError, ProfileDerivativeError
 from .expressions import Expression, as_mpf, compile_expression
 
 Number = Union[int, float, Fraction]
@@ -34,23 +35,19 @@ Number = Union[int, float, Fraction]
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Profile phi of a radial kernel, evaluable at double and extended precision.
+    """Profile phi of a radial kernel, evaluated at the working precision.
 
     ``deriv_at_zero`` maps the order n >= 0 to phi^(n)(0+); built-ins supply
     exact integers.  ``analytic_constants = (C, R)`` asserts
     |phi^(n)(0+)| <= C * R^n * n! for all n.
     """
 
-    fn_double: Callable[[float], float]
     fn_mp: Callable[[Any], Any]
     deriv_at_zero: Optional[Callable[[int], Number]] = None
     analytic_constants: Optional[Tuple[Number, Number]] = None
     decays_to_zero: bool = False
     nonneg: bool = False
     monotone_decreasing: bool = False
-
-    def value(self, r: float) -> float:
-        return float(self.fn_double(float(r)))
 
     def value_mp(self, r: Any) -> Any:
         return self.fn_mp(as_mpf(r))
@@ -72,25 +69,12 @@ class KernelSpec:
     """
 
     kernel_id: str
-    fn_double: Callable[[float, float], float]
     fn_mp: Callable[[Any, Any], Any]
     diag_sup: float
-    is_bounded: bool
     profile: Optional[RadialProfile] = None
-
-    def eval(self, x: float, y: float) -> float:
-        return float(self.fn_double(float(x), float(y)))
 
     def eval_mp(self, x: Any, y: Any) -> Any:
         return self.fn_mp(as_mpf(x), as_mpf(y))
-
-    def diag_sup_mp(self) -> Any:
-        """sup_x K(x, x) as an mpf at the ambient precision."""
-        if not self.is_bounded:
-            return mpf("inf")
-        if self.profile is not None:
-            return self.profile.value_mp(0)
-        return mpf(self.diag_sup)
 
 
 def check_analytic_constants(profile: RadialProfile, depth: int = 30) -> None:
@@ -116,28 +100,29 @@ def check_analytic_constants(profile: RadialProfile, depth: int = 30) -> None:
 
 
 def _radial_kernel(kernel_id: str, profile: RadialProfile) -> KernelSpec:
-    def k_double(x: float, y: float) -> float:
-        d = x - y
-        return profile.fn_double(d * d)
+    """K(x, y) = phi((x - y)^2) with diag_sup = phi(0) at 53 bits.
+
+    Raises ValueError unless phi(0) is defined, finite as a double and positive.
+    """
+    with workprec(53):
+        try:
+            diag = float(profile.value_mp(0))
+        except (ArithmeticError, ValueError) as exc:
+            raise ValueError(str(EvaluationError.undefined("radial profile", "r = 0", exc))) from exc
+    if not 0.0 < diag < math.inf:
+        raise ValueError(f"radial profile must be positive and finite at the origin, not {diag!r}")
 
     def k_mp(x: Any, y: Any) -> Any:
         d = x - y
         return profile.fn_mp(d * d)
 
-    return KernelSpec(
-        kernel_id=kernel_id,
-        fn_double=k_double,
-        fn_mp=k_mp,
-        diag_sup=profile.value(0.0),
-        is_bounded=True,
-        profile=profile,
-    )
+    return KernelSpec(kernel_id=kernel_id, fn_mp=k_mp, diag_sup=diag, profile=profile)
 
 
 def _expression_profile(source: str, **metadata: Any) -> RadialProfile:
-    """A profile whose values in both contexts come from one expression in ``r``."""
+    """A profile whose values come from one expression in ``r``."""
     expr: Expression = compile_expression(source, "r")
-    return RadialProfile(fn_double=expr.fn_double, fn_mp=expr.fn_mp, **metadata)
+    return RadialProfile(fn_mp=expr.fn_mp, **metadata)
 
 
 def _decaying_kernel(
@@ -186,30 +171,23 @@ def make_exp_product() -> KernelSpec:
     """K(x, y) = exp(x * y): positive semidefinite but not radial, unbounded diagonal."""
     return KernelSpec(
         kernel_id="exp_product",
-        fn_double=lambda x, y: math.exp(x * y),
         fn_mp=lambda x, y: mpmath.exp(x * y),
         diag_sup=math.inf,
-        is_bounded=False,
         profile=None,
     )
 
 
-def custom_radial(
-    profile: RadialProfile,
-    kernel_id: str = "custom",
-    check_depth: int = 30,
-) -> KernelSpec:
+def custom_radial(profile: RadialProfile, kernel_id: str = "custom") -> KernelSpec:
     """Wrap a user-supplied radial profile as a kernel.
 
-    Requires phi(0) > 0.  When both Taylor data and analytic constants are
-    present, the constants are checked up to ``check_depth`` and a violation
-    raises ValueError.
+    Requires phi(0) to be defined, finite as a double and positive.  When
+    both Taylor data and analytic constants are present, the constants are
+    checked up to order 30 and a violation raises ValueError.
     """
-    if not profile.value(0.0) > 0.0:
-        raise ValueError("radial profile must be positive at the origin")
+    kernel = _radial_kernel(kernel_id, profile)
     if profile.analytic_constants is not None and profile.deriv_at_zero is not None:
-        check_analytic_constants(profile, depth=check_depth)
-    return _radial_kernel(kernel_id, profile)
+        check_analytic_constants(profile)
+    return kernel
 
 
 def custom_radial_from_expression(

@@ -34,7 +34,6 @@ class SequenceSpec:
     name: str
     generator: Callable[[int], Any]
     direction: Optional[int]
-    claimed_decay: bool
     gaps_nondecreasing: bool = False
     is_triangular: bool = False
 
@@ -60,7 +59,6 @@ def triangular_sequence(direction: int = 1) -> SequenceSpec:
         name="triangular+" if sign > 0 else "triangular-",
         generator=gen,
         direction=sign,
-        claimed_decay=True,
         gaps_nondecreasing=True,
         is_triangular=True,
     )
@@ -80,7 +78,6 @@ def arithmetic_sequence(step: float) -> SequenceSpec:
         name=f"arithmetic:{s!r}",
         generator=gen,
         direction=1 if s > 0 else -1,
-        claimed_decay=False,
         gaps_nondecreasing=True,
         is_triangular=False,
     )
@@ -100,7 +97,6 @@ def custom_sequence(source: str) -> SequenceSpec:
         name=f"custom:{source}",
         generator=gen,
         direction=None,
-        claimed_decay=False,
         gaps_nondecreasing=False,
         is_triangular=False,
     )
@@ -116,7 +112,6 @@ def mixed_sign_sequence() -> SequenceSpec:
         name="mixed_sign_triangular",
         generator=gen,
         direction=None,
-        claimed_decay=False,
         gaps_nondecreasing=False,
         is_triangular=False,
     )

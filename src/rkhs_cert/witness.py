@@ -592,8 +592,9 @@ def verify_certificate(
 
     Checks: identifier match (raises on mismatch: verifying against the wrong
     objects is a caller bug, not a bad certificate), positive finite c and alpha,
-    window size above the threshold, as many stored points as n_points (the
-    points are not regenerated from the sequence), and the recomputed r
+    as many stored points as n_points (the points are not regenerated from
+    the sequence), a finite stored kernel diagonal sup no lower than the
+    kernel's, n_points at least ``n_threshold`` of it, and the recomputed r
     matching the stored value to 2^-100 relative accuracy while being negative.
 
     f comes from ``table``, a ``PointTable(f, None, bits)`` holding the
@@ -628,13 +629,10 @@ def verify_certificate(
         return False
     if len(cert.points) != cert.n_points:
         return False
-    with workprec(320):
-        threshold = 2 * mpf(cert.kernel_diag_sup) / (mpf(cert.c) ** 2 * mpf(cert.alpha) ** 2)
-        if not mpf(cert.n_points) > threshold:
-            return False
-    if math.isinf(cert.kernel_diag_sup) or not kernel.is_bounded:
+    # Both diagonal sups finite and the stored one no lower, so n_threshold cannot raise.
+    if not 0 < kernel.diag_sup <= cert.kernel_diag_sup < math.inf:
         return False
-    if cert.kernel_diag_sup < kernel.diag_sup:
+    if cert.n_points < n_threshold(cert.kernel_diag_sup, cert.c, cert.alpha):
         return False
     bits, start, n = cert.precision_bits, cert.ell + 1, cert.n_points
     if table is None or table.precision_bits != bits:

@@ -120,7 +120,7 @@ def test_criterion_3_member_positive_controls():
         verdict = schur_deflation_control(kernel, 0.0, points, 256)
         assert verdict.is_psd
         member = kernel_section(kernel, 0.0)
-        scale = 1.0 / math.sqrt(kernel.eval(0.0, 0.0))
+        scale = 1.0 / math.sqrt(kernel.diag_sup)
         with pytest.raises(WitnessSearchError) as exc:
             build_witness(kernel, member, triangular_sequence(1), scale, alpha=1.0)
         assert exc.value.reason == "doubling-cap-exhausted"

@@ -93,7 +93,6 @@ def test_member_bound_closed_form():
 
 def test_member_bound_rejects_sign_inconsistent_profile():
     profile = RadialProfile(
-        fn_double=lambda r: math.exp(-r),
         fn_mp=lambda r: mpmath.exp(-r),
         deriv_at_zero=lambda n: 1,  # positive first derivative: impossible for PSD
         analytic_constants=(1, 1),
@@ -132,17 +131,14 @@ def _undersold_kernel() -> KernelSpec:
     # inverse-quadratic Taylor data with a deliberately understated radius;
     # bypasses the constructor check to exercise the envelope comparison
     profile = RadialProfile(
-        fn_double=lambda r: 1.0 / (1.0 + r),
         fn_mp=lambda r: 1 / (1 + r),
         deriv_at_zero=lambda n: (-1) ** n * math.factorial(n),
         analytic_constants=(1, Fraction(1, 2)),
     )
     return KernelSpec(
         kernel_id="undersold",
-        fn_double=lambda x, y: 1.0 / (1.0 + (x - y) ** 2),
         fn_mp=lambda x, y: 1 / (1 + (x - y) ** 2),
         diag_sup=1.0,
-        is_bounded=True,
         profile=profile,
     )
 

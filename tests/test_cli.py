@@ -653,6 +653,9 @@ def test_csv_dir_unwritable(tmp_path):
         ["--sequence", "arithmetic:inf"],
         ["--c-grid", "1,inf"],
         ["--alpha", "inf"],
+        ["--kernel", "custom:1/r"],  # phi(0) undefined
+        ["--kernel", "custom:exp(1000-r)"],  # phi(0) overflows a double
+        ["--function", "poly:1e308,1e308"],  # the tail sample overflows to alpha = inf
     ],
 )
 def test_non_finite_inputs_exit_1_with_one_line(tmp_path, capsys, argv):

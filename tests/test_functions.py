@@ -7,7 +7,6 @@ from mpmath import workprec
 
 import oracles
 from rkhs_cert.functions import (
-    DomainSpec,
     kernel_section,
     make_constant,
     make_expression_function,
@@ -19,10 +18,15 @@ from rkhs_cert.functions import (
 from rkhs_cert.kernels import make_gaussian
 from rkhs_cert.sequences import triangular_sequence
 
+BITS = (53, 256)
+PAPER_SOURCE = "exp(-sin(x)**2 + 1/sqrt(1 + x*x))"
+
 
 def test_constant_tails():
     f = make_constant(-2.5)
-    assert f.eval(17.0) == -2.5
+    for bits in BITS:
+        with workprec(bits):
+            assert f.eval_mp(17.0) == -2.5
     assert f.tail_pos.alpha == 2.5 and f.tail_pos.sign == -1
     assert f.tail_neg.alpha == 2.5 and f.tail_neg.sign == -1
     zero = make_constant(0.0)
@@ -45,15 +49,19 @@ def test_constant_polynomial_keeps_full_alpha():
 
 def test_linear_polynomial_tails():
     f = make_polynomial([-6.0, 1.0])  # x - 6
-    assert f.eval(2.0) == -4.0
+    for bits in BITS:
+        with workprec(bits):
+            assert f.eval_mp(2.0) == -4.0
     assert f.tail_pos.threshold == 7.0
     assert 0 < f.tail_pos.alpha <= 1.0
     assert f.tail_pos.sign == 1
     assert f.tail_neg.sign == -1
     # the bound must actually hold on a spot check beyond the threshold
     for x in (7.0, 10.0, 1e3):
-        assert abs(f.eval(x)) >= f.tail_pos.alpha
-        assert abs(f.eval(-x)) >= f.tail_neg.alpha
+        for bits in BITS:
+            with workprec(bits):
+                assert abs(f.eval_mp(x)) >= f.tail_pos.alpha
+                assert abs(f.eval_mp(-x)) >= f.tail_neg.alpha
 
 
 def test_polynomial_trailing_zeros_trimmed():
@@ -65,12 +73,19 @@ def test_polynomial_trailing_zeros_trimmed():
 @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
 def test_paper_example_matches_reference(x):
     f = make_paper_example()
-    assert f.eval(x) == oracles.paper_f_double(x)
+    for bits in BITS:
+        with workprec(bits):
+            v = f.eval_mp(x)
+            assert v == oracles.reference_mp(PAPER_SOURCE, "x", mpmath.mpf(x))
+            assert abs(v - mpmath.mpf(oracles.paper_f_double(x))) <= mpmath.mpf(2) ** -50 * v
 
 
 def test_paper_example_frozen_values():
     f = make_paper_example()
-    assert f.eval(0.0) == oracles.PAPER_F_AT_0
+    with workprec(53):
+        assert f.eval_mp(0.0) == oracles.PAPER_F_AT_0
+    with workprec(256):
+        assert abs(f.eval_mp(0.0) - mpmath.e) <= mpmath.mpf(2) ** -254
     assert f.tail_pos.alpha == oracles.PAPER_ALPHA
     assert f.tail_pos.sign == 1 and f.tail_neg.sign == 1
 
@@ -78,8 +93,10 @@ def test_paper_example_frozen_values():
 @given(st.floats(min_value=-1000, max_value=1000, allow_nan=False))
 def test_paper_example_bounds_hold(x):
     f = make_paper_example()
-    v = f.eval(x)
-    assert oracles.PAPER_ALPHA * (1 - 1e-15) <= v <= math.e * (1 + 1e-15)
+    for bits in BITS:
+        with workprec(bits):
+            v = f.eval_mp(x)
+            assert oracles.PAPER_ALPHA * (1 - 1e-15) <= v <= math.e * (1 + 1e-15)
 
 
 def test_sin_squared_shifted_integer_values():
@@ -94,15 +111,17 @@ def test_sin_squared_shifted_integer_values():
 def test_expression_function():
     f = make_expression_function("x*x - 1")
     assert f.function_id == "expr:x*x - 1"
-    assert f.eval(3.0) == 8.0
+    for bits in BITS:
+        with workprec(bits):
+            assert f.eval_mp(3.0) == 8
 
 
 def test_kernel_section_evaluates_kernel():
     k = make_gaussian()
     f = kernel_section(k, 0.0)
-    assert f.eval(2.0) == k.eval(2.0, 0.0)
-    with workprec(128):
-        assert f.eval_mp(2) == k.eval_mp(2, 0)
+    for bits in BITS + (128,):
+        with workprec(bits):
+            assert f.eval_mp(2) == k.eval_mp(2, 0)
 
 
 def test_tail_lower_bound_requires_two_points():
@@ -149,14 +168,3 @@ def test_tail_lower_bound_monotone_in_count(start, short, extra):
     assert a_short is not None and a_long is not None
     assert a_long.alpha <= a_short.alpha * (1 + 1e-15)
 
-
-def test_domain_spec_validation():
-    DomainSpec(kind="full_line")
-    DomainSpec(kind="interval", endpoints=(0.0, 1.0))
-    DomainSpec(kind="finite_set", points=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        DomainSpec(kind="interval", endpoints=(1.0, 0.0))
-    with pytest.raises(ValueError):
-        DomainSpec(kind="finite_set", points=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        DomainSpec(kind="banana")

@@ -4,7 +4,9 @@
 ``witness.evaluate_ones_form``, ``cli.verify_certificate``,
 ``cli.build_witness``, ``cli.resolve_kernel`` and others), so a rename in the
 program breaks ``perfbench/run.py --trace 1``.  This runs it on ``witness``,
-on ``verify`` of one small certificate and on a one-scale ``run``.
+on ``verify`` of one small certificate, on a one-scale ``run`` and on
+``psd-check``, and checks that the kernel layer's counters (``kernels.eval_mp``,
+``kernels.value_mp``), which the benchmark reports, still count calls.
 """
 
 import json
@@ -53,3 +55,10 @@ def test_trace_child_runs_a_one_scale_run(tmp_path):
     assert stats["witness.verify_certificate"][0] == 1
     assert stats["serialize.canonical_dumps"][0] == 1
     assert stats["functions.eval_mp"][0] > 0
+    assert stats["kernels.value_mp"][0] > 0
+
+
+def test_trace_child_runs_a_psd_check(tmp_path):
+    stats = _traced(tmp_path, "psd-check", "--kernel", "gaussian", "--out", str(tmp_path / "psd.json"))
+    assert stats["registry.resolve_kernel"][0] == 1
+    assert stats["kernels.eval_mp"][0] > 0

@@ -665,8 +665,12 @@ def test_verify_rejects_inconsistent_point_count():
 def test_verify_rejects_understated_diag_sup():
     from dataclasses import replace
 
-    cert = replace(_small_cert(), kernel_diag_sup=0.5)
-    assert not verify_certificate(cert, make_gaussian(), make_constant(1.0))
+    cert = _small_cert()
+    # 0 and -1 would make n_threshold raise; the verifier must refuse them first.
+    for diag_sup in (0.5, 0.0, -1.0):
+        assert not verify_certificate(
+            replace(cert, kernel_diag_sup=diag_sup), make_gaussian(), make_constant(1.0)
+        )
 
 
 def test_verify_identifier_mismatch_raises():
