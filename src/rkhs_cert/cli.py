@@ -650,14 +650,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     f = resolve_function(cert.function_id, kernel)
     try:
         ok = verify_certificate(cert, kernel, f)
-    except (ValueError, WitnessSearchError) as exc:
+    except ValueError as exc:
         # The kernel and function come from the certificate itself, so a
-        # ValueError is a defect of the stored window (coincident points in a
-        # window that sums all pairs), as is a band-truncated one that is not
-        # monotone.  Other search errors are about the kernel and stay search
-        # errors.
-        if isinstance(exc, WitnessSearchError) and exc.reason != "not-monotone":
-            raise
+        # ValueError is a defect of the stored window: coincident points.
         print(f"certificate FAILED verification: {exc}", file=sys.stderr)
         return 2
     if ok:

@@ -16,7 +16,7 @@ unconfirmed suspicion leaves the verdict at "PSD within tolerance".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import mpmath
@@ -48,7 +48,6 @@ def neumaier_sum(terms: Sequence[Any]) -> Any:
 class GramMatrix:
     """Symmetric kernel matrix on distinct points, stored as immutable rows."""
 
-    kernel_id: str
     points: Tuple[Any, ...]
     entries: Tuple[Tuple[Any, ...], ...]
     precision_bits: int
@@ -85,7 +84,6 @@ def assemble_gram(
                 rows[i][j] = v
                 rows[j][i] = v
     return GramMatrix(
-        kernel_id=getattr(kernel, "kernel_id", "anonymous"),
         points=pts,
         entries=tuple(tuple(row) for row in rows),
         precision_bits=precision_bits,
@@ -193,22 +191,6 @@ def _lift_witness(fact: _Factorization, reduced: Sequence[Tuple[int, Any]], n: i
     return out
 
 
-def _direct_form(entries: Sequence[Sequence[Any]], v: Sequence[Any], precision_bits: int) -> Any:
-    with workprec(2 * precision_bits):
-        terms = []
-        n = len(v)
-        for i in range(n):
-            vi = v[i]
-            if vi == 0:
-                continue
-            terms.append(vi * vi * entries[i][i])
-            for j in range(i + 1, n):
-                if v[j] == 0:
-                    continue
-                terms.append(2 * vi * v[j] * entries[i][j])
-        return neumaier_sum(terms)
-
-
 def psd_check(gram: GramMatrix) -> PsdVerdict:
     """Tolerance-aware positive semidefiniteness test with confirmed witnesses.
 
@@ -226,7 +208,7 @@ def psd_check(gram: GramMatrix) -> PsdVerdict:
         if fact.status == "indefinite":
             assert fact.neg_index is not None
             v = _lift_witness(fact, [(fact.neg_index, mpf(1))], n)
-            value = _direct_form(gram.entries, v, gram.precision_bits)
+            value = quadratic_form(replace(gram, precision_bits=2 * gram.precision_bits), v)
             if value < -tau:
                 return PsdVerdict(False, fact.min_diag_seen, tau, tuple(v), value)
             return PsdVerdict(True, fact.min_diag_seen, tau)
@@ -246,7 +228,7 @@ def psd_check(gram: GramMatrix) -> PsdVerdict:
             i, j = best
             sign = 1 if fact.work[i][j] > 0 else -1
             v = _lift_witness(fact, [(i, mpf(1)), (j, mpf(-sign))], n)
-            value = _direct_form(gram.entries, v, gram.precision_bits)
+            value = quadratic_form(replace(gram, precision_bits=2 * gram.precision_bits), v)
             if value < -tau:
                 return PsdVerdict(False, fact.min_diag_seen, tau, tuple(v), value)
         return PsdVerdict(True, fact.min_diag_seen, tau)
@@ -311,8 +293,6 @@ def schur_deflation_control(
     """
 
     class _Section:
-        kernel_id = f"schur_control({kernel.kernel_id};x0={float(x0)!r})"
-
         @staticmethod
         def eval_mp(x: Any, y: Any) -> Any:
             k00 = kernel.eval_mp(mpf(x0), mpf(x0))

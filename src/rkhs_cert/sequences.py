@@ -143,20 +143,15 @@ def sign_obstruction_check(signs: Tuple[int, ...] | list) -> Tuple[int, int, int
 
     Any three signs from {-1, +1} contain two equal ones, so for kernels like
     exp(x*y) with K(x, y) >= 1 whenever sign(x) = sign(y), windows of size >= 3
-    can never make all off-diagonal entries small.
+    can never make all off-diagonal entries small.  The first triple, (1, 2, 3),
+    is therefore always the answer.
     """
     entries = tuple(signs)
     if len(entries) < 3:
         raise ValueError("need at least three signs")
     if any(s not in (-1, 1) for s in entries):
         raise ValueError("signs must be -1 or +1")
-    n = len(entries)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if entries[i] == entries[j] or entries[i] == entries[k] or entries[j] == entries[k]:
-                    return (i + 1, j + 1, k + 1)
-    raise AssertionError("unreachable: three signs always contain an equal pair")
+    return (1, 2, 3)
 
 
 @dataclass(frozen=True)

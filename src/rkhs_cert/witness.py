@@ -15,15 +15,16 @@ never trusts the builder.
 Window sizes reach 2^17 + 1 at the smallest default scale, where a dense
 Gram matrix is out of reach.  One evaluator computes r as
 n phi(0) + 2 sum_{i<j} phi((x_j - x_i)^2) - c^2 (sum_i f(x_i))^2 for a radial
-profile phi, holding O(N) numbers.  A window of more than DENSE_EVAL_CAP
-strictly monotone points under a profile that is nonincreasing, nonnegative
-and decays to zero is band-truncated: pairs whose squared gap exceeds a
-radius r* with phi(r*) < 2^-(precision + 64) are dropped.  Since
-0 <= phi <= phi(r*) on the dropped pairs, the omitted mass is below
-N^2 * 2^-(precision + 64), far under the certificate's comparison tolerance.
-Every other window sums all of its pairs, up to DENSE_FALLBACK_LIMIT points.
-Builder and verifier select the truncation by the same rule, so
-reverification reproduces r to working accuracy.
+profile phi, holding O(N) numbers.  The form is symmetric in the points, so
+a window that is not strictly monotone is evaluated in sorted order.  Under a
+profile that is nonincreasing, nonnegative and decays to zero, every window
+is band-truncated: pairs whose squared gap exceeds a radius r* with
+phi(r*) < 2^-(precision + 64) are dropped.  Since 0 <= phi <= phi(r*) on the
+dropped pairs, the omitted mass is below N^2 * 2^-(precision + 64), far under
+the certificate's comparison tolerance.  Under any other profile a window
+sums all of its pairs, up to DENSE_FALLBACK_LIMIT points.  Builder and
+verifier select the truncation by the same rule, so reverification
+reproduces r to working accuracy.
 
 The evaluator's bookkeeping (point checks, gaps, the band test) runs on
 Python ints when every point is an int below 2^(precision // 2 - 2) in
@@ -70,10 +71,6 @@ from .sequences import SequenceSpec, max_offdiag
 WITNESS_SCHEMA = "rkhs-cert/witness/v1"
 
 _make_mpf = mpmath.mp.make_mpf
-
-# Windows of up to this many points sum all pairs; larger ones are
-# band-truncated when the kernel's profile carries monotone decay metadata.
-DENSE_EVAL_CAP = 128
 
 # Most points a full sum takes: without decay metadata it costs N^2 / 2 profile values.
 DENSE_FALLBACK_LIMIT = 4096
@@ -244,19 +241,19 @@ def evaluate_ones_form(
         r = n phi(0) + sum_i 2 sum_{j > i} phi((x_j - x_i)^2) - c^2 (sum_i f(x_i))^2
 
     with the rank-one part from the identity sum_{i,j} f_i f_j = (sum_i f_i)^2.
-    A window of more than DENSE_EVAL_CAP points under a profile flagged
-    monotone decreasing, decaying to zero and nonnegative is band-truncated:
-    its points must be strictly monotone (else WitnessSearchError
-    ``not-monotone``), and each row stops at the first squared gap beyond r*.
-    Every other window sums all pairs, in any order: its points must be
-    distinct (else ValueError), and it may hold at most DENSE_FALLBACK_LIMIT
-    points (else ``window-too-large``).  The rule depends only on the kernel
-    and the window size, so verification reproduces the builder's choice.  A
+    A strictly ascending or descending window keeps its order; any other is
+    sorted ascending, and must then have distinct points (else ValueError).
+    Under a profile flagged monotone decreasing, decaying to zero and
+    nonnegative, each row stops at the first squared gap beyond r*.  Under
+    any other profile the window sums all pairs, and may hold at most
+    DENSE_FALLBACK_LIMIT points (else ``window-too-large``).  The rule depends
+    only on the kernel, so verification reproduces the builder's choice.  A
     kernel without a radial profile raises ``no-radial-profile``.
 
     The bookkeeping (the point checks, the gaps and the band test d^2 > r*)
     runs on exact ints or on raw libmp values, as the module docstring says;
-    on libmp values a nan difference fails the monotonicity check.
+    on libmp values a nan difference fails the point check.  Only that
+    bookkeeping sees the sorted order: f gets the points as given.
 
     ``f_values``, when given, returns f at the points, computed at
     ``precision_bits``.  It is passed the points as mpf values when the
@@ -272,7 +269,7 @@ def evaluate_ones_form(
             reason="no-radial-profile",
         )
     n = len(points)
-    banded = n > DENSE_EVAL_CAP and profile.monotone_decreasing and profile.decays_to_zero and profile.nonneg
+    banded = profile.monotone_decreasing and profile.decays_to_zero and profile.nonneg
     if not banded and n > DENSE_FALLBACK_LIMIT:
         raise WitnessSearchError(
             f"window of {n} points exceeds the full-sum limit of {DENSE_FALLBACK_LIMIT}, and the "
@@ -282,25 +279,21 @@ def evaluate_ones_form(
     with workprec(precision_bits):
         prec, rnd = mpmath.mp._prec_rounding
         a = _arithmetic(points, prec, rnd)
-        keys, sub, mul, gt = a.keys, a.sub, a.mul, a.gt
+        keys, sub, mul, gt, zero = a.keys, a.sub, a.mul, a.gt, a.zero
+        gaps = list(map(sub, keys[1:], keys))
+        if all(map(gt, repeat(zero), gaps)):
+            gaps = list(map(a.neg, gaps))
+        elif not all(map(gt, gaps, repeat(zero))):
+            # the form is symmetric in the points: sort the evaluator's own keys, never a.mp
+            keys = sorted(keys) if a.mp is None else [p._mpf_ for p in sorted(a.mp)]
+            gaps = list(map(sub, keys[1:], keys))
+            if not all(map(gt, gaps, repeat(zero))):
+                raise ValueError("coincident points in node set")
         if banded:
-            diffs = list(map(sub, keys[1:], keys))
-            if all(map(gt, diffs, repeat(a.zero))):
-                gaps = diffs
-            elif all(map(gt, repeat(a.zero), diffs)):
-                gaps = list(map(a.neg, diffs))
-            else:
-                raise WitnessSearchError(
-                    "banded evaluation needs strictly monotone points",
-                    reason="not-monotone",
-                )
             gaps_sorted = not any(map(gt, gaps, gaps[1:]))
             cutoff = mpf(2) ** (-(precision_bits + 64)) * max(profile.value_mp(0), mpf(1))
             r_star = a.from_raw(_negligible_radius(profile, cutoff)._mpf_)
         else:
-            if len(set(keys)) != n:
-                raise ValueError("coincident points in node set")
-            diffs = gaps = []
             gaps_sorted, r_star = False, a.inf
         off_terms: List[Any] = []
         for i in range(n - 1):
@@ -316,7 +309,7 @@ def evaluate_ones_form(
                 acc += profile.value_mp(_make_mpf(a.to_raw(d2)))
             off_terms.append(2 * acc)
         mp = a.mp
-        del a, keys, diffs, gaps  # garbage before f, which may keep mpf points of its own
+        del a, keys, gaps  # garbage before f, which may keep mpf points of its own
         diag = n * profile.value_mp(0)
         if f_values is None:
             fsum = neumaier_sum(f.values_mp(points if mp is None else mp))
@@ -611,9 +604,8 @@ def verify_certificate(
     a table for another function, or a search's table, raises ValueError.
     f is asked for only once the window has passed the evaluator's point
     checks, so a window rejected there costs no f values.  A point where f
-    is undefined raises EvaluationError; a band-truncated window that is not
-    strictly monotone raises WitnessSearchError with reason ``not-monotone``,
-    and a window summed in full with coincident points raises ValueError.
+    is undefined raises EvaluationError, and a window with coincident points
+    raises ValueError.
     """
     if cert.kernel_id != kernel.kernel_id:
         raise ValueError(

@@ -155,28 +155,22 @@ def test_verify_detects_tampering(tmp_path, capsys):
     (tmp_path / "short.json").write_text(json.dumps(data))
     assert main(["verify", str(tmp_path / "short.json")]) == 2
     assert "FAILED" in capsys.readouterr().err
-    # A repeated point fails on the dense (N = 3) and the banded (N = 129) path
-    # alike, and so does a swapped pair on the banded path.
-    def repeat(points):
-        points[1] = points[0]
-
-    def swap(points):
-        points[60], points[61] = points[61], points[60]
-
-    for name, n, tamper in (
-        ("certificate_00.json", 3, repeat),
-        ("certificate_01.json", 129, repeat),
-        ("certificate_01.json", 129, swap),
-    ):
+    # A repeated point fails in a window of any size (N = 3 and N = 129).
+    for name, n in (("certificate_00.json", 3), ("certificate_01.json", 129)):
         data = json.loads((certs / name).read_text())
         assert data["n_points"] == n
-        tamper(data["points"])
+        data["points"][1] = data["points"][0]
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(data))
         assert main(["verify", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("certificate FAILED verification")
         assert err.count("\n") == 1 and "Traceback" not in err
+    # The form is symmetric in the points, so a swapped pair still verifies.
+    data = json.loads((certs / "certificate_01.json").read_text())
+    data["points"][60], data["points"][61] = data["points"][61], data["points"][60]
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 0
 
 
 def test_verify_missing_file_is_config_error(tmp_path):
@@ -994,17 +988,20 @@ def test_run_and_witness_start_at_the_tail_entry_offset(tmp_path, capsys):
 
 
 def test_mixed_sign_run_outcomes_are_pinned(tmp_path):
-    # windows of up to 128 points sum all pairs in any order; a larger one
-    # under the gaussian is band-truncated and must be monotone
-    code, report = _run_report(tmp_path, "r.json", ["--sequence", "mixed_sign_triangular", "--c-grid", "1,0.5,0.25"])
+    # unsorted windows are sorted, then band-truncated under the gaussian
+    certs = tmp_path / "certs"
+    argv = ["--sequence", "mixed_sign_triangular", "--c-grid", "1,0.5,0.25", "--certs-dir", str(certs)]
+    code, report = _run_report(tmp_path, "r.json", argv)
     assert code == 0
     witness = report["results"]["witness"]
     assert [(cert["c"], cert["n_points"], cert["ell"]) for cert in witness["certificates"]] == [
         ("1.0", 15, 0),
         ("0.5", 59, 0),
+        ("0.25", 235, 0),
     ]
-    assert witness["verified_scales"] == ["1.0", "0.5"]
-    assert [(item["c"], item["reason"].split(":")[0]) for item in witness["failures"]] == [("0.25", "not-monotone")]
+    assert witness["verified_scales"] == ["1.0", "0.5", "0.25"]
+    assert witness["failures"] == []
+    assert [main(["verify", str(path)]) for path in sorted(certs.iterdir())] == [0, 0, 0]
 
 
 # --- the run and the library sweep ------------------------------------------------

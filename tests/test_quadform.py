@@ -26,7 +26,7 @@ from rkhs_cert.quadform import (
 def _gram_from_rows(rows, bits=256):
     with workprec(bits):
         entries = tuple(tuple(mpf(v) for v in row) for row in rows)
-    return GramMatrix(kernel_id="raw", points=tuple(range(len(rows))), entries=entries, precision_bits=bits)
+    return GramMatrix(points=tuple(range(len(rows))), entries=entries, precision_bits=bits)
 
 
 # --- summation ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import mpmath
 import pytest
@@ -132,9 +133,10 @@ def test_find_ell_matches_slow_scan():
 
 def _agreement_window(n):
     """(kernel, f, c, points): an int n is the triangular+ window x_2..x_{n+1}
-    under the gaussian; named cases reach the band truncation's monotonicity
-    and gap bookkeeping, mixed-sign windows of the full sum, and the full sum
-    under a kernel without decay flags."""
+    under the gaussian; named cases reach the point check's order and
+    coincidence bookkeeping, the band truncation's gaps, mixed-sign windows
+    that are sorted before the band, and the full sum under a kernel without
+    decay flags."""
     k = make_gaussian()
     if n == "decreasing":
         return k, make_constant(1.0), 0.5, triangular_sequence(-1).points(2, 160)
@@ -188,12 +190,7 @@ def test_dense_and_banded_paths_agree(n):
     """evaluate_ones_form, band-truncated or summing all pairs, agrees with the
     dense Gram matrix of the deflated kernel, the oracle in tests/oracles.py."""
     k, f, c, pts = _agreement_window(n)
-    if n in ("swapped", "repeated"):
-        with pytest.raises(WitnessSearchError) as exc:
-            evaluate_ones_form(k, f, c, pts, 256)
-        assert exc.value.reason == "not-monotone"
-        return
-    if n == "unflagged-repeated":
+    if n in ("repeated", "unflagged-repeated"):
         with pytest.raises(ValueError, match="coincident"):
             evaluate_ones_form(k, f, c, pts, 256)
         return
@@ -232,8 +229,9 @@ def _int_windows(draw):
 def _banded_outcome(points, bits):
     try:
         return evaluate_ones_form(make_gaussian(), make_constant(1.0), 0.25, points, bits)._mpf_
-    except WitnessSearchError as exc:
-        return exc.reason
+    except ValueError as exc:
+        assert "coincident" in str(exc)
+        return "coincident"
 
 
 @given(window=_int_windows(), tamper=st.sampled_from([None, "swap", "repeat"]), at=st.integers(0, 127))
@@ -248,8 +246,46 @@ def test_int_window_r_equals_libmp_r(window, tamper, at):
         mp_points = [mpf(p) for p in points]  # mpf points take the libmp path
     outcome = _banded_outcome(points, bits)
     assert outcome == _banded_outcome(mp_points, bits)
-    if tamper is not None:
-        assert outcome == "not-monotone"
+    if tamper == "swap":
+        # an unsorted window is evaluated in ascending order
+        assert outcome == _banded_outcome(sorted(points), bits)
+    elif tamper == "repeat":
+        assert outcome == "coincident"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shuffled_window_r_equals_ascending_r(seed):
+    """The form is symmetric in the points: any order of a window gives the
+    ascending window's r, bit for bit, on int points and on mpf points."""
+    import random
+
+    k, f = make_gaussian(), make_paper_example()
+    pts = list(triangular_sequence(1).points(2, 300))
+    shuffled = random.Random(seed).sample(pts, len(pts))
+    with workprec(256):
+        mp_shuffled = [mpf(p) for p in shuffled]
+    expected = evaluate_ones_form(k, f, 0.5, pts, 256)._mpf_
+    assert evaluate_ones_form(k, f, 0.5, shuffled, 256)._mpf_ == expected
+    assert evaluate_ones_form(k, f, 0.5, mp_shuffled, 256)._mpf_ == expected
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_sorted_window_leaves_f_values_at_their_indices(kind):
+    """f gets an unsorted window's points in their given order: the table's
+    value at each index is f at that index's point."""
+    from rkhs_cert.sequences import SequenceSpec, mixed_sign_sequence
+
+    if kind == "int":
+        seq = mixed_sign_sequence()
+    else:
+        seq = SequenceSpec("mixed-float", lambda n: (-1) ** n * 0.75 * n * (n + 1), None)
+    k, f = make_gaussian(), make_paper_example()
+    table = PointTable(f, seq, 256)
+    pts = table.points(1, 235)
+    evaluate_ones_form(k, f, 0.25, pts, 256, f_values=partial(table.window, 1, 235))
+    assert (table.first, table.values_first, len(table.values)) == (1, 1, 235)
+    with workprec(256):
+        assert table.values == f.values_mp([mpf(p) for p in table.raw])
 
 
 def test_triangular_window_bookkeeping_runs_on_ints(monkeypatch):
@@ -448,26 +484,28 @@ def test_table_for_other_inputs_is_rejected(other):
         build_witness(make_gaussian(), f, seq, 1.0, table=PointTable(*args))
 
 
-@pytest.mark.parametrize("reason", ["not-monotone", "truncation-failed"])
+@pytest.mark.parametrize("reason", ["coincident", "truncation-failed"])
 def test_window_failing_point_checks_costs_no_f_values(reason):
     from rkhs_cert.kernels import custom_radial_from_expression
-    from rkhs_cert.sequences import mixed_sign_sequence
+    from rkhs_cert.sequences import SequenceSpec
 
-    if reason == "not-monotone":
-        # no declared tail along a sequence without direction: alpha is
-        # sampled from 32 points, then the 237-point window is rejected
-        k, seq, expected = make_gaussian(), mixed_sign_sequence(), 32
+    f, calls = _counting(make_paper_example())
+    if reason == "coincident":
+        # declared ascending with nondecreasing gaps, so find_ell reads only
+        # the first gap; x_100 repeats x_99 inside the window at ell = 1
+        tri = triangular_sequence(1).generator
+        seq = SequenceSpec("repeats", lambda n: tri(n - (n == 100)), 1, gaps_nondecreasing=True)
+        with pytest.raises(ValueError, match="coincident"):
+            build_witness(make_gaussian(), f, seq, 0.25)
     else:
         # declared decaying, yet never below 2^-(precision + 64)
         k = custom_radial_from_expression(
             "1/(1 + r) + 1/2**300", decays_to_zero=True, nonneg=True, monotone_decreasing=True
         )
-        seq, expected = triangular_sequence(1), 0
-    f, calls = _counting(make_paper_example())
-    with pytest.raises(WitnessSearchError) as exc:
-        build_witness(k, f, seq, 0.25)
-    assert exc.value.reason == reason
-    assert len(calls) == expected
+        with pytest.raises(WitnessSearchError) as exc:
+            build_witness(k, f, triangular_sequence(1), 0.25)
+        assert exc.value.reason == reason
+    assert calls == []
 
 
 # Full-precision r on banded windows (N > 128), recorded before the banded
@@ -744,29 +782,26 @@ def test_shared_store_gives_standalone_verdicts_and_r(monkeypatch):
 def test_rejected_stored_window_costs_no_f_values():
     k, f, seq = make_gaussian(), make_paper_example(), triangular_sequence(1)
     largest, inner = [sweep_c(k, f, seq, c_grid=(c,)).certificates[0] for c in (0.125, 0.25)]
-    assert inner.n_points > 128  # banded, where the point checks run before f
-    swapped = list(inner.points)
-    swapped[10], swapped[11] = swapped[11], swapped[10]
-    bad = replace(inner, points=tuple(swapped))
+    repeated = list(inner.points)
+    repeated[11] = repeated[10]
+    bad = replace(inner, points=tuple(repeated))
     counted, calls = _counting(f)
     store = PointTable(counted, None, 256)
     assert verify_certificate(largest, k, counted, store)
     for verifier_store in (store, None):
         before = len(calls)
-        with pytest.raises(WitnessSearchError) as exc:
+        with pytest.raises(ValueError, match="coincident"):
             verify_certificate(bad, k, counted, verifier_store)
-        assert exc.value.reason == "not-monotone"
         assert len(calls) == before
 
 
 def test_rejected_far_window_leaves_no_values_for_other_points():
     k, f, seq = make_gaussian(), make_paper_example(), triangular_sequence(1)
     a = sweep_c(k, f, seq, c_grid=(0.25,)).certificates[0]
-    assert a.n_points > 128  # banded, where the point checks run before f
-    swapped = list(a.points)
-    swapped[10], swapped[11] = swapped[11], swapped[10]
+    repeated = list(a.points)
+    repeated[11] = repeated[10]
     # a window far from a's, rejected before f is asked for
-    b = replace(a, ell=a.ell + 10 * a.n_points, points=tuple(swapped))
+    b = replace(a, ell=a.ell + 10 * a.n_points, points=tuple(repeated))
     moved = list(a.points)
     moved[30] += 1
     with workprec(a.precision_bits):
@@ -777,7 +812,7 @@ def test_rejected_far_window_leaves_no_values_for_other_points():
     counted, calls = _counting(f)
     table = PointTable(counted, None, 256)
     assert verify_certificate(a, k, counted, table)
-    with pytest.raises(WitnessSearchError):
+    with pytest.raises(ValueError, match="coincident"):
         verify_certificate(b, k, counted, table)
     before = len(calls)
     assert verify_certificate(c, k, counted, table) == verify_certificate(c, k, f)
