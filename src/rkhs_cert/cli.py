@@ -313,7 +313,9 @@ def _domain_transfer_note(cfg: RunConfig) -> str:
     )
 
 
-def _run_witness_task(cfg: RunConfig, kernel: Any, f: Any, sequence: Any) -> Dict[str, Any]:
+def _run_witness_task(
+    cfg: RunConfig, kernel: Any, f: Any, sequence: Any, certs_dir: Optional[str]
+) -> Dict[str, Any]:
     grid = tuple(float(c) for c in (cfg.c_grid if cfg.c_grid is not None else default_c_grid()))
     # Scales are dealt round-robin to the sweeps.  A scale's outcome depends
     # on its value alone, so outcomes return to grid order by value, repeated
@@ -344,13 +346,25 @@ def _run_witness_task(cfg: RunConfig, kernel: Any, f: Any, sequence: Any) -> Dic
         if verify_certificate(certificates[i], kernel, f, table):
             passed.add(i)
     del table  # its values are garbage before serialization starts
-    out = sweep_to_dict(result, cfg.precision_bits)
+    write = None if certs_dir is None else _certificate_writer(certs_dir)
+    out = sweep_to_dict(result, cfg.precision_bits, write)
     out["verified_scales"] = [
         number_to_str(cert.c, cfg.precision_bits) for i, cert in enumerate(certificates) if i in passed
     ]
     out["all_verified"] = len(passed) == len(grid)
     out["domain_transfer"] = _domain_transfer_note(cfg)
     return out
+
+
+def _certificate_writer(directory: str) -> Callable[[int, Dict[str, Any]], None]:
+    """Writes certificate ``index`` to ``directory/certificate_<index>.json``; an OSError propagates."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+
+    def write(index: int, data: Dict[str, Any]) -> None:
+        path = Path(directory) / f"certificate_{index:02d}.json"
+        path.write_text(canonical_dumps(data), encoding="utf-8")
+
+    return write
 
 
 def _run_psd_task(cfg: RunConfig, kernel: Any, sequence: Any) -> List[Dict[str, Any]]:
@@ -400,8 +414,12 @@ def _verdict_summary(cfg: RunConfig, results: Dict[str, Any], errors: Dict[str, 
     return "inconclusive: witness construction or verification failed for some scales"
 
 
-def run(cfg: RunConfig) -> Tuple[Dict[str, Any], int]:
-    """Execute the configured tasks; returns (report, exit_code)."""
+def run(cfg: RunConfig, certs_dir: Optional[str] = None) -> Tuple[Dict[str, Any], int]:
+    """Execute the configured tasks; returns (report, exit_code).
+
+    With ``certs_dir`` the witness task also writes each certificate there as
+    a standalone file; a file it cannot write raises OSError.
+    """
     kernel = resolve_kernel(cfg.kernel)
     f = resolve_function(cfg.function, kernel)
     sequence = resolve_sequence(cfg.sequence)
@@ -425,7 +443,7 @@ def run(cfg: RunConfig) -> Tuple[Dict[str, Any], int]:
                 )
                 results["decay"] = decay_to_dict(report, cfg.precision_bits)
             elif task == "witness":
-                results["witness"] = _run_witness_task(cfg, kernel, f, sequence)
+                results["witness"] = _run_witness_task(cfg, kernel, f, sequence, certs_dir)
             elif task == "analytic":
                 report = analyticity_envelope(
                     kernel,
@@ -470,20 +488,6 @@ def _write_output(path: str, payload: Dict[str, Any]) -> None:
         Path(path).write_text(canonical_dumps(payload), encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path!r}: {exc}") from exc
-
-
-def _write_certificates(directory: str, witness_result: Dict[str, Any]) -> List[str]:
-    certs = witness_result.get("certificates", [])
-    out = []
-    try:
-        Path(directory).mkdir(parents=True, exist_ok=True)
-        for idx, cert in enumerate(certs):
-            path = Path(directory) / f"certificate_{idx:02d}.json"
-            path.write_text(canonical_dumps(cert), encoding="utf-8")
-            out.append(str(path))
-    except OSError as exc:
-        raise ConfigError(f"cannot write certificates to {directory!r}: {exc}") from exc
-    return out
 
 
 def _csv_rows(task: str, result: Any) -> List[List[Any]]:
@@ -597,11 +601,15 @@ def _apply_flags(data: Dict[str, Any], args: argparse.Namespace) -> Dict[str, An
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    report, code = run(config_from_dict(_apply_flags(_load_config_file(args.config), args)))
+    cfg = config_from_dict(_apply_flags(_load_config_file(args.config), args))
+    try:
+        report, code = run(cfg, args.certs_dir)
+    except OSError as exc:  # run writes no file but the certificates
+        raise ConfigError(f"cannot write certificates to {args.certs_dir!r}: {exc}") from exc
     _write_output(args.out, report)
     if args.certs_dir is not None and "witness" in report["results"]:
-        written = _write_certificates(args.certs_dir, report["results"]["witness"])
-        print(f"wrote {len(written)} certificate(s) to {args.certs_dir}")
+        written = len(report["results"]["witness"]["certificates"])
+        print(f"wrote {written} certificate(s) to {args.certs_dir}")
     if args.csv_dir is not None:
         tables = _write_csv_tables(args.csv_dir, report)
         print(f"wrote {len(tables)} csv table(s) to {args.csv_dir}")

@@ -139,9 +139,10 @@ def make_paper_example() -> CandidateFunction:
     """f(x) = exp(-sin(x)^2 + 1/sqrt(1 + x^2)).
 
     Bounded between e^-1 and e on the whole line, so both tails carry the
-    declared bound alpha = e^-1 with positive sign.
+    declared bound alpha = e^-1 with positive sign.  ``math.exp(-1.0)`` is
+    the double just above e^-1, so alpha is the double below it.
     """
-    tail = TailBound(alpha=math.exp(-1.0), sign=1, threshold=0.0)
+    tail = TailBound(alpha=math.nextafter(math.exp(-1.0), 0.0), sign=1, threshold=0.0)
     return _expression_function(
         "paper_example",
         "exp(-sin(x)**2 + 1/sqrt(1 + x*x))",

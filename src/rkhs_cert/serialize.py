@@ -5,6 +5,11 @@ round-trip the working precision exactly; structural integers (sizes,
 offsets, orders, precisions) stay JSON integers.  Objects are emitted with
 sorted keys, two-space indentation and a trailing newline, so identical runs
 produce byte-identical files.
+
+A report does not repeat the points of its certificates: each report entry is
+the certificate's dict without ``points``, plus ``points_sha256``, the
+SHA-256 (hex) of the point strings, each followed by a newline.  The points
+live only in the certificate files.
 """
 
 from __future__ import annotations
@@ -15,6 +20,11 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+try:  # CPython's own SHA-256, as random.py takes _sha512: hashlib also loads OpenSSL (3.6 MB of RSS)
+    from _sha256 import sha256
+except ImportError:  # renamed _sha2 in Python 3.12
+    from hashlib import sha256
+
 import mpmath
 from mpmath import mpf, workprec
 
@@ -24,7 +34,7 @@ from .quadform import MAX_PRECISION_BITS, MIN_PRECISION_BITS, PsdVerdict
 from .sequences import DecayReport
 from .witness import WITNESS_SCHEMA, SweepResult, WitnessCertificate
 
-REPORT_SCHEMA = "rkhs-cert/report/v1"
+REPORT_SCHEMA = "rkhs-cert/report/v2"
 
 
 def _digits_for(precision_bits: int) -> int:
@@ -100,6 +110,18 @@ def witness_to_dict(cert: WitnessCertificate) -> Dict[str, Any]:
         "coefficients": "ones",
     }
     return out
+
+
+def points_sha256(points: Sequence[str]) -> str:
+    """SHA-256 (hex) of the UTF-8 bytes of ``points``, each string followed by a newline."""
+    return sha256("\n".join([*points, ""]).encode("utf-8")).hexdigest()
+
+
+def witness_summary(data: Dict[str, Any]) -> Dict[str, Any]:
+    """A certificate dict's report entry: every field but ``points``, plus ``points_sha256``."""
+    summary = {key: value for key, value in data.items() if key != "points"}
+    summary["points_sha256"] = points_sha256(data["points"])
+    return summary
 
 
 def witness_from_dict(data: Dict[str, Any]) -> WitnessCertificate:
@@ -261,12 +283,28 @@ def norm_trace_to_dict(trace: NormTrace, precision_bits: int) -> Dict[str, Any]:
     return out
 
 
-def sweep_to_dict(result: SweepResult, precision_bits: int) -> Dict[str, Any]:
+def sweep_to_dict(
+    result: SweepResult,
+    precision_bits: int,
+    write_certificate: Optional[Callable[[int, Dict[str, Any]], None]] = None,
+) -> Dict[str, Any]:
+    """The sweep's report entry, with a summary of each certificate.
+
+    ``write_certificate(index, data)``, when given, receives each
+    certificate's full dict in grid order before only its summary is kept,
+    so no more than one certificate's point strings are held at a time.
+    """
+    summaries = []
+    for index, cert in enumerate(result.certificates):
+        data = witness_to_dict(cert)
+        if write_certificate is not None:
+            write_certificate(index, data)
+        summaries.append(witness_summary(data))
     return {
         "c_values": _num_list(result.c_values, precision_bits),
         "alpha": number_to_str(result.alpha, precision_bits),
         "alpha_provenance": result.alpha_provenance,
-        "certificates": [witness_to_dict(c) for c in result.certificates],
+        "certificates": summaries,
         "failures": [
             {"c": number_to_str(c, precision_bits), "reason": reason}
             for c, reason in result.failures

@@ -26,7 +26,7 @@ INVQ_C1_R = -5.323076923076923  # exactly -346/65
 QFORM_GAUSS_3_6_10_ONES = 3.000247044678523
 
 PAPER_F_AT_0 = 2.718281828459045  # e
-PAPER_ALPHA = 0.36787944117144233  # exp(-1)
+PAPER_ALPHA = 0.3678794411714423  # the double below exp(-1)
 
 # squared minimum interpolant norm of f = 1 on {0, t}, gaussian kernel:
 # closed form 2 / (1 + exp(-t^2))
@@ -214,7 +214,7 @@ if __name__ == "__main__":
         repr(quadform_double(gram_double(gaussian_double, [3.0, 6.0, 10.0]), [1.0, 1.0, 1.0])),
     )
     print("PAPER_F_AT_0 =", repr(paper_f_double(0.0)))
-    print("PAPER_ALPHA =", repr(math.exp(-1.0)))
+    print("PAPER_ALPHA =", repr(math.nextafter(math.exp(-1.0), 0.0)))
     for t in (0.5, 1.0, 2.0):
         print(f"INTERP_NORM_SQ[{t}] =", repr(2.0 / (1.0 + math.exp(-t * t))))
     for k in range(9):

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from rkhs_cert.cli import ALL_TASKS, RunConfig, config_from_dict, main, run
 from rkhs_cert.errors import ConfigError
-from rkhs_cert.registry import resolve_kernel
-from rkhs_cert.serialize import load_json, witness_to_dict
+from rkhs_cert.registry import resolve_kernel, resolve_sequence
+from rkhs_cert.serialize import load_json, number_to_str, witness_to_dict
 from test_serialize import _JSON, _cert
 
 
@@ -73,7 +73,7 @@ def test_run_witness_end_to_end(tmp_path, capsys):
         ["--function", "constant:1.0", "--c-grid", "1,0.5", "--tasks", "witness"],
     )
     assert code == 0
-    assert report["schema"] == "rkhs-cert/report/v1"
+    assert report["schema"] == "rkhs-cert/report/v2"
     assert report["task_errors"] == {}
     witness = report["results"]["witness"]
     assert len(witness["certificates"]) == 2
@@ -679,6 +679,36 @@ def test_custom_kernel_flags_must_be_bool(flags):
     assert declared.profile.nonneg and not declared.profile.decays_to_zero
 
 
+@pytest.mark.parametrize(
+    "profile,flag,why",
+    [
+        ("exp(r)", "decays_to_zero", r"phi\(2\*\*512\) = .* is not below 2\*\*-64 \* phi\(0\)"),
+        ("1", "decays_to_zero", r"phi\(2\*\*512\) = 1\.0 is not below"),
+        ("exp(r)", "monotone_decreasing", r"phi\(2\*\*-16\) = 1\.00002 exceeds phi\(0\) = 1\.0"),
+        ("cos(r)", "nonneg", r"phi\(2\*\*1\) = -0\.416147"),
+        ("sqrt(1 - r)", "nonneg", r"sqrt\(1 - r\) is undefined at r = 2\*\*1"),
+    ],
+)
+def test_custom_kernel_flag_its_profile_breaks_exits_1(tmp_path, capsys, profile, flag, why):
+    kernel = {"id": "custom", "profile": profile, flag: True}
+    with pytest.raises(ConfigError, match=why):
+        resolve_kernel(kernel)
+    assert resolve_kernel(dict(kernel, **{flag: False})).profile is not None
+    path, out = tmp_path / "config.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"kernel": kernel, "c_grid": [1.0]}))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("profile", ["exp(-r)", "exp(0 - r)", "1/(1+r)", "exp(-sqrt(r))", "100/(100 + r)"])
+def test_custom_kernel_flags_its_profile_keeps_are_accepted(profile):
+    flags = {"decays_to_zero": True, "nonneg": True, "monotone_decreasing": True}
+    profile_spec = resolve_kernel({"id": "custom", "profile": profile, **flags}).profile
+    assert profile_spec.decays_to_zero and profile_spec.nonneg and profile_spec.monotone_decreasing
+
+
 def test_verify_search_error_exits_2_without_traceback(tmp_path, capsys):
     # A custom kernel identifier carries no decay metadata, so a window above
     # the dense limit cannot be re-evaluated; that is a search error, exit 2.
@@ -858,24 +888,28 @@ def test_single_task_subcommand_is_a_run_of_that_task(tmp_path, capsys, command,
 # built-in kernels and functions became compiled expressions.  A change to any
 # of them must leave these bytes alone.  Regenerated since: paper_example and
 # constant:1.0 when windows of up to 128 points moved from the deflated Gram
-# matrix to the pair loop (r moved in its last bits), and the two poly entries
-# when sweeps began starting at their declared tail's entry offset.
+# matrix to the pair loop (r moved in its last bits), the two poly entries
+# when sweeps began starting at their declared tail's entry offset, and all of
+# them for report/v2 (certificate summaries with points_sha256 in place of the
+# points; paper_example's alpha also became the double below exp(-1)).
 REPORT_DIGESTS = [
-    ("gaussian", "paper_example", [], 0, "bf641097723bcf0a3f5f52706adc06dc47589d70cc50d1489b136800c81dbb4c"),
-    ("gaussian", "constant:-0.5", [], 0, "b07b3f64cedfb408ed05f192d2bc248a2cea8eb930b9f56733bcb94b111f2f6f"),
-    ("inverse_quadratic", "poly:-6,1", [], 0, "b0b9f554c0629b9b8f2c137874cd93da9acf1176e97928560c5070d2366875ba"),
-    ("gaussian", "poly:0.25,-0.5,0.125", [], 0, "9091f1499c4fc2db61826f06f59f79a6d0fc26aae499b5e6defc751df5a0f78a"),
-    ("inverse_quadratic", "expr:2 + cos(x)", [], 0, "fff30f943fa3787ffd14f48a690318699bd472cdc73b5cdb48f6eaf70ac0cdd7"),
-    ("laplace", "sin_squared_shifted", [], 2, "1bd941691b9aad78db6a601079a598c291eba85a8df867a6f2a795ed299553a2"),
-    ("laplace", "poly:0.75", [], 2, "4414d3083325a7bd5b468767b57ade99f113011e7b94eaa004123323a9104c4f"),
-    ("gaussian", "kernel_section:0.0", ["--alpha", "0.5"], 0, "042f16fd3803d77faa8e30fa5c7962901543878280862fe02827e4940a9400e9"),
+    ("gaussian", "paper_example", [], 0, "632297db55c20881a64075f94ab2d96ae784ae569c2fde9f651c06dc43b055a9"),
+    ("gaussian", "constant:-0.5", [], 0, "ebac364c6cace36b9162c889841bde3da313e345fcffbca23d9d2ce7990ddca4"),
+    ("inverse_quadratic", "poly:-6,1", [], 0, "c17575c35f7f6ea7e888b3242c5d04dcefb96b7f8fc960230de41bcadaa99250"),
+    ("gaussian", "poly:0.25,-0.5,0.125", [], 0, "f0a92b234870a2d62b547f2e393e2b95416557192bc26110703887596a3dbf33"),
+    ("inverse_quadratic", "expr:2 + cos(x)", [], 0, "46cfa082faa3918f95c69ad3755331cbedb52e9fefabd43e608be01d6fbeac2c"),
+    ("laplace", "sin_squared_shifted", [], 2, "ac20f7003ef26cde66b9f99664a7a2143873037ea3151f36d6ebb40146a5cc53"),
+    ("laplace", "poly:0.75", [], 2, "ad68b022c4b44400d69f9bba2abec823600e57a0260bbd15e50f5e7bf585dadd"),
+    ("gaussian", "kernel_section:0.0", ["--alpha", "0.5"], 0, "61b662a0206a155fc811f58c29ab683cffa0fa8ed6d07dd7f5a05d48dfc565ff"),
     # banded windows up to N = 8,193; recorded before integer windows got
     # exact-integer bookkeeping
-    ("gaussian", "constant:1.0", ["--c-grid", "1,0.25,0.0625,0.015625"], 0, "c806ac0f6440a26ba3ecb81ed9fda4f840ef33d0502e1d31bc3b5181437e6dfd"),
+    ("gaussian", "constant:1.0", ["--c-grid", "1,0.25,0.0625,0.015625"], 0, "d173c8ad6a9461a7ac94849fcccafa05fc89bfe028a0c6bc47f8ffface70ca04"),
 ]
 
 
-@pytest.mark.parametrize("kernel,function,extra,code,digest", REPORT_DIGESTS)
+@pytest.mark.parametrize(
+    "kernel,function,extra,code,digest", REPORT_DIGESTS, ids=[f"{k}-{f}" for k, f, *_ in REPORT_DIGESTS]
+)
 def test_report_bytes_are_pinned(tmp_path, kernel, function, extra, code, digest):
     out = tmp_path / "r.json"
     argv = ["run", "--kernel", kernel, "--function", function, "--c-grid", "1,0.5"]
@@ -937,12 +971,49 @@ def _count_f_calls(monkeypatch):
     return search, verification
 
 
+def _window(summary):
+    """The points of a report's certificate summary, regenerated from its sequence."""
+    return resolve_sequence(summary["sequence_id"]).points(summary["ell"] + 1, summary["n_points"])
+
+
+def _points_digest(points):
+    """SHA-256 of the point strings, each followed by a newline: the report's points_sha256."""
+    return hashlib.sha256("".join(f"{p}\n" for p in points).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--function", "constant:1.0", "--c-grid", "1,0.5,0.25"],
+        ["--function", "paper_example", "--c-grid", "0.5,1,0.5", "--jobs", "2"],
+        # float points, written as decimal strings at the working precision
+        ["--function", "constant:1.0", "--c-grid", "1,0.125", "--sequence", "arithmetic:7.5"],
+        ["--sequence", "mixed_sign_triangular", "--c-grid", "1,0.5"],
+    ],
+    ids=["constant", "paper_example-jobs-2", "float-points", "mixed-sign"],
+)
+def test_report_summaries_match_certificate_files(tmp_path, capsys, argv):
+    certs = tmp_path / "certs"
+    code, report = _run_report(tmp_path, "r.json", argv + ["--certs-dir", str(certs)])
+    assert code == 0
+    summaries = report["results"]["witness"]["certificates"]
+    files = sorted(certs.glob("certificate_*.json"))
+    assert len(files) == len(summaries) > 0
+    for summary, path in zip(summaries, files):
+        data = load_json(path)
+        points = data.pop("points")
+        assert summary == dict(data, points_sha256=_points_digest(points))
+        regenerated = [number_to_str(x, summary["precision_bits"]) for x in _window(summary)]
+        assert summary["points_sha256"] == _points_digest(regenerated)
+        assert main(["verify", str(path)]) == 0
+
+
 def test_run_verification_evaluates_f_once_per_distinct_point(monkeypatch):
     _, calls = _count_f_calls(monkeypatch)
     report, code = run(config_from_dict({"c_grid": [1.0, 0.5, 0.25, 0.125]}))
     assert code == 0
     certificates = report["results"]["witness"]["certificates"]
-    stored = [float(p) for cert in certificates for p in cert["points"]]
+    stored = [float(p) for cert in certificates for p in _window(cert)]
     assert len(calls) == len(set(calls)) == len(set(stored)) < len(stored)
 
 
@@ -1016,7 +1087,7 @@ def test_mixed_sign_run_outcomes_are_pinned(tmp_path):
     ],
 )
 def test_run_witness_section_is_the_library_sweep(function, grid, alpha, jobs):
-    from rkhs_cert.registry import resolve_function, resolve_sequence
+    from rkhs_cert.registry import resolve_function
     from rkhs_cert.serialize import sweep_to_dict
     from rkhs_cert.witness import sweep_c
 

@@ -90,6 +90,15 @@ def test_paper_example_frozen_values():
     assert f.tail_pos.sign == 1 and f.tail_neg.sign == 1
 
 
+def test_paper_example_declared_alpha_is_below_its_infimum():
+    # inf f = exp(-1) on the line; math.exp(-1.0) is the double above it
+    f = make_paper_example()
+    with workprec(320):
+        assert mpmath.mpf(f.tail_pos.alpha) < mpmath.exp(-1)
+        assert mpmath.mpf(f.tail_neg.alpha) < mpmath.exp(-1)
+        assert mpmath.mpf(math.exp(-1.0)) > mpmath.exp(-1)
+
+
 @given(st.floats(min_value=-1000, max_value=1000, allow_nan=False))
 def test_paper_example_bounds_hold(x):
     f = make_paper_example()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -13,8 +14,10 @@ from rkhs_cert.serialize import (
     canonical_dumps,
     load_json,
     number_to_str,
+    points_sha256,
     str_to_number,
     witness_from_dict,
+    witness_summary,
     witness_to_dict,
     write_json,
 )
@@ -147,6 +150,17 @@ def test_witness_round_trip_through_file(tmp_path):
     back = witness_from_dict(load_json(path))
     with workprec(cert.precision_bits):
         assert back.r_value == cert.r_value
+
+
+def test_witness_summary_is_the_dict_without_points_plus_their_digest():
+    data = witness_to_dict(_cert())
+    assert data["points"] == ["1", "3", "6"]
+    summary = witness_summary(data)
+    assert "points" not in summary and "points" in data
+    assert summary.pop("points_sha256") == points_sha256(["1", "3", "6"])
+    assert summary == {key: value for key, value in data.items() if key != "points"}
+    assert points_sha256(["1", "3", "6"]) == hashlib.sha256(b"1\n3\n6\n").hexdigest()
+    assert points_sha256(["1", "3", "6"]) != points_sha256(["1", "36"])
 
 
 def test_witness_dict_rejects_wrong_schema():

@@ -4,8 +4,8 @@
 ``witness.evaluate_ones_form``, ``cli.verify_certificate``,
 ``cli.build_witness``, ``cli.resolve_kernel`` and others), so a rename in the
 program breaks ``perfbench/run.py --trace 1``.  This runs it on ``witness``,
-on ``verify`` of one small certificate, on a one-scale ``run`` and on
-``psd-check``, and checks that the kernel layer's counters (``kernels.eval_mp``,
+on ``verify`` of one small certificate, on a one-scale ``run`` with and
+without ``--certs-dir`` and on ``psd-check``, and checks that the kernel layer's counters (``kernels.eval_mp``,
 ``kernels.value_mp``), which the benchmark reports, still count calls.
 """
 
@@ -56,6 +56,18 @@ def test_trace_child_runs_a_one_scale_run(tmp_path):
     assert stats["serialize.canonical_dumps"][0] == 1
     assert stats["functions.eval_mp"][0] > 0
     assert stats["kernels.value_mp"][0] > 0
+
+
+def test_trace_child_runs_a_one_scale_run_writing_certificates(tmp_path):
+    # each certificate is turned into a dict once, and dumped once for its file
+    certs = tmp_path / "certs"
+    argv = ["--c-grid", "0.5", "--out", str(tmp_path / "r.json"), "--certs-dir", str(certs)]
+    stats = _traced(tmp_path, "run", *WITNESS, *argv)
+    files = sorted(certs.glob("certificate_*.json"))
+    assert len(files) == 1
+    assert stats["serialize.witness_to_dict"][0] == len(files)
+    assert stats["serialize.canonical_dumps"][0] == 1 + len(files)
+    assert stats["witness.verify_certificate"][0] == len(files)
 
 
 def test_trace_child_runs_a_psd_check(tmp_path):
