@@ -177,19 +177,14 @@ def analyticity_envelope(
         ratio = 2 * mpmath.sqrt(_to_mpf(radius))
         nf = mpf(norm_f)
         for n in orders:
-            d = dnn_diagonal(kernel, n)
-            if d < 0:
-                raise ValueError(
-                    "negative diagonal derivative: the profile's Taylor data is "
-                    "inconsistent with positive semidefiniteness"
-                )
+            # raises on a negative D(n)
+            exact_bounds.append(member_derivative_bound(kernel, norm_f, n, precision_bits))
             if not envelope_dominates(kernel, n):
                 raise ValueError(
                     f"envelope violated at order {n}: declared analytic constants "
                     "are inconsistent with the profile's Taylor data"
                 )
-            dnn_values.append(d)
-            exact_bounds.append(nf * mpmath.sqrt(_to_mpf(d)))
+            dnn_values.append(dnn_diagonal(kernel, n))
             bound_curve.append(nf * root_c * ratio**n * math.factorial(n))
         fd_values = None
         if fd_step is not None:

@@ -328,13 +328,11 @@ def _run_witness_task(
         sweeps = [_sweep(cfg, grid, kernel, f, sequence)]
     built = {cert.c: cert for sweep in sweeps for cert in sweep.certificates}
     failed = dict(failure for sweep in sweeps for failure in sweep.failures)
-    scaled = dict(entry for sweep in sweeps for entry in sweep.scaling)
     result = replace(
         sweeps[0],
         c_values=grid,
         certificates=tuple(built[c] for c in grid if c in built),
         failures=tuple((c, failed[c]) for c in grid if c not in built),
-        scaling=tuple((c, scaled[c]) for c in grid if c in built),
     )
     # The windows mostly contain one another, so one table evaluates f once
     # per distinct stored point; largest first keeps its memory at the

@@ -1,4 +1,4 @@
-"""Whitelisted arithmetic expressions, compiled for double and extended precision.
+"""Whitelisted arithmetic expressions, compiled for extended precision.
 
 One small grammar defines every built-in radial profile (variable ``r``) and
 built-in candidate function (variable ``x``), and serves custom profiles,
@@ -9,17 +9,13 @@ numeric literals, the single free variable, ``+ - * /``, unary minus,
 Anything else is rejected before compilation, so config files cannot smuggle
 in attribute access, names or general Python.
 
-A validated tree is compiled once per evaluation context into a plain Python
-function whose namespace holds only the routines of that context and the
-literals, converted in advance where that is exact.
-
-The double context calls ``math`` functions on floats.  It serves only the
-values that are doubles by design: the points of a custom sequence and a
-polynomial's sampled tail bound.  Kernels and candidate functions keep only
-the extended context, their one numeric definition.  The extended context
-calls mpmath's low-level ``libmp`` routines on raw ``_mpf_`` values, reading
-the working precision and rounding once per call from
-``mpmath.mp._prec_rounding``:
+A validated tree is compiled once into a plain Python function whose
+namespace holds only mpmath's low-level ``libmp`` routines and the literals,
+converted in advance where that is exact.  It is the one numeric definition
+of the expression: a value wanted as a double (a custom sequence's point, a
+polynomial's tail bound) is this function's value at 53 bits, converted.
+The function calls the routines on raw ``_mpf_`` values, reading the working
+precision and rounding once per call from ``mpmath.mp._prec_rounding``:
 
     ``+ - * /``  mpf_add, mpf_sub, mpf_mul, mpf_div
     unary ``-``  mpf_neg
@@ -35,16 +31,15 @@ to evaluating the expression on ``mpf`` objects; only the wrapper objects
 between the operations are gone.  One difference is deliberate: where the
 ``mpf`` wrappers silently continue in complex arithmetic (``sqrt`` of a
 negative number), the compiled function raises ``ComplexResult``, a
-``ValueError``, as the double context raises on ``math.sqrt``.  A body that
-is only the variable or one literal returns its argument or one shared mpf.
+``ValueError``.  A body that is only the variable or one literal returns its
+argument or one shared mpf.
 """
 
 from __future__ import annotations
 
 import ast
-import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Mapping
+from typing import Any, Callable, List
 
 import mpmath
 from mpmath import libmp
@@ -52,22 +47,10 @@ from mpmath import libmp
 from .errors import ExpressionError
 
 
-def _sinpi_double(t: float) -> float:
-    # fmod is exact, so the reduction adds no error for large t.
-    return math.sin(math.pi * math.fmod(t, 2.0))
+_FUNCS = ("exp", "sin", "cos", "sqrt", "abs", "sinpi")
 
-
-_DOUBLE_FUNCS: Mapping[str, Callable[[Any], Any]] = {
-    "exp": math.exp,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "sinpi": _sinpi_double,
-}
-
-# The libmp routine behind each operator and whitelisted function of the
-# extended context; each takes raw values and then (precision, rounding).
+# The libmp routine behind each operator and whitelisted function; each takes
+# raw values and then (precision, rounding).
 _LIBMP_OPS = {ast.Add: "mpf_add", ast.Sub: "mpf_sub", ast.Mult: "mpf_mul", ast.Div: "mpf_div"}
 _LIBMP_CALLS = {
     "exp": "mpf_exp",
@@ -106,9 +89,9 @@ def as_mpf(x: Any) -> Any:
 _BIN_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARY_OPS = (ast.USub, ast.UAdd)
 
-# Floats and integers below 2^53 in magnitude are exact as doubles, and as
-# mpf at 53 bits or more, so they convert once at compile time.  Wider
-# integers round, so they convert on each call at the caller's precision.
+# Floats and integers below 2^53 in magnitude are exact as mpf at 53 bits or
+# more, so they convert once at compile time.  Wider integers round, so they
+# convert on each call at the caller's precision.
 _EXACT_INT_LIMIT = 2**53
 
 
@@ -158,7 +141,7 @@ def _validate(node: ast.expr, variable: str) -> None:
                 raise ExpressionError("pow exponents must be integer literals")
             _validate(node.args[0], variable)
             return
-        if name not in _DOUBLE_FUNCS:
+        if name not in _FUNCS:
             raise ExpressionError(f"function {name!r} is not in the whitelist")
         if len(node.args) != 1:
             raise ExpressionError(f"{name} takes exactly one argument")
@@ -188,7 +171,7 @@ def _lower(node: ast.expr, literals: List[Any]) -> ast.expr:
     if isinstance(node, ast.BinOp):
         left = _lower(node.left, literals)
         if isinstance(node.op, ast.Pow):
-            # The exponent stays a Python int in both contexts.
+            # The exponent stays a Python int.
             return ast.BinOp(left, ast.Pow(), ast.Constant(_literal_int(node.right)))
         return ast.BinOp(left, node.op, _lower(node.right, literals))
     # Validation admits nothing else: a call of a whitelisted function.
@@ -223,22 +206,16 @@ def _libmp_tree(node: ast.expr) -> ast.expr:
 
 @dataclass(frozen=True)
 class Expression:
-    """A validated single-variable expression, compiled for two contexts.
+    """A validated single-variable expression, compiled to one function.
 
-    ``fn_double`` runs on machine doubles; ``fn_mp`` takes an mpf and
-    returns one, computed under whatever working precision the caller has
-    set.  Both expect an argument already in their context;
-    ``eval_double``/``eval_mp`` convert it first.  No literal is rounded
-    below the precision of its context.
+    ``fn_mp`` takes an mpf and returns one, computed under whatever working
+    precision the caller has set; ``eval_mp`` converts its argument first.
+    No literal is rounded below 53 bits.
     """
 
     source: str
     variable: str
-    fn_double: Callable[[float], float] = field(repr=False, compare=False)
     fn_mp: Callable[[Any], Any] = field(repr=False, compare=False)
-
-    def eval_double(self, value: float) -> float:
-        return float(self.fn_double(float(value)))
 
     def eval_mp(self, value: Any) -> Any:
         return self.fn_mp(as_mpf(value))
@@ -261,32 +238,24 @@ def compile_expression(source: str, variable: str) -> Expression:
     body = _lower(tree.body, literals)
     # Pinned, so no literal depends on the precision in force right now.
     with mpmath.workprec(53):
-        mp_literals = [mpmath.mpf(v) for v in literals]
-    names = [f"_k{i}" for i in range(len(literals))]
-    args = ast.arguments(
-        posonlyargs=[], args=[ast.arg(variable)], kwonlyargs=[], kw_defaults=[], defaults=[]
-    )
-    lam = ast.Expression(ast.Lambda(args, body))
-    code = compile(ast.fix_missing_locations(lam), f"<expression {source!r}>", "eval")
-    double_literals = dict(zip(names, map(float, literals)))
-    fn_double = eval(code, {"__builtins__": {}, "_num": float, **_DOUBLE_FUNCS, **double_literals})
+        constants = [mpmath.mpf(v) for v in literals]
     if isinstance(body, ast.Name):
         # The variable itself, or one literal: its one shared mpf, no arithmetic.
-        fn_mp = eval(code, {"__builtins__": {}, **dict(zip(names, mp_literals))})
+        fn_source = f"def _fn({variable}):\n    return {body.id}\n"
     else:
-        mp_source = (
+        constants = [k._mpf_ for k in constants]
+        fn_source = (
             f"def _fn({variable}):\n"
             "    _prec, _rnd = _prec_rounding\n"
             f"    {variable} = {variable}._mpf_\n"
             f"    return _make_mpf({ast.unparse(_libmp_tree(body))})\n"
         )
-        namespace = {
-            "__builtins__": {},
-            "_prec_rounding": mpmath.mp._prec_rounding,
-            "_make_mpf": mpmath.mp.make_mpf,
-            **_LIBMP_NAMESPACE,
-            **dict(zip(names, (k._mpf_ for k in mp_literals))),
-        }
-        exec(compile(mp_source, f"<expression {source!r}>", "exec"), namespace)
-        fn_mp = namespace["_fn"]
-    return Expression(source=source, variable=variable, fn_double=fn_double, fn_mp=fn_mp)
+    namespace = {
+        "__builtins__": {},
+        "_prec_rounding": mpmath.mp._prec_rounding,
+        "_make_mpf": mpmath.mp.make_mpf,
+        **_LIBMP_NAMESPACE,
+        **{f"_k{i}": k for i, k in enumerate(constants)},
+    }
+    exec(compile(fn_source, f"<expression {source!r}>", "exec"), namespace)
+    return Expression(source=source, variable=variable, fn_mp=namespace["_fn"])

@@ -8,9 +8,8 @@ proof.  Witness construction only needs the bound to hold at the points it
 actually visits, and every certificate records which kind it used.
 
 Every function has one numeric definition, ``eval_mp``, on mpmath numbers
-under the caller's working precision.  Machine doubles appear only in a
-polynomial's sampled tail bound, which evaluates its Horner expression in
-the double context of ``expressions``.
+under the caller's working precision.  A polynomial's tail bound is that
+definition's value at the root bound, at 53 bits.
 """
 
 from __future__ import annotations
@@ -89,25 +88,25 @@ def make_constant(v: float) -> CandidateFunction:
     return _expression_function(f"constant:{value!r}", repr(value), tail_pos=tail, tail_neg=tail)
 
 
-def _poly_tail(coeffs: Sequence[float], fn: Callable[[float], float], direction: int) -> TailBound:
+def _poly_tail(coeffs: Sequence[float], fn: Callable[[Any], Any], direction: int) -> TailBound:
     """Tail bound for a degree >= 1 polynomial toward +inf or -inf.
 
     Beyond the classical root bound x* = 1 + max |c_i / c_d| the polynomial
-    has no zeros and |p| is increasing in |x|, so halving the sampled minimum
-    of |p| (evaluated by ``fn`` on doubles) on a grid starting at x* gives a
-    safe alpha.  A sample that overflows or underflows leaves no finite
-    positive alpha and raises ValueError.
+    has no zeros.  Nor has p', whose root bound 1 + max |i c_i / (d c_d)| is
+    at most x*, so |p| increases with |x| there and its minimum on the tail
+    is |p(+-x*)|.  Half of that value, evaluated by ``fn`` at 53 bits, is a
+    safe alpha.  A value that overflows a double leaves no finite alpha and
+    raises ValueError.
     """
     lead = coeffs[-1]
     degree = len(coeffs) - 1
     root_bound = 1.0 + max(abs(c / lead) for c in coeffs[:-1])
     sign = 1 if lead * (1 if direction > 0 else (-1) ** degree) > 0 else -1
-    lo = root_bound
-    samples = [abs(fn(direction * (lo + i * 0.1))) for i in range(10_001)]
-    alpha = min(samples) / 2.0
+    with workprec(53):
+        alpha = float(abs(fn(direction * root_bound))) / 2.0
     if not 0.0 < alpha < math.inf:
         side = "+inf" if direction > 0 else "-inf"
-        raise ValueError(f"polynomial tail sample toward {side} gives no finite positive alpha ({alpha!r})")
+        raise ValueError(f"polynomial tail toward {side} gives no finite positive alpha ({alpha!r})")
     return TailBound(alpha=alpha, sign=sign, threshold=root_bound)
 
 
@@ -130,8 +129,8 @@ def make_polynomial(coeffs: Sequence[float]) -> CandidateFunction:
     return CandidateFunction(
         function_id=function_id,
         fn_mp=expr.fn_mp,
-        tail_pos=_poly_tail(cs, expr.eval_double, +1),
-        tail_neg=_poly_tail(cs, expr.eval_double, -1),
+        tail_pos=_poly_tail(cs, expr.eval_mp, +1),
+        tail_neg=_poly_tail(cs, expr.eval_mp, -1),
     )
 
 

@@ -11,6 +11,7 @@ flag back it; otherwise the evidence stays "empirical".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
@@ -84,14 +85,23 @@ def arithmetic_sequence(step: float) -> SequenceSpec:
 
 
 def custom_sequence(source: str) -> SequenceSpec:
-    """Sequence from a whitelisted expression in ``n`` (no structural promises)."""
+    """Sequence from a whitelisted expression in ``n`` (no structural promises).
+
+    Point n is the expression's value at 53 bits, as a double.  An index
+    where the expression is undefined, or where its value is no finite
+    double, raises EvaluationError naming the sequence and n.
+    """
     expr = compile_expression(source, "n")
 
-    def gen(n: int) -> Any:
+    def gen(n: int) -> float:
         try:
-            return expr.eval_double(float(n))
+            with workprec(53):
+                value = float(expr.eval_mp(n))
+            if not math.isfinite(value):
+                raise OverflowError("its value is not a finite double")
         except (ArithmeticError, ValueError) as exc:
             raise EvaluationError.undefined(f"sequence custom:{source}", f"n = {n}", exc) from exc
+        return value
 
     return SequenceSpec(
         name=f"custom:{source}",

@@ -32,7 +32,7 @@ from .analytic import DerivativeReport
 from .interpolant import NormTrace
 from .quadform import MAX_PRECISION_BITS, MIN_PRECISION_BITS, PsdVerdict
 from .sequences import DecayReport
-from .witness import WITNESS_SCHEMA, SweepResult, WitnessCertificate
+from .witness import MAX_POINT_BITS, WITNESS_SCHEMA, SweepResult, WitnessCertificate, point_in_range
 
 REPORT_SCHEMA = "rkhs-cert/report/v2"
 
@@ -196,20 +196,11 @@ def _integer(value: Any) -> int:
     return value
 
 
-# Stored points lie in the double range, below 2**1024 in magnitude.  A
-# kernel value at a point far beyond it costs time that grows with the
-# point's magnitude (about 0.5 s at 2**65536 and 256 bits, against 1 ms at
-# 2**1024), so such a point would stall the verifier; it is a malformed field.
-_MAX_POINT_BITS = 1024
-
-
 def _point(text: str, precision_bits: int) -> Any:
     """A stored point: ``_real(text)``, finite and below 2**1024 in magnitude."""
     value = _real(text, precision_bits)
-    # |value| < 2**bits exactly; mag is inf or nan for an infinite or nan value
-    bits = value.bit_length() if isinstance(value, int) else mpmath.mag(value)
-    if not bits <= _MAX_POINT_BITS:
-        raise ValueError(f"expected a finite point below 2**1024 in magnitude, not {text!r}")
+    if not point_in_range(value):
+        raise ValueError(f"expected a finite point below 2**{MAX_POINT_BITS} in magnitude, not {text!r}")
     return value
 
 
@@ -310,7 +301,10 @@ def sweep_to_dict(
             for c, reason in result.failures
         ],
         "scaling": [
-            {"c": number_to_str(c, precision_bits), "n_times_c_squared": number_to_str(v, precision_bits)}
-            for c, v in result.scaling
+            {
+                "c": number_to_str(cert.c, precision_bits),
+                "n_times_c_squared": number_to_str(cert.n_points * cert.c * cert.c, precision_bits),
+            }
+            for cert in result.certificates
         ],
     }

@@ -75,6 +75,19 @@ _make_mpf = mpmath.mp.make_mpf
 # Most points a full sum takes: without decay metadata it costs N^2 / 2 profile values.
 DENSE_FALLBACK_LIMIT = 4096
 
+# Points lie in the double range, below 2**1024 in magnitude.  A kernel value
+# at a point far beyond it costs time that grows with the point's magnitude
+# (about 0.5 s at 2**65536 and 256 bits, against 1 ms at 2**1024), so such a
+# point would stall the verifier.
+MAX_POINT_BITS = 1024
+
+
+def point_in_range(point: Any) -> bool:
+    """Whether ``point`` is finite and below 2**MAX_POINT_BITS in magnitude."""
+    # |point| < 2**bits exactly; mag is inf or nan for an infinite or nan value
+    bits = point.bit_length() if isinstance(point, int) else mpmath.mag(point)
+    return bits <= MAX_POINT_BITS
+
 DEFAULT_DOUBLING_CAP = 6
 
 
@@ -587,7 +600,8 @@ def verify_certificate(
     objects is a caller bug, not a bad certificate), positive finite c and alpha,
     as many stored points as n_points (the points are not regenerated from
     the sequence), a finite stored kernel diagonal sup no lower than the
-    kernel's, n_points at least ``n_threshold`` of it, and the recomputed r
+    kernel's, n_points at least ``n_threshold`` of it, every point in range
+    (``point_in_range``), and the recomputed r
     matching the stored value to 2^-100 relative accuracy while being negative.
 
     f comes from ``table``, a ``PointTable(f, None, bits)`` holding the
@@ -626,6 +640,9 @@ def verify_certificate(
         return False
     if cert.n_points < n_threshold(cert.kernel_diag_sup, cert.c, cert.alpha):
         return False
+    # The extremes bound every magnitude: a check per point would cost more than these two.
+    if not (point_in_range(min(cert.points)) and point_in_range(max(cert.points))):
+        return False
     bits, start, n = cert.precision_bits, cert.ell + 1, cert.n_points
     if table is None or table.precision_bits != bits:
         table = PointTable(f, None, bits)
@@ -650,14 +667,12 @@ class SweepResult:
     """Witness construction across a grid of scales.
 
     Every grid entry lands in exactly one of ``certificates`` (by scale) or
-    ``failures`` (scale, reason).  ``scaling`` records N(c) * c^2 per
-    successful scale, which should hover near 2 * sup K / alpha^2.
+    ``failures`` (scale, reason).
     """
 
     c_values: Tuple[float, ...]
     certificates: Tuple[WitnessCertificate, ...]
     failures: Tuple[Tuple[float, str], ...]
-    scaling: Tuple[Tuple[float, float], ...]
     alpha: float
     alpha_provenance: str
 
@@ -696,7 +711,6 @@ def sweep_c(
         swept_alpha, provenance = float(alpha), DECLARED
     certs: List[WitnessCertificate] = []
     failures: List[Tuple[float, str]] = []
-    scaling: List[Tuple[float, float]] = []
     for c in grid:
         try:
             cert = build_witness(
@@ -714,12 +728,10 @@ def sweep_c(
             failures.append((c, f"{exc.reason}: {exc}"))
             continue
         certs.append(cert)
-        scaling.append((c, cert.n_points * c * c))
     return SweepResult(
         c_values=grid,
         certificates=tuple(certs),
         failures=tuple(failures),
-        scaling=tuple(scaling),
         alpha=swept_alpha,
         alpha_provenance=provenance,
     )

@@ -74,6 +74,24 @@ def paper_f_double(x: float) -> float:
     return math.exp(-math.sin(x) ** 2 + 1.0 / math.sqrt(1.0 + x * x))
 
 
+def poly_tail_grid_min(coeffs, direction: int) -> float:
+    """min |p| over x = +-(x* + 0.1 i), i = 0..10,000, in float Horner; x* = 1 + max |c_i / c_d|.
+
+    The sampled tail bound that polynomials carried before it became one
+    evaluation at x*: alpha was this minimum over two.
+    """
+    lead = coeffs[-1]
+    root_bound = 1.0 + max(abs(c / lead) for c in coeffs[:-1])
+
+    def horner(x: float) -> float:
+        acc = lead
+        for c in reversed(coeffs[:-1]):
+            acc = acc * x + c
+        return acc
+
+    return min(abs(horner(direction * (root_bound + i * 0.1))) for i in range(10_001))
+
+
 def triangular(n: int) -> int:
     return n * (n + 1) // 2
 

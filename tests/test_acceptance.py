@@ -104,8 +104,7 @@ def test_criterion_2_grid_scaling_law(gaussian_grid_sweep):
         ones = make_constant(1.0)
         for cert in sweep.certificates:
             assert verify_certificate(cert, kernel, ones)
-        for _, value in sweep.scaling:
-            assert 2.0 <= value <= 3.0
+            assert 2.0 <= cert.n_points * cert.c**2 <= 3.0
 
 
 def test_criterion_3_member_positive_controls():

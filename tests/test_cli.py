@@ -649,7 +649,7 @@ def test_csv_dir_unwritable(tmp_path):
         ["--alpha", "inf"],
         ["--kernel", "custom:1/r"],  # phi(0) undefined
         ["--kernel", "custom:exp(1000-r)"],  # phi(0) overflows a double
-        ["--function", "poly:1e308,1e308"],  # the tail sample overflows to alpha = inf
+        ["--function", "poly:1e308,1e308"],  # the tail bound overflows to alpha = inf
     ],
 )
 def test_non_finite_inputs_exit_1_with_one_line(tmp_path, capsys, argv):
@@ -1125,7 +1125,14 @@ def test_undefined_function_value_exits_2_with_one_line(tmp_path, capsys, comman
 
 @pytest.mark.parametrize("command", ["witness", "run"])
 @pytest.mark.parametrize(
-    "sequence,index", [("custom:1/(n-5)", 5), ("custom:1/(n-1)", 1), ("custom:sqrt(n-3)", 1)]
+    "sequence,index",
+    [
+        ("custom:1/(n-5)", 5),
+        ("custom:1/(n-1)", 1),
+        ("custom:sqrt(n-3)", 1),
+        ("custom:1e200*1e200*n", 1),  # beyond the double range
+        ("custom:exp(n*400)", 2),
+    ],
 )
 def test_undefined_sequence_point_blames_the_sequence(tmp_path, capsys, command, sequence, index):
     # A custom sequence has no direction, so alpha is sampled along it.
@@ -1136,6 +1143,20 @@ def test_undefined_sequence_point_blames_the_sequence(tmp_path, capsys, command,
     assert err.count("\n") == 1 and "Traceback" not in err
     assert f"sequence {sequence} is undefined at n = {index}" in err
     assert "function" not in err
+
+
+def test_run_labels_verified_exactly_what_verify_accepts(tmp_path, capsys):
+    # At c = 0.25 the window's 33 integer points reach 3.3e308, beyond 2**1024.
+    out, certs = tmp_path / "r.json", tmp_path / "certs"
+    argv = ["run", "--function", "constant:1.0", "--sequence", "arithmetic:1e307", "--c-grid", "1,0.5,0.25"]
+    assert main(argv + ["--out", str(out), "--certs-dir", str(certs)]) == 0
+    witness = json.loads(out.read_text())["results"]["witness"]
+    assert witness["verified_scales"] == ["1.0", "0.5"] and not witness["all_verified"]
+    paths = sorted(certs.iterdir())
+    assert len(paths) == 3
+    for path in paths:
+        listed = json.loads(path.read_text())["c"] in witness["verified_scales"]
+        assert main(["verify", str(path)]) == (0 if listed else 1)
 
 
 def test_verify_of_undefined_stored_value_exits_2(tmp_path, capsys):

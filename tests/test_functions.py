@@ -70,6 +70,21 @@ def test_polynomial_trailing_zeros_trimmed():
     assert f.tail_pos.alpha == 2.0
 
 
+_COEFF = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_LEAD = _COEFF.filter(lambda c: abs(c) >= 1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_COEFF, min_size=1, max_size=6).flatmap(lambda low: _LEAD.map(lambda lead: [*low, lead])))
+def test_polynomial_alpha_is_half_the_sampled_tail_minimum(coeffs):
+    # |p| increases beyond the root bound, so the old 10,001-point grid's
+    # minimum is its first sample: the one value the bound now evaluates.
+    f = make_polynomial(coeffs)
+    for tail, direction in ((f.tail_pos, 1), (f.tail_neg, -1)):
+        assert tail.alpha == oracles.poly_tail_grid_min(coeffs, direction) / 2.0
+        assert tail.threshold == 1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
+
+
 @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
 def test_paper_example_matches_reference(x):
     f = make_paper_example()

@@ -48,6 +48,8 @@ def test_custom_sequence_expression():
     assert [seq.point(n) for n in (1, 2, 3)] == [1.0, 4.0, 9.0]
     assert seq.direction is None
     assert not seq.is_triangular
+    # each point is the expression's 53-bit value: sinpi vanishes exactly at integers
+    assert custom_sequence("sinpi(n)").points(1, 3) == (0.0, 0.0, 0.0)
 
 
 @given(

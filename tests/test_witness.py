@@ -887,9 +887,8 @@ def test_sweep_partition_and_scaling():
     assert sweep.c_values == grid
     assert len(sweep.certificates) + len(sweep.failures) == len(grid)
     assert len(sweep.certificates) == 3
-    for (c, value) in sweep.scaling:
-        assert 2.0 <= value <= 3.0
     for cert in sweep.certificates:
+        assert 2.0 <= cert.n_points * cert.c**2 <= 3.0
         assert verify_certificate(cert, k, f)
 
 
