@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .analytic import analyticity_envelope
 from .errors import ConfigError, EvaluationError, SingularGramError, WitnessSearchError
 from .interpolant import EXTENSION_RULES, norm_growth_trace
+from .kernels import check_analytic_constants
 from .quadform import MAX_PRECISION_BITS, MIN_PRECISION_BITS, assemble_gram, psd_check, schur_deflation_control
 from .registry import resolve_function, resolve_kernel, resolve_sequence
 from .sequences import verify_decay
@@ -292,24 +293,34 @@ def _witness_worker(args: Tuple[RunConfig, Tuple[float, ...]]) -> SweepResult:
     return _sweep(cfg, scales, kernel, resolve_function(cfg.function, kernel), resolve_sequence(cfg.sequence))
 
 
-def _domain_transfer_note(cfg: RunConfig) -> str:
+def _analytic_profile(profile: Any) -> bool:
+    """Whether a profile declares analytic constants that check out: then every member is analytic."""
+    try:
+        check_analytic_constants(profile)  # ValueError when none are declared
+    except ValueError:
+        return False
+    return True
+
+
+def _domain_transfer_note(cfg: RunConfig, kernel: Any) -> str:
     """How a real-line certificate bears on the declared domain."""
     if cfg.domain_kind == "full_line":
+        return "certificates apply directly: the declared domain is the full real line"
+    if not cfg.has_accumulation_point:
         return (
-            "certificates apply directly: the declared domain is the full "
-            "real line"
+            "restriction remark withheld: the declared domain has no accumulation point, so real-line "
+            "non-membership says nothing about the restricted space on it"
         )
-    if cfg.has_accumulation_point:
+    if kernel.profile is None or not _analytic_profile(kernel.profile):
         return (
-            "restriction remark: because the declared domain has an "
-            "accumulation point, real-line non-membership carries over to the "
-            "restricted space on that domain, provided the candidate's "
-            "supplied extension is analytic (analyticity is not verified here)"
+            f"restriction remark withheld: kernel {kernel.kernel_id} has no checked analytic constants, so "
+            "members of its space need not be analytic, and one may agree with the candidate on the domain"
         )
     return (
-        "restriction remark withheld: the declared domain has no accumulation "
-        "point, so real-line non-membership says nothing about the restricted "
-        "space on it"
+        "restriction remark: because the kernel's analytic constants are checked and the declared domain "
+        "has an accumulation point, real-line non-membership carries over to the restricted space on "
+        "that domain, provided the candidate's supplied extension is analytic (the candidate's "
+        "analyticity is not verified here)"
     )
 
 
@@ -350,7 +361,7 @@ def _run_witness_task(
         number_to_str(cert.c, cfg.precision_bits) for i, cert in enumerate(certificates) if i in passed
     ]
     out["all_verified"] = len(passed) == len(grid)
-    out["domain_transfer"] = _domain_transfer_note(cfg)
+    out["domain_transfer"] = _domain_transfer_note(cfg, kernel)
     return out
 
 

@@ -33,6 +33,13 @@ between the operations are gone.  One difference is deliberate: where the
 negative number), the compiled function raises ``ComplexResult``, a
 ``ValueError``.  A body that is only the variable or one literal returns its
 argument or one shared mpf.
+
+The same lowered tree also compiles to an interval function on ``mpmath.iv``,
+each operation its ``iv`` counterpart (``sinpi(t)`` is ``iv.sin(iv.pi * t)``;
+mpmath 1.3.0 has no ``iv.sinpi``) and each literal its exact interval.  It
+encloses the expression's values on the interval it is given, at ``iv.prec``,
+or raises (``sqrt`` of an interval reaching below 0).  It does not see that
+``e * e`` is a square, so over an interval straddling 0 the enclosure is wide.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List
 
 import mpmath
-from mpmath import libmp
+from mpmath import iv, libmp
 
 from .errors import ExpressionError
 
@@ -64,6 +71,12 @@ _LIBMP_CALLS = {
 _LIBMP_NAMESPACE = {
     name: getattr(libmp, name)
     for name in (*_LIBMP_OPS.values(), *_LIBMP_CALLS.values(), "mpf_neg", "mpf_pow_int")
+}
+
+# The interval counterpart of each whitelisted call.
+_IV_NAMESPACE = {
+    "exp": iv.exp, "sin": iv.sin, "cos": iv.cos, "sqrt": iv.sqrt, "abs": abs, "_num": iv.mpf,
+    "sinpi": lambda t: iv.sin(iv.pi * t),
 }
 
 _make_mpf = mpmath.mp.make_mpf
@@ -210,12 +223,15 @@ class Expression:
 
     ``fn_mp`` takes an mpf and returns one, computed under whatever working
     precision the caller has set; ``eval_mp`` converts its argument first.
-    No literal is rounded below 53 bits.
+    No literal is rounded below 53 bits.  ``fn_iv`` takes an ``mpmath.iv``
+    interval and returns an enclosure of the expression's values on it,
+    computed at ``iv.prec``.
     """
 
     source: str
     variable: str
     fn_mp: Callable[[Any], Any] = field(repr=False, compare=False)
+    fn_iv: Callable[[Any], Any] = field(repr=False, compare=False)
 
     def eval_mp(self, value: Any) -> Any:
         return self.fn_mp(as_mpf(value))
@@ -258,4 +274,8 @@ def compile_expression(source: str, variable: str) -> Expression:
         **{f"_k{i}": k for i, k in enumerate(constants)},
     }
     exec(compile(fn_source, f"<expression {source!r}>", "exec"), namespace)
-    return Expression(source=source, variable=variable, fn_mp=namespace["_fn"])
+    iv_literals = {f"_k{i}": iv.mpf(v) for i, v in enumerate(literals)}
+    iv_namespace = {"__builtins__": {}, **_IV_NAMESPACE, **iv_literals}
+    iv_source = f"def _fn({variable}):\n    return {ast.unparse(body)}\n"
+    exec(compile(iv_source, f"<interval expression {source!r}>", "exec"), iv_namespace)
+    return Expression(source=source, variable=variable, fn_mp=namespace["_fn"], fn_iv=iv_namespace["_fn"])

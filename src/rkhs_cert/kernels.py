@@ -2,11 +2,8 @@
 
 A radial kernel is K(x, y) = phi((x - y)^2) for a profile phi with phi(0) > 0.
 Profiles carry the metadata the rest of the pipeline keys on: closed-form
-derivatives at the origin, analytic growth constants (C, R) with
-|phi^(n)(0)| <= C * R^n * n!, and flags stating that phi is nonnegative,
-monotone decreasing and decaying to zero.  The flags are declarative inputs;
-downstream code only uses them where they make a computation sound (for
-example truncating banded sums).
+derivatives at the origin and analytic growth constants (C, R) with
+|phi^(n)(0)| <= C * R^n * n!.
 
 Every kernel has one numeric definition, ``eval_mp``, on mpmath numbers
 under the caller's working precision.  The built-in radial profiles, like
@@ -15,6 +12,12 @@ custom ones, are each one whitelisted expression in ``r`` (see
 A radial kernel's diagonal bound phi(0) is that definition evaluated at 53
 bits.  Symmetry is exact by construction: both orders compute the identical
 floating-point expression.
+
+A profile's decay is proved from its expression, never declared:
+``RadialProfile.abs_bound(lo)`` bounds |phi| on [lo, +inf) by one ``mpmath.iv``
+evaluation, and ``truncation_radius`` is the first r* = 1, 4, 16, ... beyond
+which that bound is negligible.  Band truncation, the offset search and the
+decay check's "proved" label rest on these alone, whatever phi's sign or shape.
 """
 
 from __future__ import annotations
@@ -25,12 +28,17 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Tuple, Union
 
 import mpmath
-from mpmath import workprec
+from mpmath import iv, mpf, workprec
 
 from .errors import EvaluationError, ProfileDerivativeError
 from .expressions import Expression, as_mpf, compile_expression
 
 Number = Union[int, float, Fraction]
+
+_make_mpf = mpmath.mp.make_mpf
+
+# Radii r* = 4^k tried by RadialProfile.truncation_radius, k = 0, 1, ...
+_TRUNCATION_LADDER_STEPS = 4000
 
 
 @dataclass(frozen=True)
@@ -39,18 +47,59 @@ class RadialProfile:
 
     ``deriv_at_zero`` maps the order n >= 0 to phi^(n)(0+); built-ins supply
     exact integers.  ``analytic_constants = (C, R)`` asserts
-    |phi^(n)(0+)| <= C * R^n * n! for all n.
+    |phi^(n)(0+)| <= C * R^n * n! for all n.  ``fn_iv`` is phi on
+    ``mpmath.iv`` intervals (see ``expressions``); without it no bound holds.
     """
 
     fn_mp: Callable[[Any], Any]
     deriv_at_zero: Optional[Callable[[int], Number]] = None
     analytic_constants: Optional[Tuple[Number, Number]] = None
-    decays_to_zero: bool = False
-    nonneg: bool = False
-    monotone_decreasing: bool = False
+    fn_iv: Optional[Callable[[Any], Any]] = None
 
     def value_mp(self, r: Any) -> Any:
         return self.fn_mp(as_mpf(r))
+
+    def abs_bound(self, lo: Any) -> Any:
+        """An upper bound on |phi(r)| over r >= lo, as an mpf at the working precision.
+
+        One ``fn_iv`` call on [lo, +inf) at ``iv.prec`` equal to the working
+        precision.  ``mpmath.inf`` when there is no enclosure: no ``fn_iv``,
+        an operation that raises (``sqrt`` reaching below 0), or a nan.
+        """
+        if self.fn_iv is None:
+            return mpmath.inf
+        saved, iv.prec = iv.prec, mpmath.mp.prec
+        try:
+            enclosure = self.fn_iv(iv.mpf([lo, mpmath.inf]))
+        except (ArithmeticError, ValueError):
+            return mpmath.inf
+        finally:
+            iv.prec = saved
+        ends = [_make_mpf(end) for end in enclosure._mpi_]
+        if any(map(mpmath.isnan, ends)):
+            return mpmath.inf
+        return max(map(abs, ends))
+
+    def truncation_radius(self) -> Optional[Any]:
+        """The first r* = 1, 4, 16, ... with |phi| < 2^-(prec + 64) * max(phi(0), 1) on [r*, +inf).
+
+        prec is the working precision, and the bound is ``abs_bound(r*)``.
+        None when no r* up to 4^(_TRUNCATION_LADDER_STEPS - 1) qualifies, or
+        once the bound repeats on consecutive radii: interval evaluation is
+        inclusion-isotone, so the bound never grows along the ladder, and one
+        that has stopped falling (+inf for ``exp(r)``, 1 for ``cos(r)``) is
+        not followed further.  None only costs the band, never soundness.
+        """
+        cutoff = mpmath.ldexp(max(self.value_mp(0), 1), -(mpmath.mp.prec + 64))
+        r, last = mpf(1), None
+        for _ in range(_TRUNCATION_LADDER_STEPS):
+            bound = self.abs_bound(r)
+            if bound < cutoff:
+                return r
+            if bound == last:
+                return None
+            r, last = r * 4, bound
+        return None
 
     def derivative_at_zero(self, n: int) -> Number:
         if n < 0:
@@ -120,37 +169,24 @@ def _radial_kernel(kernel_id: str, profile: RadialProfile) -> KernelSpec:
 
 
 def _expression_profile(source: str, **metadata: Any) -> RadialProfile:
-    """A profile whose values come from one expression in ``r``."""
+    """A profile whose values and enclosures come from one expression in ``r``."""
     expr: Expression = compile_expression(source, "r")
-    return RadialProfile(fn_mp=expr.fn_mp, **metadata)
+    return RadialProfile(fn_mp=expr.fn_mp, fn_iv=expr.fn_iv, **metadata)
 
 
-def _decaying_kernel(
-    kernel_id: str,
-    source: str,
-    deriv_at_zero: Callable[[int], Number],
-    analytic_constants: Optional[Tuple[Number, Number]],
-) -> KernelSpec:
-    profile = _expression_profile(
-        source,
-        deriv_at_zero=deriv_at_zero,
-        analytic_constants=analytic_constants,
-        decays_to_zero=True,
-        nonneg=True,
-        monotone_decreasing=True,
-    )
-    return _radial_kernel(kernel_id, profile)
+def _builtin_radial(kernel_id: str, source: str, **metadata: Any) -> KernelSpec:
+    return _radial_kernel(kernel_id, _expression_profile(source, **metadata))
 
 
 def make_gaussian() -> KernelSpec:
     """K(x, y) = exp(-(x - y)^2); phi(r) = exp(-r), phi^(n)(0) = (-1)^n."""
-    return _decaying_kernel("gaussian", "exp(-r)", lambda n: (-1) ** n, (1, 1))
+    return _builtin_radial("gaussian", "exp(-r)", deriv_at_zero=lambda n: (-1) ** n, analytic_constants=(1, 1))
 
 
 def make_inverse_quadratic() -> KernelSpec:
     """K(x, y) = 1 / (1 + (x - y)^2); phi^(n)(0) = (-1)^n * n!."""
-    return _decaying_kernel(
-        "inverse_quadratic", "1/(1+r)", lambda n: (-1) ** n * math.factorial(n), (1, 1)
+    return _builtin_radial(
+        "inverse_quadratic", "1/(1+r)", deriv_at_zero=lambda n: (-1) ** n * math.factorial(n), analytic_constants=(1, 1)
     )
 
 
@@ -164,7 +200,7 @@ def _laplace_deriv(n: int) -> Number:
 
 def make_laplace() -> KernelSpec:
     """K(x, y) = exp(-|x - y|); phi(r) = exp(-sqrt(r)), kinked at the origin."""
-    return _decaying_kernel("laplace", "exp(-sqrt(r))", _laplace_deriv, None)
+    return _builtin_radial("laplace", "exp(-sqrt(r))", deriv_at_zero=_laplace_deriv)
 
 
 def make_exp_product() -> KernelSpec:
@@ -190,27 +226,13 @@ def custom_radial(profile: RadialProfile, kernel_id: str = "custom") -> KernelSp
     return kernel
 
 
-def custom_radial_from_expression(
-    source: str,
-    *,
-    kernel_id: Optional[str] = None,
-    decays_to_zero: bool = False,
-    nonneg: bool = False,
-    monotone_decreasing: bool = False,
-) -> KernelSpec:
+def custom_radial_from_expression(source: str, *, kernel_id: Optional[str] = None) -> KernelSpec:
     """Build a custom radial kernel from a whitelisted expression in ``r``.
 
-    The flags are caller declarations (they cannot be inferred from the
-    expression); leave them False when unsure and the pipeline stays on its
-    conservative code paths.
+    Its decay is whatever the expression's interval form proves (see
+    ``RadialProfile.abs_bound``); nothing about it is declared.
     """
-    profile = _expression_profile(
-        source,
-        decays_to_zero=decays_to_zero,
-        nonneg=nonneg,
-        monotone_decreasing=monotone_decreasing,
-    )
-    return custom_radial(profile, kernel_id=kernel_id or f"custom:{source}")
+    return custom_radial(_expression_profile(source), kernel_id=kernel_id or f"custom:{source}")
 
 
 BUILTIN_KERNELS: Tuple[str, ...] = ("gaussian", "inverse_quadratic", "laplace", "exp_product")

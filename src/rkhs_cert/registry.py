@@ -5,8 +5,7 @@ reports, so resolution must be a pure function of the string):
 
 kernels:    "gaussian" | "inverse_quadratic" | "laplace" | "exp_product"
             | "custom:<expression in r>"
-            | {"id": "custom", "profile": "<expr in r>", "decays_to_zero": b,
-               "nonneg": b, "monotone_decreasing": b}
+            | {"id": "custom", "profile": "<expr in r>"}   (no other keys)
 functions:  "constant:<v>" | "poly:<c0>,<c1>,..." | "paper_example"
             | "sin_squared_shifted" | "expr:<expression in x>"
             | "kernel_section:<x0>"   (requires the kernel as context)
@@ -19,10 +18,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional, Union
 
-import mpmath
-from mpmath import workprec
-
-from .errors import ConfigError, EvaluationError, ExpressionError
+from .errors import ConfigError, ExpressionError
 from .functions import (
     CandidateFunction,
     kernel_section,
@@ -47,52 +43,6 @@ from .sequences import (
 )
 
 
-_KERNEL_FLAGS = ("decays_to_zero", "nonneg", "monotone_decreasing")
-
-# The declared flags of a custom profile are sampled at r = 0 and r = 2**k for
-# k = -16 .. 512, at 53 bits.  At the ladder's end 1/(1+r) and exp(-sqrt(r))
-# are far below 2**-64 * phi(0); a profile must be there too to decay.
-_FLAG_LADDER_EXPONENTS = range(-16, 513)
-
-
-def _check_declared_flags(kernel: KernelSpec, source: str, flags: Dict[str, bool]) -> None:
-    """ConfigError unless phi, sampled on the ladder, keeps every flag declared true.
-
-    nonneg: phi >= 0; monotone_decreasing: phi nonincreasing; decays_to_zero:
-    |phi| at the ladder's end below 2**-64 * phi(0).  Samples are evidence,
-    not proof: a profile may still break a flag between them.
-    """
-    if not any(flags.values()):
-        return
-    labels = ["0"] + [f"2**{k}" for k in _FLAG_LADDER_EXPONENTS]
-    ladder = [0] + [mpmath.ldexp(1, k) for k in _FLAG_LADDER_EXPONENTS]
-    values = []
-    with workprec(53):
-        for label, r in zip(labels, ladder):
-            try:
-                values.append(kernel.profile.value_mp(r))
-            except (ArithmeticError, ValueError) as exc:
-                undefined = EvaluationError.undefined(f"custom kernel profile {source}", f"r = {label}", exc)
-                raise ConfigError(f"{undefined}, where its declared flags are checked") from None
-
-    def refuted(flag: str, why: str) -> ConfigError:
-        return ConfigError(f"custom kernel flag {flag!r} is false for {source}: {why}")
-
-    def phi(i: int) -> str:
-        return f"phi({labels[i]}) = {mpmath.nstr(values[i], 6)}"
-
-    if flags["nonneg"]:
-        for i, v in enumerate(values):
-            if v < 0:
-                raise refuted("nonneg", phi(i))
-    if flags["monotone_decreasing"]:
-        for i in range(1, len(values)):
-            if values[i] > values[i - 1]:
-                raise refuted("monotone_decreasing", f"{phi(i)} exceeds {phi(i - 1)}")
-    if flags["decays_to_zero"] and not abs(values[-1]) < mpmath.ldexp(values[0], -64):
-        raise refuted("decays_to_zero", f"{phi(-1)} is not below 2**-64 * phi(0)")
-
-
 def resolve_kernel(spec: Union[str, Dict[str, Any]]) -> KernelSpec:
     if isinstance(spec, dict):
         if spec.get("id") != "custom":
@@ -103,17 +53,13 @@ def resolve_kernel(spec: Union[str, Dict[str, Any]]) -> KernelSpec:
             raise ConfigError("custom kernel config needs a 'profile' expression") from None
         if not isinstance(profile, str):
             raise ConfigError(f"custom kernel profile must be an expression string, not {profile!r}")
-        flags = {key: spec.get(key, False) for key in _KERNEL_FLAGS}
-        for key, value in flags.items():
-            # The flags gate banded truncation, so "false" must not read as True.
-            if not isinstance(value, bool):
-                raise ConfigError(f"custom kernel flag {key!r} must be true or false, not {value!r}")
+        unknown = [key for key in spec if key not in ("id", "profile")]
+        if unknown:
+            raise ConfigError(f"unknown custom kernel key {unknown[0]!r}; its object takes only 'id' and 'profile'")
         try:
-            kernel = custom_radial_from_expression(profile, **flags)
+            return custom_radial_from_expression(profile)
         except (ExpressionError, ValueError) as exc:
             raise ConfigError(f"invalid custom kernel: {exc}") from exc
-        _check_declared_flags(kernel, profile, flags)
-        return kernel
     if not isinstance(spec, str):
         raise ConfigError("kernel must be an identifier string or a config object")
     if spec in BUILTIN_KERNELS:

@@ -5,8 +5,10 @@ the exact identity |x_{l+n} - x_{l+m}| = |n - m| (2l + n + m + 1) / 2 >= l for
 n != m, so shifting the window far enough makes every off-diagonal kernel
 entry small for any radial profile that decays to zero.  ``verify_decay``
 measures that numerically on a geometric ladder of offsets and labels the
-conclusion "proved" only when the exact gap identity and a declared decay
-flag back it; otherwise the evidence stays "empirical".
+conclusion "proved" only when the exact gap identity and the profile's
+interval form back it: the sequence is triangular and the profile has a
+``truncation_radius`` beyond which |phi| is provably negligible.  Otherwise
+the evidence stays "empirical".
 """
 
 from __future__ import annotations
@@ -246,7 +248,7 @@ def verify_decay(
         proved = (
             sequence.is_triangular
             and kernel.profile is not None
-            and kernel.profile.decays_to_zero
+            and kernel.profile.truncation_radius() is not None
         )
         evidence = "proved" if proved else "empirical"
         obstruction = None

@@ -16,15 +16,16 @@ Window sizes reach 2^17 + 1 at the smallest default scale, where a dense
 Gram matrix is out of reach.  One evaluator computes r as
 n phi(0) + 2 sum_{i<j} phi((x_j - x_i)^2) - c^2 (sum_i f(x_i))^2 for a radial
 profile phi, holding O(N) numbers.  The form is symmetric in the points, so
-a window that is not strictly monotone is evaluated in sorted order.  Under a
-profile that is nonincreasing, nonnegative and decays to zero, every window
-is band-truncated: pairs whose squared gap exceeds a radius r* with
-phi(r*) < 2^-(precision + 64) are dropped.  Since 0 <= phi <= phi(r*) on the
-dropped pairs, the omitted mass is below N^2 * 2^-(precision + 64), far under
-the certificate's comparison tolerance.  Under any other profile a window
-sums all of its pairs, up to DENSE_FALLBACK_LIMIT points.  Builder and
-verifier select the truncation by the same rule, so reverification
-reproduces r to working accuracy.
+a window that is not strictly monotone is evaluated in sorted order.  When
+the profile's interval form proves |phi| < 2^-(precision + 64) * max(phi(0), 1)
+on [r*, +inf) for a radius r* (``RadialProfile.truncation_radius``), every
+window is band-truncated: pairs whose squared gap exceeds r* are dropped, so
+the omitted mass is below N^2 times that cutoff, far under the
+certificate's comparison tolerance, whatever phi's sign or shape.  Without
+such an r* a window sums all of its pairs, up to DENSE_FALLBACK_LIMIT
+points.  The rule depends only on the profile's expression, which the
+kernel identifier names, so builder and verifier select the same path and
+reverification reproduces r to working accuracy.
 
 The evaluator's bookkeeping (point checks, gaps, the band test) runs on
 Python ints when every point is an int below 2^(precision // 2 - 2) in
@@ -66,13 +67,13 @@ from .functions import DECLARED, CandidateFunction, TailBound, tail_lower_bound
 from .kernels import KernelSpec
 from .quadform import DEFAULT_PRECISION_BITS, neumaier_sum
 from .quadform import assemble_gram, quadratic_form  # noqa: F401  unused; perfbench/trace_child.py patches them here
-from .sequences import SequenceSpec, max_offdiag
+from .sequences import SequenceSpec
 
 WITNESS_SCHEMA = "rkhs-cert/witness/v1"
 
 _make_mpf = mpmath.mp.make_mpf
 
-# Most points a full sum takes: without decay metadata it costs N^2 / 2 profile values.
+# Most points a full sum takes: without a truncation radius it costs N^2 / 2 profile values.
 DENSE_FALLBACK_LIMIT = 4096
 
 # Points lie in the double range, below 2**1024 in magnitude.  A kernel value
@@ -117,6 +118,32 @@ def n_threshold(c_k: Any, c: float, alpha: float) -> int:
         return int(mpmath.floor(ratio)) + 1
 
 
+def _no_radial_profile(kernel: KernelSpec) -> WitnessSearchError:
+    return WitnessSearchError(
+        f"kernel {kernel.kernel_id!r} has no radial profile to evaluate the form with",
+        reason="no-radial-profile",
+    )
+
+
+def offdiag_bound(kernel: KernelSpec, sequence: SequenceSpec, ell: int, window: int) -> Any:
+    """An upper bound eps on every off-diagonal |K| of the window x_{ell+1}, ..., x_{ell+window}.
+
+    eps = ``abs_bound(g^2)`` of the kernel's profile, g the window's smallest
+    gap: on a sequence with a ``direction`` and ``gaps_nondecreasing`` its
+    first gap, otherwise the smallest gap of the sorted window.  The gaps
+    and g^2 are rounded down at the working precision, from points that
+    convert exactly (floats, and ints below 2^precision).  Raises
+    ``no-radial-profile`` for a kernel without a profile.
+    """
+    if kernel.profile is None:
+        raise _no_radial_profile(kernel)
+    ordered = sequence.direction is not None and sequence.gaps_nondecreasing
+    prec = mpmath.mp.prec
+    keys = [mpf(p)._mpf_ for p in sorted(sequence.points(ell + 1, 2 if ordered else window))]
+    gap = min(_make_mpf(mpf_sub(b, a, prec, "f")) for a, b in zip(keys, keys[1:]))
+    return kernel.profile.abs_bound(_make_mpf(mpf_mul(gap._mpf_, gap._mpf_, prec, "f")))
+
+
 def find_ell(
     kernel: KernelSpec,
     sequence: SequenceSpec,
@@ -126,12 +153,13 @@ def find_ell(
     precision_bits: int = DEFAULT_PRECISION_BITS,
     min_ell: int = 0,
 ) -> int:
-    """Smallest probed offset ell with max off-diagonal |K| <= bound.
+    """Smallest probed offset ell whose ``offdiag_bound`` is at most ``bound``.
 
     Probes ell = min_ell, min_ell + 1, then doubles up to ell_max (always
-    including ell_max itself).  For monotone sequences with nondecreasing
-    gaps under a nonincreasing profile, the window maximum is phi(g^2) for
-    the smallest consecutive gap g, which avoids the O(window^2) scan.
+    including ell_max itself).  Each probe costs one interval evaluation of
+    the profile, plus the window's points on a sequence without ordered
+    gaps.  A kernel without a radial profile raises ``no-radial-profile``
+    before any point is computed.
     """
     if window < 2:
         raise ValueError("window must contain at least two points")
@@ -144,48 +172,18 @@ def find_ell(
         step *= 2
     ladder.append(ell_max)
     seen = set()
-    fast = (
-        kernel.profile is not None
-        and kernel.profile.monotone_decreasing
-        and sequence.direction is not None
-        and sequence.gaps_nondecreasing
-    )
     with workprec(precision_bits):
         limit = mpf(bound)
         for ell in ladder:
             if ell in seen or ell > ell_max:
                 continue
             seen.add(ell)
-            if fast:
-                gap = abs(mpf(sequence.point(ell + 2)) - mpf(sequence.point(ell + 1)))
-                value = kernel.profile.value_mp(gap * gap)
-            else:
-                if window > 512:
-                    raise WitnessSearchError(
-                        "window too large for an exhaustive off-diagonal scan; "
-                        "the kernel lacks monotone decay metadata",
-                        reason="no-decay-metadata",
-                    )
-                value = max_offdiag(kernel, sequence, ell, window, precision_bits)
-            if value <= limit:
+            if offdiag_bound(kernel, sequence, ell, window) <= limit:
                 return ell
     raise WitnessSearchError(
         f"no window offset up to {ell_max} brings off-diagonal kernel values "
         f"below {mpmath.nstr(mpf(bound), 8)}; decay condition not met at this horizon",
         reason="decay-horizon-exhausted",
-    )
-
-
-def _negligible_radius(profile: Any, cutoff: Any) -> Any:
-    """A radius beyond which the (nonincreasing, decaying) profile stays below cutoff."""
-    r = mpf(1)
-    for _ in range(4000):
-        if profile.value_mp(r) < cutoff:
-            return r
-        r *= 4
-    raise WitnessSearchError(
-        "profile decays too slowly to truncate the banded sum",
-        reason="truncation-failed",
     )
 
 
@@ -256,12 +254,14 @@ def evaluate_ones_form(
     with the rank-one part from the identity sum_{i,j} f_i f_j = (sum_i f_i)^2.
     A strictly ascending or descending window keeps its order; any other is
     sorted ascending, and must then have distinct points (else ValueError).
-    Under a profile flagged monotone decreasing, decaying to zero and
-    nonnegative, each row stops at the first squared gap beyond r*.  Under
-    any other profile the window sums all pairs, and may hold at most
-    DENSE_FALLBACK_LIMIT points (else ``window-too-large``).  The rule depends
-    only on the kernel, so verification reproduces the builder's choice.  A
-    kernel without a radial profile raises ``no-radial-profile``.
+    When the profile has a ``truncation_radius`` r* at ``precision_bits``,
+    each row stops at the first squared gap beyond r*, and rows stop once a
+    sorted gap sequence passes it; |phi| is provably below the cutoff on every
+    dropped pair.  Without one the window sums all pairs, and may hold at
+    most DENSE_FALLBACK_LIMIT points (else ``window-too-large``, raised
+    before any point check).  The rule depends only on the kernel, so
+    verification reproduces the builder's choice.  A kernel without a radial
+    profile raises ``no-radial-profile``.
 
     The bookkeeping (the point checks, the gaps and the band test d^2 > r*)
     runs on exact ints or on raw libmp values, as the module docstring says;
@@ -277,19 +277,16 @@ def evaluate_ones_form(
     """
     profile = kernel.profile
     if profile is None:
-        raise WitnessSearchError(
-            f"kernel {kernel.kernel_id!r} has no radial profile to evaluate the form with",
-            reason="no-radial-profile",
-        )
+        raise _no_radial_profile(kernel)
     n = len(points)
-    banded = profile.monotone_decreasing and profile.decays_to_zero and profile.nonneg
-    if not banded and n > DENSE_FALLBACK_LIMIT:
-        raise WitnessSearchError(
-            f"window of {n} points exceeds the full-sum limit of {DENSE_FALLBACK_LIMIT}, and the "
-            "kernel lacks the decay metadata needed for banded summation",
-            reason="window-too-large",
-        )
     with workprec(precision_bits):
+        radius = profile.truncation_radius()
+        if radius is None and n > DENSE_FALLBACK_LIMIT:
+            raise WitnessSearchError(
+                f"window of {n} points exceeds the full-sum limit of {DENSE_FALLBACK_LIMIT}, and the "
+                "kernel's profile has no truncation radius for banded summation",
+                reason="window-too-large",
+            )
         prec, rnd = mpmath.mp._prec_rounding
         a = _arithmetic(points, prec, rnd)
         keys, sub, mul, gt, zero = a.keys, a.sub, a.mul, a.gt, a.zero
@@ -302,10 +299,9 @@ def evaluate_ones_form(
             gaps = list(map(sub, keys[1:], keys))
             if not all(map(gt, gaps, repeat(zero))):
                 raise ValueError("coincident points in node set")
-        if banded:
+        if radius is not None:
             gaps_sorted = not any(map(gt, gaps, gaps[1:]))
-            cutoff = mpf(2) ** (-(precision_bits + 64)) * max(profile.value_mp(0), mpf(1))
-            r_star = a.from_raw(_negligible_radius(profile, cutoff)._mpf_)
+            r_star = a.from_raw(radius._mpf_)
         else:
             gaps_sorted, r_star = False, a.inf
         off_terms: List[Any] = []

@@ -3,7 +3,7 @@ import math
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath import mpf, workprec
+from mpmath import iv, mpf, workprec
 
 import oracles
 from rkhs_cert.errors import ExpressionError
@@ -156,6 +156,29 @@ def test_compiled_mp_context_matches_mpf_reference(source, x, bits):
                 fn_mp(point)
             return
         assert fn_mp(point)._mpf_ == expected._mpf_
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=_EXPRESSIONS, x=_POINTS, bits=st.sampled_from([64, 256]))
+def test_interval_function_encloses_the_mp_value(source, x, bits):
+    # each iv operation encloses the directed roundings of its exact result,
+    # so by induction it encloses every nearest-rounded mp intermediate
+    expr = compile_expression(source, "x")
+    with workprec(bits):
+        point = as_mpf(x)
+        try:
+            oracles.reference_mp(source, "x", point)
+            value = expr.fn_mp(point)
+        except (oracles.TooLarge, ZeroDivisionError, ValueError):
+            assume(False)
+        saved, iv.prec = iv.prec, bits
+        try:
+            enclosure = expr.fn_iv(iv.mpf([point, point]))
+        except (ZeroDivisionError, ValueError):
+            return  # no enclosure, which callers read as no bound
+        finally:
+            iv.prec = saved
+        assert value in enclosure
 
 
 @pytest.mark.parametrize("source,x", [("sqrt(x)", -4), ("abs(sqrt(x))", -4), ("cos(sqrt(x - 10))", 1)])

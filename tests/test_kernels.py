@@ -126,13 +126,90 @@ def test_custom_radial_requires_positive_origin():
 
 
 def test_custom_radial_from_expression():
-    k = custom_radial_from_expression("1/(1+r)", monotone_decreasing=True)
+    k = custom_radial_from_expression("1/(1+r)")
     assert k.kernel_id == "custom:1/(1+r)"
     for bits in BITS:
         with workprec(bits):
             assert k.eval_mp(1.0, 3.0) == mpmath.mpf(1) / 5
-    assert k.profile.monotone_decreasing
-    assert not k.profile.decays_to_zero  # not declared, stays off
+            # the first radius 4^k from which 1/(1 + r) < 2^-(bits + 64), by its interval form
+            radius = k.profile.truncation_radius()
+            assert k.profile.abs_bound(radius) < mpmath.ldexp(1, -(bits + 64)) <= k.profile.abs_bound(radius / 4)
+
+
+# --- interval bounds on a profile --------------------------------------------------
+
+_BOUNDED_PROFILES = ["gaussian", "inverse_quadratic", "laplace", "100/(100 + r)", "cos(r)", "exp(r)"]
+
+
+def _profile(name):
+    kernel = builtin_kernel(name) if name in DOUBLE_REFS else custom_radial_from_expression(name)
+    return kernel.profile
+
+
+@pytest.mark.parametrize("name", _BOUNDED_PROFILES)
+@settings(max_examples=40, deadline=None)
+@given(
+    lo=st.floats(min_value=0, max_value=1e6),
+    ahead=st.floats(min_value=0, max_value=1e3),
+    bits=st.sampled_from([53, 256]),
+)
+def test_abs_bound_dominates_the_profile_beyond_lo(name, lo, ahead, bits):
+    profile = _profile(name)
+    with workprec(bits):
+        bound = profile.abs_bound(lo)
+        for r in (lo, lo + ahead, lo * 4 + ahead):
+            assert abs(profile.value_mp(r)) <= bound
+
+
+@pytest.mark.parametrize(
+    "name,lo,expected",
+    [
+        ("gaussian", 9, "exp(-9), rounded up"),
+        ("cos(r)", 0, 1),
+        ("exp(r)", 0, mpmath.inf),
+        ("1 - r", 0, mpmath.inf),  # the lower end decides |phi|
+        ("cos(r) - exp(-r)/2", 0, 1.5),
+        ("sqrt(1 - r)", 0, mpmath.inf),  # sqrt reaches below 0: no enclosure
+        ("1 + r - r", 5, mpmath.inf),  # iv does not see that r - r vanishes
+    ],
+)
+def test_abs_bound_values(name, lo, expected):
+    profile = _profile(name)
+    with workprec(256):
+        bound = profile.abs_bound(lo)
+        if name == "gaussian":
+            assert mpmath.exp(-9) <= bound <= mpmath.exp(-9) * (1 + mpmath.mpf(2) ** -250)
+        else:
+            assert bound == expected
+
+
+@pytest.mark.parametrize("source", ["exp(r)", "cos(r)", "1/(1 + r) + 1/2**300", "1/(1 + abs(r - 1000))"])
+def test_profile_with_no_truncation_radius(source):
+    # the last one decays, but its bound repeats on [1, +inf) and [4, +inf)
+    profile = custom_radial_from_expression(source).profile
+    with workprec(256):
+        assert profile.truncation_radius() is None
+
+
+@pytest.mark.parametrize("name,radius", [("gaussian", 4**4), ("laplace", 4**8), ("inverse_quadratic", 4**161)])
+def test_builtin_truncation_radius_at_256_bits(name, radius):
+    with workprec(256):
+        assert builtin_kernel(name).profile.truncation_radius() == radius
+
+
+def test_profile_without_interval_form_has_no_bound():
+    profile = RadialProfile(fn_mp=lambda r: mpmath.exp(-r))
+    with workprec(256):
+        assert profile.abs_bound(100) == mpmath.inf
+        assert profile.truncation_radius() is None
+    assert custom_radial(profile).profile.fn_iv is None
+
+
+def test_abs_bound_restores_the_interval_precision():
+    saved = mpmath.iv.prec
+    with workprec(300):
+        make_gaussian().profile.abs_bound(1)
+    assert mpmath.iv.prec == saved
 
 
 @pytest.mark.parametrize("name", sorted(DOUBLE_REFS))

@@ -30,6 +30,7 @@ from rkhs_cert.witness import (
     evaluate_ones_form,
     find_ell,
     n_threshold,
+    offdiag_bound,
     resolve_alpha,
     sweep_c,
     verify_certificate,
@@ -91,12 +92,16 @@ def test_find_ell_gaussian_small_scale():
 
 
 def test_find_ell_laplace_boundary():
-    # consecutive gap at offset 1 is 3, and exp(-3) equals the bound exactly
+    # consecutive gap at offset 1 is 3; the offset passes exactly when the
+    # bound reaches the interval upper end of exp(-3), which is above exp(-3)
+    # rounded to nearest at 256 bits
     k = make_laplace()
     seq = triangular_sequence(1)
     with workprec(256):
-        bound = mpmath.exp(mpf(-3))
+        bound = k.profile.abs_bound(9)
+        assert mpmath.exp(mpf(-3)) < bound
         assert find_ell(k, seq, 2, bound, 10**6) == 1
+        assert find_ell(k, seq, 2, mpmath.exp(mpf(-3)), 10**6) == 2
 
 
 def test_find_ell_zero_offset_allowed():
@@ -106,7 +111,8 @@ def test_find_ell_zero_offset_allowed():
 
 
 def test_find_ell_horizon_exhausted():
-    k = make_exp_product()
+    # the gap at offset 64 is 66, and 1/(1 + 66^2) is far above the bound
+    k = make_inverse_quadratic()
     seq = triangular_sequence(1)
     with pytest.raises(WitnessSearchError) as exc:
         find_ell(k, seq, 3, 1e-8, 64)
@@ -114,18 +120,23 @@ def test_find_ell_horizon_exhausted():
 
 
 def test_find_ell_matches_slow_scan():
-    k = make_gaussian()
-    seq = triangular_sequence(1)
-    # strip the metadata fast path by lying about monotonicity via a custom seq
-    for bound in (0.5, 1e-3, 1e-9, 1e-20):
-        ell = find_ell(k, seq, 4, bound, 10**6)
-        from rkhs_cert.sequences import max_offdiag
+    # eps bounds the exhaustive scan of every window, whether it comes from
+    # the first gap (triangular+) or from the sorted window's smallest gap
+    from rkhs_cert.registry import resolve_sequence
+    from rkhs_cert.sequences import max_offdiag
 
-        assert max_offdiag(k, seq, ell, 4, 256) <= mpf(bound)
-        if ell > 0:
-            # the previous probed offset must fail the bound (ladder minimality)
-            prev = 0 if ell == 1 else ell // 2
-            assert max_offdiag(k, seq, prev, 4, 256) > mpf(bound)
+    for k, bounds in [(make_gaussian(), (0.5, 1e-3, 1e-9, 1e-20)), (make_inverse_quadratic(), (0.5, 1e-3, 1e-9))]:
+        for name, window in [("triangular+", 4), ("mixed_sign_triangular", 9), ("custom:n*n", 9)]:
+            seq = resolve_sequence(name)
+            for bound in bounds:
+                ell = find_ell(k, seq, window, bound, 10**6)
+                with workprec(256):
+                    eps = offdiag_bound(k, seq, ell, window)
+                    assert max_offdiag(k, seq, ell, window, 256) <= eps <= mpf(bound)
+                    if ell > 0:
+                        # the previous probed offset fails the bound (ladder minimality)
+                        prev = 0 if ell == 1 else ell // 2
+                        assert offdiag_bound(k, seq, prev, window) > mpf(bound)
 
 
 # --- evaluate_ones_form against the deflated-Gram oracle -------------------------
@@ -135,8 +146,8 @@ def _agreement_window(n):
     """(kernel, f, c, points): an int n is the triangular+ window x_2..x_{n+1}
     under the gaussian; named cases reach the point check's order and
     coincidence bookkeeping, the band truncation's gaps, mixed-sign windows
-    that are sorted before the band, and the full sum under a kernel without
-    decay flags."""
+    that are sorted before the band, and the full sum under a profile with no
+    truncation radius."""
     k = make_gaussian()
     if n == "decreasing":
         return k, make_constant(1.0), 0.5, triangular_sequence(-1).points(2, 160)
@@ -152,11 +163,11 @@ def _agreement_window(n):
     if n in ("unflagged-60", "unflagged-repeated"):
         from rkhs_cert.kernels import custom_radial_from_expression
 
-        # exp(-r) with no decay flags: every window sums all of its pairs
+        # never below 2^-(precision + 64): every window sums all of its pairs
         pts = list(triangular_sequence(1).points(2, 60))
         if n == "unflagged-repeated":
             pts[31] = pts[30]
-        return custom_radial_from_expression("exp(-r)"), make_paper_example(), 0.5, pts
+        return custom_radial_from_expression("1/(1 + r) + 1/2**300"), make_paper_example(), 0.5, pts
     pts = list(triangular_sequence(1).points(2, 160))
     if n == "swapped":
         pts[80], pts[81] = pts[81], pts[80]
@@ -396,7 +407,7 @@ def test_sampled_tail_is_resolved_once_per_sweep():
     from rkhs_cert.kernels import custom_radial_from_expression
     from rkhs_cert.registry import resolve_function
 
-    k = custom_radial_from_expression("100/(100 + r)", decays_to_zero=True, nonneg=True, monotone_decreasing=True)
+    k = custom_radial_from_expression("100/(100 + r)")
     f, calls = _counting(resolve_function("expr:2 + cos(x)", k))
     sweep = sweep_c(k, f, triangular_sequence(1), c_grid=(0.3, 0.25))
     assert [cert.ell for cert in sweep.certificates] == [64, 64]
@@ -421,9 +432,9 @@ def test_negative_doubling_cap_is_rejected():
 def test_window_no_path_can_take_costs_no_f_values():
     from rkhs_cert.kernels import custom_radial_from_expression
 
-    # monotone but not declared decaying: offsets are found fast, yet a window
-    # above the dense limit has no evaluation path
-    k = custom_radial_from_expression("exp(-r)", monotone_decreasing=True, nonneg=True)
+    # never below 2^-(precision + 64): offsets are found from the first gap,
+    # yet a window above the dense limit has no evaluation path
+    k = custom_radial_from_expression("1/(1 + r) + 1/2**300")
     f, calls = _counting(make_constant(1.0))
     with pytest.raises(WitnessSearchError) as exc:
         build_witness(k, f, triangular_sequence(1), 2.0**-6)
@@ -432,13 +443,20 @@ def test_window_no_path_can_take_costs_no_f_values():
 
 
 def test_kernel_without_radial_profile_is_refused():
-    # bounded but not radial: the offset search scans it, the evaluator refuses it
+    # bounded but not radial: the offset search refuses it before any point,
+    # and so does the evaluator
+    from rkhs_cert.sequences import SequenceSpec
+
     k = replace(make_gaussian(), kernel_id="gaussian-unprofiled", profile=None)
     f, calls = _counting(make_constant(1.0))
-    with pytest.raises(WitnessSearchError) as exc:
-        build_witness(k, f, triangular_sequence(1), 1.0)
-    assert exc.value.reason == "no-radial-profile" and "\n" not in str(exc.value)
-    assert calls == []
+    points = []
+    # ascending, so the constant's declared tail bound needs no sample
+    seq = SequenceSpec("counted", lambda n: points.append(n) or n, 1)
+    for search in (lambda: build_witness(k, f, seq, 1.0), lambda: evaluate_ones_form(k, f, 1.0, [1, 2, 3])):
+        with pytest.raises(WitnessSearchError) as exc:
+            search()
+        assert exc.value.reason == "no-radial-profile" and "\n" not in str(exc.value)
+    assert calls == [] and points == []
 
 
 def test_point_table_extends_and_restarts():
@@ -484,10 +502,11 @@ def test_table_for_other_inputs_is_rejected(other):
         build_witness(make_gaussian(), f, seq, 1.0, table=PointTable(*args))
 
 
-@pytest.mark.parametrize("reason", ["coincident", "truncation-failed"])
+@pytest.mark.parametrize("reason", ["coincident", "window-too-large"])
 def test_window_failing_point_checks_costs_no_f_values(reason):
     from rkhs_cert.kernels import custom_radial_from_expression
     from rkhs_cert.sequences import SequenceSpec
+    from rkhs_cert.witness import WitnessCertificate
 
     f, calls = _counting(make_paper_example())
     if reason == "coincident":
@@ -498,13 +517,17 @@ def test_window_failing_point_checks_costs_no_f_values(reason):
         with pytest.raises(ValueError, match="coincident"):
             build_witness(make_gaussian(), f, seq, 0.25)
     else:
-        # declared decaying, yet never below 2^-(precision + 64)
-        k = custom_radial_from_expression(
-            "1/(1 + r) + 1/2**300", decays_to_zero=True, nonneg=True, monotone_decreasing=True
+        # no truncation radius: the verifier refuses a stored window above the
+        # full-sum limit before it computes any f value
+        k = custom_radial_from_expression("1/(1 + r) + 1/2**300")
+        n = n_threshold(k.diag_sup, 2.0**-5, 0.5)
+        cert = WitnessCertificate(
+            k.kernel_id, f.function_id, "triangular+", 2.0**-5, 0.5, "declared", k.diag_sup,
+            n, 0, mpf(-1), triangular_sequence(1).points(1, n), 256,
         )
         with pytest.raises(WitnessSearchError) as exc:
-            build_witness(k, f, triangular_sequence(1), 0.25)
-        assert exc.value.reason == reason
+            verify_certificate(cert, k, f)
+        assert exc.value.reason == reason and n > 4096
     assert calls == []
 
 
