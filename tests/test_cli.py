@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -692,6 +693,43 @@ def test_custom_kernel_object_refuses_unknown_keys(tmp_path, capsys, key):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1 and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [{"decays_to_zero": "false"}, {"nonneg": "no"}, {"monotone_decreasing": 1}])
+def test_custom_kernel_flags_must_be_bool(flags):
+    # The flag values are no longer type-checked: the key is refused before its
+    # value is read, so a non-bool value fails as an unknown key, not a type error
+    (key,) = flags
+    with pytest.raises(ConfigError, match=f"unknown custom kernel key '{key}'") as info:
+        resolve_kernel({"id": "custom", "profile": "exp(-r)", **flags})
+    assert "must be true or false" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "profile,flag,why",
+    [
+        ("exp(r)", "decays_to_zero", r"phi\(2\*\*512\) = .* is not below 2\*\*-64 \* phi\(0\)"),
+        ("1", "decays_to_zero", r"phi\(2\*\*512\) = 1\.0 is not below"),
+        ("exp(r)", "monotone_decreasing", r"phi\(2\*\*-16\) = 1\.00002 exceeds phi\(0\) = 1\.0"),
+        ("cos(r)", "nonneg", r"phi\(2\*\*1\) = -0\.416147"),
+        ("sqrt(1 - r)", "nonneg", r"sqrt\(1 - r\) is undefined at r = 2\*\*1"),
+    ],
+)
+def test_custom_kernel_flag_its_profile_breaks_exits_1(tmp_path, capsys, profile, flag, why):
+    # Each flag here declares a fact its profile breaks; `why` is the sampled
+    # refutation the config used to print. No profile is sampled now: the key
+    # alone is refused, and the profile's own interval facts prove no decay.
+    kernel = {"id": "custom", "profile": profile, flag: True}
+    with pytest.raises(ConfigError, match=f"unknown custom kernel key '{flag}'"):
+        resolve_kernel(kernel)
+    assert resolve_kernel({"id": "custom", "profile": profile}).profile.truncation_radius() is None
+    path, out = tmp_path / "config.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"kernel": kernel, "c_grid": [1.0]}))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert flag in err and re.search(why, err) is None
     assert not out.exists()
 
 
