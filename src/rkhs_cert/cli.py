@@ -669,7 +669,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ok = verify_certificate(cert, kernel, f)
     except ValueError as exc:
         # The kernel and function come from the certificate itself, so a
-        # ValueError is a defect of the stored window: coincident points.
+        # ValueError is a defect of the stored window: coincident points, or
+        # points whose exact keys would span too many bits.
         print(f"certificate FAILED verification: {exc}", file=sys.stderr)
         return 2
     if ok:

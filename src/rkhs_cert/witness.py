@@ -28,17 +28,17 @@ kernel identifier names, so builder and verifier select the same path and
 reverification reproduces r to working accuracy.
 
 The evaluator's bookkeeping (point checks, gaps, the band test) runs on
-Python ints when every point is an int below 2^(precision // 2 - 2) in
-magnitude, as the built-in integer sequences are at 256 bits: libmp computes
-every difference and square of such points exactly, so r is bit-identical to
-the libmp path that every other window takes.  Points are handed around as
-the sequence or the certificate gives them.  The points of an int window
-become mpf values only where f needs a value; a window on the libmp path
-converts its points once and hands the mpf values on to f.
+exact Python ints for every window: ``_window_keys`` writes each point, as
+the working precision gives it, as k * 2^e for one exponent e, so every
+difference and square is exact and phi's argument d^2 is rounded once.  An
+int window below 2^precision is its own keys and becomes mpf values only
+where f needs them; any other window converts its points once and hands
+the mpf values on to f.
 
 ``sweep_c`` is the one loop over scales, for the library and for
-``rkhs-cert run``.  A search evaluates f once per sequence index: its windows
-and its tail sample are served from one ``PointTable``, which
+``rkhs-cert run``.  A search evaluates f once per sequence index: its windows,
+its tail sample and the offset probes' windows on a sequence without ordered
+gaps are served from one ``PointTable``, which
 ``build_witness`` shares across its doublings and ``sweep_c`` across its
 scales (their windows start at nearby offsets and mostly contain one
 another).  A window's f values are computed only after it passes the
@@ -51,15 +51,13 @@ stored points, made without a sequence.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
-from mpmath.libmp import finf, fzero, from_int, mpf_gt, mpf_mul, mpf_neg, mpf_sub, to_int
+from mpmath.libmp import from_man_exp, mpf_shift, to_int
 
 from .errors import WitnessSearchError
 from .expressions import as_mpf
@@ -125,23 +123,53 @@ def _no_radial_profile(kernel: KernelSpec) -> WitnessSearchError:
     )
 
 
-def offdiag_bound(kernel: KernelSpec, sequence: SequenceSpec, ell: int, window: int) -> Any:
+def _window_keys(points: Sequence[Any], prec: int) -> Tuple[Sequence[int], int, Optional[List[Any]]]:
+    """Ints k_i and one exponent e with k_i * 2^e each point's value at precision ``prec``, exactly.
+
+    Also the points as mpf values for f: None for ints below 2^prec, their
+    own keys with e = 0.  Any other window is converted once; a non-finite
+    point, or keys spanning more than prec + 2 MAX_POINT_BITS + 64 bits
+    (one tiny point widens every key), raise ValueError before any key is made.
+    """
+    if set(map(type, points)) == {int} and -(1 << prec) < min(points) and max(points) < 1 << prec:
+        return points, 0, None
+    mp = [as_mpf(p) for p in points]
+    raw = [p._mpf_ for p in mp]
+    # inf and nan have a zero mantissa and a nonzero bit count; zero has neither
+    if any(not man and bc for _, man, _, bc in raw):
+        raise ValueError("non-finite point in node set")
+    e = min([exp for _, man, exp, _ in raw if man], default=0)
+    span = max([exp + bc - e for _, man, exp, bc in raw if man], default=0)
+    if span > prec + 2 * MAX_POINT_BITS + 64:
+        raise ValueError(f"points span {span} bits, more than the precision + {2 * MAX_POINT_BITS + 64}")
+    return [((-man if sign else man) << (exp - e)) if man else 0 for sign, man, exp, _ in raw], e, mp
+
+
+def offdiag_bound(
+    kernel: KernelSpec, sequence: SequenceSpec, ell: int, window: int, table: Optional["PointTable"] = None
+) -> Any:
     """An upper bound eps on every off-diagonal |K| of the window x_{ell+1}, ..., x_{ell+window}.
 
     eps = ``abs_bound(g^2)`` of the kernel's profile, g the window's smallest
     gap: on a sequence with a ``direction`` and ``gaps_nondecreasing`` its
-    first gap, otherwise the smallest gap of the sorted window.  The gaps
-    and g^2 are rounded down at the working precision, from points that
-    convert exactly (floats, and ints below 2^precision).  Raises
-    ``no-radial-profile`` for a kernel without a profile.
+    first gap, otherwise the smallest gap of the sorted window, read from
+    ``table`` (a search's table for the sequence) when given.  g is exact on
+    the window's keys (``_window_keys``) and g^2 is rounded down once.
+    Raises ``no-radial-profile`` for a kernel without a profile.
     """
     if kernel.profile is None:
         raise _no_radial_profile(kernel)
-    ordered = sequence.direction is not None and sequence.gaps_nondecreasing
+    if sequence.direction is not None and sequence.gaps_nondecreasing:
+        points = sequence.points(ell + 1, 2)
+    elif table is not None:
+        points = table.points(ell + 1, window)
+    else:
+        points = sequence.points(ell + 1, window)
     prec = mpmath.mp.prec
-    keys = [mpf(p)._mpf_ for p in sorted(sequence.points(ell + 1, 2 if ordered else window))]
-    gap = min(_make_mpf(mpf_sub(b, a, prec, "f")) for a, b in zip(keys, keys[1:]))
-    return kernel.profile.abs_bound(_make_mpf(mpf_mul(gap._mpf_, gap._mpf_, prec, "f")))
+    keys, e, _ = _window_keys(points, prec)
+    keys = sorted(keys)
+    gap = min(b - a for a, b in zip(keys, keys[1:]))
+    return kernel.profile.abs_bound(_make_mpf(from_man_exp(gap * gap, 2 * e, prec, "f")))
 
 
 def find_ell(
@@ -152,14 +180,15 @@ def find_ell(
     ell_max: int,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     min_ell: int = 0,
+    table: Optional["PointTable"] = None,
 ) -> int:
     """Smallest probed offset ell whose ``offdiag_bound`` is at most ``bound``.
 
     Probes ell = min_ell, min_ell + 1, then doubles up to ell_max (always
     including ell_max itself).  Each probe costs one interval evaluation of
     the profile, plus the window's points on a sequence without ordered
-    gaps.  A kernel without a radial profile raises ``no-radial-profile``
-    before any point is computed.
+    gaps, served by ``table`` when given.  A kernel without a radial
+    profile raises ``no-radial-profile`` before any point is computed.
     """
     if window < 2:
         raise ValueError("window must contain at least two points")
@@ -178,61 +207,13 @@ def find_ell(
             if ell in seen or ell > ell_max:
                 continue
             seen.add(ell)
-            if offdiag_bound(kernel, sequence, ell, window) <= limit:
+            if offdiag_bound(kernel, sequence, ell, window, table) <= limit:
                 return ell
     raise WitnessSearchError(
         f"no window offset up to {ell_max} brings off-diagonal kernel values "
         f"below {mpmath.nstr(mpf(bound), 8)}; decay condition not met at this horizon",
         reason="decay-horizon-exhausted",
     )
-
-
-def _exact_int_window(points: Sequence[Any], prec: int) -> bool:
-    """Whether every point is an ``int`` below 2^(prec // 2 - 2) in magnitude.
-
-    Then every difference d of two points has |d| < 2^(prec // 2 - 1) and
-    d^2 < 2^(prec - 2), so the points, their differences and the squares all
-    fit in prec bits: libmp would compute each of them exactly.
-    """
-    if set(map(type, points)) != {int}:
-        return False
-    limit = 1 << (prec // 2 - 2)
-    return -limit < min(points) and max(points) < limit
-
-
-class _Arithmetic(NamedTuple):
-    """How the evaluator computes with points: on ints, or on raw libmp values."""
-
-    keys: Sequence[Any]  # the points, as ints or as raw libmp values
-    mp: Optional[List[Any]]  # the points as mpf values; None on ints, which convert only for f
-    sub: Callable[[Any, Any], Any]
-    mul: Callable[[Any, Any], Any]
-    gt: Callable[[Any, Any], bool]
-    neg: Callable[[Any], Any]
-    zero: Any
-    inf: Any  # above every squared difference: the radius of a full sum
-    from_raw: Callable[[Any], Any]  # the radius r*, a raw libmp value, for comparing with d^2
-    to_raw: Callable[[Any], Any]  # a squared difference d^2 as a raw libmp value, for phi
-
-
-def _arithmetic(points: Sequence[Any], prec: int, rnd: str) -> _Arithmetic:
-    """Exact ints for a window that ``_exact_int_window`` admits, else libmp at (prec, rnd)."""
-    if _exact_int_window(points, prec):
-        return _Arithmetic(
-            points, None, operator.sub, operator.mul, operator.gt, operator.neg, 0, math.inf,
-            # d^2 > r* iff d^2 > floor(r*) for an integer d^2
-            lambda r: to_int(r, "f"), lambda d2: from_int(d2, prec, rnd),
-        )
-    mp = [as_mpf(p) for p in points]
-    return _Arithmetic(
-        [p._mpf_ for p in mp], mp,
-        lambda a, b: mpf_sub(a, b, prec, rnd), lambda a, b: mpf_mul(a, b, prec, rnd),
-        mpf_gt, mpf_neg, fzero, finf, _same, _same,
-    )
-
-
-def _same(x: Any) -> Any:
-    return x
 
 
 # f at a window's points, given them as mpf values or None; see evaluate_ones_form.
@@ -264,16 +245,18 @@ def evaluate_ones_form(
     profile raises ``no-radial-profile``.
 
     The bookkeeping (the point checks, the gaps and the band test d^2 > r*)
-    runs on exact ints or on raw libmp values, as the module docstring says;
-    on libmp values a nan difference fails the point check.  Only that
+    runs on the window's exact integer keys (``_window_keys``, which raises
+    ValueError for a non-finite point or too wide a span): with points
+    k_i * 2^e, d^2 > r* is D^2 > floor(r* / 4^e) for the integer D^2, and
+    phi gets D^2 * 4^e rounded once at ``precision_bits``.  Only that
     bookkeeping sees the sorted order: f gets the points as given.
 
     ``f_values``, when given, returns f at the points, computed at
     ``precision_bits``.  It is passed the points as mpf values when the
-    evaluator has converted them, else None (an int window converts none).
-    It is called only once the window has passed its point checks, so a
-    window rejected there costs no f values.  Without it, f is evaluated
-    once per point.
+    evaluator has converted them, else None (an int window below
+    2^precision converts none).  It is called only once the window has
+    passed its point checks, so a window rejected there costs no f values.
+    Without it, f is evaluated once per point.
     """
     profile = kernel.profile
     if profile is None:
@@ -288,43 +271,46 @@ def evaluate_ones_form(
                 reason="window-too-large",
             )
         prec, rnd = mpmath.mp._prec_rounding
-        a = _arithmetic(points, prec, rnd)
-        keys, sub, mul, gt, zero = a.keys, a.sub, a.mul, a.gt, a.zero
-        gaps = list(map(sub, keys[1:], keys))
-        if all(map(gt, repeat(zero), gaps)):
-            gaps = list(map(a.neg, gaps))
-        elif not all(map(gt, gaps, repeat(zero))):
-            # the form is symmetric in the points: sort the evaluator's own keys, never a.mp
-            keys = sorted(keys) if a.mp is None else [p._mpf_ for p in sorted(a.mp)]
-            gaps = list(map(sub, keys[1:], keys))
-            if not all(map(gt, gaps, repeat(zero))):
+        keys, e, mp = _window_keys(points, prec)
+        gaps = [b - a for a, b in zip(keys, keys[1:])]
+        if all(g < 0 for g in gaps):
+            gaps = [-g for g in gaps]
+        elif not all(g > 0 for g in gaps):
+            # the form is symmetric in the points: sort the evaluator's own keys
+            keys = sorted(keys)
+            gaps = [b - a for a, b in zip(keys, keys[1:])]
+            if not all(gaps):
                 raise ValueError("coincident points in node set")
+        e2 = 2 * e
         if radius is not None:
-            gaps_sorted = not any(map(gt, gaps, gaps[1:]))
-            r_star = a.from_raw(radius._mpf_)
+            gaps_sorted = all(a <= b for a, b in zip(gaps, gaps[1:]))
+            # D^2 * 4^e > r* iff D^2 > floor(r* / 4^e) for an integer D^2
+            r_star = to_int(mpf_shift(radius._mpf_, -e2), "f")
         else:
-            gaps_sorted, r_star = False, a.inf
+            gaps_sorted, r_star = False, math.inf
         off_terms: List[Any] = []
         for i in range(n - 1):
-            if gaps_sorted and gt(mul(gaps[i], gaps[i]), r_star):
+            if gaps_sorted and gaps[i] * gaps[i] > r_star:
                 break
             acc = mpf(0)
             x = keys[i]
             for j in range(i + 1, n):
-                d = sub(keys[j], x)
-                d2 = mul(d, d)
-                if gt(d2, r_star):
+                d = keys[j] - x
+                d2 = d * d
+                if d2 > r_star:
                     break
-                acc += profile.value_mp(_make_mpf(a.to_raw(d2)))
+                acc += profile.value_mp(_make_mpf(from_man_exp(d2, e2, prec, rnd)))
             off_terms.append(2 * acc)
-        mp = a.mp
-        del a, keys, gaps  # garbage before f, which may keep mpf points of its own
+        del keys, gaps  # garbage before f, which may keep mpf points of its own
         diag = n * profile.value_mp(0)
         if f_values is None:
             fsum = neumaier_sum(f.values_mp(points if mp is None else mp))
         else:
             fsum = neumaier_sum(f_values(mp))
         return diag + neumaier_sum(off_terms) - mpf(c) ** 2 * fsum * fsum
+
+
+NOT_SAMPLED = object()  # a PointTable's tail before resolve_alpha samples it
 
 
 class PointTable:
@@ -342,9 +328,10 @@ class PointTable:
     Windows are list slices: the caller may keep them, but not modify them.
     A verifier's table has no ``sequence``: it holds the certificates' stored
     points, passed to ``points`` as ``given``.
-    ``tails`` keeps the tail bounds ``resolve_alpha`` sampled through the
-    table, by (start, count), so each search of a sweep reuses the sample
-    even after the windows have moved the table's points away from it.
+    ``tail`` keeps the tail bound ``resolve_alpha`` sampled through the
+    table (None when the sample gave none; NOT_SAMPLED until it is taken),
+    so each search of a sweep reuses the sample even after the windows have
+    moved the table's points away from it.
     """
 
     def __init__(
@@ -360,7 +347,7 @@ class PointTable:
         self.raw: List[Any] = []
         self.values_first = 1
         self.values: List[Any] = []
-        self.tails: Dict[Tuple[int, int], Optional[TailBound]] = {}
+        self.tail: Any = NOT_SAMPLED
 
     def points(self, start: int, count: int, given: Optional[Sequence[Any]] = None) -> List[Any]:
         """The points at indices start, ..., start + count - 1, as the sequence gives them.
@@ -451,18 +438,21 @@ class WitnessCertificate:
     schema: str = WITNESS_SCHEMA
 
 
+# Points resolve_alpha samples |f| at, from x_1 on.
+TAIL_SAMPLE_COUNT = 32
+
+
 def resolve_alpha(
     f: CandidateFunction,
     sequence: SequenceSpec,
-    start: int = 1,
-    count: int = 32,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     table: Optional[PointTable] = None,
 ) -> TailBound:
     """Tail bound to use along the sequence: declared if available, else sampled.
 
-    A search passes its ``table``, so f is evaluated once at the sampled
-    points it also puts in windows, and the sample is taken once per table.
+    The sample is |f| at x_1, ..., x_TAIL_SAMPLE_COUNT.  A search passes
+    its ``table``, so f is evaluated once at the sampled points it also puts
+    in windows, and the sample is taken once per table.
     Raises WitnessSearchError when neither a declared bound matching the
     sequence direction nor a clean empirical sample exists.
     """
@@ -473,10 +463,11 @@ def resolve_alpha(
         declared = f.tail_neg
     if declared is not None:
         return declared
-    tails = {} if table is None else table.tails
-    if (start, count) not in tails:
-        tails[start, count] = tail_lower_bound(f, sequence, start, count, precision_bits, table)
-    sampled = tails[start, count]
+    if table is None:
+        table = PointTable(f, sequence, precision_bits)
+    if table.tail is NOT_SAMPLED:
+        table.tail = tail_lower_bound(f, sequence, 1, TAIL_SAMPLE_COUNT, precision_bits, table)
+    sampled = table.tail
     if sampled is None:
         raise WitnessSearchError(
             "no usable tail bound: the function has no declared bound along this "
@@ -486,17 +477,17 @@ def resolve_alpha(
     return sampled
 
 
-def _tail_entry_offset(sequence: SequenceSpec, tail: TailBound) -> int:
-    """Smallest offset ell such that x_{ell+1} lies in the tail's validity region."""
+def _tail_entry_offset(sequence: SequenceSpec, tail: TailBound, ell_max: int) -> int:
+    """Smallest offset ell <= ell_max such that x_{ell+1} lies in the tail's validity region."""
     if tail.threshold <= 0 or sequence.direction is None:
         return 0
     target = tail.threshold
     ell = 0
     while abs(sequence.point(ell + 1)) < target:
         ell += 1
-        if ell > 10**7:
+        if ell > ell_max:
             raise WitnessSearchError(
-                "sequence never reaches the tail bound's validity region",
+                f"the sequence does not reach the tail bound's validity region by offset {ell_max}",
                 reason="tail-unreachable",
             )
     return ell
@@ -536,7 +527,7 @@ def build_witness(
         tail = resolve_alpha(f, sequence, precision_bits=precision_bits, table=table)
         alpha_value = tail.alpha
         provenance = tail.provenance
-        min_ell = _tail_entry_offset(sequence, tail)
+        min_ell = _tail_entry_offset(sequence, tail, ell_max)
     else:
         if not alpha > 0:
             raise ValueError("tail bound alpha must be positive")
@@ -550,7 +541,7 @@ def build_witness(
     n = max(n_threshold(c_k, c, alpha_value), 2)
     last_r = None
     for _ in range(doubling_cap + 1):
-        ell = find_ell(kernel, sequence, n, bound, ell_max, precision_bits, min_ell=min_ell)
+        ell = find_ell(kernel, sequence, n, bound, ell_max, precision_bits, min_ell, table)
         points = table.points(ell + 1, n)
         r = evaluate_ones_form(
             kernel, f, c, points, precision_bits, f_values=partial(table.window, ell + 1, n)

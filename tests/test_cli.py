@@ -952,7 +952,7 @@ def test_report_bytes_are_pinned(tmp_path, kernel, function, extra, code, digest
         pytest.param("gaussian", "paper_example", "1,0.5,0.25,0.125", [], id="gaussian-paper_example-1,0.5,0.25,0.125"),
         pytest.param("inverse_quadratic", "poly:-6,1", "0.5,1", [], id="inverse_quadratic-poly:-6,1-0.5,1"),
         pytest.param("laplace", "sin_squared_shifted", "1,0.5,0.25", [], id="laplace-sin_squared_shifted-1,0.5,0.25"),
-        # the 129-point window takes the banded evaluator's libmp path
+        # the 129-point window of float points gets its keys through conversion
         pytest.param("gaussian", "constant:1.0", "1,0.125", ["--sequence", "arithmetic:7.5"], id="float-points"),
         pytest.param("gaussian", "paper_example", "1,0.5,0.25", ["--sequence", "custom:n*n"], id="custom-sequence"),
         pytest.param("gaussian", "paper_example", "0.25,1,0.5,0.125", ["--jobs", "2"], id="jobs-2"),
@@ -1198,3 +1198,31 @@ def test_verify_of_undefined_stored_value_exits_2(tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "function expr:1/(x-3) is undefined at x = 3" in err
+
+
+def test_verify_refuses_a_window_of_too_wide_span_with_one_line(tmp_path, capsys):
+    # one stored point of 2^-9965784 would widen every exact key of the window
+    path = tmp_path / "cert.json"
+    args = ["--kernel", "gaussian", "--function", "constant:1.0", "--sequence", "arithmetic:7.5", "--c", "0.125"]
+    assert main(["witness", "--out", str(path)] + args) == 0
+    data = json.loads(path.read_text())
+    assert data["n_points"] == 129
+    data["points"][0] = "1e-3000000"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("certificate FAILED verification") and "span" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sequence", ["triangular+", "arithmetic:1"])
+def test_tail_beyond_ell_max_fails_its_scale(tmp_path, sequence):
+    # poly:-1e12,1 declares its tail bound from x >= 1e12 + 1 on, which no
+    # offset up to the default ell_max of 10^6 reaches on either sequence
+    argv = ["--function", "poly:-1e12,1", "--sequence", sequence, "--c-grid", "1"]
+    code, report = _run_report(tmp_path, "r.json", argv)
+    assert code == 0
+    assert report["task_errors"] == {}
+    (failure,) = report["results"]["witness"]["failures"]
+    assert failure["reason"].startswith("tail-unreachable") and "offset 1000000" in failure["reason"]

@@ -5,7 +5,8 @@
 ``cli.build_witness``, ``cli.resolve_kernel`` and others), so a rename in the
 program breaks ``perfbench/run.py --trace 1``.  This runs it on ``witness``,
 on ``verify`` of one small certificate, on a one-scale ``run`` with and
-without ``--certs-dir`` and on ``psd-check``, and checks that the kernel layer's counters (``kernels.eval_mp``,
+without ``--certs-dir``, on one over float points and on ``psd-check``, and
+checks that the kernel layer's counters (``kernels.eval_mp``,
 ``kernels.value_mp``), which the benchmark reports, still count calls.
 """
 
@@ -55,6 +56,14 @@ def test_trace_child_runs_a_one_scale_run(tmp_path):
     assert stats["witness.verify_certificate"][0] == 1
     assert stats["serialize.canonical_dumps"][0] == 1
     assert stats["functions.eval_mp"][0] > 0
+    assert stats["kernels.value_mp"][0] > 0
+
+
+def test_trace_child_runs_a_one_scale_run_on_float_points(tmp_path):
+    # a float window's keys come from its converted points, not the points themselves
+    argv = ["--sequence", "arithmetic:7.5", "--c-grid", "0.5", "--out", str(tmp_path / "r.json")]
+    stats = _traced(tmp_path, "run", *WITNESS, *argv)
+    assert stats["witness.evaluate_ones_form"][0] >= 2  # built and verified
     assert stats["kernels.value_mp"][0] > 0
 
 

@@ -254,7 +254,7 @@ def test_int_window_r_equals_libmp_r(window, tamper, at):
     elif tamper == "repeat":
         points[at + 1] = points[at]
     with workprec(bits):
-        mp_points = [mpf(p) for p in points]  # mpf points take the libmp path
+        mp_points = [mpf(p) for p in points]  # mpf points get their keys through conversion
     outcome = _banded_outcome(points, bits)
     assert outcome == _banded_outcome(mp_points, bits)
     if tamper == "swap":
@@ -300,14 +300,35 @@ def test_sorted_window_leaves_f_values_at_their_indices(kind):
 
 
 def test_triangular_window_bookkeeping_runs_on_ints(monkeypatch):
+    """Every squared gap reaches phi as an exact int, rounded once: on an int
+    window as its own keys (exponent 0, no conversion), on a float window as
+    keys of one common exponent."""
+    from mpmath.libmp import from_man_exp
+
     from rkhs_cert import witness
+    from rkhs_cert.registry import resolve_sequence
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("libmp bookkeeping on an integer window")
+    seen = set()
 
-    monkeypatch.setattr(witness, "mpf_sub", refuse)
+    def recording(man, exp, prec, rnd):
+        seen.add((type(man), exp))
+        return from_man_exp(man, exp, prec, rnd)
+
+    def refuse(x):
+        raise AssertionError("an integer window converted a point")
+
+    monkeypatch.setattr(witness, "from_man_exp", recording)
+    monkeypatch.setattr(witness, "as_mpf", refuse)
     pts = triangular_sequence(1).points(2, 300)
     assert evaluate_ones_form(make_gaussian(), make_paper_example(), 0.5, pts, 256) < 0
+    assert seen == {(int, 0)}
+    monkeypatch.undo()
+    monkeypatch.setattr(witness, "from_man_exp", recording)
+    seen.clear()
+    pts = resolve_sequence("arithmetic:0.1").points(2, 300)
+    evaluate_ones_form(make_gaussian(), make_paper_example(), 0.5, pts, 64)
+    ((kind, exp),) = seen
+    assert kind is int and exp < 0
 
 
 def test_float_window_converts_each_point_once(monkeypatch):
@@ -316,15 +337,25 @@ def test_float_window_converts_each_point_once(monkeypatch):
     from rkhs_cert.registry import resolve_sequence
     from rkhs_cert.serialize import witness_from_dict, witness_to_dict
 
-    converted = []
+    # conversions made by the evaluator; the offset probe reads its own two points
+    converted, evaluating = [], []
 
     def counting(x):
-        converted.append(x)
+        if evaluating:
+            converted.append(x)
         return as_mpf(x)
 
+    def evaluate(*args, **kwargs):
+        evaluating.append(True)
+        try:
+            return evaluate_ones_form(*args, **kwargs)
+        finally:
+            evaluating.pop()
+
     monkeypatch.setattr(witness, "as_mpf", counting)
+    monkeypatch.setattr(witness, "evaluate_ones_form", evaluate)
     k, f = make_gaussian(), make_constant(1.0)
-    # 129 float points take the libmp bookkeeping; f reads the same mpf points
+    # 129 float points convert once; f reads the same mpf points
     cert = build_witness(k, f, resolve_sequence("arithmetic:7.5"), 0.125)
     assert cert.n_points == 129 and all(type(p) is float for p in cert.points)
     assert converted == list(cert.points)
@@ -335,6 +366,67 @@ def test_float_window_converts_each_point_once(monkeypatch):
     # stored points read back as mpf values, which need no conversion for f
     assert verify_certificate(witness_from_dict(witness_to_dict(cert)), k, f)
     assert len(converted) == 129
+
+
+def test_phi_gets_each_exact_squared_gap_rounded_once(monkeypatch):
+    """A 64-bit mpf window whose gaps need more than 64 bits: phi's argument
+    is the exact d^2 rounded once, not a rounded d squared and rounded again."""
+    from fractions import Fraction
+    from itertools import combinations
+
+    from mpmath.libmp import from_rational, round_nearest, to_rational
+
+    from rkhs_cert import kernels
+    from rkhs_cert.kernels import custom_radial_from_expression
+
+    k = custom_radial_from_expression("1/(1 + r)")
+    args = []
+    value_mp = kernels.RadialProfile.value_mp
+
+    def recording(self, r):
+        args.append(r)
+        return value_mp(self, r)
+
+    with workprec(64):
+        third, seventh = mpf(1) / 3, mpf(5) / 7
+        pts = [third, mpf(2) ** 20 + seventh, mpf(2) ** 40 - third, mpf(2) ** 60 + mpf(2) ** -3, -seventh]
+    monkeypatch.setattr(kernels.RadialProfile, "value_mp", recording)
+    evaluate_ones_form(k, make_constant(1.0), 0.5, pts, 64)
+    exact = [Fraction(*to_rational(p._mpf_)) for p in pts]
+    expected = []
+    for a, b in combinations(sorted(exact), 2):
+        d2 = (b - a) ** 2
+        expected.append(from_rational(d2.numerator, d2.denominator, 64, round_nearest))
+    assert sorted(a._mpf_ for a in args if a != 0) == sorted(expected)
+
+
+@given(
+    window=st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=2, max_size=40, unique=True),
+    bits=st.sampled_from([64, 128, 256]),
+)
+@settings(max_examples=30, deadline=None)
+def test_window_as_ints_floats_and_mpf_gives_one_r(window, bits):
+    k, f = make_gaussian(), make_paper_example()
+    with workprec(bits):
+        forms = [window, [float(x) for x in window], [mpf(x) for x in window]]
+    r_ints, r_floats, r_mpf = (evaluate_ones_form(k, f, 0.5, pts, bits)._mpf_ for pts in forms)
+    assert r_ints == r_floats == r_mpf
+
+
+def test_window_of_too_wide_span_or_non_finite_point_is_refused():
+    f, calls = _counting(make_paper_example())
+    k = make_gaussian()
+    with workprec(256):
+        tiny = mpf("1e-3000000")
+    with pytest.raises(ValueError, match="span"):
+        evaluate_ones_form(k, f, 0.5, [tiny] + list(triangular_sequence(1).points(1, 128)), 256)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate_ones_form(k, f, 0.5, [1.0, 2.0, bad], 256)
+    assert calls == []
+    # doubles from the least subnormal to the largest finite value stay inside the span
+    pts = [5e-324, 1.0, 1.7976931348623157e308]
+    assert evaluate_ones_form(k, f, 1.0, pts, 64) == evaluate_ones_form(k, f, 1.0, pts[::-1], 64)
 
 
 # --- shared f values ----------------------------------------------------------------
@@ -399,6 +491,28 @@ def test_tail_sample_shares_the_search_table(search):
         alpha, provenance = cert.alpha, cert.alpha_provenance
     assert len(calls) == len(set(calls)) >= 32
     assert (alpha, provenance) == (tail_lower_bound(f, seq, 1, 32).alpha, "empirical")
+
+
+@pytest.mark.parametrize("sequence", ["custom:n*n", "mixed_sign_triangular"])
+def test_unordered_sequence_points_are_generated_once_per_sweep(monkeypatch, sequence):
+    # the offset probes of a sequence without ordered gaps read the search's table
+    from collections import Counter
+
+    from rkhs_cert.registry import resolve_sequence
+    from rkhs_cert.sequences import SequenceSpec
+
+    generated = Counter()
+    points = SequenceSpec.points
+
+    def counting(self, start, count):
+        generated.update(range(start, start + count))
+        return points(self, start, count)
+
+    monkeypatch.setattr(SequenceSpec, "points", counting)
+    grid = [2.0**-k for k in range(5)]
+    sweep = sweep_c(make_gaussian(), make_paper_example(), resolve_sequence(sequence), grid)
+    assert len(sweep.certificates) == 5
+    assert set(generated.values()) == {1}
 
 
 def test_sampled_tail_is_resolved_once_per_sweep():
@@ -569,10 +683,10 @@ def test_banded_r_bits_are_pinned(kernel, function, sequence, n, c, bits, expect
     assert number_to_str(r, bits) == expected
 
 
-# r at 64 bits on triangular windows whose points exceed 2^30, recorded before
-# integer windows got exact-integer bookkeeping.  Such points are too wide for
-# it at 64 bits, so they keep the libmp path; in the second window the
-# squared differences exceed 2^64 and round.
+# r at 64 bits on triangular windows whose points exceed 2^30, recorded while
+# only ints below 2^30 got exact-integer bookkeeping at 64 bits and wider ones
+# were computed in libmp.  In the second window the squared differences
+# exceed 2^64 and round.
 WIDE_INT_R = [
     ("inverse_quadratic", "paper_example", 50000, 300, 0.25,
      "-2104.60844039844876407485685"),
