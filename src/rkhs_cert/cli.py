@@ -15,7 +15,6 @@ import math
 import sys
 
 import mpmath
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -333,6 +332,9 @@ def _run_witness_task(
     # scales included.
     groups = min(cfg.jobs, len(grid))
     if cfg.jobs > 1:
+        # imported here: the pool's modules cost a serial run's startup time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=groups) as pool:
             sweeps = list(pool.map(_witness_worker, [(cfg, grid[g::groups]) for g in range(groups)]))
     else:

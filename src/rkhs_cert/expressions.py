@@ -32,7 +32,9 @@ between the operations are gone.  One difference is deliberate: where the
 ``mpf`` wrappers silently continue in complex arithmetic (``sqrt`` of a
 negative number), the compiled function raises ``ComplexResult``, a
 ``ValueError``.  A body that is only the variable or one literal returns its
-argument or one shared mpf.
+argument or one shared mpf.  ``Expression.reads_variable`` records whether
+the tree names its variable at all; one that does not has the same value at
+every point, so a caller may evaluate it once per precision.
 
 The same lowered tree also compiles to an interval function on ``mpmath.iv``,
 each operation its ``iv`` counterpart (``sinpi(t)`` is ``iv.sin(iv.pi * t)``;
@@ -225,13 +227,16 @@ class Expression:
     precision the caller has set; ``eval_mp`` converts its argument first.
     No literal is rounded below 53 bits.  ``fn_iv`` takes an ``mpmath.iv``
     interval and returns an enclosure of the expression's values on it,
-    computed at ``iv.prec``.
+    computed at ``iv.prec``.  ``reads_variable`` is False when the tree never
+    names the variable: the value then depends on the working precision
+    alone, not on the point.
     """
 
     source: str
     variable: str
     fn_mp: Callable[[Any], Any] = field(repr=False, compare=False)
     fn_iv: Callable[[Any], Any] = field(repr=False, compare=False)
+    reads_variable: bool = True
 
     def eval_mp(self, value: Any) -> Any:
         return self.fn_mp(as_mpf(value))
@@ -252,6 +257,10 @@ def compile_expression(source: str, variable: str) -> Expression:
     _validate(tree.body, variable)
     literals: List[Any] = []
     body = _lower(tree.body, literals)
+    # The lowered tree's names are the variable, the literals _k<i> and the
+    # called functions; a function named like the variable counts as a read,
+    # which costs evaluations but never changes a value.
+    reads_variable = any(isinstance(node, ast.Name) and node.id == variable for node in ast.walk(body))
     # Pinned, so no literal depends on the precision in force right now.
     with mpmath.workprec(53):
         constants = [mpmath.mpf(v) for v in literals]
@@ -278,4 +287,10 @@ def compile_expression(source: str, variable: str) -> Expression:
     iv_namespace = {"__builtins__": {}, **_IV_NAMESPACE, **iv_literals}
     iv_source = f"def _fn({variable}):\n    return {ast.unparse(body)}\n"
     exec(compile(iv_source, f"<interval expression {source!r}>", "exec"), iv_namespace)
-    return Expression(source=source, variable=variable, fn_mp=namespace["_fn"], fn_iv=iv_namespace["_fn"])
+    return Expression(
+        source=source,
+        variable=variable,
+        fn_mp=namespace["_fn"],
+        fn_iv=iv_namespace["_fn"],
+        reads_variable=reads_variable,
+    )

@@ -9,7 +9,10 @@ actually visits, and every certificate records which kind it used.
 
 Every function has one numeric definition, ``eval_mp``, on mpmath numbers
 under the caller's working precision.  A polynomial's tail bound is that
-definition's value at the root bound, at 53 bits.
+definition's value at the root bound, at 53 bits.  Every window of values
+comes from ``values_mp``; a function whose expression never reads ``x``
+(``constant:v``, ``poly:v``, an ``expr:`` without ``x``) is evaluated there
+once per window, at its first point, and that one value serves every point.
 """
 
 from __future__ import annotations
@@ -44,12 +47,18 @@ class TailBound:
 
 @dataclass(frozen=True)
 class CandidateFunction:
-    """A real function under test, evaluated at the working precision."""
+    """A real function under test, evaluated at the working precision.
+
+    ``reads_x`` is False only for a function compiled from an expression
+    that never names ``x`` (``Expression.reads_variable``); any other
+    function is taken to read its point.
+    """
 
     function_id: str
     fn_mp: Callable[[Any], Any]
     tail_pos: Optional[TailBound] = None
     tail_neg: Optional[TailBound] = None
+    reads_x: bool = True
 
     def eval_mp(self, x: Any) -> Any:
         return self.fn_mp(as_mpf(x))
@@ -57,24 +66,29 @@ class CandidateFunction:
     def values_mp(self, points: Sequence[Any]) -> List[Any]:
         """f at each point, at the working precision.
 
+        A function that does not read ``x`` is evaluated once, at the first
+        point, and that value (the same object) fills the list: the bits
+        per-point evaluation would give, without converting every point.
         A point where f is undefined (a division by zero, a complex
         intermediate) raises EvaluationError naming the function and the point.
         """
         values = []
         try:
-            for x in points:
+            for x in points if self.reads_x else points[:1]:
                 values.append(self.eval_mp(x))
         except (ArithmeticError, ValueError) as exc:
             raise EvaluationError.undefined(
                 f"function {self.function_id}", f"x = {nstr(x, 17)}", exc
             ) from exc
-        return values
+        return values if self.reads_x else values * len(points)
 
 
 def _expression_function(function_id: str, source: str, **fields: Any) -> CandidateFunction:
     """A function whose values come from one expression in ``x``."""
     expr: Expression = compile_expression(source, "x")
-    return CandidateFunction(function_id=function_id, fn_mp=expr.fn_mp, **fields)
+    return CandidateFunction(
+        function_id=function_id, fn_mp=expr.fn_mp, reads_x=expr.reads_variable, **fields
+    )
 
 
 def make_constant(v: float) -> CandidateFunction:

@@ -35,10 +35,11 @@ def min_norm_interpolant_norm(
 
     ridge = 0 is the exact minimum norm; a positive ridge damps it (the
     regularized value is never larger), which helps on nearly singular grids.
+    A point where f is undefined raises EvaluationError naming it.
     """
     gram = assemble_gram(kernel, points, precision_bits)
     with workprec(precision_bits):
-        values = [f.eval_mp(p) for p in gram.points]
+        values = f.values_mp(gram.points)
         weights = cholesky_solve(gram, values, ridge=ridge)
         squared = neumaier_sum([v * w for v, w in zip(values, weights)])
         # v' G^-1 v is nonnegative in exact arithmetic; a tiny negative value

@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
@@ -331,7 +331,9 @@ class PointTable:
     ``tail`` keeps the tail bound ``resolve_alpha`` sampled through the
     table (None when the sample gave none; NOT_SAMPLED until it is taken),
     so each search of a sweep reuses the sample even after the windows have
-    moved the table's points away from it.
+    moved the table's points away from it.  ``entry_offsets`` keeps, by tail
+    threshold and offset cap, the tail's entry offset (None when the sequence
+    does not reach the tail by the cap), so a sweep scans for it once.
     """
 
     def __init__(
@@ -348,6 +350,7 @@ class PointTable:
         self.values_first = 1
         self.values: List[Any] = []
         self.tail: Any = NOT_SAMPLED
+        self.entry_offsets: Dict[Tuple[float, int], Optional[int]] = {}
 
     def points(self, start: int, count: int, given: Optional[Sequence[Any]] = None) -> List[Any]:
         """The points at indices start, ..., start + count - 1, as the sequence gives them.
@@ -477,20 +480,31 @@ def resolve_alpha(
     return sampled
 
 
-def _tail_entry_offset(sequence: SequenceSpec, tail: TailBound, ell_max: int) -> int:
-    """Smallest offset ell <= ell_max such that x_{ell+1} lies in the tail's validity region."""
+def _tail_entry_offset(table: PointTable, tail: TailBound, ell_max: int) -> int:
+    """Smallest offset ell <= ell_max such that x_{ell+1} lies in the tail's validity region.
+
+    The scan's outcome is kept in ``table.entry_offsets``, so the searches
+    sharing the table scan the sequence once.
+    """
+    sequence = table.sequence
     if tail.threshold <= 0 or sequence.direction is None:
         return 0
-    target = tail.threshold
-    ell = 0
-    while abs(sequence.point(ell + 1)) < target:
-        ell += 1
-        if ell > ell_max:
-            raise WitnessSearchError(
-                f"the sequence does not reach the tail bound's validity region by offset {ell_max}",
-                reason="tail-unreachable",
-            )
-    return ell
+    key = (tail.threshold, ell_max)
+    if key not in table.entry_offsets:
+        ell: Optional[int] = 0
+        while abs(sequence.point(ell + 1)) < tail.threshold:
+            ell += 1
+            if ell > ell_max:
+                ell = None
+                break
+        table.entry_offsets[key] = ell
+    found = table.entry_offsets[key]
+    if found is None:
+        raise WitnessSearchError(
+            f"the sequence does not reach the tail bound's validity region by offset {ell_max}",
+            reason="tail-unreachable",
+        )
+    return found
 
 
 def build_witness(
@@ -527,7 +541,7 @@ def build_witness(
         tail = resolve_alpha(f, sequence, precision_bits=precision_bits, table=table)
         alpha_value = tail.alpha
         provenance = tail.provenance
-        min_ell = _tail_entry_offset(sequence, tail, ell_max)
+        min_ell = _tail_entry_offset(table, tail, ell_max)
     else:
         if not alpha > 0:
             raise ValueError("tail bound alpha must be positive")
@@ -679,9 +693,9 @@ def sweep_c(
     ``alpha`` is a declared tail bound, as for build_witness, and is passed on
     to it; without one, each build_witness resolves the bound itself, with its
     tail's entry offset.  All scales and the tail sample share one PointTable,
-    so f runs once per sequence index (the table keeps the sampled bound, so
-    resolving it again costs no f values); the table only saves evaluations,
-    so a scale's outcome depends on c alone.
+    so f runs once per sequence index (the table keeps the sampled bound and
+    the entry offset, so resolving them again costs no f values and no
+    scan); the table only saves work, so a scale's outcome depends on c alone.
     """
     grid = tuple(float(c) for c in (c_grid if c_grid is not None else default_c_grid()))
     if not grid:

@@ -3,7 +3,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -1138,6 +1141,8 @@ def test_run_witness_section_is_the_library_sweep(function, grid, alpha, jobs):
         ("witness", "expr:1/(x-3)", "x = 3"),
         ("run", "expr:sqrt(x - 10)", "x = 1"),
         ("run", "expr:1/(x-3)", "x = 3"),
+        ("witness", "expr:1/0", "x = 1: division by zero"),  # evaluated once per window, at its first point
+        ("run", "expr:1/0", "x = 1: division by zero"),
     ],
 )
 def test_undefined_function_value_exits_2_with_one_line(tmp_path, capsys, command, function, point, alpha):
@@ -1148,6 +1153,26 @@ def test_undefined_function_value_exits_2_with_one_line(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert f"function {function} is undefined at {point}" in err
+
+
+def test_interpolant_undefined_function_value_names_the_point(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"function": "expr:1/x", "tasks": ["interpolant"], "interpolant": {"base_points": [0.0, 1.0, 2.0]}}
+    ))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    message = "function expr:1/x is undefined at x = 0.0: division by zero"
+    assert err == f"task interpolant errored: EvaluationError: {message}\n"
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # the pool's modules are imported only by a run with --jobs > 1
+    code = "import sys, rkhs_cert.cli; print('concurrent.futures.process' in sys.modules)"
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 @pytest.mark.parametrize("command", ["witness", "run"])

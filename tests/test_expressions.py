@@ -1,13 +1,15 @@
 import math
+import re
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath import iv, mpf, workprec
+from mpmath import iv, mpf, nstr, workprec
 
 import oracles
-from rkhs_cert.errors import ExpressionError
+from rkhs_cert.errors import EvaluationError, ExpressionError
 from rkhs_cert.expressions import as_mpf, compile_expression
+from rkhs_cert.functions import make_expression_function
 
 
 def test_basic_arithmetic():
@@ -189,6 +191,16 @@ def test_complex_intermediate_raises(source, x):
             e.eval_mp(x)
 
 
+@pytest.mark.parametrize(
+    "source,reads",
+    [("x", True), ("0*x", True), ("exp(-x)", True), ("pow(x, 2)", True), ("sinpi(x + 1/2)**2", True),
+     ("1.0", False), ("1/3", False), ("exp(-1) + 2**3", False), ("pow(2, 60)", False),
+     ("9007199254740993", False)],
+)
+def test_reads_variable_is_derived_from_the_tree(source, reads):
+    assert compile_expression(source, "x").reads_variable is reads
+
+
 def test_bare_literal_returns_one_shared_mpf():
     for source in ("2.5", "7"):
         e = compile_expression(source, "x")
@@ -199,3 +211,48 @@ def test_bare_literal_returns_one_shared_mpf():
     with workprec(256):
         point = mpf(3)
         assert ident.fn_mp(point) is point
+
+
+_CLOSED_LEAVES = st.one_of(
+    st.integers(min_value=0, max_value=40).map(str),
+    st.integers(min_value=-3, max_value=60).map(lambda k: str(2**53 + k)),
+    st.floats(min_value=-10, max_value=10, allow_nan=False).map(repr),
+)
+_CLOSED_EXPRESSIONS = st.recursive(_CLOSED_LEAVES, _extend, max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    source=st.one_of(_EXPRESSIONS, _CLOSED_EXPRESSIONS),
+    window=st.lists(_POINTS, max_size=4),
+    kind=st.sampled_from(["int", "float", "mpf"]),
+    bits=st.sampled_from([64, 256]),
+)
+def test_values_mp_is_eval_mp_at_each_point(source, window, kind, bits):
+    # a function without x is evaluated once per window; the bits must not change
+    f = make_expression_function(source)
+    assert f.reads_x is bool(re.search(r"\bx\b", source))
+    if kind == "int":
+        points = [int(x) for x in window]
+    elif kind == "float":
+        points = [float(x) for x in window]
+    else:
+        with workprec(300):  # wider than either working precision, so each point rounds
+            points = [mpf(x) / 3 for x in window]
+    with workprec(bits):
+        for point in points:
+            try:
+                oracles.reference_mp(source, "x", as_mpf(point))
+            except oracles.TooLarge:
+                assume(False)
+            except (ZeroDivisionError, ValueError):
+                pass
+        expected = []
+        for point in points:
+            try:
+                expected.append(f.eval_mp(point))
+            except (ArithmeticError, ValueError):
+                with pytest.raises(EvaluationError, match=re.escape(f"at x = {nstr(point, 17)}:")):
+                    f.values_mp(points)
+                return
+        assert [v._mpf_ for v in f.values_mp(points)] == [v._mpf_ for v in expected]

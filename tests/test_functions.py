@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import workprec
 
 import oracles
+from rkhs_cert.errors import EvaluationError
 from rkhs_cert.functions import (
     kernel_section,
     make_constant,
@@ -138,6 +139,40 @@ def test_expression_function():
     for bits in BITS:
         with workprec(bits):
             assert f.eval_mp(3.0) == 8
+
+
+def test_reads_x_is_handed_over_from_the_expression():
+    k = make_gaussian()
+    closed = [make_constant(1.0), make_polynomial([2.5]), make_polynomial([2.5, 0.0]), make_expression_function("1/3")]
+    reading = [make_expression_function("0*x"), make_polynomial([0.0, 1.0]), make_paper_example()]
+    reading += [make_sin_squared_shifted(), kernel_section(k, 0.0)]
+    assert [f.reads_x for f in closed] == [False] * len(closed)
+    assert [f.reads_x for f in reading] == [True] * len(reading)
+
+
+def test_function_without_x_fills_the_window_with_one_value():
+    f = make_constant(1.0)
+    with workprec(256):
+        values = f.values_mp([1, 3.5, mpmath.mpf(7)])
+        assert values == [1, 1, 1] and all(v is f.eval_mp(9) for v in values)  # the literal's one mpf
+        assert f.values_mp([]) == []
+
+
+def test_function_without_x_keeps_the_working_precision():
+    f = make_expression_function("1/3")
+    with workprec(64):
+        low = f.values_mp([1, 2])
+    with workprec(256):
+        high = f.values_mp([1, 2])
+        assert high[0] == mpmath.mpf(1) / 3
+    assert low[0]._mpf_ == low[1]._mpf_ != high[0]._mpf_ == high[1]._mpf_
+
+
+def test_function_without_x_undefined_names_the_first_point():
+    f = make_expression_function("1/0")
+    with workprec(256), pytest.raises(EvaluationError) as info:
+        f.values_mp([5, 6])
+    assert str(info.value) == "function expr:1/0 is undefined at x = 5: division by zero"
 
 
 def test_kernel_section_evaluates_kernel():

@@ -7,7 +7,9 @@ program breaks ``perfbench/run.py --trace 1``.  This runs it on ``witness``,
 on ``verify`` of one small certificate, on a one-scale ``run`` with and
 without ``--certs-dir``, on one over float points and on ``psd-check``, and
 checks that the kernel layer's counters (``kernels.eval_mp``,
-``kernels.value_mp``), which the benchmark reports, still count calls.
+``kernels.value_mp``), which the benchmark reports, still count calls, and
+that ``functions.eval_mp`` counts one call per window for a function that
+never reads its point.
 """
 
 import json
@@ -57,6 +59,16 @@ def test_trace_child_runs_a_one_scale_run(tmp_path):
     assert stats["serialize.canonical_dumps"][0] == 1
     assert stats["functions.eval_mp"][0] > 0
     assert stats["kernels.value_mp"][0] > 0
+
+
+def test_trace_child_counts_one_evaluation_per_window_of_a_constant(tmp_path):
+    # constant:1.0 never reads x, so each window (built, then verified) costs one f evaluation
+    out = tmp_path / "r.json"
+    stats = _traced(tmp_path, "run", "--function", "constant:1.0", "--c-grid", "0.5", "--out", str(out))
+    (cert,) = json.loads(out.read_text())["results"]["witness"]["certificates"]
+    assert cert["n_points"] > 1
+    assert stats["witness.evaluate_ones_form"][0] == 2
+    assert stats["functions.eval_mp"][0] == 2
 
 
 def test_trace_child_runs_a_one_scale_run_on_float_points(tmp_path):

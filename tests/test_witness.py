@@ -13,6 +13,7 @@ from rkhs_cert.functions import (
     TailBound,
     kernel_section,
     make_constant,
+    make_expression_function,
     make_paper_example,
     make_sin_squared_shifted,
 )
@@ -526,6 +527,59 @@ def test_sampled_tail_is_resolved_once_per_sweep():
     sweep = sweep_c(k, f, triangular_sequence(1), c_grid=(0.3, 0.25))
     assert [cert.ell for cert in sweep.certificates] == [64, 64]
     assert len(calls) == len(set(calls))
+
+
+def test_function_without_x_is_evaluated_once_per_window(monkeypatch):
+    from rkhs_cert.functions import CandidateFunction
+
+    f, calls = _counting(make_constant(1.0))
+    windows = []
+    values_mp = CandidateFunction.values_mp
+
+    def recording(self, points):
+        before = len(calls)
+        values = values_mp(self, points)
+        windows.append((len(points), len(calls) - before))
+        return values
+
+    monkeypatch.setattr(CandidateFunction, "values_mp", recording)
+    sweep = sweep_c(make_gaussian(), f, triangular_sequence(1), [2.0**-k for k in range(5)])
+    assert len(sweep.certificates) == 5
+    assert max(n for n, _ in windows) > 1
+    assert all(evals <= 1 for _, evals in windows)
+
+
+def test_once_per_window_values_give_the_per_point_certificates():
+    k, seq, grid = make_gaussian(), triangular_sequence(1), [2.0**-j for j in range(4)]
+    for f in (make_constant(-2.5), make_expression_function("1/3")):
+        once = sweep_c(k, f, seq, grid)
+        assert not f.reads_x and len(once.certificates) == len(grid)
+        assert once == sweep_c(k, replace(f, reads_x=True), seq, grid)
+        for cert in once.certificates:
+            assert verify_certificate(cert, k, f) and verify_certificate(cert, k, replace(f, reads_x=True))
+
+
+@pytest.mark.parametrize("ell_max,reason", [(10**6, "decay-horizon-exhausted"), (500, "tail-unreachable")])
+def test_tail_entry_offset_is_scanned_once_per_sweep(monkeypatch, ell_max, reason):
+    # x_n = n enters the tail of x - 1000 (threshold 1001) at offset 1000
+    from collections import Counter
+
+    from rkhs_cert.registry import resolve_function, resolve_sequence
+    from rkhs_cert.sequences import SequenceSpec
+
+    k = make_gaussian()
+    f, seq = resolve_function("poly:-1000,1", k), resolve_sequence("arithmetic:1")
+    read = Counter()
+    point = SequenceSpec.point
+
+    def counting(self, n):
+        read[n] += 1
+        return point(self, n)
+
+    monkeypatch.setattr(SequenceSpec, "point", counting)
+    sweep = sweep_c(k, f, seq, [2.0**-j for j in range(4)], ell_max=ell_max)
+    assert [why.split(":")[0] for _, why in sweep.failures] == [reason] * 4
+    assert max(read[n] for n in range(1, 501)) == 1
 
 
 def test_sweep_with_declared_alpha_matches_single_searches():
