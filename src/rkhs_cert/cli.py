@@ -273,6 +273,8 @@ def config_from_dict(data: Dict[str, Any]) -> RunConfig:
         raise ConfigError(f"precision_bits must be {MIN_PRECISION_BITS} to {MAX_PRECISION_BITS}")
     if cfg.jobs < 1:
         raise ConfigError("jobs must be >= 1")
+    if cfg.ell_max < 0:
+        raise ConfigError("ell_max must be >= 0")
     if cfg.witness_doubling_cap < 0:
         raise ConfigError("witness doubling_cap must be >= 0")
     return cfg

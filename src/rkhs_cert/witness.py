@@ -36,16 +36,17 @@ where f needs them; any other window converts its points once and hands
 the mpf values on to f.
 
 ``sweep_c`` is the one loop over scales, for the library and for
-``rkhs-cert run``.  A search evaluates f once per sequence index: its windows,
-its tail sample and the offset probes' windows on a sequence without ordered
-gaps are served from one ``PointTable``, which
-``build_witness`` shares across its doublings and ``sweep_c`` across its
-scales (their windows start at nearby offsets and mostly contain one
-another).  A window's f values are computed only after it passes the
-evaluator's point checks.  Verification shares nothing with the builder and
-recomputes every value from the stored points; certificates verified
-together may share the verifier's own f values through a ``PointTable`` of
-stored points, made without a sequence.
+``rkhs-cert run``; ``build_witness`` is its search at a single scale.  The
+tail bound alpha and its entry offset (the first window offset where it
+holds) do not depend on c, so ``sweep_c`` resolves them once.  A search
+evaluates f once per sequence index: its windows, its tail sample and the
+offset probes' windows on a sequence without ordered gaps are served from
+one ``PointTable``, shared across doublings and scales (their windows start
+at nearby offsets and mostly contain one another).  A window's f values are
+computed only after it passes the evaluator's point checks.  Verification
+shares nothing with the builder and recomputes every value from the stored
+points; certificates verified together may share the verifier's own f values
+through a ``PointTable`` of stored points, made without a sequence.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
@@ -310,9 +311,6 @@ def evaluate_ones_form(
         return diag + neumaier_sum(off_terms) - mpf(c) ** 2 * fsum * fsum
 
 
-NOT_SAMPLED = object()  # a PointTable's tail before resolve_alpha samples it
-
-
 class PointTable:
     """Points x_k and values f(x_k), each over a contiguous range of indices k.
 
@@ -328,12 +326,7 @@ class PointTable:
     Windows are list slices: the caller may keep them, but not modify them.
     A verifier's table has no ``sequence``: it holds the certificates' stored
     points, passed to ``points`` as ``given``.
-    ``tail`` keeps the tail bound ``resolve_alpha`` sampled through the
-    table (None when the sample gave none; NOT_SAMPLED until it is taken),
-    so each search of a sweep reuses the sample even after the windows have
-    moved the table's points away from it.  ``entry_offsets`` keeps, by tail
-    threshold and offset cap, the tail's entry offset (None when the sequence
-    does not reach the tail by the cap), so a sweep scans for it once.
+    The table holds points and f values only; the search owns its tail facts.
     """
 
     def __init__(
@@ -349,8 +342,6 @@ class PointTable:
         self.raw: List[Any] = []
         self.values_first = 1
         self.values: List[Any] = []
-        self.tail: Any = NOT_SAMPLED
-        self.entry_offsets: Dict[Tuple[float, int], Optional[int]] = {}
 
     def points(self, start: int, count: int, given: Optional[Sequence[Any]] = None) -> List[Any]:
         """The points at indices start, ..., start + count - 1, as the sequence gives them.
@@ -455,7 +446,7 @@ def resolve_alpha(
 
     The sample is |f| at x_1, ..., x_TAIL_SAMPLE_COUNT.  A search passes
     its ``table``, so f is evaluated once at the sampled points it also puts
-    in windows, and the sample is taken once per table.
+    in windows; ``sweep_c`` resolves the bound once, before its scales.
     Raises WitnessSearchError when neither a declared bound matching the
     sequence direction nor a clean empirical sample exists.
     """
@@ -466,11 +457,7 @@ def resolve_alpha(
         declared = f.tail_neg
     if declared is not None:
         return declared
-    if table is None:
-        table = PointTable(f, sequence, precision_bits)
-    if table.tail is NOT_SAMPLED:
-        table.tail = tail_lower_bound(f, sequence, 1, TAIL_SAMPLE_COUNT, precision_bits, table)
-    sampled = table.tail
+    sampled = tail_lower_bound(f, sequence, 1, TAIL_SAMPLE_COUNT, precision_bits, table)
     if sampled is None:
         raise WitnessSearchError(
             "no usable tail bound: the function has no declared bound along this "
@@ -480,31 +467,38 @@ def resolve_alpha(
     return sampled
 
 
-def _tail_entry_offset(table: PointTable, tail: TailBound, ell_max: int) -> int:
+def _tail_entry_offset(sequence: SequenceSpec, tail: TailBound, ell_max: int) -> Optional[int]:
     """Smallest offset ell <= ell_max such that x_{ell+1} lies in the tail's validity region.
 
-    The scan's outcome is kept in ``table.entry_offsets``, so the searches
-    sharing the table scan the sequence once.
+    None when the sequence does not reach the region by offset ell_max.
     """
-    sequence = table.sequence
     if tail.threshold <= 0 or sequence.direction is None:
         return 0
-    key = (tail.threshold, ell_max)
-    if key not in table.entry_offsets:
-        ell: Optional[int] = 0
-        while abs(sequence.point(ell + 1)) < tail.threshold:
-            ell += 1
-            if ell > ell_max:
-                ell = None
-                break
-        table.entry_offsets[key] = ell
-    found = table.entry_offsets[key]
-    if found is None:
-        raise WitnessSearchError(
-            f"the sequence does not reach the tail bound's validity region by offset {ell_max}",
-            reason="tail-unreachable",
-        )
-    return found
+    ell = 0
+    while abs(sequence.point(ell + 1)) < tail.threshold:
+        ell += 1
+        if ell > ell_max:
+            return None
+    return ell
+
+
+def _resolve_tail(
+    f: CandidateFunction, sequence: SequenceSpec, alpha: Optional[float],
+    ell_max: int, precision_bits: int, table: PointTable,
+) -> Tuple[float, str, Optional[int]]:
+    """A search's tail facts, which no scale changes: alpha, its provenance and the first window offset.
+
+    A declared ``alpha`` must be positive (else ValueError, before any point
+    is computed) and starts at offset 0.  Without one, alpha is
+    ``resolve_alpha``'s, sampled through ``table``, and the offset is its
+    tail's entry offset, None when the sequence does not reach it by ell_max.
+    """
+    if alpha is not None:
+        if not alpha > 0:
+            raise ValueError("tail bound alpha must be positive")
+        return float(alpha), DECLARED, 0
+    tail = resolve_alpha(f, sequence, precision_bits, table)
+    return tail.alpha, tail.provenance, _tail_entry_offset(sequence, tail, ell_max)
 
 
 def build_witness(
@@ -516,7 +510,6 @@ def build_witness(
     ell_max: int = 10**6,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     doubling_cap: int = DEFAULT_DOUBLING_CAP,
-    table: Optional[PointTable] = None,
 ) -> WitnessCertificate:
     """Search for a negativity certificate at scale c.
 
@@ -525,29 +518,29 @@ def build_witness(
     cap raises, which is the expected outcome when f actually lies in the
     kernel's space (or alpha was declared too optimistically).
 
-    Windows are served from ``table``, which callers share across scales;
-    without one, the search makes its own for its doublings.  Without
-    ``alpha``, the bound is resolved along the sequence through that table.
+    It is ``sweep_c``'s search at a single scale: it resolves its tail facts
+    and serves its windows from a PointTable of its own.
     """
     if not c > 0:
         raise ValueError("scale c must be positive")
     if doubling_cap < 0:
         raise ValueError("doubling cap must be nonnegative")
-    if table is None:
-        table = PointTable(f, sequence, precision_bits)
-    elif (table.f, table.sequence, table.precision_bits) != (f, sequence, precision_bits):
-        raise ValueError("point table was made for another function, sequence or precision")
-    if alpha is None:
-        tail = resolve_alpha(f, sequence, precision_bits=precision_bits, table=table)
-        alpha_value = tail.alpha
-        provenance = tail.provenance
-        min_ell = _tail_entry_offset(table, tail, ell_max)
-    else:
-        if not alpha > 0:
-            raise ValueError("tail bound alpha must be positive")
-        alpha_value = float(alpha)
-        provenance = DECLARED
-        min_ell = 0
+    table = PointTable(f, sequence, precision_bits)
+    tail = _resolve_tail(f, sequence, alpha, ell_max, precision_bits, table)
+    return _search(kernel, f, sequence, c, tail, ell_max, precision_bits, doubling_cap, table)
+
+
+def _search(
+    kernel: KernelSpec, f: CandidateFunction, sequence: SequenceSpec, c: float,
+    tail: Tuple[float, str, Optional[int]], ell_max: int, precision_bits: int, doubling_cap: int, table: PointTable,
+) -> WitnessCertificate:
+    """The doubling search at scale c, from tail facts already resolved."""
+    alpha_value, provenance, min_ell = tail
+    if min_ell is None:
+        raise WitnessSearchError(
+            f"the sequence does not reach the tail bound's validity region by offset {ell_max}",
+            reason="tail-unreachable",
+        )
     c_k = kernel.diag_sup
     with workprec(precision_bits):
         bound = mpf(c) ** 2 * mpf(alpha_value) ** 2 / 2
@@ -688,14 +681,15 @@ def sweep_c(
     doubling_cap: int = DEFAULT_DOUBLING_CAP,
     alpha: Optional[float] = None,
 ) -> SweepResult:
-    """Run build_witness for every scale on the grid, collecting outcomes.
+    """The doubling search of build_witness at every scale on the grid, collecting outcomes.
 
-    ``alpha`` is a declared tail bound, as for build_witness, and is passed on
-    to it; without one, each build_witness resolves the bound itself, with its
-    tail's entry offset.  All scales and the tail sample share one PointTable,
-    so f runs once per sequence index (the table keeps the sampled bound and
-    the entry offset, so resolving them again costs no f values and no
-    scan); the table only saves work, so a scale's outcome depends on c alone.
+    The sweep resolves its tail facts once, before its scales: the declared
+    ``alpha``, as for build_witness, or the sampled bound (which raises
+    ``no-tail-bound`` here) and its tail's entry offset.  A sequence that
+    does not reach the tail by ``ell_max`` fails each scale with
+    ``tail-unreachable``.  All scales and the tail sample share one
+    PointTable, so f runs once per sequence index; the table only saves
+    work, so a scale's outcome depends on c alone.
     """
     grid = tuple(float(c) for c in (c_grid if c_grid is not None else default_c_grid()))
     if not grid:
@@ -705,34 +699,18 @@ def sweep_c(
     if doubling_cap < 0:
         raise ValueError("doubling cap must be nonnegative")
     table = PointTable(f, sequence, precision_bits)
-    if alpha is None:
-        tail = resolve_alpha(f, sequence, precision_bits=precision_bits, table=table)
-        swept_alpha, provenance = tail.alpha, tail.provenance
-    else:
-        swept_alpha, provenance = float(alpha), DECLARED
+    tail = _resolve_tail(f, sequence, alpha, ell_max, precision_bits, table)
     certs: List[WitnessCertificate] = []
     failures: List[Tuple[float, str]] = []
     for c in grid:
         try:
-            cert = build_witness(
-                kernel,
-                f,
-                sequence,
-                c,
-                alpha=alpha,
-                ell_max=ell_max,
-                precision_bits=precision_bits,
-                doubling_cap=doubling_cap,
-                table=table,
-            )
+            certs.append(_search(kernel, f, sequence, c, tail, ell_max, precision_bits, doubling_cap, table))
         except WitnessSearchError as exc:
             failures.append((c, f"{exc.reason}: {exc}"))
-            continue
-        certs.append(cert)
     return SweepResult(
         c_values=grid,
         certificates=tuple(certs),
         failures=tuple(failures),
-        alpha=swept_alpha,
-        alpha_provenance=provenance,
+        alpha=tail[0],
+        alpha_provenance=tail[1],
     )

@@ -773,6 +773,7 @@ def test_verify_search_error_exits_2_without_traceback(tmp_path, capsys):
         {"decay": {"threshold": False}},
         {"interpolant": {"rule": "bogus"}},
         {"interpolant": {"rule": 5}},
+        {"ell_max": -1},
     ],
 )
 @pytest.mark.parametrize("extra", [[], ["--alpha", "0.5"]], ids=["config", "alpha-override"])

@@ -582,11 +582,42 @@ def test_tail_entry_offset_is_scanned_once_per_sweep(monkeypatch, ell_max, reaso
     assert max(read[n] for n in range(1, 501)) == 1
 
 
-def test_sweep_with_declared_alpha_matches_single_searches():
-    k, f, seq = make_gaussian(), make_constant(1.0), triangular_sequence(1)
-    sweep = sweep_c(k, f, seq, c_grid=(1.0, 0.5), alpha=0.5)
-    assert (sweep.alpha, sweep.alpha_provenance) == (0.5, "declared")
-    assert list(sweep.certificates) == [build_witness(k, f, seq, c, alpha=0.5) for c in (1.0, 0.5)]
+@pytest.mark.parametrize(
+    "function,alpha,min_ell",
+    [("constant:1.0", 0.5, 0), ("expr:2 + cos(x)", None, 0), ("poly:-30,1", None, 7)],
+    ids=["declared", "empirical", "tail-entry"],
+)
+def test_sweep_with_declared_alpha_matches_single_searches(function, alpha, min_ell):
+    # the sweep resolves the tail once and shares its table across scales out
+    # of order; each scale's certificate is still the single search's
+    from rkhs_cert.registry import resolve_function
+
+    k, seq, grid = make_gaussian(), triangular_sequence(1), (0.5, 1.0, 0.25)
+    f = resolve_function(function, k)
+    sweep = sweep_c(k, f, seq, c_grid=grid, alpha=alpha)
+    alone = [build_witness(k, f, seq, c, alpha=alpha) for c in grid]
+    assert list(sweep.certificates) == alone
+    assert [cert.r_value._mpf_ for cert in sweep.certificates] == [cert.r_value._mpf_ for cert in alone]
+    assert {(cert.alpha, cert.alpha_provenance) for cert in alone} == {(sweep.alpha, sweep.alpha_provenance)}
+    assert min(cert.ell for cert in alone) == min_ell
+    for cert in sweep.certificates:
+        # recomputed from the stored points alone, as verification does
+        assert evaluate_ones_form(k, f, cert.c, cert.points, 256)._mpf_ == cert.r_value._mpf_
+
+
+@pytest.mark.parametrize("search", ["build_witness", "sweep_c"])
+def test_nonpositive_declared_alpha_is_refused_before_any_point(search):
+    from rkhs_cert.sequences import SequenceSpec
+
+    f, calls = _counting(make_paper_example())
+    points = []
+    seq = SequenceSpec("counted", lambda n: points.append(n) or n, 1)
+    with pytest.raises(ValueError, match="^tail bound alpha must be positive$"):
+        if search == "build_witness":
+            build_witness(make_gaussian(), f, seq, 1.0, alpha=0.0)
+        else:
+            sweep_c(make_gaussian(), f, seq, c_grid=(1.0, 0.5), alpha=-1.0)
+    assert calls == [] and points == []
 
 
 def test_negative_doubling_cap_is_rejected():
@@ -641,33 +672,6 @@ def test_point_table_extends_and_restarts():
         assert [v._mpf_ for v in values] == [make_paper_example().eval_mp(x)._mpf_ for x in raw]
     table.window(20, 2)  # disjoint: the table starts over there
     assert len(calls) == 12 and table.first == 20 and len(table.raw) == 2
-
-
-def test_shared_table_certificates_match_unshared():
-    k = make_gaussian()
-    f = make_paper_example()
-    seq = triangular_sequence(1)
-    table = PointTable(f, seq, 256)
-    for c in (0.25, 1.0, 0.5, 0.125):
-        shared = build_witness(k, f, seq, c, table=table)
-        alone = build_witness(k, f, seq, c)
-        assert shared.r_value._mpf_ == alone.r_value._mpf_
-        assert (shared.points, shared.ell, shared.n_points) == (alone.points, alone.ell, alone.n_points)
-        # recomputed from the stored points alone, as verification does
-        assert evaluate_ones_form(k, f, c, shared.points, 256)._mpf_ == shared.r_value._mpf_
-
-
-@pytest.mark.parametrize("other", ["function", "sequence", "precision"])
-def test_table_for_other_inputs_is_rejected(other):
-    f = make_constant(1.0)
-    seq = triangular_sequence(1)
-    args = {
-        "function": (make_paper_example(), seq, 256),
-        "sequence": (f, triangular_sequence(-1), 256),
-        "precision": (f, seq, 128),
-    }[other]
-    with pytest.raises(ValueError, match="another function, sequence or precision"):
-        build_witness(make_gaussian(), f, seq, 1.0, table=PointTable(*args))
 
 
 @pytest.mark.parametrize("reason", ["coincident", "window-too-large"])
