@@ -29,10 +29,9 @@ import mpmath
 from mpmath import mpf, workprec
 
 from .kernels import KernelSpec
+from .quadform import DEFAULT_PRECISION_BITS
 
 Number = Union[int, float, Fraction]
-
-DEFAULT_PRECISION_BITS = 256
 
 
 def dnn_diagonal(kernel: KernelSpec, n: int) -> Number:

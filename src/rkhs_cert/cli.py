@@ -23,7 +23,8 @@ from .analytic import analyticity_envelope
 from .errors import ConfigError, EvaluationError, SingularGramError, WitnessSearchError
 from .interpolant import EXTENSION_RULES, norm_growth_trace
 from .kernels import check_analytic_constants
-from .quadform import MAX_PRECISION_BITS, MIN_PRECISION_BITS, assemble_gram, psd_check, schur_deflation_control
+from .quadform import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS
+from .quadform import assemble_gram, psd_check, schur_deflation_control
 from .registry import resolve_function, resolve_kernel, resolve_sequence
 from .sequences import verify_decay
 from .serialize import (
@@ -66,7 +67,7 @@ class RunConfig:
     tasks: Tuple[str, ...] = ("witness",)
     c_grid: Optional[Tuple[float, ...]] = None
     ell_max: int = 10**6
-    precision_bits: int = 256
+    precision_bits: int = DEFAULT_PRECISION_BITS
     jobs: int = 1
     domain_kind: str = "full_line"
     domain_endpoints: Optional[Tuple[float, float]] = None

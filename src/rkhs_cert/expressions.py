@@ -9,7 +9,14 @@ numeric literals, the single free variable, ``+ - * /``, unary minus,
 Anything else is rejected before compilation, so config files cannot smuggle
 in attribute access, names or general Python.
 
-A validated tree is compiled once into a plain Python function whose
+The grammar is written once, in one walk of the parsed tree: each node's rule
+is checked where the node is lowered, and the walk returns the node's plain
+form and its libmp form side by side.  An expression that nests too deeply
+for Python to parse, walk or compile (a few hundred operations, the limit of
+the interpreter's recursion and its parser, not one set here) is refused
+with an ExpressionError naming it.
+
+The libmp form is compiled once into a plain Python function whose
 namespace holds only mpmath's low-level ``libmp`` routines and the literals,
 converted in advance where that is exact.  It is the one numeric definition
 of the expression: a value wanted as a double (a custom sequence's point, a
@@ -36,7 +43,7 @@ argument or one shared mpf.  ``Expression.reads_variable`` records whether
 the tree names its variable at all; one that does not has the same value at
 every point, so a caller may evaluate it once per precision.
 
-The same lowered tree also compiles to an interval function on ``mpmath.iv``,
+The plain form compiles to an interval function on ``mpmath.iv``,
 each operation its ``iv`` counterpart (``sinpi(t)`` is ``iv.sin(iv.pi * t)``;
 mpmath 1.3.0 has no ``iv.sinpi``) and each literal its exact interval.  It
 encloses the expression's values on the interval it is given, at ``iv.prec``,
@@ -48,7 +55,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Callable, List
+from typing import Any, Callable, List, Tuple
 
 import mpmath
 from mpmath import iv, libmp
@@ -56,10 +63,9 @@ from mpmath import iv, libmp
 from .errors import ExpressionError
 
 
-_FUNCS = ("exp", "sin", "cos", "sqrt", "abs", "sinpi")
-
-# The libmp routine behind each operator and whitelisted function; each takes
-# raw values and then (precision, rounding).
+# The libmp routine behind each operator and each whitelisted function (the
+# keys of _LIBMP_CALLS are the whitelist); each takes raw values and then
+# (precision, rounding).
 _LIBMP_OPS = {ast.Add: "mpf_add", ast.Sub: "mpf_sub", ast.Mult: "mpf_mul", ast.Div: "mpf_div"}
 _LIBMP_CALLS = {
     "exp": "mpf_exp",
@@ -68,11 +74,10 @@ _LIBMP_CALLS = {
     "sqrt": "mpf_sqrt",
     "abs": "mpf_abs",
     "sinpi": "mpf_sin_pi",
-    "_num": "from_int",
 }
 _LIBMP_NAMESPACE = {
     name: getattr(libmp, name)
-    for name in (*_LIBMP_OPS.values(), *_LIBMP_CALLS.values(), "mpf_neg", "mpf_pow_int")
+    for name in (*_LIBMP_OPS.values(), *_LIBMP_CALLS.values(), "mpf_neg", "mpf_pow_int", "from_int")
 }
 
 # The interval counterpart of each whitelisted call.
@@ -122,101 +127,79 @@ def _literal_int(node: ast.expr) -> int | None:
     return None
 
 
-def _validate(node: ast.expr, variable: str) -> None:
-    if isinstance(node, ast.Constant):
-        if type(node.value) not in (int, float):
-            raise ExpressionError(f"literal {node.value!r} is not a real number")
-        return
-    if isinstance(node, ast.Name):
-        if node.id != variable:
-            raise ExpressionError(f"unknown name {node.id!r}; the only variable is {variable!r}")
-        return
-    if isinstance(node, ast.UnaryOp):
-        if not isinstance(node.op, _UNARY_OPS):
-            raise ExpressionError("only unary +/- are allowed")
-        _validate(node.operand, variable)
-        return
-    if isinstance(node, ast.BinOp):
-        if not isinstance(node.op, _BIN_OPS):
-            raise ExpressionError("only + - * / and integer ** are allowed")
-        if isinstance(node.op, ast.Pow) and _literal_int(node.right) is None:
-            raise ExpressionError("exponents must be integer literals")
-        _validate(node.left, variable)
-        if not isinstance(node.op, ast.Pow):
-            _validate(node.right, variable)
-        return
-    if isinstance(node, ast.Call):
-        if node.keywords or not isinstance(node.func, ast.Name):
-            raise ExpressionError("only plain calls of whitelisted functions are allowed")
-        name = node.func.id
-        if name == "pow":
-            if len(node.args) != 2:
-                raise ExpressionError("pow takes exactly two arguments")
-            if _literal_int(node.args[1]) is None:
-                raise ExpressionError("pow exponents must be integer literals")
-            _validate(node.args[0], variable)
-            return
-        if name not in _FUNCS:
-            raise ExpressionError(f"function {name!r} is not in the whitelist")
-        if len(node.args) != 1:
-            raise ExpressionError(f"{name} takes exactly one argument")
-        _validate(node.args[0], variable)
-        return
-    raise ExpressionError(f"disallowed syntax: {ast.dump(node)}")
-
-
-def _lower(node: ast.expr, literals: List[Any]) -> ast.expr:
-    """Rewrite a validated tree over named literals; append each literal to ``literals``.
-
-    Literal ``i`` becomes the name ``_k<i>``, a wide integer a call of
-    ``_num``; unary plus disappears and every power becomes ``base ** int``.
-    """
-    if isinstance(node, ast.Constant):
-        if type(node.value) is int and abs(node.value) >= _EXACT_INT_LIMIT:
-            return ast.Call(ast.Name("_num", ast.Load()), [ast.Constant(node.value)], [])
-        literals.append(node.value)
-        return ast.Name(f"_k{len(literals) - 1}", ast.Load())
-    if isinstance(node, ast.Name):
-        return ast.Name(node.id, ast.Load())
-    if isinstance(node, ast.UnaryOp):
-        operand = _lower(node.operand, literals)
-        return ast.UnaryOp(ast.USub(), operand) if isinstance(node.op, ast.USub) else operand
-    if isinstance(node, ast.Call) and node.func.id == "pow":  # type: ignore[union-attr]
-        node = ast.BinOp(node.args[0], ast.Pow(), node.args[1])
-    if isinstance(node, ast.BinOp):
-        left = _lower(node.left, literals)
-        if isinstance(node.op, ast.Pow):
-            # The exponent stays a Python int.
-            return ast.BinOp(left, ast.Pow(), ast.Constant(_literal_int(node.right)))
-        return ast.BinOp(left, node.op, _lower(node.right, literals))
-    # Validation admits nothing else: a call of a whitelisted function.
-    return ast.Call(ast.Name(node.func.id, ast.Load()), [_lower(node.args[0], literals)], [])  # type: ignore[union-attr]
+def _name(identifier: str) -> ast.expr:
+    return ast.Name(identifier, ast.Load())
 
 
 def _libmp_call(routine: str, *args: ast.expr) -> ast.expr:
-    extra = [ast.Name("_prec", ast.Load()), ast.Name("_rnd", ast.Load())]
-    return ast.Call(ast.Name(routine, ast.Load()), [*args, *extra], [])
+    return ast.Call(_name(routine), [*args, _name("_prec"), _name("_rnd")], [])
 
 
-def _libmp_tree(node: ast.expr) -> ast.expr:
-    """A lowered tree rewritten as nested libmp calls over raw values.
+def _lower(node: ast.expr, variable: str, literals: List[Any]) -> Tuple[ast.expr, ast.expr]:
+    """Check ``node`` against the grammar and lower it: its plain form and its libmp form.
 
-    Names (the variable and the literals) stand for raw values; every other
-    node becomes its routine, called with ``_prec`` and ``_rnd`` appended.
+    Both trees name literal ``i`` as ``_k<i>`` (appending its value to
+    ``literals``), the variable as itself, and drop unary plus.  The plain
+    form, which the interval function runs, calls ``_num`` on a wide integer,
+    the whitelisted functions by name and writes every power as
+    ``base ** int``; the libmp form calls each construct's routine on raw
+    values with ``_prec`` and ``_rnd`` appended.  A rule is checked before
+    the node's operands, a power's exponent before its base and a left
+    operand before the right, so the first defect met raises ExpressionError.
     """
+    if isinstance(node, ast.Constant):
+        value = node.value
+        if type(value) not in (int, float):
+            raise ExpressionError(f"literal {value!r} is not a real number")
+        if type(value) is int and abs(value) >= _EXACT_INT_LIMIT:
+            wide = ast.Constant(value)
+            return ast.Call(_name("_num"), [wide], []), _libmp_call("from_int", wide)
+        literals.append(value)
+        literal = _name(f"_k{len(literals) - 1}")
+        return literal, literal
     if isinstance(node, ast.Name):
-        return node
+        if node.id != variable:
+            raise ExpressionError(f"unknown name {node.id!r}; the only variable is {variable!r}")
+        return node, node
     if isinstance(node, ast.UnaryOp):
-        return _libmp_call("mpf_neg", _libmp_tree(node.operand))
+        if not isinstance(node.op, _UNARY_OPS):
+            raise ExpressionError("only unary +/- are allowed")
+        plain, raw = _lower(node.operand, variable, literals)
+        if isinstance(node.op, ast.UAdd):
+            return plain, raw
+        return ast.UnaryOp(ast.USub(), plain), _libmp_call("mpf_neg", raw)
     if isinstance(node, ast.BinOp):
-        left = _libmp_tree(node.left)
-        if isinstance(node.op, ast.Pow):
-            return _libmp_call("mpf_pow_int", left, node.right)
-        return _libmp_call(_LIBMP_OPS[type(node.op)], left, _libmp_tree(node.right))
-    # A whitelisted call, or _num of a wide integer literal.
-    arg = node.args[0]  # type: ignore[attr-defined]
-    name = node.func.id  # type: ignore[attr-defined]
-    return _libmp_call(_LIBMP_CALLS[name], arg if name == "_num" else _libmp_tree(arg))
+        if not isinstance(node.op, _BIN_OPS):
+            raise ExpressionError("only + - * / and integer ** are allowed")
+        if not isinstance(node.op, ast.Pow):
+            left, left_raw = _lower(node.left, variable, literals)
+            right, right_raw = _lower(node.right, variable, literals)
+            return ast.BinOp(left, node.op, right), _libmp_call(_LIBMP_OPS[type(node.op)], left_raw, right_raw)
+        base, exponent = node.left, _literal_int(node.right)
+        if exponent is None:
+            raise ExpressionError("exponents must be integer literals")
+    elif isinstance(node, ast.Call):
+        if node.keywords or not isinstance(node.func, ast.Name):
+            raise ExpressionError("only plain calls of whitelisted functions are allowed")
+        name = node.func.id
+        if name != "pow":
+            if name not in _LIBMP_CALLS:
+                raise ExpressionError(f"function {name!r} is not in the whitelist")
+            if len(node.args) != 1:
+                raise ExpressionError(f"{name} takes exactly one argument")
+            plain, raw = _lower(node.args[0], variable, literals)
+            return ast.Call(_name(name), [plain], []), _libmp_call(_LIBMP_CALLS[name], raw)
+        if len(node.args) != 2:
+            raise ExpressionError("pow takes exactly two arguments")
+        base, exponent = node.args[0], _literal_int(node.args[1])
+        if exponent is None:
+            raise ExpressionError("pow exponents must be integer literals")
+    else:
+        raise ExpressionError(f"disallowed syntax: {ast.dump(node)}")
+    # A power, ``**`` or ``pow``: the exponent stays a Python int.
+    plain, raw = _lower(base, variable, literals)
+    k = ast.Constant(exponent)
+    return ast.BinOp(plain, ast.Pow(), k), _libmp_call("mpf_pow_int", raw, k)
 
 
 @dataclass(frozen=True)
@@ -243,20 +226,30 @@ class Expression:
 
 
 def compile_expression(source: str, variable: str) -> Expression:
-    """Parse and validate ``source`` against the whitelist grammar, then compile it.
+    """Parse ``source``, check and lower it in one walk of the tree, then compile it.
 
     Raises ExpressionError for syntax errors, unknown names, non-integer
-    exponents or any construct outside the grammar.
+    exponents or any construct outside the grammar, and for an expression
+    that nests too deeply for Python to parse, walk or compile: no depth
+    limit is imposed, the interpreter's own limits refuse it.
     """
     if not isinstance(source, str) or not source.strip():
         raise ExpressionError("expression must be a nonempty string")
     try:
+        return _compile(source, variable)
+    # CPython's parser reports an overflow of its own stack as a MemoryError.
+    except (RecursionError, SyntaxError, MemoryError) as exc:
+        raise ExpressionError(f"expression {source!r} nests too deeply to compile") from exc
+
+
+def _compile(source: str, variable: str) -> Expression:
+    """compile_expression's work; its caller turns a failure of depth into ExpressionError."""
+    try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse expression {source!r}: {exc.msg}") from exc
-    _validate(tree.body, variable)
     literals: List[Any] = []
-    body = _lower(tree.body, literals)
+    body, libmp_body = _lower(tree.body, variable, literals)
     # The lowered tree's names are the variable, the literals _k<i> and the
     # called functions; a function named like the variable counts as a read,
     # which costs evaluations but never changes a value.
@@ -273,7 +266,7 @@ def compile_expression(source: str, variable: str) -> Expression:
             f"def _fn({variable}):\n"
             "    _prec, _rnd = _prec_rounding\n"
             f"    {variable} = {variable}._mpf_\n"
-            f"    return _make_mpf({ast.unparse(_libmp_tree(body))})\n"
+            f"    return _make_mpf({ast.unparse(libmp_body)})\n"
         )
     namespace = {
         "__builtins__": {},

@@ -26,6 +26,7 @@ from mpmath import mpf, nstr, workprec
 from .errors import EvaluationError
 from .expressions import Expression, as_mpf, compile_expression
 from .kernels import KernelSpec
+from .quadform import DEFAULT_PRECISION_BITS
 
 DECLARED = "declared"
 EMPIRICAL = "empirical"
@@ -195,7 +196,7 @@ def tail_lower_bound(
     sequence: Any,
     start: int,
     count: int,
-    precision_bits: int = 256,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
     table: Any = None,
 ) -> Optional[TailBound]:
     """Sample |f| at ``count`` consecutive sequence points from index ``start``.

@@ -207,30 +207,27 @@ def psd_check(gram: GramMatrix) -> PsdVerdict:
             return PsdVerdict(True, fact.min_diag_seen, tau)
         if fact.status == "indefinite":
             assert fact.neg_index is not None
-            v = _lift_witness(fact, [(fact.neg_index, mpf(1))], n)
-            value = quadratic_form(replace(gram, precision_bits=2 * gram.precision_bits), v)
-            if value < -tau:
-                return PsdVerdict(False, fact.min_diag_seen, tau, tuple(v), value)
-            return PsdVerdict(True, fact.min_diag_seen, tau)
-        # Semidefinite stop: the remaining diagonal is numerically zero.  A
-        # PSD matrix then needs a numerically zero remaining block, so the
-        # largest remaining off-diagonal entry is the witness candidate.
-        k = fact.steps
-        best: Optional[Tuple[int, int]] = None
-        best_abs = mpf(0)
-        for i in range(k, n):
-            for j in range(i + 1, n):
-                mag = abs(fact.work[i][j])
-                if mag > best_abs:
-                    best_abs = mag
-                    best = (i, j)
-        if best is not None and best_abs > tau:
+            reduced = [(fact.neg_index, mpf(1))]
+        else:
+            # Semidefinite stop: the remaining diagonal is numerically zero.  A
+            # PSD matrix then needs a numerically zero remaining block, so the
+            # largest remaining off-diagonal entry is the witness candidate.
+            best: Optional[Tuple[int, int]] = None
+            best_abs = mpf(0)
+            for i in range(fact.steps, n):
+                for j in range(i + 1, n):
+                    mag = abs(fact.work[i][j])
+                    if mag > best_abs:
+                        best_abs = mag
+                        best = (i, j)
+            if best is None or not best_abs > tau:
+                return PsdVerdict(True, fact.min_diag_seen, tau)
             i, j = best
-            sign = 1 if fact.work[i][j] > 0 else -1
-            v = _lift_witness(fact, [(i, mpf(1)), (j, mpf(-sign))], n)
-            value = quadratic_form(replace(gram, precision_bits=2 * gram.precision_bits), v)
-            if value < -tau:
-                return PsdVerdict(False, fact.min_diag_seen, tau, tuple(v), value)
+            reduced = [(i, mpf(1)), (j, mpf(-1 if fact.work[i][j] > 0 else 1))]
+        v = _lift_witness(fact, reduced, n)
+        value = quadratic_form(replace(gram, precision_bits=2 * gram.precision_bits), v)
+        if value < -tau:
+            return PsdVerdict(False, fact.min_diag_seen, tau, tuple(v), value)
         return PsdVerdict(True, fact.min_diag_seen, tau)
 
 
@@ -290,15 +287,18 @@ def schur_deflation_control(
 
     This is the Schur complement of the Gram matrix on points + [x0], so it
     must pass for every kernel; it serves as the pipeline's positive control.
+    Raises ValueError before any pair is evaluated unless K(x0, x0) > 0.
     """
+    with workprec(precision_bits):
+        center = mpf(x0)
+        k00 = kernel.eval_mp(center, center)
+    if not k00 > 0:
+        raise ValueError("control point has nonpositive diagonal value")
 
     class _Section:
         @staticmethod
         def eval_mp(x: Any, y: Any) -> Any:
-            k00 = kernel.eval_mp(mpf(x0), mpf(x0))
-            if not k00 > 0:
-                raise ValueError("control point has nonpositive diagonal value")
-            return kernel.eval_mp(x, y) - kernel.eval_mp(x, mpf(x0)) * kernel.eval_mp(mpf(x0), y) / k00
+            return kernel.eval_mp(x, y) - kernel.eval_mp(x, center) * kernel.eval_mp(center, y) / k00
 
     gram = assemble_gram(_Section(), points, precision_bits)
     return psd_check(gram)

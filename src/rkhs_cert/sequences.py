@@ -23,6 +23,7 @@ from mpmath import mpf, workprec
 from .errors import EvaluationError
 from .expressions import compile_expression
 from .kernels import KernelSpec
+from .quadform import DEFAULT_PRECISION_BITS
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,8 @@ class DecayReport:
     sign_obstruction: Optional[Tuple[int, int, int]] = None
 
 
-def _offset_ladder(ell_max: int) -> Tuple[int, ...]:
+def offset_ladder(ell_max: int) -> Tuple[int, ...]:
+    """The offsets 1, 2, 4, ... below ``ell_max``, then ``ell_max`` itself (ell_max >= 1)."""
     ladder = [1]
     while ladder[-1] * 2 < ell_max:
         ladder.append(ladder[-1] * 2)
@@ -196,7 +198,7 @@ def max_offdiag(
     sequence: SequenceSpec,
     ell: int,
     window: int,
-    precision_bits: int = 256,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> Any:
     """max over 1 <= n < m <= window of |K(x_{ell+n}, x_{ell+m})| as an mpf."""
     with workprec(precision_bits):
@@ -216,7 +218,7 @@ def verify_decay(
     window: int,
     ell_max: int,
     threshold: float,
-    precision_bits: int = 256,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> DecayReport:
     """Check whether off-diagonal kernel values fall below ``threshold``.
 
@@ -231,7 +233,7 @@ def verify_decay(
         raise ValueError("decay checks need a window of at least two points")
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
-    ladder = _offset_ladder(ell_max)
+    ladder = offset_ladder(ell_max)
     with workprec(precision_bits):
         trace = [max_offdiag(kernel, sequence, ell, window, precision_bits) for ell in ladder]
         bound = mpf(threshold)

@@ -15,6 +15,7 @@ live only in the certificate files.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -30,7 +31,7 @@ from mpmath import mpf, workprec
 
 from .analytic import DerivativeReport
 from .interpolant import NormTrace
-from .quadform import MAX_PRECISION_BITS, MIN_PRECISION_BITS, PsdVerdict
+from .quadform import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, PsdVerdict
 from .sequences import DecayReport
 from .witness import MAX_POINT_BITS, WITNESS_SCHEMA, SweepResult, WitnessCertificate, point_in_range
 
@@ -41,7 +42,7 @@ def _digits_for(precision_bits: int) -> int:
     return int(precision_bits * 0.30103) + 8
 
 
-def number_to_str(value: Any, precision_bits: int = 256) -> str:
+def number_to_str(value: Any, precision_bits: int = DEFAULT_PRECISION_BITS) -> str:
     """Decimal-string form of an int, float, Fraction or mpf."""
     if isinstance(value, bool):
         raise TypeError("booleans are not numbers here")
@@ -58,7 +59,7 @@ def number_to_str(value: Any, precision_bits: int = 256) -> str:
         return mpmath.nstr(x, _digits_for(precision_bits), strip_zeros=True)
 
 
-def str_to_number(text: str, precision_bits: int = 256) -> Any:
+def str_to_number(text: str, precision_bits: int = DEFAULT_PRECISION_BITS) -> Any:
     """Inverse of number_to_str: exact ints stay int, the rest become mpf."""
     s = text.strip()
     if "/" in s:
@@ -124,28 +125,18 @@ def witness_summary(data: Dict[str, Any]) -> Dict[str, Any]:
     return summary
 
 
+# The fields a certificate file must carry: the certificate's own, in order,
+# but the schema (checked first), and the coefficient kind.
+_CERTIFICATE_FIELDS = (*(f.name for f in fields(WitnessCertificate) if f.name != "schema"), "coefficients")
+
+
 def witness_from_dict(data: Dict[str, Any]) -> WitnessCertificate:
     """The certificate a JSON object describes; a malformed field is a ValueError naming it."""
     if not isinstance(data, dict):
         raise ValueError("certificate must be a JSON object")
     if data.get("schema") != WITNESS_SCHEMA:
         raise ValueError(f"unsupported certificate schema {data.get('schema')!r}")
-    required = (
-        "kernel_id",
-        "function_id",
-        "sequence_id",
-        "c",
-        "alpha",
-        "alpha_provenance",
-        "kernel_diag_sup",
-        "n_points",
-        "ell",
-        "r_value",
-        "points",
-        "precision_bits",
-        "coefficients",
-    )
-    missing = [k for k in required if k not in data]
+    missing = [k for k in _CERTIFICATE_FIELDS if k not in data]
     if missing:
         raise ValueError(f"certificate is missing fields: {missing}")
     bits = _field(data, "precision_bits", _integer)

@@ -66,7 +66,7 @@ from .functions import DECLARED, CandidateFunction, TailBound, tail_lower_bound
 from .kernels import KernelSpec
 from .quadform import DEFAULT_PRECISION_BITS, neumaier_sum
 from .quadform import assemble_gram, quadratic_form  # noqa: F401  unused; perfbench/trace_child.py patches them here
-from .sequences import SequenceSpec
+from .sequences import SequenceSpec, offset_ladder
 
 WITNESS_SCHEMA = "rkhs-cert/witness/v1"
 
@@ -195,19 +195,12 @@ def find_ell(
         raise ValueError("window must contain at least two points")
     if ell_max < min_ell:
         raise ValueError("ell_max is below the initial offset")
-    ladder = [min_ell, min_ell + 1]
-    step = 2
-    while min_ell + step < ell_max:
-        ladder.append(min_ell + step)
-        step *= 2
-    ladder.append(ell_max)
-    seen = set()
+    ladder = [min_ell]
+    if ell_max > min_ell:
+        ladder += [min_ell + k for k in offset_ladder(ell_max - min_ell)]
     with workprec(precision_bits):
         limit = mpf(bound)
         for ell in ladder:
-            if ell in seen or ell > ell_max:
-                continue
-            seen.add(ell)
             if offdiag_bound(kernel, sequence, ell, window, table) <= limit:
                 return ell
     raise WitnessSearchError(

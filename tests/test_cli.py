@@ -672,6 +672,25 @@ def test_non_finite_inputs_exit_1_with_one_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_DEEP = {"--function": ("expr:", "x"), "--kernel": ("custom:", "r"), "--sequence": ("custom:", "n")}
+
+
+@pytest.mark.parametrize("terms", [250, 600, 3000])
+@pytest.mark.parametrize("flag", sorted(_DEEP))
+@pytest.mark.parametrize("command", ["run", "witness"])
+def test_deep_expression_exits_1_with_one_line(tmp_path, capsys, command, flag, terms):
+    # a sum of 250 terms overflows the nesting of the compiled source, of 600
+    # the recursion of ast.unparse, of 3,000 the parser's: each one config error
+    prefix, variable = _DEEP[flag]
+    out = tmp_path / "r.json"
+    argv = ["run", "--c-grid", "1"] if command == "run" else ["witness", "--c", "1"]
+    argv += ["--kernel", "gaussian", "--function", "constant:1.0"]  # the flag below overrides its own
+    assert main(argv + ["--out", str(out), flag, prefix + "+".join([variable] * terms)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "nests too deeply to compile" in err
+    assert not out.exists()
+
+
 def test_custom_kernel_profile_must_be_a_string(tmp_path, capsys):
     with pytest.raises(ConfigError, match="profile must be an expression string"):
         resolve_kernel({"id": "custom", "profile": 5})

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 
@@ -69,6 +70,52 @@ def test_variable_name_is_enforced():
 def test_rejects_non_whitelisted(bad):
     with pytest.raises(ExpressionError):
         compile_expression(bad, "x")
+
+
+def _disallowed(source):
+    # the node is named by ast.dump, whose format varies with the Python version
+    return f"disallowed syntax: {ast.dump(ast.parse(source, mode='eval').body)}"
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("__import__('os')", "function '__import__' is not in the whitelist"),
+        ("x.real", _disallowed("x.real")),
+        ("lambda y: y", _disallowed("lambda y: y")),
+        ("[1,2]", _disallowed("[1,2]")),
+        ("x if x else 0", _disallowed("x if x else 0")),
+        ("pow(x, x)", "pow exponents must be integer literals"),
+        ("x**0.5", "exponents must be integer literals"),
+        ("pow(x, 2.5)", "pow exponents must be integer literals"),
+        ("log(x)", "function 'log' is not in the whitelist"),
+        ("exp(x, 2)", "exp takes exactly one argument"),
+        ("", "expression must be a nonempty string"),
+        ("1 +", "cannot parse expression '1 +': invalid syntax"),
+        ("f'{x}'", _disallowed("f'{x}'")),
+        ("'a'", "literal 'a' is not a real number"),
+        # two defects: a rule before the node's operands, an exponent before
+        # its base, a left operand before the right
+        ("y ** 2.5", "exponents must be integer literals"),
+        ("pow(y, 2.5)", "pow exponents must be integer literals"),
+        ("y ** -x", "exponents must be integer literals"),
+        ("-y ** 0.5", "exponents must be integer literals"),
+        ("y + log(x)", "unknown name 'y'; the only variable is 'x'"),
+        ("'a' + y", "literal 'a' is not a real number"),
+        ("~y", "only unary +/- are allowed"),
+        ("y % 2", "only + - * / and integer ** are allowed"),
+        ("sin(y, 2)", "sin takes exactly one argument"),
+        ("log(y)", "function 'log' is not in the whitelist"),
+        ("pow(y)", "pow takes exactly two arguments"),
+        ("exp(x)(x)", "only plain calls of whitelisted functions are allowed"),
+        ("exp(y, x=1)", "only plain calls of whitelisted functions are allowed"),
+        ("_num(1)", "function '_num' is not in the whitelist"),
+    ],
+)
+def test_rejection_messages_are_pinned(bad, message):
+    with pytest.raises(ExpressionError) as info:
+        compile_expression(bad, "x")
+    assert str(info.value) == message
 
 
 def test_division_by_zero_raises():
@@ -256,3 +303,33 @@ def test_values_mp_is_eval_mp_at_each_point(source, window, kind, bits):
                     f.values_mp(points)
                 return
         assert [v._mpf_ for v in f.values_mp(points)] == [v._mpf_ for v in expected]
+
+
+# Links that chain expressions into one deeper tree: flat binary chains (a
+# left-leaning tree with no parentheses), prefix signs and nested calls.
+_LINKS = ("+", "-", "*", "/", "unary -", "unary +", "exp", "sinpi", "pow")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    parts=st.lists(_EXPRESSIONS, min_size=1, max_size=4),
+    link=st.sampled_from(_LINKS),
+    depth=st.integers(min_value=1, max_value=1000),
+)
+def test_deep_chains_compile_or_raise_expression_error(parts, link, depth):
+    # whatever the depth, the parser's, the walk's or the compiler's limit ends
+    # in an ExpressionError, never a RecursionError, SyntaxError or MemoryError
+    source = parts[0]
+    for i in range(1, depth):
+        if link in ("+", "-", "*", "/"):
+            source = f"{source} {link} {parts[i % len(parts)]}"
+        elif link.startswith("unary"):
+            source = link[-1] + source
+        elif link == "pow":
+            source = f"pow({source}, 2)"
+        else:
+            source = f"{link}({source})"
+    try:
+        compile_expression(source, "x")
+    except ExpressionError:
+        pass

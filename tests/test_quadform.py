@@ -236,6 +236,23 @@ def test_schur_deflation_control_is_psd_for_builtins():
         assert verdict.is_psd, name
 
 
+@pytest.mark.parametrize("points", [[1.0, 2.0, 3.5], [1.0, 1.0]])
+def test_schur_deflation_control_refuses_nonpositive_diagonal_first(points):
+    # K(x0, x0) is evaluated once, at the control's precision, and checked
+    # before the Gram is assembled (even before its coincident-point check)
+    calls = []
+
+    class NegatedGaussian:
+        @staticmethod
+        def eval_mp(x, y):
+            calls.append((x, y, mpmath.mp.prec))
+            return -mpmath.exp(-((x - y) ** 2))
+
+    with pytest.raises(ValueError, match="^control point has nonpositive diagonal value$"):
+        schur_deflation_control(NegatedGaussian(), 0.5, points, 128)
+    assert calls == [(0.5, 0.5, 128)]
+
+
 def test_doubled_section_scale_is_not_psd():
     k = make_gaussian()
     f0 = kernel_section(k, 0.0)

@@ -178,6 +178,14 @@ def test_witness_dict_rejects_missing_fields():
     del data["alpha"]
     with pytest.raises(ValueError, match="missing"):
         witness_from_dict(data)
+    # every field is named, in the certificate's order, with the coefficient kind last
+    with pytest.raises(ValueError) as info:
+        witness_from_dict({"schema": data["schema"]})
+    assert str(info.value) == (
+        "certificate is missing fields: ['kernel_id', 'function_id', 'sequence_id', 'c', 'alpha', "
+        "'alpha_provenance', 'kernel_diag_sup', 'n_points', 'ell', 'r_value', 'points', 'precision_bits', "
+        "'coefficients']"
+    )
 
 
 def test_witness_dict_rejects_low_precision():

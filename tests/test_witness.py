@@ -120,6 +120,35 @@ def test_find_ell_horizon_exhausted():
     assert exc.value.reason == "decay-horizon-exhausted"
 
 
+@pytest.mark.parametrize("min_ell", [0, 7])
+@pytest.mark.parametrize(
+    "span,steps",
+    [
+        (0, [0]),
+        (1, [0, 1]),
+        (2, [0, 1, 2]),
+        (3, [0, 1, 2, 3]),
+        (4, [0, 1, 2, 4]),
+        (5, [0, 1, 2, 4, 5]),
+        (1000, [0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000]),
+    ],
+)
+def test_find_ell_probes_the_offset_ladder(monkeypatch, min_ell, span, steps):
+    from rkhs_cert import witness
+
+    probed = []
+
+    def never_below(kernel, sequence, ell, window, table=None):
+        probed.append(ell)
+        return mpf(1)
+
+    monkeypatch.setattr(witness, "offdiag_bound", never_below)
+    with pytest.raises(WitnessSearchError) as exc:
+        find_ell(make_gaussian(), triangular_sequence(1), 3, 0.5, min_ell + span, min_ell=min_ell)
+    assert exc.value.reason == "decay-horizon-exhausted"
+    assert probed == [min_ell + step for step in steps]
+
+
 def test_find_ell_matches_slow_scan():
     # eps bounds the exhaustive scan of every window, whether it comes from
     # the first gap (triangular+) or from the sorted window's smallest gap
