@@ -668,6 +668,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read certificate {args.certificate!r}: {exc}") from exc
     cert = witness_from_dict(data)
+    del data  # the point strings: f values take their place while the certificate is checked
     kernel = resolve_kernel(cert.kernel_id)
     f = resolve_function(cert.function_id, kernel)
     try:

@@ -14,7 +14,8 @@ is checked where the node is lowered, and the walk returns the node's plain
 form and its libmp form side by side.  An expression that nests too deeply
 for Python to parse, walk or compile (a few hundred operations, the limit of
 the interpreter's recursion and its parser, not one set here) is refused
-with an ExpressionError naming it.
+with an ExpressionError naming it, by its first characters and its length
+when it is long.
 
 The libmp form is compiled once into a plain Python function whose
 namespace holds only mpmath's low-level ``libmp`` routines and the literals,
@@ -87,6 +88,16 @@ _IV_NAMESPACE = {
 }
 
 _make_mpf = mpmath.mp.make_mpf
+
+# Characters of a source that a refusal quotes; a longer one is named by them and its length.
+_QUOTED_CHARS = 60
+
+
+def _quoted(source: str) -> str:
+    """``source`` as a refusal names it: whole when short, else its first _QUOTED_CHARS and its length."""
+    if len(source) <= _QUOTED_CHARS:
+        return repr(source)
+    return f"{source[:_QUOTED_CHARS]!r}... ({len(source)} characters)"
 
 
 def as_mpf(x: Any) -> Any:
@@ -231,7 +242,9 @@ def compile_expression(source: str, variable: str) -> Expression:
     Raises ExpressionError for syntax errors, unknown names, non-integer
     exponents or any construct outside the grammar, and for an expression
     that nests too deeply for Python to parse, walk or compile: no depth
-    limit is imposed, the interpreter's own limits refuse it.
+    limit is imposed, the interpreter's own limits refuse it.  The last two
+    refusals quote a source of more than 60 characters by its first 60 and
+    its length.
     """
     if not isinstance(source, str) or not source.strip():
         raise ExpressionError("expression must be a nonempty string")
@@ -239,7 +252,7 @@ def compile_expression(source: str, variable: str) -> Expression:
         return _compile(source, variable)
     # CPython's parser reports an overflow of its own stack as a MemoryError.
     except (RecursionError, SyntaxError, MemoryError) as exc:
-        raise ExpressionError(f"expression {source!r} nests too deeply to compile") from exc
+        raise ExpressionError(f"expression {_quoted(source)} nests too deeply to compile") from exc
 
 
 def _compile(source: str, variable: str) -> Expression:
@@ -247,7 +260,7 @@ def _compile(source: str, variable: str) -> Expression:
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse expression {source!r}: {exc.msg}") from exc
+        raise ExpressionError(f"cannot parse expression {_quoted(source)}: {exc.msg}") from exc
     literals: List[Any] = []
     body, libmp_body = _lower(tree.body, variable, literals)
     # The lowered tree's names are the variable, the literals _k<i> and the

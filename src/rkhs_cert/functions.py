@@ -21,12 +21,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, List, Optional, Sequence
 
+import mpmath
 from mpmath import mpf, nstr, workprec
 
 from .errors import EvaluationError
 from .expressions import Expression, as_mpf, compile_expression
 from .kernels import KernelSpec
 from .quadform import DEFAULT_PRECISION_BITS
+
+_make_mpf = mpmath.mp.make_mpf
 
 DECLARED = "declared"
 EMPIRICAL = "empirical"
@@ -205,8 +208,8 @@ def tail_lower_bound(
     the samples mix signs or touch zero.  Evidence only: the bound is labeled
     EMPIRICAL and certificates propagate that label.  ``table``, a search's
     ``witness.PointTable`` for f and the sequence, serves the sample when
-    given.  The points are listed before f is evaluated, so an undefined
-    sequence point blames the sequence.
+    given, its raw values converted back to mpf.  The points are listed
+    before f is evaluated, so an undefined sequence point blames the sequence.
     """
     if count < 2:
         raise ValueError("need at least two sample points for an empirical tail bound")
@@ -217,7 +220,7 @@ def tail_lower_bound(
     else:
         points = table.points(start, count)
     with workprec(precision_bits):
-        values = f.values_mp(points) if table is None else table.window(start, count)
+        values = f.values_mp(points) if table is None else [_make_mpf(v) for v in table.window(start, count)]
         signs = {(-1 if v < 0 else (1 if v > 0 else 0)) for v in values}
         if len(signs) != 1 or 0 in signs:
             return None

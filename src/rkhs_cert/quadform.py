@@ -21,6 +21,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
+from mpmath.libmp import mpf_sum
 
 from .errors import SingularGramError
 from .kernels import KernelSpec
@@ -36,11 +37,17 @@ MAX_PRECISION_BITS = 1 << 16
 def neumaier_sum(terms: Sequence[Any]) -> Any:
     """The terms' sum as an mpf: ``mpmath.fsum``, rounded once at the working precision.
 
+    The terms are real mpmath numbers (or ints and floats), or all raw libmp
+    values, an mpf's ``_mpf_`` tuple, as ``witness.PointTable`` holds f.
+    Raw values go straight to ``libmp.mpf_sum``, the call ``fsum`` makes on
+    its terms' ``_mpf_``, so both forms of a list give the same bits.
     Mantissas are added exactly within a window of 2 * prec bits, so the error
     is at most half an ulp of the result plus N * 2^(-2 prec) * max|term| from
     parts lying more than 2 * prec bits below a larger one, which are dropped.
     An empty list sums to 0.
     """
+    if terms and type(terms[0]) is tuple:
+        return mpmath.mp.make_mpf(mpf_sum(terms, *mpmath.mp._prec_rounding))
     return mpmath.fsum(terms)
 
 

@@ -28,6 +28,7 @@ except ImportError:  # renamed _sha2 in Python 3.12
 
 import mpmath
 from mpmath import mpf, workprec
+from mpmath.libmp import from_str, mpf_pos
 
 from .analytic import DerivativeReport
 from .interpolant import NormTrace
@@ -36,6 +37,8 @@ from .sequences import DecayReport
 from .witness import MAX_POINT_BITS, WITNESS_SCHEMA, SweepResult, WitnessCertificate, point_in_range
 
 REPORT_SCHEMA = "rkhs-cert/report/v2"
+
+_make_mpf = mpmath.mp.make_mpf
 
 
 def _digits_for(precision_bits: int) -> int:
@@ -143,7 +146,7 @@ def witness_from_dict(data: Dict[str, Any]) -> WitnessCertificate:
     if not MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS:
         raise ValueError(f"certificate precision must be {MIN_PRECISION_BITS} to {MAX_PRECISION_BITS} bits")
     _field(data, "coefficients", _ones)
-    real, point = partial(_real, precision_bits=bits), partial(_point, precision_bits=bits)
+    real = partial(_real, precision_bits=bits)
     return WitnessCertificate(
         kernel_id=str(data["kernel_id"]),
         function_id=str(data["function_id"]),
@@ -155,7 +158,7 @@ def witness_from_dict(data: Dict[str, Any]) -> WitnessCertificate:
         n_points=_field(data, "n_points", _integer),
         ell=_field(data, "ell", _integer),
         r_value=_field(data, "r_value", lambda value: real(str(value))),
-        points=_field(data, "points", partial(_number_tuple, parse=point)),
+        points=_field(data, "points", partial(_points, precision_bits=bits)),
         precision_bits=bits,
     )
 
@@ -168,10 +171,32 @@ def _field(data: Dict[str, Any], key: str, parse: Callable[[Any], Any]) -> Any:
         raise ValueError(f"certificate field {key!r} is malformed: {exc}") from None
 
 
-def _number_tuple(value: Any, parse: Callable[[str], Any]) -> Tuple[Any, ...]:
+def _points(value: Any, precision_bits: int) -> Tuple[Any, ...]:
+    """A list of stored points: each ``_real(str(v))``, finite and below 2**1024 in magnitude.
+
+    One pass parses every text with the calls ``str_to_number`` makes
+    (``int``, else the ``mpf`` constructor's ``from_str`` and ``mpf_pos``),
+    without a context switch per point.  A text with ``/`` is a fraction or
+    no number, and ``_real`` refuses it with its own message.
+    ``precision_bits`` is at least 64.
+    """
     if not isinstance(value, list):
         raise TypeError(f"expected a list, not {value!r}")
-    return tuple(parse(str(v)) for v in value)
+    rnd = mpmath.mp._prec_rounding[1]
+    points = []
+    for v in value:
+        text = str(v)
+        s = text.strip()
+        try:
+            point = int(s)
+        except ValueError:
+            if "/" in s:
+                _real(text, precision_bits)  # a fraction, or no number: raises
+            point = _make_mpf(mpf_pos(from_str(s, precision_bits, rnd), precision_bits, rnd))
+        if not point_in_range(point):
+            raise ValueError(f"expected a finite point below 2**{MAX_POINT_BITS} in magnitude, not {text!r}")
+        points.append(point)
+    return tuple(points)
 
 
 def _ones(value: Any) -> None:
@@ -184,14 +209,6 @@ def _integer(value: Any) -> int:
     """A JSON integer as it is; a bool, a float or a string is no integer here."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, not {value!r}")
-    return value
-
-
-def _point(text: str, precision_bits: int) -> Any:
-    """A stored point: ``_real(text)``, finite and below 2**1024 in magnitude."""
-    value = _real(text, precision_bits)
-    if not point_in_range(value):
-        raise ValueError(f"expected a finite point below 2**{MAX_POINT_BITS} in magnitude, not {text!r}")
     return value
 
 

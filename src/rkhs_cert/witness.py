@@ -47,6 +47,11 @@ computed only after it passes the evaluator's point checks.  Verification
 shares nothing with the builder and recomputes every value from the stored
 points; certificates verified together may share the verifier's own f values
 through a ``PointTable`` of stored points, made without a sequence.
+
+At a million window points, f values are most of what a run or a verifier
+holds.  A ``PointTable`` keeps each one as its raw libmp tuple, an mpf's
+``_mpf_`` without the object around it, and ``neumaier_sum`` sums a window
+of them to the bits the mpf values give.
 """
 
 from __future__ import annotations
@@ -210,8 +215,11 @@ def find_ell(
     )
 
 
-# f at a window's points, given them as mpf values or None; see evaluate_ones_form.
+# f at a window's points, given them as mpf values or None: mpf values or raw tuples; see evaluate_ones_form.
 FValues = Callable[[Optional[List[Any]]], Sequence[Any]]
+
+# How many f values a PointTable computes as mpf values at once, before it keeps only their raw tuples.
+VALUE_BLOCK = 1024
 
 
 def evaluate_ones_form(
@@ -246,11 +254,12 @@ def evaluate_ones_form(
     bookkeeping sees the sorted order: f gets the points as given.
 
     ``f_values``, when given, returns f at the points, computed at
-    ``precision_bits``.  It is passed the points as mpf values when the
-    evaluator has converted them, else None (an int window below
-    2^precision converts none).  It is called only once the window has
-    passed its point checks, so a window rejected there costs no f values.
-    Without it, f is evaluated once per point.
+    ``precision_bits``: mpf values, or raw libmp tuples as a ``PointTable``
+    holds them, which ``neumaier_sum`` sums to the same bits.  It is passed
+    the points as mpf values when the evaluator has converted them, else
+    None (an int window below 2^precision converts none).  It is called only
+    once the window has passed its point checks, so a window rejected there
+    costs no f values.  Without it, f is evaluated once per point.
     """
     profile = kernel.profile
     if profile is None:
@@ -313,6 +322,11 @@ class PointTable:
     for.  The table keeps no mpf points: f receives the points as they were
     given and converts each itself, unless the caller passes the window
     already converted.
+    Each value is held as its raw libmp tuple (the mpf's ``_mpf_``), which
+    ``neumaier_sum`` sums as it is: at 256 bits about 140 bytes a value,
+    against about 220 as mpf values.  A new range of values is computed
+    VALUE_BLOCK points at a time, so at most one block of mpf values is
+    alive at once.
     A request that neither overlaps nor adjoins a stored range restarts that
     range there, so no index outside a requested window is ever computed.
     Restarting the points drops the values: a value is held only with its point.
@@ -360,7 +374,7 @@ class PointTable:
         return self.raw[i : i + count]
 
     def window(self, start: int, count: int, mp: Optional[List[Any]] = None) -> List[Any]:
-        """f values at indices start, ..., start + count - 1.
+        """f values at indices start, ..., start + count - 1, as raw libmp tuples.
 
         ``mp``, when given, is the window's points as mpf values at the
         table's precision; f reads its points from there instead of
@@ -370,9 +384,11 @@ class PointTable:
         pts = raw if mp is None else mp
 
         def new_values(first: int, n: int) -> List[Any]:
-            lo = first - start
+            lo, values = first - start, []
             with workprec(self.precision_bits):
-                return self.f.values_mp(pts[lo : lo + n])
+                for a in range(lo, lo + n, VALUE_BLOCK):
+                    values += [v._mpf_ for v in self.f.values_mp(pts[a : min(a + VALUE_BLOCK, lo + n)])]
+            return values
 
         self.values_first, self.values = _cover(self.values_first, self.values, start, count, new_values)
         i = start - self.values_first

@@ -688,6 +688,7 @@ def test_deep_expression_exits_1_with_one_line(tmp_path, capsys, command, flag, 
     assert main(argv + ["--out", str(out), flag, prefix + "+".join([variable] * terms)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1 and "nests too deeply to compile" in err
+    assert len(err.encode("utf-8")) < 300  # the expression is named by a prefix and its length
     assert not out.exists()
 
 

@@ -110,6 +110,19 @@ def _disallowed(source):
         ("exp(x)(x)", "only plain calls of whitelisted functions are allowed"),
         ("exp(y, x=1)", "only plain calls of whitelisted functions are allowed"),
         ("_num(1)", "function '_num' is not in the whitelist"),
+        # a source of up to 60 characters is quoted whole, a longer one by its first 60 and its length
+        pytest.param(
+            "(" + "x+" * 29, "cannot parse expression " + repr("(" + "x+" * 29) + ": '(' was never closed",
+            id="59 characters",
+        ),
+        pytest.param(
+            "x + " * 100 + "(", f"cannot parse expression {'x + ' * 15!r}... (401 characters): '(' was never closed",
+            id="401 characters",
+        ),
+        pytest.param(
+            "+".join(["x"] * 3000), f"expression {'x+' * 30!r}... (5999 characters) nests too deeply to compile",
+            id="5999 characters",
+        ),
     ],
 )
 def test_rejection_messages_are_pinned(bad, message):

@@ -220,3 +220,49 @@ def test_witness_dict_of_any_json_is_a_certificate_or_value_error(field, value):
         witness_from_dict(json.loads(json.dumps(data)))
     except ValueError as exc:
         assert "\n" not in str(exc)
+
+
+_WHITESPACE = st.sampled_from(["", " ", "\t", "\n", "\x1c", "\x85", "　"])
+_POINT_TEXTS = st.one_of(
+    st.integers(-(2**1030), 2**1030).map(str),
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map(lambda x: f"{x:.40e}"),
+    st.sampled_from(
+        ["1/2", "1/0", "a/b", "inf", "-Infinity", "nan", "1e99999999", "1_000", "1.5e1_0", "٣", "0x10", "", "abc"]
+    ),
+    st.text(alphabet="0123456789.e+-_ /", max_size=8),
+)
+
+
+@given(texts=st.lists(st.tuples(_WHITESPACE, _POINT_TEXTS | _JSON, _WHITESPACE), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_points_parse_in_one_pass_as_each_point_alone(texts):
+    """A certificate's point list gives the points, or the refusal, that
+    str_to_number and point_in_range give each point on its own: the same
+    type and bits, or the message of the first point refused."""
+    from rkhs_cert.witness import point_in_range
+
+    values = [f"{a}{t}{b}" if isinstance(t, str) else t for a, t, b in texts]
+
+    def point(text):
+        value = str_to_number(text, 256)
+        if isinstance(value, Fraction):
+            raise ValueError(f"expected an integer or a decimal, not the fraction {text!r}")
+        if not point_in_range(value):
+            raise ValueError(f"expected a finite point below 2**1024 in magnitude, not {text!r}")
+        return type(value), value._mpf_ if isinstance(value, mpf) else value
+
+    expected = []
+    for v in values:
+        try:
+            expected.append(point(str(v)))
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            expected.append(str(exc))
+            break
+    data = dict(witness_to_dict(_cert()), points=values)
+    try:
+        points = witness_from_dict(data).points
+    except ValueError as exc:
+        assert str(exc) == f"certificate field 'points' is malformed: {expected[-1]}"
+    else:
+        assert [(type(p), p._mpf_ if isinstance(p, mpf) else p) for p in points] == expected

@@ -326,7 +326,7 @@ def test_sorted_window_leaves_f_values_at_their_indices(kind):
     evaluate_ones_form(k, f, 0.25, pts, 256, f_values=partial(table.window, 1, 235))
     assert (table.first, table.values_first, len(table.values)) == (1, 1, 235)
     with workprec(256):
-        assert table.values == f.values_mp([mpf(p) for p in table.raw])
+        assert table.values == [v._mpf_ for v in f.values_mp([mpf(p) for p in table.raw])]
 
 
 def test_triangular_window_bookkeeping_runs_on_ints(monkeypatch):
@@ -698,7 +698,7 @@ def test_point_table_extends_and_restarts():
     raw = table.points(3, 8)
     assert raw == list(seq.points(3, 8))
     with workprec(256):
-        assert [v._mpf_ for v in values] == [make_paper_example().eval_mp(x)._mpf_ for x in raw]
+        assert values == [make_paper_example().eval_mp(x)._mpf_ for x in raw]
     table.window(20, 2)  # disjoint: the table starts over there
     assert len(calls) == 12 and table.first == 20 and len(table.raw) == 2
 
@@ -1029,7 +1029,7 @@ def test_rejected_far_window_leaves_no_values_for_other_points():
     moved = list(a.points)
     moved[30] += 1
     with workprec(a.precision_bits):
-        a_values = f.values_mp(a.points)
+        a_values = [v._mpf_ for v in f.values_mp(a.points)]  # raw, as a table holds them
     # r as it would come out with a's f values under c's points
     forged = evaluate_ones_form(k, f, a.c, moved, a.precision_bits, f_values=lambda pts: a_values)
     c = replace(a, points=tuple(moved), r_value=forged)
@@ -1097,6 +1097,63 @@ def test_verify_rejects_a_search_table_or_another_functions(table):
     made = {"search": PointTable(f, seq, 256), "other function": PointTable(make_paper_example(), None, 256)}
     with pytest.raises(ValueError, match="another function or for a search"):
         verify_certificate(cert, k, f, made[table])
+
+
+# --- raw f values -------------------------------------------------------------------
+
+
+@given(
+    kernel=st.sampled_from([make_gaussian, make_inverse_quadratic, make_laplace]),
+    function=st.sampled_from(
+        [lambda: make_constant(1.0), make_paper_example, lambda: make_expression_function("cos(x/7) - 1/5")]
+    ),
+    kind=st.sampled_from(["int", "float", "mpf"]),
+    window=st.lists(st.integers(min_value=-300, max_value=300), min_size=2, max_size=40, unique=True),
+    bits=st.sampled_from([64, 256]),
+    c=st.sampled_from([1.0, 0.25, 0.0625]),
+)
+@settings(max_examples=80, deadline=None)
+def test_table_values_give_the_bits_of_mpf_values(kernel, function, kind, window, bits, c):
+    """A PointTable's raw values give the r of the path without a table, bit
+    for bit, and neumaier_sum on raw tuples is mpmath.fsum on their mpf values."""
+    from rkhs_cert.quadform import neumaier_sum
+
+    k, f = kernel(), function()
+    with workprec(bits):
+        pts = {"int": window, "float": [x / 8 for x in window], "mpf": [mpf(x) / 3 for x in window]}[kind]
+    n = len(pts)
+    table = PointTable(f, None, bits)
+    table.points(1, n, pts)
+    with_table = evaluate_ones_form(k, f, c, pts, bits, f_values=partial(table.window, 1, n))
+    assert with_table._mpf_ == evaluate_ones_form(k, f, c, pts, bits)._mpf_
+    assert all(type(v) is tuple for v in table.values)
+    with workprec(bits):
+        values = f.values_mp(pts)
+        assert neumaier_sum([v._mpf_ for v in values])._mpf_ == mpmath.fsum(values)._mpf_
+
+
+def test_point_table_holds_raw_values_filled_a_block_at_a_time():
+    """2^12 paper_example values at 256 bits take at most 200 bytes each in
+    the table (about 220 as mpf values), and filling it holds at most one
+    block of mpf values, 255 bytes each at most, on top of that."""
+    import tracemalloc
+
+    from rkhs_cert.witness import VALUE_BLOCK
+
+    f, n = make_paper_example(), 2**12
+    assert VALUE_BLOCK < n
+    table = PointTable(f, None, 256)
+    table.points(1, n, triangular_sequence(1).points(1, n))
+    tracemalloc.start()
+    try:
+        table.window(1, n)
+        filled, peak = tracemalloc.get_traced_memory()
+        del table
+        held = filled - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 200 * n
+    assert peak - filled <= 255 * VALUE_BLOCK
 
 
 # --- sweep ------------------------------------------------------------------------
