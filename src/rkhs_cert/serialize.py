@@ -75,8 +75,9 @@ def str_to_number(text: str, precision_bits: int = DEFAULT_PRECISION_BITS) -> An
         return int(s)
     except ValueError:
         pass
-    with workprec(max(precision_bits, 64)):
-        return mpf(s)
+    # What ``mpf(s)`` does under ``workprec``, without entering a context.
+    prec, rnd = max(precision_bits, 64), mpmath.mp._prec_rounding[1]
+    return _make_mpf(mpf_pos(from_str(s, prec, rnd), prec, rnd))
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -172,27 +173,13 @@ def _field(data: Dict[str, Any], key: str, parse: Callable[[Any], Any]) -> Any:
 
 
 def _points(value: Any, precision_bits: int) -> Tuple[Any, ...]:
-    """A list of stored points: each ``_real(str(v))``, finite and below 2**1024 in magnitude.
-
-    One pass parses every text with the calls ``str_to_number`` makes
-    (``int``, else the ``mpf`` constructor's ``from_str`` and ``mpf_pos``),
-    without a context switch per point.  A text with ``/`` is a fraction or
-    no number, and ``_real`` refuses it with its own message.
-    ``precision_bits`` is at least 64.
-    """
+    """A list of stored points: each ``_real(str(v))``, finite and below 2**1024 in magnitude."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list, not {value!r}")
-    rnd = mpmath.mp._prec_rounding[1]
     points = []
     for v in value:
         text = str(v)
-        s = text.strip()
-        try:
-            point = int(s)
-        except ValueError:
-            if "/" in s:
-                _real(text, precision_bits)  # a fraction, or no number: raises
-            point = _make_mpf(mpf_pos(from_str(s, precision_bits, rnd), precision_bits, rnd))
+        point = _real(text, precision_bits)
         if not point_in_range(point):
             raise ValueError(f"expected a finite point below 2**{MAX_POINT_BITS} in magnitude, not {text!r}")
         points.append(point)

@@ -266,3 +266,31 @@ def test_points_parse_in_one_pass_as_each_point_alone(texts):
         assert str(exc) == f"certificate field 'points' is malformed: {expected[-1]}"
     else:
         assert [(type(p), p._mpf_ if isinstance(p, mpf) else p) for p in points] == expected
+
+
+@given(text=st.tuples(_WHITESPACE, _POINT_TEXTS, _WHITESPACE).map("".join), bits=st.sampled_from([32, 64, 113, 256]))
+@settings(max_examples=300, deadline=None)
+def test_decimal_text_parses_as_mpf_does_at_the_working_precision(text, bits):
+    """str_to_number gives the bits, or the error, that ``mpf(text)`` gives
+    under ``workprec(max(bits, 64))`` for a text that is no int or fraction."""
+    s = text.strip()
+    if "/" in s or s in ("inf", "+inf", "-inf"):
+        return
+    try:
+        int(s)
+        return
+    except ValueError:
+        pass
+
+    def outcome(parse):
+        try:
+            value = parse()
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+        return type(value), value._mpf_
+
+    def reference():
+        with workprec(max(bits, 64)):
+            return mpf(s)
+
+    assert outcome(lambda: str_to_number(text, bits)) == outcome(reference)
