@@ -828,10 +828,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except WitnessSearchError as exc:

@@ -39,8 +39,9 @@ to evaluating the expression on ``mpf`` objects; only the wrapper objects
 between the operations are gone.  One difference is deliberate: where the
 ``mpf`` wrappers silently continue in complex arithmetic (``sqrt`` of a
 negative number), the compiled function raises ``ComplexResult``, a
-``ValueError``.  A body that is only the variable or one literal returns its
-argument or one shared mpf.  ``Expression.reads_variable`` records whether
+``ValueError``.  Every body compiles to this one template: a body that is
+only the variable or one literal returns a new mpf of its raw value.
+``Expression.reads_variable`` records whether
 the tree names its variable at all; one that does not has the same value at
 every point, so a caller may evaluate it once per precision.
 
@@ -217,8 +218,9 @@ def _lower(node: ast.expr, variable: str, literals: List[Any]) -> Tuple[ast.expr
 class Expression:
     """A validated single-variable expression, compiled to one function.
 
-    ``fn_mp`` takes an mpf and returns one, computed under whatever working
-    precision the caller has set; ``eval_mp`` converts its argument first.
+    ``fn_mp`` takes an mpf and returns a new one, computed under whatever
+    working precision the caller has set; ``eval_mp`` converts its argument
+    first.
     No literal is rounded below 53 bits.  ``fn_iv`` takes an ``mpmath.iv``
     interval and returns an enclosure of the expression's values on it,
     computed at ``iv.prec``.  ``reads_variable`` is False when the tree never
@@ -269,18 +271,13 @@ def _compile(source: str, variable: str) -> Expression:
     reads_variable = any(isinstance(node, ast.Name) and node.id == variable for node in ast.walk(body))
     # Pinned, so no literal depends on the precision in force right now.
     with mpmath.workprec(53):
-        constants = [mpmath.mpf(v) for v in literals]
-    if isinstance(body, ast.Name):
-        # The variable itself, or one literal: its one shared mpf, no arithmetic.
-        fn_source = f"def _fn({variable}):\n    return {body.id}\n"
-    else:
-        constants = [k._mpf_ for k in constants]
-        fn_source = (
-            f"def _fn({variable}):\n"
-            "    _prec, _rnd = _prec_rounding\n"
-            f"    {variable} = {variable}._mpf_\n"
-            f"    return _make_mpf({ast.unparse(libmp_body)})\n"
-        )
+        constants = [mpmath.mpf(v)._mpf_ for v in literals]
+    fn_source = (
+        f"def _fn({variable}):\n"
+        "    _prec, _rnd = _prec_rounding\n"
+        f"    {variable} = {variable}._mpf_\n"
+        f"    return _make_mpf({ast.unparse(libmp_body)})\n"
+    )
     namespace = {
         "__builtins__": {},
         "_prec_rounding": mpmath.mp._prec_rounding,

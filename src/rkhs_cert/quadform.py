@@ -17,7 +17,7 @@ unconfirmed suspicion leaves the verdict at "PSD within tolerance".
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec

@@ -31,9 +31,9 @@ The evaluator's bookkeeping (point checks, gaps, the band test) runs on
 exact Python ints for every window: ``_window_keys`` writes each point, as
 the working precision gives it, as k * 2^e for one exponent e, so every
 difference and square is exact and phi's argument d^2 is rounded once.  An
-int window below 2^precision is its own keys and becomes mpf values only
-where f needs them; any other window converts its points once and hands
-the mpf values on to f.
+int window below 2^precision is its own keys; any other window is converted
+once to read them.  f always gets the points as given and converts each
+itself.
 
 ``sweep_c`` is the one loop over scales, for the library and for
 ``rkhs-cert run``; ``build_witness`` is its search at a single scale.  The
@@ -129,18 +129,18 @@ def _no_radial_profile(kernel: KernelSpec) -> WitnessSearchError:
     )
 
 
-def _window_keys(points: Sequence[Any], prec: int) -> Tuple[Sequence[int], int, Optional[List[Any]]]:
+def _window_keys(points: Sequence[Any], prec: int) -> Tuple[Sequence[int], int]:
     """Ints k_i and one exponent e with k_i * 2^e each point's value at precision ``prec``, exactly.
 
-    Also the points as mpf values for f: None for ints below 2^prec, their
-    own keys with e = 0.  Any other window is converted once; a non-finite
-    point, or keys spanning more than prec + 2 MAX_POINT_BITS + 64 bits
-    (one tiny point widens every key), raise ValueError before any key is made.
+    Ints below 2^prec are their own keys, with e = 0.  Any other window is
+    converted once, at the working precision, to read each point's raw
+    value; a non-finite point, or keys spanning more than
+    prec + 2 MAX_POINT_BITS + 64 bits (one tiny point widens every key),
+    raise ValueError before any key is made.
     """
     if set(map(type, points)) == {int} and -(1 << prec) < min(points) and max(points) < 1 << prec:
-        return points, 0, None
-    mp = [as_mpf(p) for p in points]
-    raw = [p._mpf_ for p in mp]
+        return points, 0
+    raw = [as_mpf(p)._mpf_ for p in points]
     # inf and nan have a zero mantissa and a nonzero bit count; zero has neither
     if any(not man and bc for _, man, _, bc in raw):
         raise ValueError("non-finite point in node set")
@@ -148,7 +148,7 @@ def _window_keys(points: Sequence[Any], prec: int) -> Tuple[Sequence[int], int, 
     span = max([exp + bc - e for _, man, exp, bc in raw if man], default=0)
     if span > prec + 2 * MAX_POINT_BITS + 64:
         raise ValueError(f"points span {span} bits, more than the precision + {2 * MAX_POINT_BITS + 64}")
-    return [((-man if sign else man) << (exp - e)) if man else 0 for sign, man, exp, _ in raw], e, mp
+    return [((-man if sign else man) << (exp - e)) if man else 0 for sign, man, exp, _ in raw], e
 
 
 def offdiag_bound(
@@ -172,7 +172,7 @@ def offdiag_bound(
     else:
         points = sequence.points(ell + 1, window)
     prec = mpmath.mp.prec
-    keys, e, _ = _window_keys(points, prec)
+    keys, e = _window_keys(points, prec)
     keys = sorted(keys)
     gap = min(b - a for a, b in zip(keys, keys[1:]))
     return kernel.profile.abs_bound(_make_mpf(from_man_exp(gap * gap, 2 * e, prec, "f")))
@@ -215,8 +215,8 @@ def find_ell(
     )
 
 
-# f at a window's points, given them as mpf values or None: mpf values or raw tuples; see evaluate_ones_form.
-FValues = Callable[[Optional[List[Any]]], Sequence[Any]]
+# f at a window's points, as mpf values or raw tuples; see evaluate_ones_form.
+FValues = Callable[[], Sequence[Any]]
 
 # How many f values a PointTable computes as mpf values at once, before it keeps only their raw tuples.
 VALUE_BLOCK = 1024
@@ -255,11 +255,10 @@ def evaluate_ones_form(
 
     ``f_values``, when given, returns f at the points, computed at
     ``precision_bits``: mpf values, or raw libmp tuples as a ``PointTable``
-    holds them, which ``neumaier_sum`` sums to the same bits.  It is passed
-    the points as mpf values when the evaluator has converted them, else
-    None (an int window below 2^precision converts none).  It is called only
-    once the window has passed its point checks, so a window rejected there
-    costs no f values.  Without it, f is evaluated once per point.
+    holds them, which ``neumaier_sum`` sums to the same bits.  It is called
+    only once the window has passed its point checks, so a window rejected
+    there costs no f values.  Without it, f is evaluated once per point.
+    Either way f converts the points itself, as ``_window_keys`` does.
     """
     profile = kernel.profile
     if profile is None:
@@ -274,7 +273,7 @@ def evaluate_ones_form(
                 reason="window-too-large",
             )
         prec, rnd = mpmath.mp._prec_rounding
-        keys, e, mp = _window_keys(points, prec)
+        keys, e = _window_keys(points, prec)
         gaps = [b - a for a, b in zip(keys, keys[1:])]
         if all(g < 0 for g in gaps):
             gaps = [-g for g in gaps]
@@ -304,12 +303,9 @@ def evaluate_ones_form(
                     break
                 acc += profile.value_mp(_make_mpf(from_man_exp(d2, e2, prec, rnd)))
             off_terms.append(2 * acc)
-        del keys, gaps  # garbage before f, which may keep mpf points of its own
+        del keys, gaps  # garbage before f
         diag = n * profile.value_mp(0)
-        if f_values is None:
-            fsum = neumaier_sum(f.values_mp(points if mp is None else mp))
-        else:
-            fsum = neumaier_sum(f_values(mp))
+        fsum = neumaier_sum(f.values_mp(points) if f_values is None else f_values())
         return diag + neumaier_sum(off_terms) - mpf(c) ** 2 * fsum * fsum
 
 
@@ -320,8 +316,7 @@ class PointTable:
     search that serves all its windows from one table evaluates f at most
     once per index, and only at indices of windows whose values it asked
     for.  The table keeps no mpf points: f receives the points as they were
-    given and converts each itself, unless the caller passes the window
-    already converted.
+    given and converts each itself.
     Each value is held as its raw libmp tuple (the mpf's ``_mpf_``), which
     ``neumaier_sum`` sums as it is: at 256 bits about 140 bytes a value,
     against about 220 as mpf values.  A new range of values is computed
@@ -373,15 +368,9 @@ class PointTable:
         i = start - self.first
         return self.raw[i : i + count]
 
-    def window(self, start: int, count: int, mp: Optional[List[Any]] = None) -> List[Any]:
-        """f values at indices start, ..., start + count - 1, as raw libmp tuples.
-
-        ``mp``, when given, is the window's points as mpf values at the
-        table's precision; f reads its points from there instead of
-        converting them again.
-        """
-        raw = self.points(start, count)
-        pts = raw if mp is None else mp
+    def window(self, start: int, count: int) -> List[Any]:
+        """f values at indices start, ..., start + count - 1, as raw libmp tuples."""
+        pts = self.points(start, count)
 
         def new_values(first: int, n: int) -> List[Any]:
             lo, values = first - start, []

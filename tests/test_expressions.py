@@ -262,15 +262,19 @@ def test_reads_variable_is_derived_from_the_tree(source, reads):
 
 
 def test_bare_literal_returns_one_shared_mpf():
+    """A bare literal or variable runs the one compiled template: the literal's
+    53-bit raw value at every point and precision, the argument's raw value."""
     for source in ("2.5", "7"):
         e = compile_expression(source, "x")
-        with workprec(256):
-            first = e.eval_mp(1)
-            assert e.eval_mp(3) is first and first == float(source)
+        with workprec(53):
+            expected = mpf(source)._mpf_
+        for bits in (64, 256):
+            with workprec(bits):
+                assert e.eval_mp(1)._mpf_ == e.eval_mp(3)._mpf_ == expected
     ident = compile_expression("x", "x")
     with workprec(256):
-        point = mpf(3)
-        assert ident.fn_mp(point) is point
+        point = mpf(1) / 3
+        assert ident.fn_mp(point)._mpf_ == point._mpf_
 
 
 _CLOSED_LEAVES = st.one_of(

@@ -1031,7 +1031,7 @@ def test_rejected_far_window_leaves_no_values_for_other_points():
     with workprec(a.precision_bits):
         a_values = [v._mpf_ for v in f.values_mp(a.points)]  # raw, as a table holds them
     # r as it would come out with a's f values under c's points
-    forged = evaluate_ones_form(k, f, a.c, moved, a.precision_bits, f_values=lambda pts: a_values)
+    forged = evaluate_ones_form(k, f, a.c, moved, a.precision_bits, f_values=lambda: a_values)
     c = replace(a, points=tuple(moved), r_value=forged)
     counted, calls = _counting(f)
     table = PointTable(counted, None, 256)
@@ -1154,6 +1154,33 @@ def test_point_table_holds_raw_values_filled_a_block_at_a_time():
         tracemalloc.stop()
     assert held <= 200 * n
     assert peak - filled <= 255 * VALUE_BLOCK
+
+
+@pytest.mark.parametrize("through_table", [False, True])
+def test_float_window_keeps_no_mpf_points(through_table):
+    """A float window is converted once for its keys and once more by f,
+    never held as mpf points while f runs: 2^14 points at 256 bits peak at
+    no more than 400 bytes each (about 300), with or without a PointTable.
+    A list of the window's mpf points kept alive while f runs takes the peak
+    to about 490."""
+    import tracemalloc
+
+    k, f, n = make_gaussian(), make_constant(1.0), 2**14
+    pts = [7.5 * j for j in range(1, n + 1)]
+    f_values = None
+    if through_table:
+        table = PointTable(f, None, 256)
+        table.points(1, n, pts)
+        f_values = partial(table.window, 1, n)
+    evaluate_ones_form(k, f, 0.5, pts[:8], 256)  # the profile's truncation radius, cached
+    tracemalloc.start()
+    try:
+        r = evaluate_ones_form(k, f, 0.5, pts, 256, f_values=f_values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r < 0
+    assert peak <= 400 * n
 
 
 # --- sweep ------------------------------------------------------------------------
