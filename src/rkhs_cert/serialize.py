@@ -2,9 +2,11 @@
 
 Real-valued measurements are emitted as decimal strings with enough digits to
 round-trip the working precision exactly; structural integers (sizes,
-offsets, orders, precisions) stay JSON integers.  Objects are emitted with
+offsets, orders, precisions) stay JSON integers.  Every file is
+``canonical_dumps``'s text, which is byte for byte
+``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"``:
 sorted keys, two-space indentation and a trailing newline, so identical runs
-produce byte-identical files.
+produce byte-identical files.  No other module of the package writes JSON.
 
 A report does not repeat the points of its certificates: each report entry is
 the certificate's dict without ``points``, plus ``points_sha256``, the
@@ -15,6 +17,7 @@ live only in the certificate files.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields
 from fractions import Fraction
 from functools import partial
@@ -81,7 +84,67 @@ def str_to_number(text: str, precision_bits: int = DEFAULT_PRECISION_BITS) -> An
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``, byte for byte.
+
+    Every key and scalar is json's own text, and a dict with a key that is
+    not a str is json's text as a whole.  A nonempty list of plain strings
+    (``_plain_strings``) is written with one join over its items, where json
+    would build a new string for each; at a certificate's size that is most
+    of what writing it holds beyond the text.  The text is made by one final
+    join, which also adds the newline.  A value json cannot encode raises as
+    json would (a circular one as RecursionError).
+    """
+    parts: List[str] = []
+    _render(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+_json_text = partial(json.dumps, ensure_ascii=False)
+
+# The characters json escapes in a string when ensure_ascii is off.
+_ESCAPED = re.compile(r'["\\\x00-\x1f]')
+
+
+def _plain_strings(items: Sequence[Any]) -> bool:
+    """Whether every item is a str that json writes as it is, between quotes."""
+    try:
+        text = "".join(items)  # one C-level pass: a TypeError names the first item that is no str
+    except TypeError:
+        return False
+    return _ESCAPED.search(text) is None
+
+
+def _render(value: Any, newline: str, parts: List[str]) -> None:
+    """Append json's indented text of ``value`` to ``parts``; ``newline`` is a line break and the current indent."""
+    if isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        if _plain_strings(value):
+            parts += ["[", inner, '"', ('",' + inner + '"').join(value), '"', newline, "]"]
+            return
+        separator = inner
+        parts.append("[")
+        for item in value:
+            parts.append(separator)
+            _render(item, inner, parts)
+            separator = "," + inner
+        parts += [newline, "]"]
+    elif isinstance(value, dict) and value:
+        if not all(isinstance(key, str) for key in value):
+            # json converts such keys to text, and sorting them can raise: leave it all to json
+            text = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+            parts.append(text.replace("\n", newline))  # json escapes every newline inside a string
+            return
+        inner = newline + "  "
+        separator = inner
+        parts.append("{")
+        for key in sorted(value):
+            parts += [separator, _json_text(key), ": "]
+            _render(value[key], inner, parts)
+            separator = "," + inner
+        parts += [newline, "}"]
+    else:
+        parts.append(_json_text(value))
 
 
 def write_json(path: str | Path, obj: Any) -> None:

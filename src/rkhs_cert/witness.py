@@ -42,8 +42,10 @@ holds) do not depend on c, so ``sweep_c`` resolves them once.  A search
 evaluates f once per sequence index: its windows, its tail sample and the
 offset probes' windows on a sequence without ordered gaps are served from
 one ``PointTable``, shared across doublings and scales (their windows start
-at nearby offsets and mostly contain one another).  A window's f values are
-computed only after it passes the evaluator's point checks.  Verification
+at nearby offsets and mostly contain one another); a probe far beyond the
+table's points is read from the sequence and not stored, so the table keeps
+the points the next windows need.  A window's f values are computed only
+after it passes the evaluator's point checks.  Verification
 shares nothing with the builder and recomputes every value from the stored
 points; certificates verified together may share the verifier's own f values
 through a ``PointTable`` of stored points, made without a sequence.
@@ -158,9 +160,10 @@ def offdiag_bound(
 
     eps = ``abs_bound(g^2)`` of the kernel's profile, g the window's smallest
     gap: on a sequence with a ``direction`` and ``gaps_nondecreasing`` its
-    first gap, otherwise the smallest gap of the sorted window, read from
-    ``table`` (a search's table for the sequence) when given.  g is exact on
-    the window's keys (``_window_keys``) and g^2 is rounded down once.
+    first gap, otherwise the smallest gap of the sorted window, read through
+    ``table.probe`` (``table`` a search's table for the sequence) when given.
+    g is exact on the window's keys (``_window_keys``) and g^2 is rounded
+    down once.
     Raises ``no-radial-profile`` for a kernel without a profile.
     """
     if kernel.profile is None:
@@ -168,7 +171,7 @@ def offdiag_bound(
     if sequence.direction is not None and sequence.gaps_nondecreasing:
         points = sequence.points(ell + 1, 2)
     elif table is not None:
-        points = table.points(ell + 1, window)
+        points = table.probe(ell + 1, window)
     else:
         points = sequence.points(ell + 1, window)
     prec = mpmath.mp.prec
@@ -323,7 +326,8 @@ class PointTable:
     VALUE_BLOCK points at a time, so at most one block of mpf values is
     alive at once.
     A request that neither overlaps nor adjoins a stored range restarts that
-    range there, so no index outside a requested window is ever computed.
+    range there, so no index outside a requested window is ever computed;
+    an offset probe's points, asked for through ``probe``, never restart it.
     Restarting the points drops the values: a value is held only with its point.
     Windows are list slices: the caller may keep them, but not modify them.
     A verifier's table has no ``sequence``: it holds the certificates' stored
@@ -368,6 +372,18 @@ class PointTable:
         i = start - self.first
         return self.raw[i : i + count]
 
+    def probe(self, start: int, count: int) -> Sequence[Any]:
+        """The points ``points(start, count)`` gives, for an offset probe of a search.
+
+        A window that neither overlaps nor adjoins the held points is read
+        from the sequence and not stored, so a probe far beyond them leaves
+        them, and their values, to the windows the search evaluates next.
+        An empty table stores it, as it has nothing to lose.
+        """
+        if self.raw and not _touches(self.first, len(self.raw), start, count):
+            return self.sequence.points(start, count)
+        return self.points(start, count)
+
     def window(self, start: int, count: int) -> List[Any]:
         """f values at indices start, ..., start + count - 1, as raw libmp tuples."""
         pts = self.points(start, count)
@@ -384,6 +400,11 @@ class PointTable:
         return self.values[i : i + count]
 
 
+def _touches(first: int, held: int, start: int, count: int) -> bool:
+    """Whether indices start, ..., start + count - 1 overlap or adjoin first, ..., first + held - 1."""
+    return first <= start + count and start <= first + held
+
+
 def _cover(
     first: int,
     items: List[Any],
@@ -398,7 +419,7 @@ def _cover(
     there.  Returns the new first index and the list.
     """
     stop = first + len(items)
-    if start > stop or start + count < first:
+    if not _touches(first, len(items), start, count):
         first, items, stop = start, [], start
     if start < first:
         items = [*new(start, first - start), *items]  # not in place: a raising new() leaves it whole

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf, workprec
 
 from rkhs_cert.functions import make_constant
@@ -102,6 +102,74 @@ def test_canonical_dumps_is_sorted_and_newline_terminated():
 def test_canonical_dumps_deterministic():
     payload = {"values": [1, 2, 3], "name": "x", "nested": {"z": 0, "y": 1}}
     assert canonical_dumps(payload) == canonical_dumps(dict(reversed(payload.items())))
+
+
+def _json_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+# json escapes the quote, the backslash and U+0000-U+001F; it writes U+2028 and non-ASCII text as they are
+_texts = st.text(
+    st.sampled_from(["0", "7", ".", "-", "e", " ", '"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\u2028", "𝄞"])
+)
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | _texts
+_json_trees = st.recursive(
+    _scalars | st.lists(st.text("0123456789.-e")) | st.lists(_texts),
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(_texts, children)
+        | st.dictionaries(st.integers(), children)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+@example([])
+@example({"a": [], "b": {}, "c": [[]]})
+@example([float("inf"), float("-inf"), float("nan"), -0.0, 1e300, True, None])
+@example({"points": ["1", "22", "333"], "nested": {"deeper": ["x", 'say "hi"', "a\\b", "\t"]}})
+@example({"by number": {2: ["a"], 1: {"c": [1.5]}}})
+@example(("tuple", ["of", ("strings",)]))
+@example(["\u2028", "é", "\x7f"])
+def test_canonical_dumps_is_json_text(obj):
+    assert canonical_dumps(obj) == _json_text(obj)
+
+
+def test_canonical_dumps_refuses_what_json_refuses():
+    with pytest.raises(TypeError):
+        _json_text({"a": {1: 0, "b": 1}})
+    with pytest.raises(TypeError):
+        canonical_dumps({"a": {1: 0, "b": 1}})  # mixed keys do not sort
+    with pytest.raises(TypeError):
+        canonical_dumps({"a": [mpf(1)]})
+
+
+def test_canonical_dumps_holds_no_string_per_point():
+    """Writing a 2^14-point certificate holds at most 48 bytes a point beyond
+    its dict (about 32: the text and one joined point list); json's indented
+    encoder makes a string per point, about 89."""
+    import tracemalloc
+
+    from rkhs_cert.witness import WitnessCertificate
+
+    n = 2**14
+    points = triangular_sequence(1).points(1, n)
+    cert = WitnessCertificate(
+        "gaussian", "constant:1.0", "triangular+", 0.5, 1.0, "declared", 1.0, n, 0, mpf(-1), points, 256
+    )
+    data = witness_to_dict(cert)
+    canonical_dumps({"warm": ["up"]})
+    tracemalloc.start()
+    try:
+        text = canonical_dumps(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == _json_text(data)
+    assert peak <= 48 * n
 
 
 def test_write_and_load_json(tmp_path):

@@ -51,3 +51,50 @@ def test_package_modules_import_nothing_unused():
     assert modules
     unused = {p.name: found for p in modules if (found := unused_imports(p.read_text()))}
     assert unused == {}
+
+
+# The one module that may write JSON: its canonical_dumps is checked against json's own text.
+JSON_WRITER = "serialize.py"
+
+
+def json_writes(source: str) -> list:
+    """Lines that call ``json.dump`` or ``json.dumps``, under any name an import gives them."""
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names if alias.name == "json")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            functions.update(alias.asname or alias.name for alias in node.names if alias.name in ("dump", "dumps"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps"):
+            if isinstance(func.value, ast.Name) and func.value.id in modules:
+                found.append(node.lineno)
+        elif isinstance(func, ast.Name) and func.id in functions:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_json_write_check_finds_each_spelling():
+    source = (
+        "import json\n"
+        "import json as j\n"
+        "from json import dumps as d\n"
+        "json.loads('1')\n"
+        "json.dumps(1)\n"
+        "j.dump(1, f)\n"
+        "d(1)\n"
+        "text.dumps(1)\n"
+    )
+    assert json_writes(source) == [5, 6, 7]
+
+
+def test_only_serialize_writes_json():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert JSON_WRITER in {p.name for p in modules}
+    writers = {p.name: found for p in modules if (found := json_writes(p.read_text()))}
+    assert set(writers) <= {JSON_WRITER}

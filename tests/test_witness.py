@@ -545,6 +545,36 @@ def test_unordered_sequence_points_are_generated_once_per_sweep(monkeypatch, seq
     assert set(generated.values()) == {1}
 
 
+def test_far_offset_probes_leave_the_search_table_as_it_is(monkeypatch):
+    # slow decay drives the offset probes far past each window; read through
+    # the table they restarted it, and the sweep generated 2,741 points
+    from collections import Counter
+
+    from rkhs_cert.kernels import custom_radial_from_expression
+    from rkhs_cert.registry import resolve_function, resolve_sequence
+    from rkhs_cert.sequences import SequenceSpec
+
+    k = custom_radial_from_expression("100/(100+r)")
+    f, seq, grid = resolve_function("constant:1", k), resolve_sequence("custom:2*n"), [1, 0.5, 0.25, 0.125]
+    alone = []
+    for c in grid:
+        with pytest.raises(WitnessSearchError) as exc:
+            build_witness(k, f, seq, c)
+        alone.append((c, f"{exc.value.reason}: {exc.value}"))
+    generated = Counter()
+    points = SequenceSpec.points
+
+    def counting(self, start, count):
+        generated.update(range(start, start + count))
+        return points(self, start, count)
+
+    monkeypatch.setattr(SequenceSpec, "points", counting)
+    sweep = sweep_c(k, f, seq, grid)
+    assert sweep.certificates == () and list(sweep.failures) == alone
+    assert {reason.split(":")[0] for _, reason in alone} == {"decay-horizon-exhausted"}
+    assert sum(generated.values()) <= 2575
+
+
 def test_sampled_tail_is_resolved_once_per_sweep():
     # slow decay puts every window beyond the sample x_1 .. x_32, so each
     # window restarts the table's points; the sample must not be taken again
@@ -701,6 +731,19 @@ def test_point_table_extends_and_restarts():
         assert values == [make_paper_example().eval_mp(x)._mpf_ for x in raw]
     table.window(20, 2)  # disjoint: the table starts over there
     assert len(calls) == 12 and table.first == 20 and len(table.raw) == 2
+
+
+def test_point_table_probe_beyond_its_points_stores_nothing():
+    f, calls = _counting(make_paper_example())
+    seq = triangular_sequence(1)
+    table = PointTable(f, seq, 256)
+    assert list(table.probe(5, 4)) == list(seq.points(5, 4))  # an empty table stores it
+    table.window(5, 4)
+    assert list(table.probe(9, 3)) == list(seq.points(9, 3))  # adjoins: stored
+    assert (table.first, len(table.raw), len(table.values)) == (5, 7, 4)
+    assert list(table.probe(20, 2)) == list(seq.points(20, 2))  # disjoint: read, not stored
+    assert (table.first, len(table.raw), len(table.values)) == (5, 7, 4)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("reason", ["coincident", "window-too-large"])
