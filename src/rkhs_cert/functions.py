@@ -208,8 +208,9 @@ def tail_lower_bound(
     the samples mix signs or touch zero.  Evidence only: the bound is labeled
     EMPIRICAL and certificates propagate that label.  ``table``, a search's
     ``witness.PointTable`` for f and the sequence, serves the sample when
-    given, its raw values converted back to mpf.  The points are listed
-    before f is evaluated, so an undefined sequence point blames the sequence.
+    given, its values rebuilt as raw tuples and converted back to mpf.  The
+    points are listed before f is evaluated, so an undefined sequence point
+    blames the sequence.
     """
     if count < 2:
         raise ValueError("need at least two sample points for an empirical tail bound")

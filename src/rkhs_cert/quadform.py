@@ -17,11 +17,11 @@ unconfirmed suspicion leaves the verdict at "PSD within tolerance".
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
-from mpmath.libmp import mpf_sum
+from mpmath.libmp import from_man_exp, mpf_sum
 
 from .errors import SingularGramError
 from .kernels import KernelSpec
@@ -34,21 +34,65 @@ MIN_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 1 << 16
 
 
+class Block(NamedTuple):
+    """Terms of a sum held together, as ``witness.PointTable`` holds f.
+
+    With ``exp`` an int, ``values`` are ints q_i, each term exactly
+    q_i * 2^exp, and every nonzero term's own exponent (its lowest set bit,
+    as an mpf's ``_mpf_`` gives it) lies in [exp, top].  With ``exp`` None,
+    ``values`` are the terms' raw libmp tuples.
+    """
+
+    values: Sequence[Any]
+    exp: Optional[int] = None
+    top: int = 0
+
+
 def neumaier_sum(terms: Sequence[Any]) -> Any:
     """The terms' sum as an mpf: ``mpmath.fsum``, rounded once at the working precision.
 
-    The terms are real mpmath numbers (or ints and floats), or all raw libmp
-    values, an mpf's ``_mpf_`` tuple, as ``witness.PointTable`` holds f.
-    Raw values go straight to ``libmp.mpf_sum``, the call ``fsum`` makes on
-    its terms' ``_mpf_``, so both forms of a list give the same bits.
+    The terms are real mpmath numbers (or ints and floats), all raw libmp
+    values (an mpf's ``_mpf_`` tuple, as ``witness.PointTable.window`` gives
+    them), or all ``Block``s, whose terms are summed in order.  Raw values
+    go straight to ``libmp.mpf_sum``, the call ``fsum`` makes on its terms'
+    ``_mpf_``, so every form of a list gives the same bits.
     Mantissas are added exactly within a window of 2 * prec bits, so the error
     is at most half an ulp of the result plus N * 2^(-2 prec) * max|term| from
     parts lying more than 2 * prec bits below a larger one, which are dropped.
     An empty list sums to 0.
+
+    When the terms' exponents span at most 2 * prec bits, ``mpf_sum`` drops
+    nothing: every part it would drop lies more than 2 * prec bits from a
+    term of the sum.  It then rounds the exact sum once.  Blocks of ints
+    whose [exp, top] ranges together span at most 2 * prec bits are
+    therefore summed as one exact integer, shifted to their lowest
+    exponent and rounded once.  Any other list of blocks streams its terms,
+    each rebuilt as a raw tuple, through ``mpf_sum``.
     """
+    if terms and type(terms[0]) is Block:
+        return mpmath.mp.make_mpf(_block_sum(terms, *mpmath.mp._prec_rounding))
     if terms and type(terms[0]) is tuple:
         return mpmath.mp.make_mpf(mpf_sum(terms, *mpmath.mp._prec_rounding))
     return mpmath.fsum(terms)
+
+
+def _block_sum(blocks: Sequence[Block], prec: int, rnd: str) -> Any:
+    """``mpf_sum`` of the blocks' terms in order, as a raw value; see neumaier_sum."""
+    if all(b.exp is not None for b in blocks):
+        low = min(b.exp for b in blocks)
+        if max(b.top for b in blocks) - low <= 2 * prec:
+            return from_man_exp(sum(sum(b.values) << (b.exp - low) for b in blocks), low, prec, rnd)
+    return mpf_sum(block_terms(blocks), prec, rnd)
+
+
+def block_terms(blocks: Sequence[Block]) -> Iterator[Any]:
+    """The blocks' terms as raw libmp tuples, in order, one at a time: each int q_i rebuilt exactly."""
+    for b in blocks:
+        if b.exp is None:
+            yield from b.values
+        else:
+            for q in b.values:
+                yield from_man_exp(q, b.exp)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ except ImportError:  # renamed _sha2 in Python 3.12
 
 import mpmath
 from mpmath import mpf, workprec
-from mpmath.libmp import from_str, mpf_pos
+from mpmath.libmp import from_man_exp, from_str, mpf_pos
 
 from .analytic import DerivativeReport
 from .interpolant import NormTrace
@@ -65,6 +65,14 @@ def number_to_str(value: Any, precision_bits: int = DEFAULT_PRECISION_BITS) -> s
         return mpmath.nstr(x, _digits_for(precision_bits), strip_zeros=True)
 
 
+# A plain decimal text, [-]digits.digits: its integer part and its fraction digits.
+_PLAIN_DECIMAL = re.compile(r"(-?[0-9]+)\.([0-9]+)")
+
+# libmp's from_str rounds a decimal correctly, dividing by 10^k, up to k = 400
+# fraction digits after their trailing zeros.
+_EXACT_FRACTION_DIGITS = 400
+
+
 def str_to_number(text: str, precision_bits: int = DEFAULT_PRECISION_BITS) -> Any:
     """Inverse of number_to_str: exact ints stay int, the rest become mpf."""
     s = text.strip()
@@ -80,6 +88,14 @@ def str_to_number(text: str, precision_bits: int = DEFAULT_PRECISION_BITS) -> An
         pass
     # What ``mpf(s)`` does under ``workprec``, without entering a context.
     prec, rnd = max(precision_bits, 64), mpmath.mp._prec_rounding[1]
+    plain = _PLAIN_DECIMAL.fullmatch(s)
+    fraction = plain[2].rstrip("0") if plain else ""
+    if plain and len(fraction) <= _EXACT_FRACTION_DIGITS:
+        # digits M with k after the point: M / 10^k is (M / 5^k) * 2^-k exactly when 5^k divides M
+        k = len(fraction)
+        q, rest = divmod(int(plain[1] + fraction), 5**k)
+        if not rest:
+            return _make_mpf(from_man_exp(q, -k, prec, rnd))
     return _make_mpf(mpf_pos(from_str(s, prec, rnd), prec, rnd))
 
 

@@ -51,9 +51,17 @@ points; certificates verified together may share the verifier's own f values
 through a ``PointTable`` of stored points, made without a sequence.
 
 At a million window points, f values are most of what a run or a verifier
-holds.  A ``PointTable`` keeps each one as its raw libmp tuple, an mpf's
-``_mpf_`` without the object around it, and ``neumaier_sum`` sums a window
-of them to the bits the mpf values give.
+holds, and r needs only their sum.  A ``PointTable`` keeps the values it
+computes together, VALUE_BLOCK at a time, as one ``Block`` of exact
+fixed-point ints: an exponent e and, for each value, the int q with
+q * 2^e the value, no object per value but the int.  ``neumaier_sum``
+sums a window's blocks to the bits ``mpf_sum`` gives on the values' raw
+tuples: where the values' exponents span at most 2 * prec bits, mpf_sum
+drops nothing and rounds the exact sum once, which is one integer sum
+rounded once; a wider window streams the values, rebuilt as raw tuples,
+through mpf_sum.  A block whose own exponents span more than
+BLOCK_SPAN_LIMIT bits (a kernel section's values fall that fast), or that
+holds inf or nan, keeps its raw tuples.
 """
 
 from __future__ import annotations
@@ -61,17 +69,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
-from mpmath.libmp import from_man_exp, mpf_shift, to_int
+from mpmath.libmp import from_man_exp, fzero, mpf_shift, to_int
 
 from .errors import WitnessSearchError
 from .expressions import as_mpf
 from .functions import DECLARED, CandidateFunction, TailBound, tail_lower_bound
 from .kernels import KernelSpec
-from .quadform import DEFAULT_PRECISION_BITS, neumaier_sum
+from .quadform import DEFAULT_PRECISION_BITS, Block, block_terms, neumaier_sum
 from .quadform import assemble_gram, quadratic_form  # noqa: F401  unused; perfbench/trace_child.py patches them here
 from .sequences import SequenceSpec, offset_ladder
 
@@ -218,10 +227,10 @@ def find_ell(
     )
 
 
-# f at a window's points, as mpf values or raw tuples; see evaluate_ones_form.
+# f at a window's points, as mpf values, raw tuples or Blocks; see evaluate_ones_form.
 FValues = Callable[[], Sequence[Any]]
 
-# How many f values a PointTable computes as mpf values at once, before it keeps only their raw tuples.
+# How many f values a PointTable computes as mpf values at once, and holds as one Block.
 VALUE_BLOCK = 1024
 
 
@@ -257,10 +266,11 @@ def evaluate_ones_form(
     bookkeeping sees the sorted order: f gets the points as given.
 
     ``f_values``, when given, returns f at the points, computed at
-    ``precision_bits``: mpf values, or raw libmp tuples as a ``PointTable``
-    holds them, which ``neumaier_sum`` sums to the same bits.  It is called
-    only once the window has passed its point checks, so a window rejected
-    there costs no f values.  Without it, f is evaluated once per point.
+    ``precision_bits``: mpf values, raw libmp tuples, or the ``Block``s a
+    ``PointTable`` holds them in, which ``neumaier_sum`` sums to the same
+    bits.  It is called only once the window has passed its point checks,
+    so a window rejected there costs no f values.  Without it, f is
+    evaluated once per point.
     Either way f converts the points itself, as ``_window_keys`` does.
     """
     profile = kernel.profile
@@ -315,16 +325,20 @@ def evaluate_ones_form(
 class PointTable:
     """Points x_k and values f(x_k), each over a contiguous range of indices k.
 
-    ``points`` and ``window`` compute only what they have not stored, so a
-    search that serves all its windows from one table evaluates f at most
-    once per index, and only at indices of windows whose values it asked
-    for.  The table keeps no mpf points: f receives the points as they were
-    given and converts each itself.
-    Each value is held as its raw libmp tuple (the mpf's ``_mpf_``), which
-    ``neumaier_sum`` sums as it is: at 256 bits about 140 bytes a value,
-    against about 220 as mpf values.  A new range of values is computed
-    VALUE_BLOCK points at a time, so at most one block of mpf values is
-    alive at once.
+    ``points``, ``window`` and ``blocks`` compute only what they have not
+    stored, so a search that serves all its windows from one table
+    evaluates f at most once per index, and only at indices of windows
+    whose values it asked for.  The table keeps no mpf points: f receives
+    the points as they were given and converts each itself.
+    A new range of values is computed VALUE_BLOCK points at a time, so at
+    most one block of mpf values is alive at once, and each fill is kept as
+    one ``Block`` (``_value_block``): ints q_i over one exponent e, each
+    value exactly q_i * 2^e, about 70 bytes a value at 256 bits against
+    about 140 as raw libmp tuples and 220 as mpf values.  A fill whose
+    exponents span more than BLOCK_SPAN_LIMIT bits, or that holds inf or
+    nan, keeps its raw tuples.  ``blocks`` hands a window's blocks to
+    ``neumaier_sum``, which sums them to the bits of ``mpf_sum`` on the raw
+    tuples; ``window`` rebuilds each value's raw tuple exactly.
     A request that neither overlaps nor adjoins a stored range restarts that
     range there, so no index outside a requested window is ever computed;
     an offset probe's points, asked for through ``probe``, never restart it.
@@ -347,7 +361,10 @@ class PointTable:
         self.first = 1
         self.raw: List[Any] = []
         self.values_first = 1
-        self.values: List[Any] = []
+        self.values_held = 0
+        self.value_blocks: List[Block] = []
+        # far offset probes' points, by first index, oldest first (see probe)
+        self.far: Dict[int, Tuple[Any, ...]] = {}
 
     def points(self, start: int, count: int, given: Optional[Sequence[Any]] = None) -> List[Any]:
         """The points at indices start, ..., start + count - 1, as the sequence gives them.
@@ -358,19 +375,36 @@ class PointTable:
         values), else ValueError, and the table is left as it was.
         """
         if given is None:
-            # bound late: a verifier's table has no sequence, and window() asks it only for held points
-            new = lambda first, n: self.sequence.points(first, n)
+            new = self._sequence_points
         else:
             lo, hi = max(start, self.first), min(start + count, self.first + len(self.raw))
             held = self.raw[lo - self.first : max(lo, hi) - self.first]
             if tuple(held) != tuple(given[lo - start : lo - start + len(held)]):
                 raise ValueError("given points differ from the points the table holds")
             new = lambda first, n: given[first - start : first - start + n]
-        self.first, self.raw = _cover(self.first, self.raw, start, count, new)
-        if not self.first <= self.values_first <= self.first + len(self.raw) - len(self.values):
-            self.values = []  # the points restarted: drop the values of the old ones
+        self.first, self.raw = _cover(self.first, len(self.raw), self.raw, start, count, new)
+        if not self.first <= self.values_first <= self.first + len(self.raw) - self.values_held:
+            # the points restarted: drop the values of the old ones
+            self.values_held, self.value_blocks = 0, []
         i = start - self.first
         return self.raw[i : i + count]
+
+    def _sequence_points(self, start: int, count: int) -> Sequence[Any]:
+        """The sequence's points at start, ..., start + count - 1, from the far probes kept where they have them."""
+        parts: List[Sequence[Any]] = []
+        i, stop = start, start + count
+        for first, held in sorted(self.far.items()):
+            if first + len(held) <= i or stop <= first:
+                continue
+            if i < first:
+                parts.append(self.sequence.points(i, first - i))
+                i = first
+            parts.append(held[i - first : stop - first])
+            i += len(parts[-1])
+        if i < stop:
+            # looked up late: a verifier's table has no sequence, and window() asks it only for held points
+            parts.append(self.sequence.points(i, stop - i))
+        return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
 
     def probe(self, start: int, count: int) -> Sequence[Any]:
         """The points ``points(start, count)`` gives, for an offset probe of a search.
@@ -378,26 +412,81 @@ class PointTable:
         A window that neither overlaps nor adjoins the held points is read
         from the sequence and not stored, so a probe far beyond them leaves
         them, and their values, to the windows the search evaluates next.
-        An empty table stores it, as it has nothing to lose.
+        Such probes' points are kept beside the table, the latest
+        FAR_PROBE_POINTS of them at most (the latest probe always): a later
+        probe, or a window read where they lie, reads from the sequence only
+        the points they lack.  The searches at larger windows and other
+        scales probe the same offsets again.  An empty table stores the
+        window, as it has nothing to lose.
         """
-        if self.raw and not _touches(self.first, len(self.raw), start, count):
-            return self.sequence.points(start, count)
-        return self.points(start, count)
+        if not self.raw or _touches(self.first, len(self.raw), start, count):
+            return self.points(start, count)
+        pts = self._sequence_points(start, count)
+        self.far.pop(start, None)
+        self.far[start] = pts
+        held = sum(map(len, self.far.values()))
+        while held > FAR_PROBE_POINTS and len(self.far) > 1:
+            held -= len(self.far.pop(next(iter(self.far))))
+        return pts
+
+    def blocks(self, start: int, count: int) -> List[Block]:
+        """f values at indices start, ..., start + count - 1, as ``Block``s for ``neumaier_sum``.
+
+        A block partly outside the window is cut to its part inside.
+        """
+        pts = self.points(start, count)
+
+        def new_blocks(first: int, n: int) -> List[Block]:
+            lo, blocks = first - start, []
+            with workprec(self.precision_bits):
+                for a in range(lo, lo + n, VALUE_BLOCK):
+                    chunk = pts[a : min(a + VALUE_BLOCK, lo + n)]
+                    # one expression: the mpf values are garbage before the block is made
+                    blocks.append(_value_block([v._mpf_ for v in self.f.values_mp(chunk)]))
+            return blocks
+
+        self.values_first, self.value_blocks = _cover(
+            self.values_first, self.values_held, self.value_blocks, start, count, new_blocks
+        )
+        self.values_held = sum(len(b.values) for b in self.value_blocks)
+        parts, first = [], self.values_first
+        for b in self.value_blocks:
+            lo, hi = max(start - first, 0), min(start + count - first, len(b.values))
+            if lo < hi:
+                parts.append(b if hi - lo == len(b.values) else b._replace(values=b.values[lo:hi]))
+            first += len(b.values)
+        return parts
 
     def window(self, start: int, count: int) -> List[Any]:
         """f values at indices start, ..., start + count - 1, as raw libmp tuples."""
-        pts = self.points(start, count)
+        return list(block_terms(self.blocks(start, count)))
 
-        def new_values(first: int, n: int) -> List[Any]:
-            lo, values = first - start, []
-            with workprec(self.precision_bits):
-                for a in range(lo, lo + n, VALUE_BLOCK):
-                    values += [v._mpf_ for v in self.f.values_mp(pts[a : min(a + VALUE_BLOCK, lo + n)])]
-            return values
 
-        self.values_first, self.values = _cover(self.values_first, self.values, start, count, new_values)
-        i = start - self.values_first
-        return self.values[i : i + count]
+# Most points a PointTable keeps of the offset probes beyond its own points.
+FAR_PROBE_POINTS = 1 << 16
+
+# Most bits the exponents of one block's nonzero values may span for it to be held as ints.
+BLOCK_SPAN_LIMIT = 64
+
+
+def _value_block(raw: List[Any]) -> Block:
+    """One fill's raw f values as a Block: ints over their lowest exponent, or the raw tuples themselves.
+
+    The raw tuples stay when the nonzero values' exponents span more than
+    BLOCK_SPAN_LIMIT bits, or when a value with a zero mantissa is not
+    fzero (inf, nan).  A fill of one value (a function without ``x`` gives
+    one value object for a whole fill) holds one int.
+    """
+    one = raw[-1] is raw[0] and raw.count(raw[0]) == len(raw)
+    distinct = raw[:1] if one else raw
+    if any(not v[1] and v != fzero for v in distinct):
+        return Block(raw)
+    low = min((exp for _, man, exp, _ in distinct if man), default=0)
+    top = max((exp for _, man, exp, _ in distinct if man), default=0)
+    if top - low > BLOCK_SPAN_LIMIT:
+        return Block(raw)
+    ints = [((-man if sign else man) << (exp - low)) if man else 0 for sign, man, exp, _ in distinct]
+    return Block([ints[0] for _ in raw] if one else ints, low, top)
 
 
 def _touches(first: int, held: int, start: int, count: int) -> bool:
@@ -407,19 +496,21 @@ def _touches(first: int, held: int, start: int, count: int) -> bool:
 
 def _cover(
     first: int,
+    held: int,
     items: List[Any],
     start: int,
     count: int,
     new: Callable[[int, int], Sequence[Any]],
 ) -> Tuple[int, List[Any]]:
-    """Grow a list over indices first, first + 1, ... to cover start, ..., start + count - 1.
+    """Grow a list covering ``held`` indices first, first + 1, ... to cover start, ..., start + count - 1.
 
-    ``new(a, k)`` returns the items at indices a, ..., a + k - 1.  A request
-    that neither overlaps nor adjoins the covered range restarts the list
-    there.  Returns the new first index and the list.
+    ``new(a, k)`` returns the items for indices a, ..., a + k - 1: one item
+    per index, or blocks of them.  A request that neither overlaps nor
+    adjoins the covered range restarts the list there.  Returns the new
+    first index and the list.
     """
-    stop = first + len(items)
-    if not _touches(first, len(items), start, count):
+    stop = first + held
+    if not _touches(first, held, start, count):
         first, items, stop = start, [], start
     if start < first:
         items = [*new(start, first - start), *items]  # not in place: a raising new() leaves it whole
@@ -570,7 +661,7 @@ def _search(
         ell = find_ell(kernel, sequence, n, bound, ell_max, precision_bits, min_ell, table)
         points = table.points(ell + 1, n)
         r = evaluate_ones_form(
-            kernel, f, c, points, precision_bits, f_values=partial(table.window, ell + 1, n)
+            kernel, f, c, points, precision_bits, f_values=partial(table.blocks, ell + 1, n)
         )
         if r < 0:
             return WitnessCertificate(
@@ -664,7 +755,7 @@ def verify_certificate(
     except ValueError:  # the stored points differ from those checked before
         table = PointTable(f, None, bits)
         table.points(start, n, cert.points)
-    r = evaluate_ones_form(kernel, f, cert.c, cert.points, bits, f_values=partial(table.window, start, n))
+    r = evaluate_ones_form(kernel, f, cert.c, cert.points, bits, f_values=partial(table.blocks, start, n))
     if not r < 0:
         return False
     with workprec(bits):

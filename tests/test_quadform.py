@@ -6,15 +6,17 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf, workprec
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, mpf_neg, mpf_sum, round_nearest
 
 import oracles
 from rkhs_cert.errors import SingularGramError
 from rkhs_cert.functions import kernel_section, make_constant, make_paper_example
 from rkhs_cert.kernels import builtin_kernel, make_gaussian
 from rkhs_cert.quadform import (
+    Block,
     GramMatrix,
     assemble_gram,
+    block_terms,
     cholesky_solve,
     neumaier_sum,
     psd_check,
@@ -79,6 +81,55 @@ def test_neumaier_cancellation():
 
 def test_neumaier_empty():
     assert neumaier_sum([]) == 0
+
+
+def _blocks(raw, size):
+    """Raw libmp values as Blocks of ``size`` terms: ints over each block's lowest exponent."""
+    blocks = []
+    for a in range(0, len(raw), size):
+        chunk = raw[a : a + size]
+        exps = [exp for _, man, exp, _ in chunk if man]
+        low, top = min(exps, default=0), max(exps, default=0)
+        ints = [((-man if sign else man) << (exp - low)) if man else 0 for sign, man, exp, _ in chunk]
+        blocks.append(Block(ints, low, top))
+    return blocks
+
+
+def test_block_sum_drops_what_mpf_sum_drops():
+    """2^300 + 1 - 2^300 over blocks of one term: the exponents span 300
+    bits, more than 2 * 64, so the terms stream through mpf_sum, which drops
+    the 1 as the exact integer sum would not."""
+    raw = [from_man_exp(1, 300), from_man_exp(1, 0), from_man_exp(-1, 300)]
+    with workprec(64):
+        assert neumaier_sum(_blocks(raw, 1)) == 0 == mpf_sum(raw, 64)[1]
+    with workprec(256):
+        assert neumaier_sum(_blocks(raw, 1)) == 1
+
+
+@given(
+    terms=st.lists(
+        st.tuples(st.integers(-(2**70), 2**70), st.integers(-700, 700)) | st.just((0, 0)), min_size=1, max_size=30
+    ),
+    cancel=st.integers(0, 30),
+    size=st.integers(1, 5),
+    bits=st.sampled_from([64, 256]),
+    raw_block=st.integers(-1, 6),
+)
+@settings(max_examples=300, deadline=None)
+def test_block_sum_is_mpf_sum_of_the_terms(terms, cancel, size, bits, raw_block):
+    """neumaier_sum on Blocks gives ``mpf_sum``'s bits on their terms in
+    order: exact where the exponents are close, streamed where they span
+    more than 2 * prec bits, across int blocks and raw ones, with zeros and
+    terms that cancel (the last ``cancel`` terms, negated, in reverse)."""
+    raw = [from_man_exp(man, exp) for man, exp in terms]
+    raw += [mpf_neg(v) for v in reversed(raw[len(raw) - cancel :])]
+    blocks = _blocks(raw, size)
+    if 0 <= raw_block < len(blocks):
+        n = len(blocks[raw_block].values)
+        blocks[raw_block] = Block(raw[raw_block * size : raw_block * size + n])
+    with workprec(bits):
+        assert neumaier_sum(blocks)._mpf_ == mpf_sum(raw, bits, round_nearest)
+    assert list(block_terms(blocks)) == raw
 
 
 # --- gram assembly --------------------------------------------------------------

@@ -336,8 +336,22 @@ def test_points_parse_in_one_pass_as_each_point_alone(texts):
         assert [(type(p), p._mpf_ if isinstance(p, mpf) else p) for p in points] == expected
 
 
+# 2^-8 + 2^-60, a double, written out in full: 60 fraction digits
+_DOUBLE_EXPANSION = "0.003906250000000000867361737988403547205962240695953369140625"
+
+
 @given(text=st.tuples(_WHITESPACE, _POINT_TEXTS, _WHITESPACE).map("".join), bits=st.sampled_from([32, 64, 113, 256]))
 @settings(max_examples=300, deadline=None)
+@example(text="7.5", bits=256)
+@example(text="-0.0078125", bits=64)
+@example(text="2.50", bits=113)
+@example(text=_DOUBLE_EXPANSION, bits=32)
+@example(text="-" + _DOUBLE_EXPANSION, bits=256)
+@example(text="1.0000000000000000000542101086242752217003726400434970855712890625", bits=64)  # 1 + 2^-64: a tie
+@example(text="0.0000000000000000000542101086242752217003726400434970855712890625", bits=64)  # 2^-64
+# 1 + 2^-64 + 2^-500: just above a tie, with more fraction digits than from_str divides exactly
+@example(text="1." + str(5**64 * 10**436 + 5**500).zfill(500), bits=64)
+@example(text=" 12.000 ", bits=256)
 def test_decimal_text_parses_as_mpf_does_at_the_working_precision(text, bits):
     """str_to_number gives the bits, or the error, that ``mpf(text)`` gives
     under ``workprec(max(bits, 64))`` for a text that is no int or fraction."""

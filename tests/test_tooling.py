@@ -98,3 +98,66 @@ def test_only_serialize_writes_json():
     assert JSON_WRITER in {p.name for p in modules}
     writers = {p.name: found for p in modules if (found := json_writes(p.read_text()))}
     assert set(writers) <= {JSON_WRITER}
+
+
+# The one module that sums a list of terms: neumaier_sum's exact rounding is argued there.
+SUMMER = "quadform.py"
+
+SUM_FUNCTIONS = ("fsum", "mpf_sum")
+
+
+def sum_calls(source: str) -> list:
+    """Lines that call ``fsum`` or ``mpf_sum``, under any name an import gives them.
+
+    A call counts as ``name(...)`` for a name imported as one of
+    SUM_FUNCTIONS (from any module, under any alias), or as
+    ``m.fsum(...)`` / ``m.a.mpf_sum(...)`` on a name an import binds.
+    """
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                (functions if alias.name in SUM_FUNCTIONS else modules).add(alias.asname or alias.name)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in SUM_FUNCTIONS:
+            root = func.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append(node.lineno)
+        elif isinstance(func, ast.Name) and func.id in functions:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_sum_check_finds_each_spelling():
+    source = (
+        "import mpmath\n"
+        "import mpmath.libmp as lib\n"
+        "from mpmath import fsum as total, libmp\n"
+        "from mpmath.libmp import mpf_sum\n"
+        "mpmath.fsum([1])\n"
+        "lib.mpf_sum([])\n"
+        "total([1])\n"
+        "mpf_sum([])\n"
+        "mpmath.mp.fsum([1])\n"
+        "libmp.mpf_sum([])\n"
+        "fsum = 2\n"
+        "values.fsum([1])\n"
+        "mpmath.nsum(f, [1, 2])\n"
+    )
+    assert sum_calls(source) == [5, 6, 7, 8, 9, 10]
+
+
+def test_only_quadform_sums():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert SUMMER in {p.name for p in modules}
+    summers = {p.name: found for p in modules if (found := sum_calls(p.read_text()))}
+    assert set(summers) == {SUMMER}

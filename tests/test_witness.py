@@ -23,6 +23,7 @@ from rkhs_cert.kernels import (
     make_inverse_quadratic,
     make_laplace,
 )
+from rkhs_cert.quadform import Block
 from rkhs_cert.sequences import triangular_sequence
 from rkhs_cert.witness import (
     PointTable,
@@ -323,10 +324,10 @@ def test_sorted_window_leaves_f_values_at_their_indices(kind):
     k, f = make_gaussian(), make_paper_example()
     table = PointTable(f, seq, 256)
     pts = table.points(1, 235)
-    evaluate_ones_form(k, f, 0.25, pts, 256, f_values=partial(table.window, 1, 235))
-    assert (table.first, table.values_first, len(table.values)) == (1, 1, 235)
+    evaluate_ones_form(k, f, 0.25, pts, 256, f_values=partial(table.blocks, 1, 235))
+    assert (table.first, table.values_first, table.values_held) == (1, 1, 235)
     with workprec(256):
-        assert table.values == [v._mpf_ for v in f.values_mp([mpf(p) for p in table.raw])]
+        assert table.window(1, 235) == [v._mpf_ for v in f.values_mp([mpf(p) for p in table.raw])]
 
 
 def test_triangular_window_bookkeeping_runs_on_ints(monkeypatch):
@@ -547,7 +548,9 @@ def test_unordered_sequence_points_are_generated_once_per_sweep(monkeypatch, seq
 
 def test_far_offset_probes_leave_the_search_table_as_it_is(monkeypatch):
     # slow decay drives the offset probes far past each window; read through
-    # the table they restarted it, and the sweep generated 2,741 points
+    # the table they restarted it, and the sweep generated 2,741 points.  Each
+    # search probes the far offsets of the one before, so the far probes'
+    # points kept beside the table make it 1,933, one per index (2,575 without)
     from collections import Counter
 
     from rkhs_cert.kernels import custom_radial_from_expression
@@ -572,7 +575,7 @@ def test_far_offset_probes_leave_the_search_table_as_it_is(monkeypatch):
     sweep = sweep_c(k, f, seq, grid)
     assert sweep.certificates == () and list(sweep.failures) == alone
     assert {reason.split(":")[0] for _, reason in alone} == {"decay-horizon-exhausted"}
-    assert sum(generated.values()) <= 2575
+    assert sum(generated.values()) <= 1933
 
 
 def test_sampled_tail_is_resolved_once_per_sweep():
@@ -740,9 +743,9 @@ def test_point_table_probe_beyond_its_points_stores_nothing():
     assert list(table.probe(5, 4)) == list(seq.points(5, 4))  # an empty table stores it
     table.window(5, 4)
     assert list(table.probe(9, 3)) == list(seq.points(9, 3))  # adjoins: stored
-    assert (table.first, len(table.raw), len(table.values)) == (5, 7, 4)
+    assert (table.first, len(table.raw), table.values_held) == (5, 7, 4)
     assert list(table.probe(20, 2)) == list(seq.points(20, 2))  # disjoint: read, not stored
-    assert (table.first, len(table.raw), len(table.values)) == (5, 7, 4)
+    assert (table.first, len(table.raw), table.values_held) == (5, 7, 4)
     assert len(calls) == 4
 
 
@@ -1157,7 +1160,7 @@ def test_verify_rejects_a_search_table_or_another_functions(table):
 )
 @settings(max_examples=80, deadline=None)
 def test_table_values_give_the_bits_of_mpf_values(kernel, function, kind, window, bits, c):
-    """A PointTable's raw values give the r of the path without a table, bit
+    """A PointTable's values give the r of the path without a table, bit
     for bit, and neumaier_sum on raw tuples is mpmath.fsum on their mpf values."""
     from rkhs_cert.quadform import neumaier_sum
 
@@ -1167,11 +1170,12 @@ def test_table_values_give_the_bits_of_mpf_values(kernel, function, kind, window
     n = len(pts)
     table = PointTable(f, None, bits)
     table.points(1, n, pts)
-    with_table = evaluate_ones_form(k, f, c, pts, bits, f_values=partial(table.window, 1, n))
+    with_table = evaluate_ones_form(k, f, c, pts, bits, f_values=partial(table.blocks, 1, n))
     assert with_table._mpf_ == evaluate_ones_form(k, f, c, pts, bits)._mpf_
-    assert all(type(v) is tuple for v in table.values)
     with workprec(bits):
         values = f.values_mp(pts)
+        assert table.window(1, n) == [v._mpf_ for v in values]
+        assert all(type(v) is tuple for v in table.window(1, n))
         assert neumaier_sum([v._mpf_ for v in values])._mpf_ == mpmath.fsum(values)._mpf_
 
 
@@ -1189,7 +1193,7 @@ def test_point_table_holds_raw_values_filled_a_block_at_a_time():
     table.points(1, n, triangular_sequence(1).points(1, n))
     tracemalloc.start()
     try:
-        table.window(1, n)
+        table.blocks(1, n)
         filled, peak = tracemalloc.get_traced_memory()
         del table
         held = filled - tracemalloc.get_traced_memory()[0]
@@ -1197,6 +1201,95 @@ def test_point_table_holds_raw_values_filled_a_block_at_a_time():
         tracemalloc.stop()
     assert held <= 200 * n
     assert peak - filled <= 255 * VALUE_BLOCK
+
+
+_BLOCK_FUNCTIONS = {
+    "paper_example": make_paper_example,
+    "cos(x/7) - 1/5": lambda: make_expression_function("cos(x/7) - 1/5"),
+    "exp(x*x)": lambda: make_expression_function("exp(x*x)"),
+    "kernel_section:0.0": lambda: kernel_section(make_gaussian(), 0.0),
+    "cos(3*x) * exp(x/2)": lambda: make_expression_function("cos(3*x) * exp(x/2)"),
+    "x - 45": lambda: make_expression_function("x - 45"),
+    "0*x": lambda: make_expression_function("0*x"),
+    "constant:-0.1": lambda: make_constant(-0.1),
+}
+
+
+@given(
+    name=st.sampled_from(sorted(_BLOCK_FUNCTIONS)),
+    bits=st.sampled_from([64, 256]),
+    block=st.sampled_from([1, 3, 8]),
+    requests=st.lists(st.tuples(st.integers(1, 120), st.integers(1, 40)), min_size=1, max_size=4),
+)
+@settings(max_examples=120, deadline=None)
+def test_window_sum_of_blocks_is_mpf_sum_of_raw_values(name, bits, block, requests):
+    """A table's window sum is ``mpf_sum`` on the window's raw tuples, bit
+    for bit, and ``window`` gives those tuples, whatever blocks the window
+    crosses and however the table grew to hold it: by prepending, by
+    appending or by a restart.  The points run from x = -39 to 80, so f
+    spans narrow and wide ranges, with zeros and both signs."""
+    from unittest.mock import patch
+
+    from mpmath.libmp import mpf_sum
+
+    from rkhs_cert import witness
+    from rkhs_cert.quadform import neumaier_sum
+    from rkhs_cert.sequences import SequenceSpec
+
+    f, seq = _BLOCK_FUNCTIONS[name](), SequenceSpec("shifted", lambda n: n - 40, None)
+    table = PointTable(f, seq, bits)
+    with patch.object(witness, "VALUE_BLOCK", block), workprec(bits):
+        for start, count in requests:
+            raw = [v._mpf_ for v in f.values_mp(seq.points(start, count))]
+            summed = neumaier_sum(table.blocks(start, count))
+            assert summed._mpf_ == mpf_sum(raw, *mpmath.mp._prec_rounding)
+            assert table.window(start, count) == raw
+
+
+def test_value_blocks_hold_ints_where_the_exponents_are_close():
+    """A narrow-range f fills its blocks with ints over one exponent; a
+    kernel section, whose values fall by more than 64 bits within a block,
+    keeps raw tuples; a function without x holds one int a block."""
+    pts = triangular_sequence(1).points(1, 2048)
+    kinds = {}
+    for name, f in [
+        ("paper_example", make_paper_example()),
+        ("kernel_section", kernel_section(make_gaussian(), 0.0)),
+        ("sqrt(2)/7", make_expression_function("sqrt(2)/7")),
+    ]:
+        table = PointTable(f, None, 256)
+        table.points(1, 2048, pts)
+        blocks = table.blocks(1, 2048)
+        assert all(type(b) is Block for b in blocks) and sum(len(b.values) for b in blocks) == 2048
+        kinds[name] = [b.exp is not None for b in blocks], [len({id(q) for q in b.values}) for b in blocks]
+    assert kinds["paper_example"][0] == [True, True]
+    assert kinds["kernel_section"][0] == [False, False]
+    assert kinds["sqrt(2)/7"] == ([True, True], [1, 1])
+
+
+@pytest.mark.parametrize(
+    "function, per_value",
+    [(make_paper_example, 96), (lambda: make_expression_function("sqrt(2)/7"), 16)],
+    ids=["paper_example", "without x"],
+)
+def test_point_table_holds_values_as_fixed_point_ints(function, per_value):
+    """2^12 f values at 256 bits take at most 96 bytes each in the table for
+    paper_example (about 72; about 138 as raw tuples), and at most 16 for a
+    function without x (about 9), whose blocks share one int each."""
+    import tracemalloc
+
+    f, n = function(), 2**12
+    table = PointTable(f, None, 256)
+    table.points(1, n, triangular_sequence(1).points(1, n))
+    tracemalloc.start()
+    try:
+        table.blocks(1, n)
+        filled = tracemalloc.get_traced_memory()[0]
+        del table
+        held = filled - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= per_value * n
 
 
 @pytest.mark.parametrize("through_table", [False, True])
