@@ -38,9 +38,9 @@ class Block(NamedTuple):
     """Terms of a sum held together, as ``witness.PointTable`` holds f.
 
     With ``exp`` an int, ``values`` are ints q_i, each term exactly
-    q_i * 2^exp, and every nonzero term's own exponent (its lowest set bit,
-    as an mpf's ``_mpf_`` gives it) lies in [exp, top].  With ``exp`` None,
-    ``values`` are the terms' raw libmp tuples.
+    q_i * 2^exp, and every term below 2^top in magnitude
+    (``fixed_point_block``).  With ``exp`` None, ``values`` are the terms'
+    raw libmp tuples, an mpf's ``_mpf_``.
     """
 
     values: Sequence[Any]
@@ -48,14 +48,33 @@ class Block(NamedTuple):
     top: int = 0
 
 
+def fixed_point_block(raw: Sequence[Any], max_bits: int) -> Optional[Block]:
+    """Raw libmp values as a Block of ints q_i over one exponent e, each value exactly q_i * 2^e.
+
+    e is the lowest exponent of a nonzero value, and no |q_i| takes more
+    than ``max_bits`` bits (e = top = 0 when every value is zero).  None,
+    before any int is made, when a value is inf or nan or the ints would be
+    wider than ``max_bits``.
+    """
+    # inf and nan have a zero mantissa and a nonzero bit count; zero has neither
+    if any(not man and bc for _, man, _, bc in raw):
+        return None
+    e = min((exp for _, man, exp, _ in raw if man), default=0)
+    bits = max((exp + bc - e for _, man, exp, bc in raw if man), default=0)
+    if bits > max_bits:
+        return None
+    ints = [((-man if sign else man) << (exp - e)) if man else 0 for sign, man, exp, _ in raw]
+    return Block(ints, e, e + bits)
+
+
 def neumaier_sum(terms: Sequence[Any]) -> Any:
     """The terms' sum as an mpf: ``mpmath.fsum``, rounded once at the working precision.
 
-    The terms are real mpmath numbers (or ints and floats), all raw libmp
-    values (an mpf's ``_mpf_`` tuple, as ``witness.PointTable.window`` gives
-    them), or all ``Block``s, whose terms are summed in order.  Raw values
-    go straight to ``libmp.mpf_sum``, the call ``fsum`` makes on its terms'
-    ``_mpf_``, so every form of a list gives the same bits.
+    The terms are real mpmath numbers (or ints and floats), or all
+    ``Block``s, whose terms are summed in order; a list of raw libmp values
+    sums as ``[Block(raw)]``.  A raw value goes straight to
+    ``libmp.mpf_sum``, the call ``fsum`` makes on its terms' ``_mpf_``, so
+    every form of a list gives the same bits.
     Mantissas are added exactly within a window of 2 * prec bits, so the error
     is at most half an ulp of the result plus N * 2^(-2 prec) * max|term| from
     parts lying more than 2 * prec bits below a larger one, which are dropped.
@@ -64,15 +83,14 @@ def neumaier_sum(terms: Sequence[Any]) -> Any:
     When the terms' exponents span at most 2 * prec bits, ``mpf_sum`` drops
     nothing: every part it would drop lies more than 2 * prec bits from a
     term of the sum.  It then rounds the exact sum once.  Blocks of ints
-    whose [exp, top] ranges together span at most 2 * prec bits are
-    therefore summed as one exact integer, shifted to their lowest
-    exponent and rounded once.  Any other list of blocks streams its terms,
-    each rebuilt as a raw tuple, through ``mpf_sum``.
+    whose bits, from the lowest ``exp`` up to below the highest ``top``,
+    span at most 2 * prec bits (so their terms' exponents span less) are
+    therefore summed as one exact integer, shifted to their lowest exponent
+    and rounded once.  Any other list of blocks
+    streams its terms, each rebuilt as a raw tuple, through ``mpf_sum``.
     """
     if terms and type(terms[0]) is Block:
         return mpmath.mp.make_mpf(_block_sum(terms, *mpmath.mp._prec_rounding))
-    if terms and type(terms[0]) is tuple:
-        return mpmath.mp.make_mpf(mpf_sum(terms, *mpmath.mp._prec_rounding))
     return mpmath.fsum(terms)
 
 

@@ -69,7 +69,11 @@ def number_to_str(value: Any, precision_bits: int = DEFAULT_PRECISION_BITS) -> s
 _PLAIN_DECIMAL = re.compile(r"(-?[0-9]+)\.([0-9]+)")
 
 # libmp's from_str rounds a decimal correctly, dividing by 10^k, up to k = 400
-# fraction digits after their trailing zeros.
+# fraction digits after their trailing zeros: the ``abs(exp) > 400`` cutoff in
+# mpmath 1.3's from_str, a private choice another mpmath may change.  Beyond it
+# from_str multiplies by a rounded 10^-k, so such texts keep from_str here;
+# the 500-digit @example in test_decimal_text_parses_as_mpf_does_at_the_working_precision
+# fails if the cutoff moves below this.
 _EXACT_FRACTION_DIGITS = 400
 
 

@@ -59,9 +59,9 @@ sums a window's blocks to the bits ``mpf_sum`` gives on the values' raw
 tuples: where the values' exponents span at most 2 * prec bits, mpf_sum
 drops nothing and rounds the exact sum once, which is one integer sum
 rounded once; a wider window streams the values, rebuilt as raw tuples,
-through mpf_sum.  A block whose own exponents span more than
-BLOCK_SPAN_LIMIT bits (a kernel section's values fall that fast), or that
-holds inf or nan, keeps its raw tuples.
+through mpf_sum.  A block whose ints would take more than BLOCK_SPAN_LIMIT
+bits beyond the precision (a kernel section's values fall that fast), or
+that holds inf or nan, keeps its raw tuples.
 """
 
 from __future__ import annotations
@@ -69,18 +69,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
-from mpmath.libmp import from_man_exp, fzero, mpf_shift, to_int
+from mpmath.libmp import from_man_exp, mpf_shift, to_int
 
 from .errors import WitnessSearchError
 from .expressions import as_mpf
 from .functions import DECLARED, CandidateFunction, TailBound, tail_lower_bound
 from .kernels import KernelSpec
-from .quadform import DEFAULT_PRECISION_BITS, Block, block_terms, neumaier_sum
+from .quadform import DEFAULT_PRECISION_BITS, Block, block_terms, fixed_point_block, neumaier_sum
 from .quadform import assemble_gram, quadratic_form  # noqa: F401  unused; perfbench/trace_child.py patches them here
 from .sequences import SequenceSpec, offset_ladder
 
@@ -145,21 +144,17 @@ def _window_keys(points: Sequence[Any], prec: int) -> Tuple[Sequence[int], int]:
 
     Ints below 2^prec are their own keys, with e = 0.  Any other window is
     converted once, at the working precision, to read each point's raw
-    value; a non-finite point, or keys spanning more than
-    prec + 2 MAX_POINT_BITS + 64 bits (one tiny point widens every key),
-    raise ValueError before any key is made.
+    value (``fixed_point_block``); a non-finite point, or keys spanning more
+    than prec + 2 MAX_POINT_BITS + 64 bits (one tiny point widens every
+    key), raise ValueError before any key is made.
     """
     if set(map(type, points)) == {int} and -(1 << prec) < min(points) and max(points) < 1 << prec:
         return points, 0
-    raw = [as_mpf(p)._mpf_ for p in points]
-    # inf and nan have a zero mantissa and a nonzero bit count; zero has neither
-    if any(not man and bc for _, man, _, bc in raw):
-        raise ValueError("non-finite point in node set")
-    e = min([exp for _, man, exp, _ in raw if man], default=0)
-    span = max([exp + bc - e for _, man, exp, bc in raw if man], default=0)
-    if span > prec + 2 * MAX_POINT_BITS + 64:
-        raise ValueError(f"points span {span} bits, more than the precision + {2 * MAX_POINT_BITS + 64}")
-    return [((-man if sign else man) << (exp - e)) if man else 0 for sign, man, exp, _ in raw], e
+    limit = prec + 2 * MAX_POINT_BITS + 64
+    keys = fixed_point_block([as_mpf(p)._mpf_ for p in points], limit)
+    if keys is None:
+        raise ValueError(f"node set holds a non-finite point, or its points span more than {limit} bits")
+    return keys.values, keys.exp
 
 
 def offdiag_bound(
@@ -227,7 +222,7 @@ def find_ell(
     )
 
 
-# f at a window's points, as mpf values, raw tuples or Blocks; see evaluate_ones_form.
+# f at a window's points, as mpf values or Blocks; see evaluate_ones_form.
 FValues = Callable[[], Sequence[Any]]
 
 # How many f values a PointTable computes as mpf values at once, and holds as one Block.
@@ -266,11 +261,11 @@ def evaluate_ones_form(
     bookkeeping sees the sorted order: f gets the points as given.
 
     ``f_values``, when given, returns f at the points, computed at
-    ``precision_bits``: mpf values, raw libmp tuples, or the ``Block``s a
-    ``PointTable`` holds them in, which ``neumaier_sum`` sums to the same
-    bits.  It is called only once the window has passed its point checks,
-    so a window rejected there costs no f values.  Without it, f is
-    evaluated once per point.
+    ``precision_bits``: mpf values, or the ``Block``s a ``PointTable``
+    holds them in, which ``neumaier_sum`` sums to the same bits.  It is
+    called only once the window has passed its point checks, so a window
+    rejected there costs no f values.  Without it, f is evaluated once per
+    point.
     Either way f converts the points itself, as ``_window_keys`` does.
     """
     profile = kernel.profile
@@ -334,11 +329,12 @@ class PointTable:
     most one block of mpf values is alive at once, and each fill is kept as
     one ``Block`` (``_value_block``): ints q_i over one exponent e, each
     value exactly q_i * 2^e, about 70 bytes a value at 256 bits against
-    about 140 as raw libmp tuples and 220 as mpf values.  A fill whose
-    exponents span more than BLOCK_SPAN_LIMIT bits, or that holds inf or
-    nan, keeps its raw tuples.  ``blocks`` hands a window's blocks to
-    ``neumaier_sum``, which sums them to the bits of ``mpf_sum`` on the raw
-    tuples; ``window`` rebuilds each value's raw tuple exactly.
+    about 140 as raw libmp tuples and 220 as mpf values.  A fill whose ints
+    would take more than BLOCK_SPAN_LIMIT bits beyond the precision, or
+    that holds inf or nan, keeps its raw tuples.  ``blocks`` hands a
+    window's blocks to ``neumaier_sum``, which sums them to the bits of
+    ``mpf_sum`` on the raw tuples; ``window`` rebuilds each value's raw
+    tuple exactly.
     A request that neither overlaps nor adjoins a stored range restarts that
     range there, so no index outside a requested window is ever computed;
     an offset probe's points, asked for through ``probe``, never restart it.
@@ -363,8 +359,6 @@ class PointTable:
         self.values_first = 1
         self.values_held = 0
         self.value_blocks: List[Block] = []
-        # far offset probes' points, by first index, oldest first (see probe)
-        self.far: Dict[int, Tuple[Any, ...]] = {}
 
     def points(self, start: int, count: int, given: Optional[Sequence[Any]] = None) -> List[Any]:
         """The points at indices start, ..., start + count - 1, as the sequence gives them.
@@ -375,7 +369,8 @@ class PointTable:
         values), else ValueError, and the table is left as it was.
         """
         if given is None:
-            new = self._sequence_points
+            # bound late: a verifier's table has no sequence, and window() asks it only for held points
+            new = lambda first, n: self.sequence.points(first, n)
         else:
             lo, hi = max(start, self.first), min(start + count, self.first + len(self.raw))
             held = self.raw[lo - self.first : max(lo, hi) - self.first]
@@ -389,45 +384,17 @@ class PointTable:
         i = start - self.first
         return self.raw[i : i + count]
 
-    def _sequence_points(self, start: int, count: int) -> Sequence[Any]:
-        """The sequence's points at start, ..., start + count - 1, from the far probes kept where they have them."""
-        parts: List[Sequence[Any]] = []
-        i, stop = start, start + count
-        for first, held in sorted(self.far.items()):
-            if first + len(held) <= i or stop <= first:
-                continue
-            if i < first:
-                parts.append(self.sequence.points(i, first - i))
-                i = first
-            parts.append(held[i - first : stop - first])
-            i += len(parts[-1])
-        if i < stop:
-            # looked up late: a verifier's table has no sequence, and window() asks it only for held points
-            parts.append(self.sequence.points(i, stop - i))
-        return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
-
     def probe(self, start: int, count: int) -> Sequence[Any]:
         """The points ``points(start, count)`` gives, for an offset probe of a search.
 
         A window that neither overlaps nor adjoins the held points is read
         from the sequence and not stored, so a probe far beyond them leaves
         them, and their values, to the windows the search evaluates next.
-        Such probes' points are kept beside the table, the latest
-        FAR_PROBE_POINTS of them at most (the latest probe always): a later
-        probe, or a window read where they lie, reads from the sequence only
-        the points they lack.  The searches at larger windows and other
-        scales probe the same offsets again.  An empty table stores the
-        window, as it has nothing to lose.
+        An empty table stores it, as it has nothing to lose.
         """
-        if not self.raw or _touches(self.first, len(self.raw), start, count):
-            return self.points(start, count)
-        pts = self._sequence_points(start, count)
-        self.far.pop(start, None)
-        self.far[start] = pts
-        held = sum(map(len, self.far.values()))
-        while held > FAR_PROBE_POINTS and len(self.far) > 1:
-            held -= len(self.far.pop(next(iter(self.far))))
-        return pts
+        if self.raw and not _touches(self.first, len(self.raw), start, count):
+            return self.sequence.points(start, count)
+        return self.points(start, count)
 
     def blocks(self, start: int, count: int) -> List[Block]:
         """f values at indices start, ..., start + count - 1, as ``Block``s for ``neumaier_sum``.
@@ -442,7 +409,7 @@ class PointTable:
                 for a in range(lo, lo + n, VALUE_BLOCK):
                     chunk = pts[a : min(a + VALUE_BLOCK, lo + n)]
                     # one expression: the mpf values are garbage before the block is made
-                    blocks.append(_value_block([v._mpf_ for v in self.f.values_mp(chunk)]))
+                    blocks.append(_value_block([v._mpf_ for v in self.f.values_mp(chunk)], self.precision_bits))
             return blocks
 
         self.values_first, self.value_blocks = _cover(
@@ -462,31 +429,23 @@ class PointTable:
         return list(block_terms(self.blocks(start, count)))
 
 
-# Most points a PointTable keeps of the offset probes beyond its own points.
-FAR_PROBE_POINTS = 1 << 16
-
-# Most bits the exponents of one block's nonzero values may span for it to be held as ints.
+# Most bits beyond the precision that one block's ints may take for it to be held as ints.
 BLOCK_SPAN_LIMIT = 64
 
 
-def _value_block(raw: List[Any]) -> Block:
+def _value_block(raw: List[Any], prec: int) -> Block:
     """One fill's raw f values as a Block: ints over their lowest exponent, or the raw tuples themselves.
 
-    The raw tuples stay when the nonzero values' exponents span more than
-    BLOCK_SPAN_LIMIT bits, or when a value with a zero mantissa is not
-    fzero (inf, nan).  A fill of one value (a function without ``x`` gives
-    one value object for a whole fill) holds one int.
+    The raw tuples stay when the ints would take more than
+    prec + BLOCK_SPAN_LIMIT bits, or when a value is inf or nan
+    (``fixed_point_block``).  A fill of one value (a function without ``x``
+    gives one value object for a whole fill) holds one int.
     """
     one = raw[-1] is raw[0] and raw.count(raw[0]) == len(raw)
-    distinct = raw[:1] if one else raw
-    if any(not v[1] and v != fzero for v in distinct):
+    block = fixed_point_block(raw[:1] if one else raw, prec + BLOCK_SPAN_LIMIT)
+    if block is None:
         return Block(raw)
-    low = min((exp for _, man, exp, _ in distinct if man), default=0)
-    top = max((exp for _, man, exp, _ in distinct if man), default=0)
-    if top - low > BLOCK_SPAN_LIMIT:
-        return Block(raw)
-    ints = [((-man if sign else man) << (exp - low)) if man else 0 for sign, man, exp, _ in distinct]
-    return Block([ints[0] for _ in raw] if one else ints, low, top)
+    return block._replace(values=[block.values[0] for _ in raw]) if one else block
 
 
 def _touches(first: int, held: int, start: int, count: int) -> bool:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf, workprec
 from mpmath.libmp import from_man_exp, from_rational, mpf_neg, mpf_sum, round_nearest
 
@@ -18,6 +18,7 @@ from rkhs_cert.quadform import (
     assemble_gram,
     block_terms,
     cholesky_solve,
+    fixed_point_block,
     neumaier_sum,
     psd_check,
     quadratic_form,
@@ -85,14 +86,7 @@ def test_neumaier_empty():
 
 def _blocks(raw, size):
     """Raw libmp values as Blocks of ``size`` terms: ints over each block's lowest exponent."""
-    blocks = []
-    for a in range(0, len(raw), size):
-        chunk = raw[a : a + size]
-        exps = [exp for _, man, exp, _ in chunk if man]
-        low, top = min(exps, default=0), max(exps, default=0)
-        ints = [((-man if sign else man) << (exp - low)) if man else 0 for sign, man, exp, _ in chunk]
-        blocks.append(Block(ints, low, top))
-    return blocks
+    return [fixed_point_block(raw[a : a + size], 2000) for a in range(0, len(raw), size)]
 
 
 def test_block_sum_drops_what_mpf_sum_drops():
@@ -116,6 +110,10 @@ def test_block_sum_drops_what_mpf_sum_drops():
     raw_block=st.integers(-1, 6),
 )
 @settings(max_examples=300, deadline=None)
+# 1 + 2^130 - 2^130 at 64 bits, and 3 * 2^-200 + 2^320 - 2^320 at 256: the terms' bits span just
+# over 2 * prec, and mpf_sum drops the small term
+@example(terms=[(1, 0), (1, 130)], cancel=1, size=1, bits=64, raw_block=-1)
+@example(terms=[(3, -200), (1, 320)], cancel=1, size=2, bits=256, raw_block=-1)
 def test_block_sum_is_mpf_sum_of_the_terms(terms, cancel, size, bits, raw_block):
     """neumaier_sum on Blocks gives ``mpf_sum``'s bits on their terms in
     order: exact where the exponents are close, streamed where they span

