@@ -36,10 +36,11 @@ from .serialize import (
     norm_trace_to_dict,
     number_to_str,
     psd_to_dict,
+    stream_certificate,
     sweep_to_dict,
     witness_from_dict,
-    witness_to_dict,
 )
+from .serialize import witness_to_dict  # noqa: F401  unused; perfbench/trace_child.py patches it here
 from .witness import (
     PointTable,
     SweepResult,
@@ -360,25 +361,13 @@ def _run_witness_task(
         if verify_certificate(certificates[i], kernel, f, table):
             passed.add(i)
     del table  # its values are garbage before serialization starts
-    write = None if certs_dir is None else _certificate_writer(certs_dir)
-    out = sweep_to_dict(result, cfg.precision_bits, write)
+    out = sweep_to_dict(result, cfg.precision_bits, certs_dir)
     out["verified_scales"] = [
         number_to_str(cert.c, cfg.precision_bits) for i, cert in enumerate(certificates) if i in passed
     ]
     out["all_verified"] = len(passed) == len(grid)
     out["domain_transfer"] = _domain_transfer_note(cfg, kernel)
     return out
-
-
-def _certificate_writer(directory: str) -> Callable[[int, Dict[str, Any]], None]:
-    """Writes certificate ``index`` to ``directory/certificate_<index>.json``; an OSError propagates."""
-    Path(directory).mkdir(parents=True, exist_ok=True)
-
-    def write(index: int, data: Dict[str, Any]) -> None:
-        path = Path(directory) / f"certificate_{index:02d}.json"
-        path.write_text(canonical_dumps(data), encoding="utf-8")
-
-    return write
 
 
 def _run_psd_task(cfg: RunConfig, kernel: Any, sequence: Any) -> List[Dict[str, Any]]:
@@ -652,9 +641,11 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     except WitnessSearchError as exc:
         print(f"no witness: {exc}", file=sys.stderr)
         return 2
-    payload = witness_to_dict(cert)
     if args.out:
-        _write_output(args.out, payload)
+        try:
+            stream_certificate(cert, args.out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {args.out!r}: {exc}") from exc
     print(
         f"witness found: N={cert.n_points} ell={cert.ell} "
         f"r={mpmath.nstr(cert.r_value, 17)}"

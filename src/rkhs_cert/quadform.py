@@ -37,24 +37,47 @@ MAX_PRECISION_BITS = 1 << 16
 class Block(NamedTuple):
     """Terms of a sum held together, as ``witness.PointTable`` holds f.
 
-    With ``exp`` an int, ``values`` are ints q_i, each term exactly
-    q_i * 2^exp, and every term below 2^top in magnitude
-    (``fixed_point_block``).  With ``exp`` None, ``values`` are the terms'
-    raw libmp tuples, an mpf's ``_mpf_``.
+    With ``exp`` None, ``values`` are the terms' raw libmp tuples, an mpf's
+    ``_mpf_``.  With ``exp`` an int, each term is exactly q_i * 2^exp for an
+    int q_i below 2^(top - exp) in magnitude (``fixed_point_block``), and
+    ``total`` is the exact sum of the q_i.  The q_i are ``values`` itself
+    when ``width`` is 0, or else packed in ``values``, one ``bytes``, as
+    fields of ``width`` bytes each, little-endian two's complement.
     """
 
     values: Sequence[Any]
     exp: Optional[int] = None
     top: int = 0
+    total: int = 0
+    width: int = 0
+
+    def size(self) -> int:
+        """How many terms the block holds."""
+        return len(self.values) // self.width if self.width else len(self.values)
+
+    def ints(self, lo: int, hi: int) -> Sequence[int]:
+        """The ints q_lo, ..., q_{hi-1} of a fixed-point block, decoding only those fields."""
+        if not self.width:
+            return self.values[lo:hi]
+        w, data = self.width, self.values
+        return [int.from_bytes(data[i : i + w], "little", signed=True) for i in range(lo * w, hi * w, w)]
+
+    def cut(self, lo: int, hi: int) -> "Block":
+        """The block of terms lo, ..., hi - 1; a fixed-point one holds their ints unpacked."""
+        if self.exp is None:
+            return self._replace(values=self.values[lo:hi])
+        ints = self.ints(lo, hi)
+        return self._replace(values=ints, total=sum(ints), width=0)
 
 
-def fixed_point_block(raw: Sequence[Any], max_bits: int) -> Optional[Block]:
+def fixed_point_block(raw: Sequence[Any], max_bits: int, packed: bool = False) -> Optional[Block]:
     """Raw libmp values as a Block of ints q_i over one exponent e, each value exactly q_i * 2^e.
 
     e is the lowest exponent of a nonzero value, and no |q_i| takes more
     than ``max_bits`` bits (e = top = 0 when every value is zero).  None,
     before any int is made, when a value is inf or nan or the ints would be
-    wider than ``max_bits``.
+    wider than ``max_bits``.  ``packed`` writes each int into the block's
+    bytes as it is made, so no list of ints is built.
     """
     # inf and nan have a zero mantissa and a nonzero bit count; zero has neither
     if any(not man and bc for _, man, _, bc in raw):
@@ -63,8 +86,15 @@ def fixed_point_block(raw: Sequence[Any], max_bits: int) -> Optional[Block]:
     bits = max((exp + bc - e for _, man, exp, bc in raw if man), default=0)
     if bits > max_bits:
         return None
-    ints = [((-man if sign else man) << (exp - e)) if man else 0 for sign, man, exp, _ in raw]
-    return Block(ints, e, e + bits)
+    ints = (((-man if sign else man) << (exp - e)) if man else 0 for sign, man, exp, _ in raw)
+    if not packed:
+        values = list(ints)
+        return Block(values, e, e + bits, sum(values))
+    width, total, data = bits // 8 + 1, 0, bytearray()  # bits + 1 for the sign, in whole bytes
+    for q in ints:
+        total += q
+        data += q.to_bytes(width, "little", signed=True)
+    return Block(bytes(data), e, e + bits, total, width)
 
 
 def neumaier_sum(terms: Sequence[Any]) -> Any:
@@ -85,8 +115,8 @@ def neumaier_sum(terms: Sequence[Any]) -> Any:
     term of the sum.  It then rounds the exact sum once.  Blocks of ints
     whose bits, from the lowest ``exp`` up to below the highest ``top``,
     span at most 2 * prec bits (so their terms' exponents span less) are
-    therefore summed as one exact integer, shifted to their lowest exponent
-    and rounded once.  Any other list of blocks
+    therefore summed as the blocks' exact ``total``s, shifted to their
+    lowest exponent and rounded once.  Any other list of blocks
     streams its terms, each rebuilt as a raw tuple, through ``mpf_sum``.
     """
     if terms and type(terms[0]) is Block:
@@ -99,7 +129,7 @@ def _block_sum(blocks: Sequence[Block], prec: int, rnd: str) -> Any:
     if all(b.exp is not None for b in blocks):
         low = min(b.exp for b in blocks)
         if max(b.top for b in blocks) - low <= 2 * prec:
-            return from_man_exp(sum(sum(b.values) << (b.exp - low) for b in blocks), low, prec, rnd)
+            return from_man_exp(sum(b.total << (b.exp - low) for b in blocks), low, prec, rnd)
     return mpf_sum(block_terms(blocks), prec, rnd)
 
 
@@ -109,7 +139,7 @@ def block_terms(blocks: Sequence[Block]) -> Iterator[Any]:
         if b.exp is None:
             yield from b.values
         else:
-            for q in b.values:
+            for q in b.ints(0, b.size()):
                 yield from_man_exp(q, b.exp)
 
 

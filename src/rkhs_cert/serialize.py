@@ -11,18 +11,22 @@ produce byte-identical files.  No other module of the package writes JSON.
 A report does not repeat the points of its certificates: each report entry is
 the certificate's dict without ``points``, plus ``points_sha256``, the
 SHA-256 (hex) of the point strings, each followed by a newline.  The points
-live only in the certificate files.
+live only in the certificate files.  A sweep's certificate files and
+summaries are streamed from the certificates themselves
+(``stream_certificate``), POINT_CHUNK point strings at a time, so writing
+one holds neither a string per point nor the file's whole text.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import fields
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 try:  # CPython's own SHA-256, as random.py takes _sha512: hashlib also loads OpenSSL (3.6 MB of RSS)
     from _sha256 import sha256
@@ -115,7 +119,7 @@ def canonical_dumps(obj: Any) -> str:
     json would (a circular one as RecursionError).
     """
     parts: List[str] = []
-    _render(obj, "\n", parts)
+    _render(obj, "\n", parts.append)
     parts.append("\n")
     return "".join(parts)
 
@@ -135,36 +139,56 @@ def _plain_strings(items: Sequence[Any]) -> bool:
     return _ESCAPED.search(text) is None
 
 
-def _render(value: Any, newline: str, parts: List[str]) -> None:
-    """Append json's indented text of ``value`` to ``parts``; ``newline`` is a line break and the current indent."""
-    if isinstance(value, (list, tuple)) and value:
-        inner = newline + "  "
-        if _plain_strings(value):
-            parts += ["[", inner, '"', ('",' + inner + '"').join(value), '"', newline, "]"]
-            return
-        separator = inner
-        parts.append("[")
-        for item in value:
-            parts.append(separator)
-            _render(item, inner, parts)
-            separator = "," + inner
-        parts += [newline, "]"]
+class _Chunks:
+    """A list whose items ``_render`` takes a chunk (a sequence of items) at a time, from ``chunks``."""
+
+    def __init__(self, chunks: Iterable[Sequence[Any]]) -> None:
+        self.chunks = chunks
+
+
+def _render(value: Any, newline: str, write: Callable[[str], Any]) -> None:
+    """Pass json's indented text of ``value`` to ``write``; ``newline`` is a line break and the current indent."""
+    if isinstance(value, (list, tuple)):
+        _render_list([value], newline, write)
+    elif isinstance(value, _Chunks):
+        _render_list(value.chunks, newline, write)
     elif isinstance(value, dict) and value:
         if not all(isinstance(key, str) for key in value):
             # json converts such keys to text, and sorting them can raise: leave it all to json
             text = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
-            parts.append(text.replace("\n", newline))  # json escapes every newline inside a string
+            write(text.replace("\n", newline))  # json escapes every newline inside a string
             return
         inner = newline + "  "
-        separator = inner
-        parts.append("{")
+        separator = "{" + inner
         for key in sorted(value):
-            parts += [separator, _json_text(key), ": "]
-            _render(value[key], inner, parts)
+            write(separator + _json_text(key) + ": ")
+            _render(value[key], inner, write)
             separator = "," + inner
-        parts += [newline, "}"]
+        write(newline + "}")
     else:
-        parts.append(_json_text(value))
+        write(_json_text(value))
+
+
+def _render_list(chunks: Iterable[Sequence[Any]], newline: str, write: Callable[[str], Any]) -> None:
+    """Pass json's indented text of the list of the chunks' items, in order, to ``write``."""
+    inner = newline + "  "
+    comma = "," + inner
+    separator, empty = "[" + inner, True
+    for chunk in chunks:
+        if not chunk:
+            continue
+        write(separator)
+        separator, empty = comma, False
+        if _plain_strings(chunk):
+            write('"')
+            write(('"' + comma + '"').join(chunk))
+            write('"')
+            continue
+        for k, item in enumerate(chunk):
+            if k:
+                write(comma)
+            _render(item, inner, write)
+    write("[]" if empty else newline + "]")
 
 
 def write_json(path: str | Path, obj: Any) -> None:
@@ -180,8 +204,14 @@ def _num_list(values: Iterable[Any], precision_bits: int) -> List[str]:
 
 
 def witness_to_dict(cert: WitnessCertificate) -> Dict[str, Any]:
+    """The certificate as a dict, every point a decimal string: a certificate file's content."""
+    return _witness_fields(cert, _num_list(cert.points, cert.precision_bits))
+
+
+def _witness_fields(cert: WitnessCertificate, points: Any) -> Dict[str, Any]:
+    """The certificate's fields as a certificate file writes them, with ``points`` for its point list."""
     bits = cert.precision_bits
-    out: Dict[str, Any] = {
+    return {
         "schema": cert.schema,
         "kernel_id": cert.kernel_id,
         "function_id": cert.function_id,
@@ -193,22 +223,71 @@ def witness_to_dict(cert: WitnessCertificate) -> Dict[str, Any]:
         "n_points": cert.n_points,
         "ell": cert.ell,
         "r_value": number_to_str(cert.r_value, bits),
-        "points": _num_list(cert.points, bits),
+        "points": points,
         "precision_bits": bits,
         "coefficients": "ones",
     }
-    return out
 
 
 def points_sha256(points: Sequence[str]) -> str:
     """SHA-256 (hex) of the UTF-8 bytes of ``points``, each string followed by a newline."""
-    return sha256("\n".join([*points, ""]).encode("utf-8")).hexdigest()
+    digest = sha256()
+    _digest_lines(digest, points)
+    return digest.hexdigest()
+
+
+def _digest_lines(digest: Any, points: Sequence[str]) -> None:
+    """Feed ``points`` to ``digest`` as ``points_sha256`` reads them, each string followed by a newline."""
+    digest.update("\n".join([*points, ""]).encode("utf-8"))
 
 
 def witness_summary(data: Dict[str, Any]) -> Dict[str, Any]:
     """A certificate dict's report entry: every field but ``points``, plus ``points_sha256``."""
     summary = {key: value for key, value in data.items() if key != "points"}
     summary["points_sha256"] = points_sha256(data["points"])
+    return summary
+
+
+# Point strings a certificate is streamed in: writing one holds a chunk of them, not one string per point.
+POINT_CHUNK = 4096
+
+
+def stream_certificate(cert: WitnessCertificate, path: Optional[str | Path] = None) -> Dict[str, Any]:
+    """``witness_summary(witness_to_dict(cert))``, made POINT_CHUNK point strings at a time.
+
+    With ``path``, the certificate's file, ``canonical_dumps(witness_to_dict(cert))``
+    byte for byte, is written there from the same chunks.  No string per
+    point, no whole text and no whole digest input is held.  The file is
+    written under a temporary name in its directory and moved into place
+    with ``os.replace``, so a write that fails (an OSError, which
+    propagates) leaves no partial file and no temporary one.
+    """
+    digest = sha256()
+    points, bits = cert.points, cert.precision_bits
+
+    def chunks() -> Iterator[List[str]]:
+        for start in range(0, len(points), POINT_CHUNK):
+            chunk = _num_list(points[start : start + POINT_CHUNK], bits)
+            _digest_lines(digest, chunk)
+            yield chunk
+
+    data = _witness_fields(cert, _Chunks(chunks()))
+    if path is None:
+        for _ in data["points"].chunks:
+            pass
+    else:
+        path = Path(path)
+        temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(temporary, "w", encoding="utf-8") as out:
+                _render(data, "\n", out.write)
+                out.write("\n")
+            os.replace(temporary, path)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
+    summary = {key: value for key, value in data.items() if key != "points"}
+    summary["points_sha256"] = digest.hexdigest()
     return summary
 
 
@@ -355,20 +434,20 @@ def norm_trace_to_dict(trace: NormTrace, precision_bits: int) -> Dict[str, Any]:
 def sweep_to_dict(
     result: SweepResult,
     precision_bits: int,
-    write_certificate: Optional[Callable[[int, Dict[str, Any]], None]] = None,
+    certs_dir: Optional[str | Path] = None,
 ) -> Dict[str, Any]:
-    """The sweep's report entry, with a summary of each certificate.
+    """The sweep's report entry, with a summary of each certificate (``stream_certificate``).
 
-    ``write_certificate(index, data)``, when given, receives each
-    certificate's full dict in grid order before only its summary is kept,
-    so no more than one certificate's point strings are held at a time.
+    With ``certs_dir`` (made if need be), certificate ``index`` in grid order
+    is also written to ``certs_dir/certificate_<index>.json``, two digits at
+    least; an OSError propagates.
     """
-    summaries = []
-    for index, cert in enumerate(result.certificates):
-        data = witness_to_dict(cert)
-        if write_certificate is not None:
-            write_certificate(index, data)
-        summaries.append(witness_summary(data))
+    if certs_dir is not None:
+        Path(certs_dir).mkdir(parents=True, exist_ok=True)
+    summaries = [
+        stream_certificate(cert, None if certs_dir is None else Path(certs_dir) / f"certificate_{index:02d}.json")
+        for index, cert in enumerate(result.certificates)
+    ]
     return {
         "c_values": _num_list(result.c_values, precision_bits),
         "alpha": number_to_str(result.alpha, precision_bits),

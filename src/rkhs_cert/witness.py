@@ -28,12 +28,12 @@ kernel identifier names, so builder and verifier select the same path and
 reverification reproduces r to working accuracy.
 
 The evaluator's bookkeeping (point checks, gaps, the band test) runs on
-exact Python ints for every window: ``_window_keys`` writes each point, as
-the working precision gives it, as k * 2^e for one exponent e, so every
-difference and square is exact and phi's argument d^2 is rounded once.  An
-int window below 2^precision is its own keys; any other window is converted
-once to read them.  f always gets the points as given and converts each
-itself.
+exact Python ints for every window, read in place with no list of gaps:
+``_window_keys`` writes each point, as the working precision gives it, as
+k * 2^e for one exponent e, so every difference and square is exact and
+phi's argument d^2 is rounded once.  An int window below 2^precision is its
+own keys; any other window is converted once to read them.  f always gets
+the points as given and converts each itself.
 
 ``sweep_c`` is the one loop over scales, for the library and for
 ``rkhs-cert run``; ``build_witness`` is its search at a single scale.  The
@@ -54,14 +54,15 @@ At a million window points, f values are most of what a run or a verifier
 holds, and r needs only their sum.  A ``PointTable`` keeps the values it
 computes together, VALUE_BLOCK at a time, as one ``Block`` of exact
 fixed-point ints: an exponent e and, for each value, the int q with
-q * 2^e the value, no object per value but the int.  ``neumaier_sum``
+q * 2^e the value, packed as fixed-width fields of one bytes object, no
+object per value, plus the exact sum of the q.  ``neumaier_sum``
 sums a window's blocks to the bits ``mpf_sum`` gives on the values' raw
 tuples: where the values' exponents span at most 2 * prec bits, mpf_sum
-drops nothing and rounds the exact sum once, which is one integer sum
-rounded once; a wider window streams the values, rebuilt as raw tuples,
-through mpf_sum.  A block whose ints would take more than BLOCK_SPAN_LIMIT
-bits beyond the precision (a kernel section's values fall that fast), or
-that holds inf or nan, keeps its raw tuples.
+drops nothing and rounds the exact sum once, which is the blocks' integer
+sums added and rounded once; a wider window streams the values, rebuilt as
+raw tuples, through mpf_sum.  A block whose ints would take more than
+BLOCK_SPAN_LIMIT bits beyond the precision (a kernel section's values fall
+that fast), or that holds inf or nan, keeps its raw tuples.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
+from operator import gt, lt
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import mpmath
@@ -257,7 +260,9 @@ def evaluate_ones_form(
     runs on the window's exact integer keys (``_window_keys``, which raises
     ValueError for a non-finite point or too wide a span): with points
     k_i * 2^e, d^2 > r* is D^2 > floor(r* / 4^e) for the integer D^2, and
-    phi gets D^2 * 4^e rounded once at ``precision_bits``.  Only that
+    phi gets D^2 * 4^e rounded once at ``precision_bits``.  It reads
+    consecutive keys in place and keeps no list of gaps, so a monotone int
+    window costs no memory per point beyond its inputs.  Only that
     bookkeeping sees the sorted order: f gets the points as given.
 
     ``f_values``, when given, returns f at the points, computed at
@@ -282,28 +287,30 @@ def evaluate_ones_form(
             )
         prec, rnd = mpmath.mp._prec_rounding
         keys, e = _window_keys(points, prec)
-        gaps = [b - a for a, b in zip(keys, keys[1:])]
-        if all(g < 0 for g in gaps):
-            gaps = [-g for g in gaps]
-        elif not all(g > 0 for g in gaps):
-            # the form is symmetric in the points: sort the evaluator's own keys
-            keys = sorted(keys)
-            gaps = [b - a for a, b in zip(keys, keys[1:])]
-            if not all(gaps):
-                raise ValueError("coincident points in node set")
+        if _consecutive(gt, keys):
+            sign = -1
+        else:
+            sign = 1
+            if not _consecutive(lt, keys):
+                # the form is symmetric in the points: sort the evaluator's own keys
+                keys = sorted(keys)
+                if not _consecutive(lt, keys):
+                    raise ValueError("coincident points in node set")
         e2 = 2 * e
         if radius is not None:
-            gaps_sorted = all(a <= b for a, b in zip(gaps, gaps[1:]))
+            # |gap| nondecreasing: each gap, oriented by the order, is at most the next
+            triples = zip(keys, islice(keys, 1, None), islice(keys, 2, None))
+            gaps_sorted = all(sign * (b - a) <= sign * (c - b) for a, b, c in triples)
             # D^2 * 4^e > r* iff D^2 > floor(r* / 4^e) for an integer D^2
             r_star = to_int(mpf_shift(radius._mpf_, -e2), "f")
         else:
             gaps_sorted, r_star = False, math.inf
         off_terms: List[Any] = []
         for i in range(n - 1):
-            if gaps_sorted and gaps[i] * gaps[i] > r_star:
+            x = keys[i]
+            if gaps_sorted and (keys[i + 1] - x) ** 2 > r_star:
                 break
             acc = mpf(0)
-            x = keys[i]
             for j in range(i + 1, n):
                 d = keys[j] - x
                 d2 = d * d
@@ -311,10 +318,15 @@ def evaluate_ones_form(
                     break
                 acc += profile.value_mp(_make_mpf(from_man_exp(d2, e2, prec, rnd)))
             off_terms.append(2 * acc)
-        del keys, gaps  # garbage before f
+        del keys  # garbage before f
         diag = n * profile.value_mp(0)
         fsum = neumaier_sum(f.values_mp(points) if f_values is None else f_values())
         return diag + neumaier_sum(off_terms) - mpf(c) ** 2 * fsum * fsum
+
+
+def _consecutive(order: Callable[[Any, Any], bool], keys: Sequence[Any]) -> bool:
+    """Whether ``order(k_i, k_{i+1})`` holds for every two consecutive keys, read in place."""
+    return all(map(order, keys, islice(keys, 1, None)))
 
 
 class PointTable:
@@ -328,13 +340,14 @@ class PointTable:
     A new range of values is computed VALUE_BLOCK points at a time, so at
     most one block of mpf values is alive at once, and each fill is kept as
     one ``Block`` (``_value_block``): ints q_i over one exponent e, each
-    value exactly q_i * 2^e, about 70 bytes a value at 256 bits against
-    about 140 as raw libmp tuples and 220 as mpf values.  A fill whose ints
-    would take more than BLOCK_SPAN_LIMIT bits beyond the precision, or
-    that holds inf or nan, keeps its raw tuples.  ``blocks`` hands a
+    value exactly q_i * 2^e, packed in one bytes object with their exact
+    sum, about 33 bytes a value at 256 bits against about 140 as raw libmp
+    tuples and 220 as mpf values.  A fill whose ints would take more than
+    BLOCK_SPAN_LIMIT bits beyond the precision, or that holds inf or nan,
+    keeps its raw tuples.  ``blocks`` hands a
     window's blocks to ``neumaier_sum``, which sums them to the bits of
-    ``mpf_sum`` on the raw tuples; ``window`` rebuilds each value's raw
-    tuple exactly.
+    ``mpf_sum`` on the raw tuples, decoding only the ints of a block the
+    window cuts; ``window`` rebuilds each value's raw tuple exactly.
     A request that neither overlaps nor adjoins a stored range restarts that
     range there, so no index outside a requested window is ever computed;
     an offset probe's points, asked for through ``probe``, never restart it.
@@ -368,6 +381,12 @@ class PointTable:
         floats and mpf, so equal points convert to the same mpf and share f
         values), else ValueError, and the table is left as it was.
         """
+        self._hold(start, count, given)
+        i = start - self.first
+        return self.raw[i : i + count]
+
+    def _hold(self, start: int, count: int, given: Optional[Sequence[Any]] = None) -> None:
+        """Hold the points at indices start, ..., start + count - 1, as ``points`` does, without a copy of them."""
         if given is None:
             # bound late: a verifier's table has no sequence, and window() asks it only for held points
             new = lambda first, n: self.sequence.points(first, n)
@@ -381,8 +400,6 @@ class PointTable:
         if not self.first <= self.values_first <= self.first + len(self.raw) - self.values_held:
             # the points restarted: drop the values of the old ones
             self.values_held, self.value_blocks = 0, []
-        i = start - self.first
-        return self.raw[i : i + count]
 
     def probe(self, start: int, count: int) -> Sequence[Any]:
         """The points ``points(start, count)`` gives, for an offset probe of a search.
@@ -401,13 +418,13 @@ class PointTable:
 
         A block partly outside the window is cut to its part inside.
         """
-        pts = self.points(start, count)
+        self._hold(start, count)
 
         def new_blocks(first: int, n: int) -> List[Block]:
-            lo, blocks = first - start, []
+            lo, blocks = first - self.first, []
             with workprec(self.precision_bits):
                 for a in range(lo, lo + n, VALUE_BLOCK):
-                    chunk = pts[a : min(a + VALUE_BLOCK, lo + n)]
+                    chunk = self.raw[a : min(a + VALUE_BLOCK, lo + n)]
                     # one expression: the mpf values are garbage before the block is made
                     blocks.append(_value_block([v._mpf_ for v in self.f.values_mp(chunk)], self.precision_bits))
             return blocks
@@ -415,13 +432,14 @@ class PointTable:
         self.values_first, self.value_blocks = _cover(
             self.values_first, self.values_held, self.value_blocks, start, count, new_blocks
         )
-        self.values_held = sum(len(b.values) for b in self.value_blocks)
+        self.values_held = sum(b.size() for b in self.value_blocks)
         parts, first = [], self.values_first
         for b in self.value_blocks:
-            lo, hi = max(start - first, 0), min(start + count - first, len(b.values))
+            size = b.size()
+            lo, hi = max(start - first, 0), min(start + count - first, size)
             if lo < hi:
-                parts.append(b if hi - lo == len(b.values) else b._replace(values=b.values[lo:hi]))
-            first += len(b.values)
+                parts.append(b if hi - lo == size else b.cut(lo, hi))
+            first += size
         return parts
 
     def window(self, start: int, count: int) -> List[Any]:
@@ -434,18 +452,23 @@ BLOCK_SPAN_LIMIT = 64
 
 
 def _value_block(raw: List[Any], prec: int) -> Block:
-    """One fill's raw f values as a Block: ints over their lowest exponent, or the raw tuples themselves.
+    """One fill's raw f values as a Block: packed ints over their lowest exponent, or the raw tuples themselves.
 
     The raw tuples stay when the ints would take more than
     prec + BLOCK_SPAN_LIMIT bits, or when a value is inf or nan
-    (``fixed_point_block``).  A fill of one value (a function without ``x``
-    gives one value object for a whole fill) holds one int.
+    (``fixed_point_block``).  The ints are packed as they are made, so only
+    the raw tuples are alive per value meanwhile.  A fill of one value (a
+    function without ``x`` gives one value object for a whole fill) holds
+    one int, in a list of one reference a value.
     """
     one = raw[-1] is raw[0] and raw.count(raw[0]) == len(raw)
-    block = fixed_point_block(raw[:1] if one else raw, prec + BLOCK_SPAN_LIMIT)
+    block = fixed_point_block(raw[:1] if one else raw, prec + BLOCK_SPAN_LIMIT, packed=not one)
     if block is None:
         return Block(raw)
-    return block._replace(values=[block.values[0] for _ in raw]) if one else block
+    if one:
+        q = block.values[0]
+        return block._replace(values=[q for _ in raw], total=q * len(raw))
+    return block
 
 
 def _touches(first: int, held: int, start: int, count: int) -> bool:
@@ -667,6 +690,13 @@ def verify_certificate(
     (``point_in_range``), and the recomputed r
     matching the stored value to 2^-100 relative accuracy while being negative.
 
+    Soundness rests on the recomputed r < 0 alone: a negative all-ones form
+    on the stored points refutes positive semidefiniteness of the deflated
+    kernel at scale c, whatever N is.  The ``n_threshold`` check is the
+    builder's sizing rule, kept as a consistency check, and no verdict
+    depends on it.  The stored alpha is never checked against f: a declared
+    alpha enters only that threshold.
+
     f comes from ``table``, a ``PointTable(f, None, bits)`` holding the
     stored points at indices ell + 1, ..., ell + N; without one, from a new
     table, so a certificate checked alone costs one f value per stored point.
@@ -710,10 +740,10 @@ def verify_certificate(
     if table is None or table.precision_bits != bits:
         table = PointTable(f, None, bits)
     try:
-        table.points(start, n, cert.points)
+        table._hold(start, n, cert.points)
     except ValueError:  # the stored points differ from those checked before
         table = PointTable(f, None, bits)
-        table.points(start, n, cert.points)
+        table._hold(start, n, cert.points)
     r = evaluate_ones_form(kernel, f, cert.c, cert.points, bits, f_values=partial(table.blocks, start, n))
     if not r < 0:
         return False

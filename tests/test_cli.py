@@ -236,6 +236,60 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, error",
+    [("run", "config error: cannot write certificates"), ("witness", "config error: cannot write output file")],
+)
+def test_certificate_write_failing_part_way_leaves_no_file(tmp_path, monkeypatch, capsys, command, error):
+    """A disk that fills part-way through a certificate's points: exit 1 with
+    a one-line error, and no certificate file left, partial or temporary."""
+    from rkhs_cert import serialize
+    from rkhs_cert.functions import make_constant
+    from rkhs_cert.kernels import make_gaussian
+    from rkhs_cert.sequences import triangular_sequence
+    from rkhs_cert.serialize import canonical_dumps
+    from rkhs_cert.witness import build_witness
+
+    cert = build_witness(make_gaussian(), make_constant(1.0), triangular_sequence(1), 0.25)
+    text = canonical_dumps(witness_to_dict(cert))
+    room = text.index('"points": [') + 40  # the disk fills after the first few points
+    assert room < text.index("]")
+
+    class FullDisk:
+        """A file that takes ``room`` characters, then fails as a full disk does."""
+
+        def __init__(self, file):
+            self.file, self.room = file, room
+
+        def write(self, part):
+            if len(part) > self.room:
+                self.file.write(part[: self.room])
+                raise OSError(28, "No space left on device")
+            self.room -= len(part)
+            return self.file.write(part)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+    monkeypatch.setattr(serialize, "open", lambda *args, **kwargs: FullDisk(open(*args, **kwargs)), raising=False)
+    monkeypatch.setattr(serialize, "POINT_CHUNK", 3)
+    certs, out = tmp_path / "certs", tmp_path / "r.json"
+    argv = ["--kernel", "gaussian", "--function", "constant:1.0"]
+    if command == "run":
+        argv += ["--c-grid", "0.25", "--out", str(out), "--certs-dir", str(certs)]
+    else:
+        certs.mkdir()
+        argv += ["--c", "0.25", "--out", str(certs / "certificate_00.json")]
+    assert main([command] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error) and err.count("\n") == 1
+    assert list(certs.iterdir()) == []
+    assert not out.exists()
+
+
 def test_config_file_and_overrides(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(

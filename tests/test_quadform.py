@@ -84,9 +84,9 @@ def test_neumaier_empty():
     assert neumaier_sum([]) == 0
 
 
-def _blocks(raw, size):
+def _blocks(raw, size, packed=False):
     """Raw libmp values as Blocks of ``size`` terms: ints over each block's lowest exponent."""
-    return [fixed_point_block(raw[a : a + size], 2000) for a in range(0, len(raw), size)]
+    return [fixed_point_block(raw[a : a + size], 2000, packed) for a in range(0, len(raw), size)]
 
 
 def test_block_sum_drops_what_mpf_sum_drops():
@@ -108,22 +108,24 @@ def test_block_sum_drops_what_mpf_sum_drops():
     size=st.integers(1, 5),
     bits=st.sampled_from([64, 256]),
     raw_block=st.integers(-1, 6),
+    packed=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
 # 1 + 2^130 - 2^130 at 64 bits, and 3 * 2^-200 + 2^320 - 2^320 at 256: the terms' bits span just
 # over 2 * prec, and mpf_sum drops the small term
-@example(terms=[(1, 0), (1, 130)], cancel=1, size=1, bits=64, raw_block=-1)
-@example(terms=[(3, -200), (1, 320)], cancel=1, size=2, bits=256, raw_block=-1)
-def test_block_sum_is_mpf_sum_of_the_terms(terms, cancel, size, bits, raw_block):
+@example(terms=[(1, 0), (1, 130)], cancel=1, size=1, bits=64, raw_block=-1, packed=False)
+@example(terms=[(3, -200), (1, 320)], cancel=1, size=2, bits=256, raw_block=-1, packed=True)
+def test_block_sum_is_mpf_sum_of_the_terms(terms, cancel, size, bits, raw_block, packed):
     """neumaier_sum on Blocks gives ``mpf_sum``'s bits on their terms in
     order: exact where the exponents are close, streamed where they span
-    more than 2 * prec bits, across int blocks and raw ones, with zeros and
-    terms that cancel (the last ``cancel`` terms, negated, in reverse)."""
+    more than 2 * prec bits, across int blocks, packed or not, and raw ones,
+    with zeros and terms that cancel (the last ``cancel`` terms, negated,
+    in reverse)."""
     raw = [from_man_exp(man, exp) for man, exp in terms]
     raw += [mpf_neg(v) for v in reversed(raw[len(raw) - cancel :])]
-    blocks = _blocks(raw, size)
+    blocks = _blocks(raw, size, packed)
     if 0 <= raw_block < len(blocks):
-        n = len(blocks[raw_block].values)
+        n = blocks[raw_block].size()
         blocks[raw_block] = Block(raw[raw_block * size : raw_block * size + n])
     with workprec(bits):
         assert neumaier_sum(blocks)._mpf_ == mpf_sum(raw, bits, round_nearest)

@@ -10,18 +10,21 @@ from mpmath import mpf, workprec
 from rkhs_cert.functions import make_constant
 from rkhs_cert.kernels import make_gaussian
 from rkhs_cert.sequences import triangular_sequence
+from rkhs_cert import serialize
 from rkhs_cert.serialize import (
+    POINT_CHUNK,
     canonical_dumps,
     load_json,
     number_to_str,
     points_sha256,
     str_to_number,
+    stream_certificate,
     witness_from_dict,
     witness_summary,
     witness_to_dict,
     write_json,
 )
-from rkhs_cert.witness import build_witness, verify_certificate
+from rkhs_cert.witness import WitnessCertificate, build_witness, verify_certificate
 
 
 # --- number round-trips -----------------------------------------------------
@@ -170,6 +173,75 @@ def test_canonical_dumps_holds_no_string_per_point():
         tracemalloc.stop()
     assert text == _json_text(data)
     assert peak <= 48 * n
+
+
+def _certificate(points, bits=256):
+    n = len(points)
+    return WitnessCertificate(
+        "gaussian", "constant:1.0", "triangular+", 0.5, 1.0, "declared", 1.0, n, 0, mpf(-1), points, bits
+    )
+
+
+_POINT_KINDS = {"int": lambda x: x, "float": lambda x: x / 7, "mpf": lambda x: mpf(x) / 3}
+
+
+def _window(kind, start, step, n, bits):
+    """n points start, start + step, ... as ints, floats (/ 7), mpf values (/ 3) or the three in turn."""
+    kinds = [_POINT_KINDS[k] for k in (sorted(_POINT_KINDS) if kind == "mixed" else [kind])]
+    with workprec(bits):
+        return tuple(kinds[i % len(kinds)](start + step * i) for i in range(n))
+
+
+@given(
+    kind=st.sampled_from(["int", "float", "mpf", "mixed"]),
+    chunk=st.sampled_from([1, 2, 5, POINT_CHUNK]),
+    size=st.sampled_from(["one", "chunk - 1", "chunk", "chunk + 1"]),
+    start=st.integers(-(10**9), 10**9),
+    step=st.integers(1, 10**6),
+    bits=st.sampled_from([64, 256]),
+)
+@settings(max_examples=60, deadline=None)
+def test_streamed_certificate_is_canonical_dumps_of_its_dict(kind, chunk, size, start, step, bits):
+    """A certificate written POINT_CHUNK point strings at a time is
+    ``canonical_dumps(witness_to_dict(cert))`` byte for byte, and its summary
+    is ``witness_summary`` of that dict, with or without a file, for windows
+    of 1, chunk - 1 (none when the chunk is 1), chunk and chunk + 1 points."""
+    import tempfile
+    from pathlib import Path
+    from unittest.mock import patch
+
+    n = {"one": 1, "chunk - 1": chunk - 1, "chunk": chunk, "chunk + 1": chunk + 1}[size]
+    cert = _certificate(_window(kind, start, step, n, bits), bits)
+    data = witness_to_dict(cert)
+    with patch.object(serialize, "POINT_CHUNK", chunk), tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "certificate_00.json"
+        summary = stream_certificate(cert, path)
+        assert path.read_bytes() == canonical_dumps(data).encode("utf-8")
+        assert [p.name for p in Path(tmp).iterdir()] == [path.name]
+        assert stream_certificate(cert) == summary
+    assert summary == witness_summary(data)
+    assert summary["points_sha256"] == points_sha256(data["points"])
+
+
+def test_streamed_certificate_holds_no_string_per_point(tmp_path):
+    """Writing a 2^16-point certificate holds at most 16 bytes a point beyond
+    the certificate (about 9): a chunk of POINT_CHUNK point strings at a time.
+    Writing ``canonical_dumps(witness_to_dict(cert))`` holds about 101."""
+    import tracemalloc
+
+    n = 2**16
+    cert = _certificate(triangular_sequence(1).points(1, n))
+    stream_certificate(_certificate([1, 3]), tmp_path / "warm.json")
+    tracemalloc.start()
+    try:
+        summary = stream_certificate(cert, tmp_path / "cert.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data = witness_to_dict(cert)
+    assert (tmp_path / "cert.json").read_text(encoding="utf-8") == canonical_dumps(data)
+    assert summary == witness_summary(data)
+    assert peak <= 16 * n
 
 
 def test_write_and_load_json(tmp_path):

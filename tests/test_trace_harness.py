@@ -80,14 +80,17 @@ def test_trace_child_runs_a_one_scale_run_on_float_points(tmp_path):
 
 
 def test_trace_child_runs_a_one_scale_run_writing_certificates(tmp_path):
-    # each certificate is turned into a dict once, and dumped once for its file
+    # each certificate is streamed to its one file straight from the certificate, so neither
+    # witness_to_dict nor canonical_dumps sees it: only the report is dumped
     certs = tmp_path / "certs"
     argv = ["--c-grid", "0.5", "--out", str(tmp_path / "r.json"), "--certs-dir", str(certs)]
     stats = _traced(tmp_path, "run", *WITNESS, *argv)
     files = sorted(certs.glob("certificate_*.json"))
     assert len(files) == 1
-    assert stats["serialize.witness_to_dict"][0] == len(files)
-    assert stats["serialize.canonical_dumps"][0] == 1 + len(files)
+    assert sorted(certs.iterdir()) == files
+    assert len(json.loads((tmp_path / "r.json").read_text())["results"]["witness"]["certificates"]) == len(files)
+    assert stats["serialize.witness_to_dict"][0] == 0
+    assert stats["serialize.canonical_dumps"][0] == 1
     assert stats["witness.verify_certificate"][0] == len(files)
 
 

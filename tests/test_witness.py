@@ -1245,9 +1245,18 @@ def test_window_sum_of_blocks_is_mpf_sum_of_raw_values(name, bits, block, reques
 
 
 def test_value_blocks_hold_ints_where_the_exponents_are_close():
-    """A narrow-range f fills its blocks with ints over one exponent; a
-    kernel section, whose values fall by more than 64 bits within a block,
-    keeps raw tuples; a function without x holds one int a block."""
+    """A narrow-range f fills its blocks with ints over one exponent, packed
+    in one bytes object; a kernel section, whose values fall by more than 64
+    bits within a block, keeps raw tuples; a function without x holds one
+    int a block, in a list of its values."""
+
+    def form(b):
+        if b.exp is None:
+            return "raw"
+        if b.width:
+            return f"{type(b.values).__name__} of {b.size()} fields"
+        return f"{len({id(q) for q in b.values})} int"
+
     pts = triangular_sequence(1).points(1, 2048)
     kinds = {}
     for name, f in [
@@ -1258,22 +1267,25 @@ def test_value_blocks_hold_ints_where_the_exponents_are_close():
         table = PointTable(f, None, 256)
         table.points(1, 2048, pts)
         blocks = table.blocks(1, 2048)
-        assert all(type(b) is Block for b in blocks) and sum(len(b.values) for b in blocks) == 2048
-        kinds[name] = [b.exp is not None for b in blocks], [len({id(q) for q in b.values}) for b in blocks]
-    assert kinds["paper_example"][0] == [True, True]
-    assert kinds["kernel_section"][0] == [False, False]
-    assert kinds["sqrt(2)/7"] == ([True, True], [1, 1])
+        assert all(type(b) is Block for b in blocks) and sum(b.size() for b in blocks) == 2048
+        kinds[name] = [form(b) for b in blocks]
+    assert kinds == {
+        "paper_example": ["bytes of 1024 fields", "bytes of 1024 fields"],
+        "kernel_section": ["raw", "raw"],
+        "sqrt(2)/7": ["1 int", "1 int"],
+    }
 
 
 @pytest.mark.parametrize(
     "function, per_value",
-    [(make_paper_example, 96), (lambda: make_expression_function("sqrt(2)/7"), 16)],
+    [(make_paper_example, 48), (lambda: make_expression_function("sqrt(2)/7"), 16)],
     ids=["paper_example", "without x"],
 )
 def test_point_table_holds_values_as_fixed_point_ints(function, per_value):
-    """2^12 f values at 256 bits take at most 96 bytes each in the table for
-    paper_example (about 72; about 138 as raw tuples), and at most 16 for a
-    function without x (about 9), whose blocks share one int each."""
+    """2^12 f values at 256 bits take at most 48 bytes each in the table for
+    paper_example (about 33 packed; about 72 as a list of ints and 138 as
+    raw tuples), and at most 16 for a function without x (about 9), whose
+    blocks share one int each."""
     import tracemalloc
 
     f, n = function(), 2**12
@@ -1288,6 +1300,29 @@ def test_point_table_holds_values_as_fixed_point_ints(function, per_value):
     finally:
         tracemalloc.stop()
     assert held <= per_value * n
+
+
+def test_evaluator_holds_nothing_per_point_beyond_its_inputs():
+    """On a monotone 2^16-point triangular window with its f values given,
+    evaluate_ones_form holds at most 4 bytes a point beyond its inputs
+    (under 0.1): it reads consecutive keys in place.  A list of the
+    window's gaps takes about 47."""
+    import tracemalloc
+
+    k, f, n = make_gaussian(), make_constant(1.0), 2**16
+    pts = triangular_sequence(1).points(1, n)
+    table = PointTable(f, None, 256)
+    table.points(1, n, pts)
+    table.blocks(1, n)
+    evaluate_ones_form(k, f, 0.5, pts[:8], 256)  # the profile's truncation radius, cached
+    tracemalloc.start()
+    try:
+        r = evaluate_ones_form(k, f, 0.5, pts, 256, f_values=partial(table.blocks, 1, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r < 0
+    assert peak <= 4 * n
 
 
 @pytest.mark.parametrize("through_table", [False, True])
