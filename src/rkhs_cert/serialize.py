@@ -319,7 +319,7 @@ def witness_from_dict(data: Dict[str, Any]) -> WitnessCertificate:
         alpha_provenance=str(data["alpha_provenance"]),
         kernel_diag_sup=_field(data, "kernel_diag_sup", float),
         n_points=_field(data, "n_points", _integer),
-        ell=_field(data, "ell", _integer),
+        ell=_field(data, "ell", _offset),
         r_value=_field(data, "r_value", lambda value: real(str(value))),
         points=_field(data, "points", partial(_points, precision_bits=bits)),
         precision_bits=bits,
@@ -358,6 +358,13 @@ def _integer(value: Any) -> int:
     """A JSON integer as it is; a bool, a float or a string is no integer here."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, not {value!r}")
+    return value
+
+
+def _offset(value: Any) -> int:
+    """A window offset: a JSON integer, at least 0."""
+    if _integer(value) < 0:
+        raise ValueError(f"expected an offset at least 0, not {value!r}")
     return value
 
 

@@ -23,9 +23,12 @@ window is band-truncated: pairs whose squared gap exceeds r* are dropped, so
 the omitted mass is below N^2 times that cutoff, far under the
 certificate's comparison tolerance, whatever phi's sign or shape.  Without
 such an r* a window sums all of its pairs, up to DENSE_FALLBACK_LIMIT
-points.  The rule depends only on the profile's expression, which the
-kernel identifier names, so builder and verifier select the same path and
-reverification reproduces r to working accuracy.
+points.  In a strictly monotone order a row's pairs move apart as they go,
+so each row ends at its own first pair beyond r*, and a row whose nearest
+pair lies beyond r* adds nothing: the band is decided row by row, with no
+scan of the whole window.  The rule depends only on the profile's
+expression, which the kernel identifier names, so builder and verifier
+select the same path and reverification reproduces r to working accuracy.
 
 The evaluator's bookkeeping (point checks, gaps, the band test) runs on
 exact Python ints for every window, read in place with no list of gaps:
@@ -248,13 +251,13 @@ def evaluate_ones_form(
     A strictly ascending or descending window keeps its order; any other is
     sorted ascending, and must then have distinct points (else ValueError).
     When the profile has a ``truncation_radius`` r* at ``precision_bits``,
-    each row stops at the first squared gap beyond r*, and rows stop once a
-    sorted gap sequence passes it; |phi| is provably below the cutoff on every
-    dropped pair.  Without one the window sums all pairs, and may hold at
-    most DENSE_FALLBACK_LIMIT points (else ``window-too-large``, raised
-    before any point check).  The rule depends only on the kernel, so
-    verification reproduces the builder's choice.  A kernel without a radial
-    profile raises ``no-radial-profile``.
+    each row ends at its first squared gap beyond r*, and a row whose nearest
+    pair is already beyond r* is skipped and adds no term; |phi| is provably
+    below the cutoff on every dropped pair.  Without one the window sums all
+    pairs, and may hold at most DENSE_FALLBACK_LIMIT points (else
+    ``window-too-large``, raised before any point check).  The rule depends
+    only on the kernel, so verification reproduces the builder's choice.  A
+    kernel without a radial profile raises ``no-radial-profile``.
 
     The bookkeeping (the point checks, the gaps and the band test d^2 > r*)
     runs on the window's exact integer keys (``_window_keys``, which raises
@@ -262,7 +265,8 @@ def evaluate_ones_form(
     k_i * 2^e, d^2 > r* is D^2 > floor(r* / 4^e) for the integer D^2, and
     phi gets D^2 * 4^e rounded once at ``precision_bits``.  It reads
     consecutive keys in place and keeps no list of gaps, so a monotone int
-    window costs no memory per point beyond its inputs.  Only that
+    window, ascending or descending, costs no memory per point beyond its
+    inputs and one term per row that holds a pair.  Only that
     bookkeeping sees the sorted order: f gets the points as given.
 
     ``f_values``, when given, returns f at the points, computed at
@@ -287,29 +291,19 @@ def evaluate_ones_form(
             )
         prec, rnd = mpmath.mp._prec_rounding
         keys, e = _window_keys(points, prec)
-        if _consecutive(gt, keys):
-            sign = -1
-        else:
-            sign = 1
+        if not (_consecutive(gt, keys) or _consecutive(lt, keys)):
+            # the form is symmetric in the points: sort the evaluator's own keys
+            keys = sorted(keys)
             if not _consecutive(lt, keys):
-                # the form is symmetric in the points: sort the evaluator's own keys
-                keys = sorted(keys)
-                if not _consecutive(lt, keys):
-                    raise ValueError("coincident points in node set")
+                raise ValueError("coincident points in node set")
         e2 = 2 * e
-        if radius is not None:
-            # |gap| nondecreasing: each gap, oriented by the order, is at most the next
-            triples = zip(keys, islice(keys, 1, None), islice(keys, 2, None))
-            gaps_sorted = all(sign * (b - a) <= sign * (c - b) for a, b, c in triples)
-            # D^2 * 4^e > r* iff D^2 > floor(r* / 4^e) for an integer D^2
-            r_star = to_int(mpf_shift(radius._mpf_, -e2), "f")
-        else:
-            gaps_sorted, r_star = False, math.inf
+        # D^2 * 4^e > r* iff D^2 > floor(r* / 4^e) for an integer D^2
+        r_star = math.inf if radius is None else to_int(mpf_shift(radius._mpf_, -e2), "f")
         off_terms: List[Any] = []
         for i in range(n - 1):
             x = keys[i]
-            if gaps_sorted and (keys[i + 1] - x) ** 2 > r_star:
-                break
+            if (keys[i + 1] - x) ** 2 > r_star:
+                continue  # the row's first pair is its nearest: the row is empty
             acc = mpf(0)
             for j in range(i + 1, n):
                 d = keys[j] - x

@@ -881,6 +881,7 @@ def test_mistyped_config_exits_1_with_one_line(tmp_path, capsys, config, extra):
         ("precision_bits", 256.0),
         # a kernel value at such a point would take longer than any test
         ("points", ["1e99999999", "3", "6"]),
+        ("ell", -7),
     ],
 )
 def test_verify_of_mistyped_certificate_exits_1_with_one_line(tmp_path, capsys, field, value):

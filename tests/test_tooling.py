@@ -9,13 +9,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rkhs_cert"
 KEEP_MARKER = "# noqa: F401"
 
 
-def unused_imports(source: str) -> list:
-    """Names a module imports and never reads, as (line, name), in source order.
+def imports(source: str) -> list:
+    """(line, name, kept) for each name a module's imports bind, ``from __future__`` left out.
 
-    ``from __future__`` imports and imports whose statement carries
-    KEEP_MARKER on any of its lines are left out.  A name counts as read
-    where it appears as an ``ast.Name``, which covers ``module.attr`` and
-    annotations; a name read only inside a string is not seen.
+    ``kept`` is whether the import's statement carries KEEP_MARKER on any of its lines.
     """
     tree = ast.parse(source)
     lines = source.splitlines()
@@ -25,13 +22,21 @@ def unused_imports(source: str) -> list:
             continue
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        if any(KEEP_MARKER in line for line in lines[node.lineno - 1 : node.end_lineno]):
-            continue
+        kept = any(KEEP_MARKER in line for line in lines[node.lineno - 1 : node.end_lineno])
         for alias in node.names:
-            name = alias.asname or alias.name.split(".")[0]
-            imported.append((node.lineno, name))
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for line, name in imported if name not in read)
+            imported.append((node.lineno, alias.asname or alias.name.split(".")[0], kept))
+    return imported
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports and never reads, as (line, name), in source order.
+
+    Imports kept by KEEP_MARKER are left out.  A name counts as read
+    where it appears as an ``ast.Name``, which covers ``module.attr`` and
+    annotations; a name read only inside a string is not seen.
+    """
+    read = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    return sorted((line, name) for line, name, kept in imports(source) if not kept and name not in read)
 
 
 def test_unused_import_check_finds_one():
@@ -51,6 +56,79 @@ def test_package_modules_import_nothing_unused():
     assert modules
     unused = {p.name: found for p in modules if (found := unused_imports(p.read_text()))}
     assert unused == {}
+
+
+# The benchmark's tracer: it patches the names KEEP_MARKER keeps.
+TRACER = PACKAGE.parent.parent / "perfbench" / "trace_child.py"
+
+
+def patched_attributes(tracer_source: str) -> set:
+    """(module, attribute) pairs a tracer patches with ``patch(module, attr, ...)``.
+
+    ``module`` is a plain name; ``attr`` is a string, or a name a ``for`` loop
+    takes from a tuple or list of strings.  A patch on a class
+    (``patch(kernels.KernelSpec, ...)``) names no module and is left out.
+    """
+    tree = ast.parse(tracer_source)
+    loops = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name):
+            if isinstance(node.iter, (ast.Tuple, ast.List)):
+                loops[node.target.id] = [e.value for e in node.iter.elts if isinstance(e, ast.Constant)]
+    patched = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "patch"):
+            continue
+        if len(node.args) < 2 or not isinstance(node.args[0], ast.Name):
+            continue
+        module, attr = node.args[0].id, node.args[1]
+        if isinstance(attr, ast.Constant):
+            patched.add((module, attr.value))
+        elif isinstance(attr, ast.Name):
+            patched.update((module, value) for value in loops.get(attr.id, ()))
+    return patched
+
+
+def stale_keeps(sources: dict, tracer_source: str) -> list:
+    """(module, line, name) for each import KEEP_MARKER keeps that the tracer does not patch there.
+
+    ``sources`` maps a module's name to its source.
+    """
+    patched = patched_attributes(tracer_source)
+    return sorted(
+        (module, line, name)
+        for module, source in sources.items()
+        for line, name, kept in imports(source)
+        if kept and (module, name) not in patched
+    )
+
+
+def test_stale_keep_check_finds_one():
+    tracer = (
+        "from rkhs_cert import cli, witness\n"
+        "for attr in ('resolve_kernel', 'resolve_function'):\n"
+        "    patch(cli, attr, f'registry.{attr}')\n"
+        "patch(witness, 'neumaier_sum', 'quadform.neumaier_sum')\n"
+        "patch(kernels.KernelSpec, 'block_terms', 'kernels.eval_mp')\n"
+    )
+    sources = {
+        "cli": "from .registry import resolve_function, resolve_kernel  # noqa: F401\n",
+        "witness": (
+            "from .quadform import neumaier_sum  # noqa: F401\n"
+            "from .quadform import (  # noqa: F401\n"
+            "    block_terms,\n"
+            ")\n"
+            "from .quadform import quadratic_form\n"
+        ),
+    }
+    assert stale_keeps(sources, tracer) == [("witness", 2, "block_terms")]
+
+
+def test_every_kept_import_is_one_the_tracer_patches():
+    """A KEEP_MARKER on an import the tracer no longer patches would hide an unused import."""
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    assert any(kept for source in sources.values() for _, _, kept in imports(source))
+    assert stale_keeps(sources, TRACER.read_text()) == []
 
 
 # The one module that may write JSON: its canonical_dumps is checked against json's own text.

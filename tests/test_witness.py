@@ -246,8 +246,9 @@ def test_dense_and_banded_paths_agree(n):
 def _int_windows(draw):
     """(bits, points): a strictly monotone int window of 129-260 points whose
     magnitude lies below or above the int bookkeeping's gate
-    2^(bits // 2 - 2), up to points wider than bits; its gaps are sorted (so
-    rows break off early) or not."""
+    2^(bits // 2 - 2), up to points wider than bits; its gaps are sorted or
+    not, and it ascends or descends, so rows of every window end at their own
+    first pair beyond r*, and some windows skip empty rows."""
     bits = draw(st.sampled_from([64, 128, 256]))
     n = draw(st.integers(min_value=129, max_value=260))
     gaps = draw(st.lists(st.integers(min_value=1, max_value=24), min_size=n - 1, max_size=n - 1))
@@ -295,15 +296,20 @@ def test_int_window_r_equals_libmp_r(window, tamper, at):
         assert outcome == "coincident"
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", [*range(4), "reversed"])
 def test_shuffled_window_r_equals_ascending_r(seed):
     """The form is symmetric in the points: any order of a window gives the
-    ascending window's r, bit for bit, on int points and on mpf points."""
+    ascending window's r, bit for bit, on int points and on mpf points.  The
+    reversed window keeps its descending order, and its rows end at their
+    own first pair beyond r* on gaps that shrink along that order."""
     import random
 
     k, f = make_gaussian(), make_paper_example()
     pts = list(triangular_sequence(1).points(2, 300))
-    shuffled = random.Random(seed).sample(pts, len(pts))
+    if seed == "reversed":
+        shuffled = pts[::-1]
+    else:
+        shuffled = random.Random(seed).sample(pts, len(pts))
     with workprec(256):
         mp_shuffled = [mpf(p) for p in shuffled]
     expected = evaluate_ones_form(k, f, 0.5, pts, 256)._mpf_
@@ -796,6 +802,17 @@ BANDED_R = [
      "-50.49993800712895721361296544703245238534044409313142727381332909300954655799856163749"),
     ("gaussian", "paper_example", "arithmetic:0.1", 300, 0.5, 64,
      "-7241.01217760895331965187438"),
+    # Windows whose gaps do not grow along their order, recorded while a
+    # window-wide scan of gap order could also end the band: sorted
+    # mixed-sign points, gaps that shrink, and every row holding pairs.
+    ("gaussian", "paper_example", "mixed_sign_triangular", 300, 0.5, 256,
+     "-9576.839917843960874653202907509631755820043343229352077415979936859052252764959985225"),
+    ("gaussian", "paper_example", "arithmetic:7.5", 300, 0.5, 256,
+     "-9094.184091014709836526665686905567855243224911843720562225591700502748213238258124859"),
+    ("laplace", "paper_example", "custom:1000*sqrt(n)", 300, 0.5, 256,
+     "-9151.142456144497373063845714625332377486065453273859089122123546161732387064341066212"),
+    ("gaussian", "paper_example", "custom:1000*sqrt(n)", 300, 0.5, 256,
+     "-9151.142456144508932689781844888708181352369592418751369334519168962525498771921162157"),
 ]
 
 
@@ -1302,15 +1319,18 @@ def test_point_table_holds_values_as_fixed_point_ints(function, per_value):
     assert held <= per_value * n
 
 
-def test_evaluator_holds_nothing_per_point_beyond_its_inputs():
-    """On a monotone 2^16-point triangular window with its f values given,
-    evaluate_ones_form holds at most 4 bytes a point beyond its inputs
-    (under 0.1): it reads consecutive keys in place.  A list of the
-    window's gaps takes about 47."""
+WINDOW_POINTS = 2**16
+
+
+def _evaluator_peak(order):
+    """(r, tracemalloc peak) of evaluate_ones_form on the 2^16-point
+    triangular window, ascending or descending, with its f values given."""
     import tracemalloc
 
-    k, f, n = make_gaussian(), make_constant(1.0), 2**16
+    k, f, n = make_gaussian(), make_constant(1.0), WINDOW_POINTS
     pts = triangular_sequence(1).points(1, n)
+    if order == "descending":
+        pts = pts[::-1]
     table = PointTable(f, None, 256)
     table.points(1, n, pts)
     table.blocks(1, n)
@@ -1321,8 +1341,27 @@ def test_evaluator_holds_nothing_per_point_beyond_its_inputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return r, peak
+
+
+def test_evaluator_holds_nothing_per_point_beyond_its_inputs():
+    """On a monotone 2^16-point triangular window with its f values given,
+    evaluate_ones_form holds at most 4 bytes a point beyond its inputs
+    (under 0.1): it reads consecutive keys in place.  A list of the
+    window's gaps takes about 47."""
+    r, peak = _evaluator_peak("ascending")
     assert r < 0
-    assert peak <= 4 * n
+    assert peak <= 4 * WINDOW_POINTS
+
+
+def test_descending_window_holds_nothing_per_point_beyond_its_inputs():
+    """The same window descending holds at most 4 bytes a point too (under
+    0.1), and gives the ascending window's r bit for bit: a row whose
+    nearest pair lies beyond r* is skipped with no term.  One term for
+    every empty row takes about 97."""
+    r, peak = _evaluator_peak("descending")
+    assert r._mpf_ == _evaluator_peak("ascending")[0]._mpf_
+    assert peak <= 4 * WINDOW_POINTS
 
 
 @pytest.mark.parametrize("through_table", [False, True])
