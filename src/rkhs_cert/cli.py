@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 
@@ -148,15 +147,18 @@ def _section(data: Dict[str, Any], key: str) -> Dict[str, Any]:
 def _cast(caster: Callable[[Any], Any], value: Any, where: str) -> Any:
     """``caster(value)``, with a value it cannot take reported as a ConfigError naming ``where``.
 
-    A boolean is no number here, and an integer takes no fractional float.
+    A boolean is no number here, an integer takes no fractional float, and
+    no number is infinite or NaN.
     """
-    kind = "an integer" if caster is int else "a number"
-    if isinstance(value, bool) or (caster is int and isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{where} must be {kind}, not {value!r}")
+    kind = "an integer" if caster is int else "a finite number"
+    refused = isinstance(value, bool) or (caster is int and isinstance(value, float) and not value.is_integer())
     try:
-        return caster(value)
+        cast = caster(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where} must be {kind}, not {value!r}") from None
+        refused = True
+    if refused or (caster is float and not math.isfinite(cast)):
+        raise ConfigError(f"{where} must be {kind}, not {value!r}")
+    return cast
 
 
 def _list(value: Any, where: str) -> Tuple[Any, ...]:
@@ -186,7 +188,7 @@ def _parse_domain(section: Dict[str, Any]) -> Dict[str, Any]:
         if endpoints is None:
             raise ConfigError("interval domain needs endpoints [a, b]")
         pair = _numbers(endpoints, "interval endpoints")
-        if len(pair) != 2 or not all(math.isfinite(e) for e in pair):
+        if len(pair) != 2:
             raise ConfigError("interval endpoints must be two finite numbers")
         if not pair[0] < pair[1]:
             raise ConfigError("interval endpoints must be strictly increasing")
@@ -197,7 +199,7 @@ def _parse_domain(section: Dict[str, Any]) -> Dict[str, Any]:
         if points is None:
             raise ConfigError("finite_set domain needs a list of points")
         pts = _numbers(points, "finite_set points")
-        if not pts or not all(math.isfinite(p) for p in pts):
+        if not pts:
             raise ConfigError("finite_set points must be a nonempty list of finite numbers")
         if len(set(pts)) != len(pts):
             raise ConfigError("finite_set points must be distinct")
@@ -237,7 +239,7 @@ def config_from_dict(data: Dict[str, Any]) -> RunConfig:
         kwargs["tasks"] = tasks
     if "c_grid" in data and data["c_grid"] is not None:
         grid = _numbers(data["c_grid"], "c_grid")
-        if not grid or any(not (c > 0 and math.isfinite(c)) for c in grid):
+        if not grid or any(not c > 0 for c in grid):
             raise ConfigError("c_grid must be a nonempty list of positive finite scales")
         kwargs["c_grid"] = grid
     kwargs.update(_parse_domain(_section(data, "domain")))
@@ -256,7 +258,7 @@ def config_from_dict(data: Dict[str, Any]) -> RunConfig:
     section = _section(data, "witness")
     if section.get("alpha") is not None:
         alpha = _cast(float, section["alpha"], "witness alpha")
-        if not (alpha > 0 and math.isfinite(alpha)):
+        if not alpha > 0:
             raise ConfigError("witness alpha must be positive and finite")
         kwargs["witness_alpha"] = alpha
     section = _section(data, "psd")
@@ -571,20 +573,16 @@ def _write_csv_tables(directory: str, report: Dict[str, Any]) -> List[str]:
     return written
 
 
-def _load_config_file(path: Optional[str]) -> Dict[str, Any]:
-    if path is None:
-        return {}
+def _load_json_file(path: str, what: str) -> Any:
+    """``load_json(path)``, with a file that cannot be read or parsed reported as one ConfigError line.
+
+    A file that is not UTF-8 or not JSON is a ValueError; one nested too
+    deeply for json's recursive parser is a RecursionError.
+    """
     try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config file must contain a JSON object")
-    return data
+        return load_json(path)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
 
 
 def _apply_flags(data: Dict[str, Any], args: argparse.Namespace) -> Dict[str, Any]:
@@ -592,7 +590,10 @@ def _apply_flags(data: Dict[str, Any], args: argparse.Namespace) -> Dict[str, An
 
     A config flag's argparse dest is its key, dotted inside a section
     (``decay.ell_max``); the other dests (``out``, ``config``, ``c``) are no keys.
+    ``data`` that is not a dict is returned as it is, for config_from_dict to reject.
     """
+    if not isinstance(data, dict):
+        return data
     for dest, value in vars(args).items():
         section, _, key = dest.rpartition(".")
         if value is None or (section or key) not in _KEYS:
@@ -604,7 +605,8 @@ def _apply_flags(data: Dict[str, Any], args: argparse.Namespace) -> Dict[str, An
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = config_from_dict(_apply_flags(_load_config_file(args.config), args))
+    data = {} if args.config is None else _load_json_file(args.config, "config file")
+    cfg = config_from_dict(_apply_flags(data, args))
     try:
         report, code = run(cfg, args.certs_dir)
     except OSError as exc:  # run writes no file but the certificates
@@ -654,10 +656,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        data = load_json(args.certificate)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read certificate {args.certificate!r}: {exc}") from exc
+    data = _load_json_file(args.certificate, "certificate")
     cert = witness_from_dict(data)
     del data  # the point strings: f values take their place while the certificate is checked
     kernel = resolve_kernel(cert.kernel_id)

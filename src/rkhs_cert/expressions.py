@@ -56,6 +56,7 @@ or raises (``sqrt`` of an interval reaching below 0).  It does not see that
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Tuple
 
@@ -163,6 +164,8 @@ def _lower(node: ast.expr, variable: str, literals: List[Any]) -> Tuple[ast.expr
         value = node.value
         if type(value) not in (int, float):
             raise ExpressionError(f"literal {value!r} is not a real number")
+        if not math.isfinite(value):
+            raise ExpressionError("a literal is too large for a double: it reads as inf")
         if type(value) is int and abs(value) >= _EXACT_INT_LIMIT:
             wide = ast.Constant(value)
             return ast.Call(_name("_num"), [wide], []), _libmp_call("from_int", wide)

@@ -2,19 +2,21 @@
 
 Real-valued measurements are emitted as decimal strings with enough digits to
 round-trip the working precision exactly; structural integers (sizes,
-offsets, orders, precisions) stay JSON integers.  Every file is
-``canonical_dumps``'s text, which is byte for byte
+offsets, orders, precisions) stay JSON integers.  Every file's text is
+``canonical_dumps``, which is
 ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"``:
 sorted keys, two-space indentation and a trailing newline, so identical runs
-produce byte-identical files.  No other module of the package writes JSON.
+produce byte-identical files.  No other module of the package writes or
+reads JSON.
 
 A report does not repeat the points of its certificates: each report entry is
 the certificate's dict without ``points``, plus ``points_sha256``, the
 SHA-256 (hex) of the point strings, each followed by a newline.  The points
-live only in the certificate files.  A sweep's certificate files and
-summaries are streamed from the certificates themselves
-(``stream_certificate``), POINT_CHUNK point strings at a time, so writing
-one holds neither a string per point nor the file's whole text.
+live only in the certificate files.  A certificate file and its summary are
+streamed from the certificate itself (``stream_certificate``): the canonical
+text of its other fields, with its point strings written into it
+POINT_CHUNK at a time in json's layout, so writing one holds neither a
+string per point nor the file's whole text.
 """
 
 from __future__ import annotations
@@ -108,87 +110,14 @@ def str_to_number(text: str, precision_bits: int = DEFAULT_PRECISION_BITS) -> An
 
 
 def canonical_dumps(obj: Any) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``, byte for byte.
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``: every file's text.
 
-    Every key and scalar is json's own text, and a dict with a key that is
-    not a str is json's text as a whole.  A nonempty list of plain strings
-    (``_plain_strings``) is written with one join over its items, where json
-    would build a new string for each; at a certificate's size that is most
-    of what writing it holds beyond the text.  The text is made by one final
-    join, which also adds the newline.  A value json cannot encode raises as
-    json would (a circular one as RecursionError).
+    Sorted keys, two-space indentation and a trailing newline, so equal
+    objects give equal bytes.  json's indented encoder makes a string per
+    list item; a certificate's points are written by ``stream_certificate``,
+    which holds a chunk of them at a time.
     """
-    parts: List[str] = []
-    _render(obj, "\n", parts.append)
-    parts.append("\n")
-    return "".join(parts)
-
-
-_json_text = partial(json.dumps, ensure_ascii=False)
-
-# The characters json escapes in a string when ensure_ascii is off.
-_ESCAPED = re.compile(r'["\\\x00-\x1f]')
-
-
-def _plain_strings(items: Sequence[Any]) -> bool:
-    """Whether every item is a str that json writes as it is, between quotes."""
-    try:
-        text = "".join(items)  # one C-level pass: a TypeError names the first item that is no str
-    except TypeError:
-        return False
-    return _ESCAPED.search(text) is None
-
-
-class _Chunks:
-    """A list whose items ``_render`` takes a chunk (a sequence of items) at a time, from ``chunks``."""
-
-    def __init__(self, chunks: Iterable[Sequence[Any]]) -> None:
-        self.chunks = chunks
-
-
-def _render(value: Any, newline: str, write: Callable[[str], Any]) -> None:
-    """Pass json's indented text of ``value`` to ``write``; ``newline`` is a line break and the current indent."""
-    if isinstance(value, (list, tuple)):
-        _render_list([value], newline, write)
-    elif isinstance(value, _Chunks):
-        _render_list(value.chunks, newline, write)
-    elif isinstance(value, dict) and value:
-        if not all(isinstance(key, str) for key in value):
-            # json converts such keys to text, and sorting them can raise: leave it all to json
-            text = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
-            write(text.replace("\n", newline))  # json escapes every newline inside a string
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key in sorted(value):
-            write(separator + _json_text(key) + ": ")
-            _render(value[key], inner, write)
-            separator = "," + inner
-        write(newline + "}")
-    else:
-        write(_json_text(value))
-
-
-def _render_list(chunks: Iterable[Sequence[Any]], newline: str, write: Callable[[str], Any]) -> None:
-    """Pass json's indented text of the list of the chunks' items, in order, to ``write``."""
-    inner = newline + "  "
-    comma = "," + inner
-    separator, empty = "[" + inner, True
-    for chunk in chunks:
-        if not chunk:
-            continue
-        write(separator)
-        separator, empty = comma, False
-        if _plain_strings(chunk):
-            write('"')
-            write(('"' + comma + '"').join(chunk))
-            write('"')
-            continue
-        for k, item in enumerate(chunk):
-            if k:
-                write(comma)
-            _render(item, inner, write)
-    write("[]" if empty else newline + "]")
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def write_json(path: str | Path, obj: Any) -> None:
@@ -256,10 +185,13 @@ def stream_certificate(cert: WitnessCertificate, path: Optional[str | Path] = No
     """``witness_summary(witness_to_dict(cert))``, made POINT_CHUNK point strings at a time.
 
     With ``path``, the certificate's file, ``canonical_dumps(witness_to_dict(cert))``
-    byte for byte, is written there from the same chunks.  No string per
-    point, no whole text and no whole digest input is held.  The file is
-    written under a temporary name in its directory and moved into place
-    with ``os.replace``, so a write that fails (an OSError, which
+    byte for byte, is written there from the same chunks: the canonical text
+    of the fields with an empty point list, split at ``"points": []``, with
+    the point strings between its two parts in json's indented layout.  The
+    split is unambiguous, as json escapes every quote inside a string value.
+    No string per point, no whole text and no whole digest input is held.
+    The file is written under a temporary name in its directory and moved
+    into place with ``os.replace``, so a write that fails (an OSError, which
     propagates) leaves no partial file and no temporary one.
     """
     digest = sha256()
@@ -271,17 +203,22 @@ def stream_certificate(cert: WitnessCertificate, path: Optional[str | Path] = No
             _digest_lines(digest, chunk)
             yield chunk
 
-    data = _witness_fields(cert, _Chunks(chunks()))
+    data = _witness_fields(cert, [])
     if path is None:
-        for _ in data["points"].chunks:
+        for _ in chunks():
             pass
     else:
+        head, _, tail = canonical_dumps(data).partition('"points": []')
         path = Path(path)
         temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             with open(temporary, "w", encoding="utf-8") as out:
-                _render(data, "\n", out.write)
-                out.write("\n")
+                out.write(head + '"points": [')
+                separator = '\n    "'
+                for chunk in chunks():
+                    out.write(separator + '",\n    "'.join(chunk) + '"')
+                    separator = ',\n    "'
+                out.write(("\n  ]" if points else "]") + tail)
             os.replace(temporary, path)
         except BaseException:
             temporary.unlink(missing_ok=True)

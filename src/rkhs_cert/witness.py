@@ -681,8 +681,8 @@ def verify_certificate(
     as many stored points as n_points (the points are not regenerated from
     the sequence), a finite stored kernel diagonal sup no lower than the
     kernel's, n_points at least ``n_threshold`` of it, every point in range
-    (``point_in_range``), and the recomputed r
-    matching the stored value to 2^-100 relative accuracy while being negative.
+    (``point_in_range``), a finite negative stored r, and the recomputed r
+    matching it to 2^-100 relative accuracy while being negative.
 
     Soundness rests on the recomputed r < 0 alone: a negative all-ones form
     on the stored points refutes positive semidefiniteness of the deflated
@@ -743,7 +743,7 @@ def verify_certificate(
         return False
     with workprec(bits):
         stored = mpf(cert.r_value)
-        if stored >= 0:
+        if not -math.inf < stored < 0:
             return False
         tol = mpf(2) ** (-VERIFY_REL_TOL_BITS)
         return bool(abs(r - stored) <= tol * abs(stored))

@@ -716,6 +716,7 @@ def test_csv_dir_unwritable(tmp_path):
         ["--kernel", "custom:1/r"],  # phi(0) undefined
         ["--kernel", "custom:exp(1000-r)"],  # phi(0) overflows a double
         ["--function", "poly:1e308,1e308"],  # the tail bound overflows to alpha = inf
+        ["--function", "expr:1e999"],  # a literal that parses to inf
     ],
 )
 def test_non_finite_inputs_exit_1_with_one_line(tmp_path, capsys, argv):
@@ -723,6 +724,37 @@ def test_non_finite_inputs_exit_1_with_one_line(tmp_path, capsys, argv):
     assert main(["run", "--out", str(out), "--c-grid", "1"] + argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decay-check", "--kernel", "gaussian", "--threshold", "nan"],
+        ["derivatives", "--kernel", "gaussian", "--fd-x", "inf"],
+        ["interp-norm", "--kernel", "gaussian", "--function", "paper_example", "--ridge", "nan"],
+        ["psd-check", "--kernel", "gaussian", "--control-x0", "inf"],
+    ],
+)
+def test_non_finite_config_numbers_exit_1_with_one_line(tmp_path, capsys, argv):
+    # NaN and inf are no JSON numbers, so the report could not hold them
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "must be a finite number" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_deeply_nested_json_exits_1_with_one_line(tmp_path, capsys, command):
+    # json's parser recurses once per bracket: 10^5 of them exceed the recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**5 + "]" * 10**5)
+    out = tmp_path / "r.json"
+    argv = ["run", "--config", str(path), "--out", str(out)] if command == "run" else ["verify", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read") and "recursion" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -848,6 +880,7 @@ def test_verify_search_error_exits_2_without_traceback(tmp_path, capsys):
         {"interpolant": {"rule": "bogus"}},
         {"interpolant": {"rule": 5}},
         {"ell_max": -1},
+        [1, 2],  # no object: a flag has no key to set
     ],
 )
 @pytest.mark.parametrize("extra", [[], ["--alpha", "0.5"]], ids=["config", "alpha-override"])
@@ -898,14 +931,22 @@ def test_verify_of_mistyped_certificate_exits_1_with_one_line(tmp_path, capsys, 
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("field", ["alpha", "c"])
-def test_verify_rejects_an_infinite_scale_or_tail_bound(tmp_path, capsys, field):
-    # either one makes the window threshold 0, which any window would clear
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        pytest.param("alpha", "inf", id="alpha"),
+        pytest.param("c", "inf", id="c"),
+        pytest.param("r_value", "-inf", id="r_value"),
+    ],
+)
+def test_verify_rejects_an_infinite_scale_or_tail_bound(tmp_path, capsys, field, value):
+    # an infinite c or alpha makes the window threshold 0, which any window
+    # would clear; an r of -inf matches any r to 2^-100, as inf <= inf
     path = tmp_path / "cert.json"
     args = ["--kernel", "gaussian", "--function", "constant:1.0", "--c", "1"]
     assert main(["witness", "--out", str(path)] + args) == 0
     data = json.loads(path.read_text())
-    data[field] = "inf"
+    data[field] = value
     path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(path)]) == 2

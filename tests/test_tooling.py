@@ -131,25 +131,28 @@ def test_every_kept_import_is_one_the_tracer_patches():
     assert stale_keeps(sources, TRACER.read_text()) == []
 
 
-# The one module that may write JSON: its canonical_dumps is checked against json's own text.
-JSON_WRITER = "serialize.py"
+# The one module that may write or read JSON: canonical_dumps and load_json are its formats.
+JSON_MODULE = "serialize.py"
+
+JSON_WRITES = ("dump", "dumps")
+JSON_READS = ("load", "loads")
 
 
-def json_writes(source: str) -> list:
-    """Lines that call ``json.dump`` or ``json.dumps``, under any name an import gives them."""
+def json_calls(source: str, names: tuple) -> list:
+    """Lines that call json's functions ``names``, under any name an import gives them."""
     tree = ast.parse(source)
     modules, functions = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules.update(alias.asname or alias.name for alias in node.names if alias.name == "json")
         elif isinstance(node, ast.ImportFrom) and node.module == "json":
-            functions.update(alias.asname or alias.name for alias in node.names if alias.name in ("dump", "dumps"))
+            functions.update(alias.asname or alias.name for alias in node.names if alias.name in names)
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps"):
+        if isinstance(func, ast.Attribute) and func.attr in names:
             if isinstance(func.value, ast.Name) and func.value.id in modules:
                 found.append(node.lineno)
         elif isinstance(func, ast.Name) and func.id in functions:
@@ -168,14 +171,36 @@ def test_json_write_check_finds_each_spelling():
         "d(1)\n"
         "text.dumps(1)\n"
     )
-    assert json_writes(source) == [5, 6, 7]
+    assert json_calls(source, JSON_WRITES) == [5, 6, 7]
 
 
 def test_only_serialize_writes_json():
     modules = sorted(PACKAGE.glob("*.py"))
-    assert JSON_WRITER in {p.name for p in modules}
-    writers = {p.name: found for p in modules if (found := json_writes(p.read_text()))}
-    assert set(writers) <= {JSON_WRITER}
+    assert JSON_MODULE in {p.name for p in modules}
+    writers = {p.name: found for p in modules if (found := json_calls(p.read_text(), JSON_WRITES))}
+    assert set(writers) <= {JSON_MODULE}
+
+
+def test_json_read_check_finds_each_spelling():
+    source = (
+        "import json\n"
+        "import json as j\n"
+        "from json import loads as parse, load\n"
+        "json.dumps(1)\n"
+        "json.loads('1')\n"
+        "j.load(f)\n"
+        "parse('1')\n"
+        "load(f)\n"
+        "pickle.loads(b'')\n"
+    )
+    assert json_calls(source, JSON_READS) == [5, 6, 7, 8]
+
+
+def test_only_serialize_reads_json():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert JSON_MODULE in {p.name for p in modules}
+    readers = {p.name: found for p in modules if (found := json_calls(p.read_text(), JSON_READS))}
+    assert set(readers) <= {JSON_MODULE}
 
 
 # The one module that sums a list of terms: neumaier_sum's exact rounding is argued there.
