@@ -164,7 +164,7 @@ def _lower(node: ast.expr, variable: str, literals: List[Any]) -> Tuple[ast.expr
         value = node.value
         if type(value) not in (int, float):
             raise ExpressionError(f"literal {value!r} is not a real number")
-        if not math.isfinite(value):
+        if type(value) is float and not math.isfinite(value):
             raise ExpressionError("a literal is too large for a double: it reads as inf")
         if type(value) is int and abs(value) >= _EXACT_INT_LIMIT:
             wide = ast.Constant(value)

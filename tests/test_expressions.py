@@ -110,6 +110,7 @@ def _disallowed(source):
         ("exp(x)(x)", "only plain calls of whitelisted functions are allowed"),
         ("exp(y, x=1)", "only plain calls of whitelisted functions are allowed"),
         ("_num(1)", "function '_num' is not in the whitelist"),
+        ("x + 1e999", "a literal is too large for a double: it reads as inf"),
         # a source of up to 60 characters is quoted whole, a longer one by its first 60 and its length
         pytest.param(
             "(" + "x+" * 29, "cannot parse expression " + repr("(" + "x+" * 29) + ": '(' was never closed",
@@ -146,6 +147,14 @@ def test_literals_do_not_depend_on_compile_precision():
     with workprec(256):
         assert wide.eval_mp(0) - 2**53 == 1
         assert tenth.eval_mp(0) == mpmath.mpf(0.1)
+
+
+def test_an_integer_literal_beyond_the_double_range_compiles_exactly():
+    # 2^1100 + 1 is finite as a Python int but overflows a double, so only
+    # float literals may be refused as non-finite.
+    huge = compile_expression("x + " + str(2**1100 + 1), "x")
+    with workprec(1200):
+        assert huge.eval_mp(0) - mpmath.mpf(2) ** 1100 == 1
 
 
 def test_sinpi_vanishes_exactly_at_integers_in_mp():
