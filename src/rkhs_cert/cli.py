@@ -31,6 +31,7 @@ from .serialize import (
     canonical_dumps,
     decay_to_dict,
     derivative_report_to_dict,
+    load_certificate,
     load_json,
     norm_trace_to_dict,
     number_to_str,
@@ -573,14 +574,14 @@ def _write_csv_tables(directory: str, report: Dict[str, Any]) -> List[str]:
     return written
 
 
-def _load_json_file(path: str, what: str) -> Any:
-    """``load_json(path)``, with a file that cannot be read or parsed reported as one ConfigError line.
+def _load_json_file(load: Callable[[str], Any], path: str, what: str) -> Any:
+    """``load(path)``, with a file that cannot be read or parsed reported as one ConfigError line.
 
     A file that is not UTF-8 or not JSON is a ValueError; one nested too
     deeply for json's recursive parser is a RecursionError.
     """
     try:
-        return load_json(path)
+        return load(path)
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
 
@@ -605,7 +606,7 @@ def _apply_flags(data: Dict[str, Any], args: argparse.Namespace) -> Dict[str, An
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    data = {} if args.config is None else _load_json_file(args.config, "config file")
+    data = {} if args.config is None else _load_json_file(load_json, args.config, "config file")
     cfg = config_from_dict(_apply_flags(data, args))
     try:
         report, code = run(cfg, args.certs_dir)
@@ -656,9 +657,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    data = _load_json_file(args.certificate, "certificate")
+    data = _load_json_file(load_certificate, args.certificate, "certificate")
     cert = witness_from_dict(data)
-    del data  # the point strings: f values take their place while the certificate is checked
+    del data  # its point list: the certificate holds the same points as its own tuple
     kernel = resolve_kernel(cert.kernel_id)
     f = resolve_function(cert.function_id, kernel)
     try:

@@ -17,6 +17,14 @@ streamed from the certificate itself (``stream_certificate``): the canonical
 text of its other fields, with its point strings written into it
 POINT_CHUNK at a time in json's layout, so writing one holds neither a
 string per point nor the file's whole text.
+
+A certificate file is read back by ``load_certificate``, which gives what
+``load_json`` gives but for its point list: it walks the top-level object
+with json's own scanner and reads the ``points`` array one element at a
+time, so each point string that ``int()`` reads, in range, becomes that int
+as it is read.  It holds the file's text and the parsed points, not a string
+per point.  Text that it does not read as json does is handed to
+``json.loads`` whole, so every refusal is json's own.
 """
 
 from __future__ import annotations
@@ -126,6 +134,99 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 def load_json(path: str | Path) -> Any:
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+_scan_value = json.JSONDecoder().scan_once
+_skip_space = json.decoder.WHITESPACE.match
+_comma = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
+
+
+def load_certificate(path: str | Path) -> Any:
+    """``load_json(path)``, but each point string that ``int()`` reads, in range, is that int.
+
+    For such a string ``int(v)`` is what ``str_to_number(v)`` returns at any
+    precision, so ``witness_from_dict`` reads the same certificate from
+    either; the strings themselves are never held together.  A text that
+    ``_certificate_object`` does not read is ``json.loads``'s to refuse or,
+    if it is not an object, to read: every outcome but the point ints is
+    json's own.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return _certificate_object(text)
+    except (ValueError, StopIteration, RecursionError):
+        return json.loads(text)
+
+
+def _certificate_object(text: str) -> Dict[str, Any]:
+    """``json.loads(text)`` for a text that is one JSON object, its ``points`` array read by ``_point_array``.
+
+    Members are read as json's object parser reads them; anything else it
+    would refuse raises a ValueError, or StopIteration from the scanner.
+    """
+    end = _skip_space(text).end()
+    if text[end : end + 1] != "{":
+        raise ValueError("not a JSON object")
+    data: Dict[str, Any] = {}
+    end = _skip_space(text, end + 1).end()
+    if text[end : end + 1] == "}":
+        end += 1
+    else:
+        while True:
+            if text[end : end + 1] != '"':
+                raise ValueError("expecting a member name")
+            key, end = json.decoder.scanstring(text, end + 1)
+            end = _skip_space(text, end).end()
+            if text[end : end + 1] != ":":
+                raise ValueError("expecting ':'")
+            end = _skip_space(text, end + 1).end()
+            if key == "points" and text[end : end + 1] == "[":
+                data[key], end = _point_array(text, end + 1)
+            else:
+                data[key], end = _scan_value(text, end)
+            comma = _comma(text, end)
+            if comma is None:
+                end = _closed(text, end, "}")
+                break
+            end = comma.end()
+    if _skip_space(text, end).end() != len(text):
+        raise ValueError("extra data")
+    return data
+
+
+def _point_array(text: str, end: int) -> Tuple[List[Any], int]:
+    """The JSON array whose elements start at ``end``, after its ``[``, and the index past its ``]``.
+
+    Each element is scanned as json scans it; a string that ``int()`` reads
+    as a point in range is kept as that int, and its string is dropped.
+    """
+    points: List[Any] = []
+    end = _skip_space(text, end).end()
+    if text[end : end + 1] == "]":
+        return points, end + 1
+    while True:
+        value, end = _scan_value(text, end)
+        if type(value) is str:
+            try:
+                number = int(value)
+            except ValueError:
+                pass
+            else:
+                if point_in_range(number):
+                    value = number
+        points.append(value)
+        comma = _comma(text, end)
+        if comma is None:
+            return points, _closed(text, end, "]")
+        end = comma.end()
+
+
+def _closed(text: str, end: int, close: str) -> int:
+    """The index past ``close``, which must follow ``end`` after whitespace."""
+    end = _skip_space(text, end).end()
+    if text[end : end + 1] != close:
+        raise ValueError(f"expecting ',' or {close!r}")
+    return end + 1
 
 
 def _num_list(values: Iterable[Any], precision_bits: int) -> List[str]:
@@ -272,15 +373,14 @@ def _field(data: Dict[str, Any], key: str, parse: Callable[[Any], Any]) -> Any:
 
 
 def _points(value: Any, precision_bits: int) -> Tuple[Any, ...]:
-    """A list of stored points: each ``_real(str(v))``, finite and below 2**1024 in magnitude."""
+    """A list of stored points: each int as it is, any other ``_real(str(v))``; finite, below 2**1024 in magnitude."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list, not {value!r}")
     points = []
     for v in value:
-        text = str(v)
-        point = _real(text, precision_bits)
+        point = v if type(v) is int else _real(str(v), precision_bits)
         if not point_in_range(point):
-            raise ValueError(f"expected a finite point below 2**{MAX_POINT_BITS} in magnitude, not {text!r}")
+            raise ValueError(f"expected a finite point below 2**{MAX_POINT_BITS} in magnitude, not {str(v)!r}")
         points.append(point)
     return tuple(points)
 

@@ -96,6 +96,12 @@ _make_mpf = mpmath.mp.make_mpf
 # Most points a full sum takes: without a truncation radius it costs N^2 / 2 profile values.
 DENSE_FALLBACK_LIMIT = 4096
 
+# Most points a search window may take, doublings included.  The default grid's
+# largest window, 968,499 points at c = 2^-8, stays below it after six
+# doublings; a scale whose window is larger (N is about 1.5 * 10^9 for
+# paper_example at c = 10^-4) fails before any of its points is generated.
+MAX_WINDOW_POINTS = 2**26
+
 # Points lie in the double range, below 2**1024 in magnitude.  A kernel value
 # at a point far beyond it costs time that grows with the point's magnitude
 # (about 0.5 s at 2**65536 and 256 bits, against 1 ms at 2**1024), so such a
@@ -634,6 +640,11 @@ def _search(
     n = max(n_threshold(c_k, c, alpha_value), 2)
     last_r = None
     for _ in range(doubling_cap + 1):
+        if n > MAX_WINDOW_POINTS:
+            raise WitnessSearchError(
+                f"window of {mpmath.nstr(mpf(n), 6)} points exceeds the search limit of {MAX_WINDOW_POINTS}",
+                reason="window-too-large",
+            )
         ell = find_ell(kernel, sequence, n, bound, ell_max, precision_bits, min_ell, table)
         points = table.points(ell + 1, n)
         r = evaluate_ones_form(

@@ -8,15 +8,26 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rkhs_cert.cli import ALL_TASKS, RunConfig, config_from_dict, main, run
 from rkhs_cert.errors import ConfigError
 from rkhs_cert.registry import resolve_kernel, resolve_sequence
-from rkhs_cert.serialize import load_json, number_to_str, witness_to_dict
+from rkhs_cert.sequences import SequenceSpec
+from rkhs_cert.serialize import (
+    canonical_dumps,
+    load_certificate,
+    load_json,
+    number_to_str,
+    witness_from_dict,
+    witness_to_dict,
+)
+from rkhs_cert.witness import MAX_WINDOW_POINTS
 from test_serialize import _JSON, _cert
 
 
@@ -582,6 +593,42 @@ def test_starved_window_reports_inconclusive():
     )
 
 
+def _no_window_beyond_the_search_limit(monkeypatch):
+    """Make a request for more than MAX_WINDOW_POINTS sequence points fail at once, not generate them."""
+    points = SequenceSpec.points
+
+    def bounded(self, start, count):
+        assert count <= MAX_WINDOW_POINTS, f"asked for {count} sequence points"
+        return points(self, start, count)
+
+    monkeypatch.setattr(SequenceSpec, "points", bounded)
+
+
+@pytest.mark.parametrize("c", ["1e-4", "1e-300"])
+def test_witness_beyond_the_window_limit_exits_2_at_once(monkeypatch, capsys, c):
+    # paper_example needs N = 1,477,811,220 at c = 10^-4 and about 1.5 * 10^601
+    # at 10^-300: the search refuses either window before any of its points
+    _no_window_beyond_the_search_limit(monkeypatch)
+    start = time.perf_counter()
+    code = main(["witness", "--kernel", "gaussian", "--function", "paper_example", "--c", c])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("no witness: window of 1.47781e+") and err.count("\n") == 1
+    assert err.endswith(f"points exceeds the search limit of {MAX_WINDOW_POINTS}\n")
+
+
+def test_run_fails_the_scales_beyond_the_window_limit_and_certifies_the_rest(monkeypatch):
+    _no_window_beyond_the_search_limit(monkeypatch)
+    report, code = run(config_from_dict({"function": "paper_example", "c_grid": [1.0, 1e-4, 0.5, 1e-300]}))
+    assert code == 0
+    assert report["verdict_summary"].startswith("inconclusive")
+    witness = report["results"]["witness"]
+    assert [cert["c"] for cert in witness["certificates"]] == ["1.0", "0.5"]
+    assert [float(failure["c"]) for failure in witness["failures"]] == [1e-4, 1e-300]
+    assert all(failure["reason"].startswith("window-too-large") for failure in witness["failures"])
+
+
 def test_config_witness_alpha_validation():
     with pytest.raises(ConfigError, match="alpha must be positive"):
         config_from_dict({"witness": {"alpha": -2.0}})
@@ -979,6 +1026,100 @@ def test_verify_of_any_json_field_exits_with_at_most_one_line(field, value):
             code = main(["verify", str(path)])
     assert code in (0, 1, 2)
     assert err.getvalue().count("\n") <= 1
+
+
+_POINT_VALUES = st.one_of(
+    st.sampled_from(
+        ["6", " 6", "6\n", "1_000", "+6", "-0", "6.0", "6.5", "1e3", "\u0663", "1/2", "inf", "nan", "", "x",
+         str(2**1024), "+" + str(2**1024), str(-(2**1023)), "1" + "0" * 5000,
+         2**1024, -(2**1023), 1.5, True, None, [6], {"6": 6}]
+    ),
+    st.integers(-3, 10**6),
+    st.integers(-3, 10**6).map(str),
+)
+_POINT_LISTS = st.one_of(st.just(_CERT_DICT["points"]), st.just([1, 3, 6]), st.lists(_POINT_VALUES, max_size=5))
+
+
+@st.composite
+def _certificate_texts(draw):
+    """A certificate's JSON text in one of several layouts, its points spelled
+    in several ways, then perhaps truncated, or with a character deleted or inserted."""
+    data = dict(_CERT_DICT, points=draw(_POINT_LISTS))
+    layout = draw(st.sampled_from(["canonical", "compact", "tabs", "shuffled", "twice, first", "twice, last", "list"]))
+    compact = json.dumps(data, separators=(",", ":"))
+    other = json.dumps(draw(_POINT_LISTS))
+    if layout == "canonical":
+        text = canonical_dumps(data)
+    elif layout == "compact":
+        text = compact
+    elif layout == "tabs":
+        text = json.dumps(data, indent="\t", sort_keys=True)
+    elif layout == "shuffled":
+        text = json.dumps({key: data[key] for key in draw(st.permutations(sorted(data)))}, indent=1)
+    elif layout == "twice, first":
+        text = '{"points": ' + other + ", " + compact[1:]
+    elif layout == "twice, last":
+        text = compact[:-1] + ', "points": ' + other + "}"
+    else:
+        text = json.dumps([data])
+    edit = draw(st.sampled_from(["none", "truncate", "delete", "insert"]))
+    # anywhere, or at a delimiter, where json's grammar has the most to refuse
+    delimiters = [i for i, char in enumerate(text) if char in '[]{},:"']
+    at = draw(st.integers(0, len(text)) | st.sampled_from(delimiters or [0]))
+    if edit == "truncate":
+        text = text[:at]
+    elif edit == "delete":
+        text = text[:at] + text[at + 1 :]
+    elif edit == "insert":
+        text = text[:at] + draw(st.sampled_from(list('"{}[],:0-1.e\\x \t\n\r\x00\ufeff\u00e9'))) + text[at:]
+    return text
+
+
+def _fields(cert):
+    """A certificate's fields as comparable values: each mpf's bits, each float's hex."""
+    def bits(value):
+        if isinstance(value, tuple):
+            return tuple(bits(v) for v in value)
+        if isinstance(value, float):
+            return float, value.hex()
+        return type(value), getattr(value, "_mpf_", value)
+
+    return [bits(getattr(cert, f.name)) for f in fields(cert)]
+
+
+@given(text=_certificate_texts())
+@settings(max_examples=300, deadline=None)
+@example(text=json.dumps(dict(_CERT_DICT, points=["1", "+" + str(2**1024)])))
+@example(text=canonical_dumps(_CERT_DICT).replace('"6"\n', '"6",\n'))
+@example(text=canonical_dumps(_CERT_DICT).replace('"\n}', '",\n}'))
+def test_certificate_reader_reads_as_json_loads_does(text):
+    """``load_certificate`` gives ``witness_from_dict`` the certificate, or the
+    refusal, that ``load_json`` gives it: equal fields, or the same error and
+    message.  ``verify`` through either exits with the same code and output."""
+    from unittest.mock import patch
+
+    import rkhs_cert.cli as cli
+
+    def outcome(load):
+        try:
+            return _fields(witness_from_dict(load(path)))
+        except (ValueError, RecursionError) as exc:
+            return type(exc), str(exc)
+
+    def verify():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(path)])
+        return code, out.getvalue(), err.getvalue()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(text, encoding="utf-8")
+        assert outcome(load_certificate) == outcome(load_json)
+        streamed = verify()
+        with patch.object(cli, "load_certificate", load_json):
+            assert verify() == streamed
+    assert streamed[2].count("\n") <= 1
 
 
 # --- every subcommand's flags are config keys ---------------------------------------

@@ -14,6 +14,7 @@ from rkhs_cert import serialize
 from rkhs_cert.serialize import (
     POINT_CHUNK,
     canonical_dumps,
+    load_certificate,
     load_json,
     number_to_str,
     points_sha256,
@@ -218,6 +219,30 @@ def test_streamed_certificate_holds_no_string_per_point(tmp_path):
     assert (tmp_path / "cert.json").read_text(encoding="utf-8") == canonical_dumps(data)
     assert summary == witness_summary(data)
     assert peak <= 16 * n
+
+
+def test_certificate_read_holds_no_string_per_point(tmp_path):
+    """Reading a 2^16-point certificate file with ``load_certificate`` and
+    ``witness_from_dict`` holds at most 32 bytes a point beyond the
+    certificate it returns (about 18: the file's text, held while its points
+    are read).  Reading it with ``load_json`` holds about 76: the text and a
+    string per point at once, then the strings beside the points."""
+    import tracemalloc
+
+    n = 2**16
+    points = triangular_sequence(1).points(1, n)
+    path = tmp_path / "cert.json"
+    stream_certificate(_certificate(points), path)
+    witness_from_dict(load_certificate(path))
+    tracemalloc.start()
+    try:
+        cert = witness_from_dict(load_certificate(path))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert == witness_from_dict(load_json(path))
+    assert cert.points == tuple(points)
+    assert peak - held <= 32 * n
 
 
 def test_write_and_load_json(tmp_path):

@@ -131,32 +131,42 @@ def test_every_kept_import_is_one_the_tracer_patches():
     assert stale_keeps(sources, TRACER.read_text()) == []
 
 
-# The one module that may write or read JSON: canonical_dumps and load_json are its formats.
+# The one module that may write or read JSON: canonical_dumps, load_json and load_certificate are its formats.
 JSON_MODULE = "serialize.py"
 
 JSON_WRITES = ("dump", "dumps")
-JSON_READS = ("load", "loads")
+JSON_READS = ("load", "loads", "JSONDecoder", "raw_decode", "scan_once", "scanstring", "make_scanner")
 
 
 def json_calls(source: str, names: tuple) -> list:
-    """Lines that call json's functions ``names``, under any name an import gives them."""
+    """Lines that use json's ``names``, under any name an import gives them.
+
+    A use is ``m.name``, on a name that an import binds to json, to one of
+    its submodules or to anything else imported from them, through attribute
+    and call chains (``json.decoder.scanstring``,
+    ``json.JSONDecoder().scan_once``), or a name imported as one of
+    ``names`` from json or a submodule (``from json.decoder import scanstring``).
+    """
     tree = ast.parse(source)
     modules, functions = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            modules.update(alias.asname or alias.name for alias in node.names if alias.name == "json")
-        elif isinstance(node, ast.ImportFrom) and node.module == "json":
-            functions.update(alias.asname or alias.name for alias in node.names if alias.name in names)
-    found = []
+            modules.update(
+                alias.asname or "json" for alias in node.names if alias.name.partition(".")[0] == "json"
+            )
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "json":
+            for alias in node.names:
+                (functions if alias.name in names else modules).add(alias.asname or alias.name)
+    found = set()
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in names:
-            if isinstance(func.value, ast.Name) and func.value.id in modules:
-                found.append(node.lineno)
-        elif isinstance(func, ast.Name) and func.id in functions:
-            found.append(node.lineno)
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            root = node.value
+            while isinstance(root, (ast.Attribute, ast.Call)):
+                root = root.value if isinstance(root, ast.Attribute) else root.func
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.add(node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in functions:
+            found.add(node.lineno)
     return sorted(found)
 
 
@@ -192,8 +202,20 @@ def test_json_read_check_finds_each_spelling():
         "parse('1')\n"
         "load(f)\n"
         "pickle.loads(b'')\n"
+        "import json.decoder\n"
+        "import json.scanner as js\n"
+        "from json import decoder\n"
+        "from json.decoder import scanstring as scan, JSONDecoder\n"
+        "json.decoder.scanstring('\"a\"', 1)\n"
+        "json.JSONDecoder().raw_decode('1')\n"
+        "js.make_scanner(context)\n"
+        "read = decoder.JSONDecoder(strict=False).scan_once\n"
+        "scan('\"a\"', 1)\n"
+        "JSONDecoder\n"
+        "text.scanstring('1')\n"
+        "decoder.WHITESPACE.match(' ')\n"
     )
-    assert json_calls(source, JSON_READS) == [5, 6, 7, 8]
+    assert json_calls(source, JSON_READS) == [5, 6, 7, 8, 14, 15, 16, 17, 18, 19]
 
 
 def test_only_serialize_reads_json():

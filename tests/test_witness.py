@@ -707,6 +707,21 @@ def test_window_no_path_can_take_costs_no_f_values():
     assert calls == []
 
 
+def test_doubling_beyond_the_window_limit_is_refused_before_its_points(monkeypatch):
+    from rkhs_cert import witness
+
+    # kernel sections never certify: windows of N, 2N and 4N points, then 8N is refused
+    k = make_gaussian()
+    n = n_threshold(1.0, 1.0, 0.5)
+    monkeypatch.setattr(witness, "MAX_WINDOW_POINTS", 4 * n)
+    member, calls = _counting(kernel_section(k, 0.0))
+    with pytest.raises(WitnessSearchError) as exc:
+        build_witness(k, member, triangular_sequence(1), 1.0, alpha=0.5)
+    assert exc.value.reason == "window-too-large"
+    assert str(exc.value) == f"window of {mpmath.nstr(mpf(8 * n), 6)} points exceeds the search limit of {4 * n}"
+    assert len(calls) == len(set(calls)) == 4 * n
+
+
 def test_kernel_without_radial_profile_is_refused():
     # bounded but not radial: the offset search refuses it before any point,
     # and so does the evaluator
