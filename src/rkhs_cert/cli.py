@@ -1,9 +1,15 @@
 """Command-line interface: configured diagnostic runs and certificate checks.
 
-Exit codes: 0 on success (including honest negative outcomes like "no witness
-found"), 1 for configuration problems (unknown identifiers, malformed config,
-unwritable paths), 2 when a requested task errors or a certificate fails or
-cannot complete verification.
+Exit codes: 0 on success (including honest negative outcomes: a sweep that
+finds no witness at some scale), 1 for configuration problems (a bad flag
+value, a usage error such as a missing or unknown argument, unknown
+identifiers, malformed config, unwritable paths), 2 when a requested task
+errors (``witness`` finding no witness among them) or a certificate fails or
+cannot complete verification.  Each error is one line on stderr.
+
+Every flag but ``--config``, ``--out``, ``--certs-dir``, ``--csv-dir`` and
+``witness --c`` is a config key, and its text reaches config_from_dict as
+it is, to be converted and checked there as a config file's string is.
 """
 
 from __future__ import annotations
@@ -16,10 +22,10 @@ import sys
 import mpmath
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .analytic import analyticity_envelope
-from .errors import ConfigError, EvaluationError, SingularGramError, WitnessSearchError
+from .errors import ConfigError, EvaluationError, WitnessSearchError
 from .interpolant import EXTENSION_RULES, norm_growth_trace
 from .kernels import check_analytic_constants
 from .quadform import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS
@@ -42,6 +48,8 @@ from .serialize import (
 )
 from .serialize import witness_to_dict  # noqa: F401  unused; perfbench/trace_child.py patches it here
 from .witness import (
+    DEFAULT_DOUBLING_CAP,
+    DEFAULT_ELL_MAX,
     PointTable,
     SweepResult,
     build_witness,
@@ -67,14 +75,14 @@ class RunConfig:
     sequence: str = "triangular+"
     tasks: Tuple[str, ...] = ("witness",)
     c_grid: Optional[Tuple[float, ...]] = None
-    ell_max: int = 10**6
+    ell_max: int = DEFAULT_ELL_MAX
     precision_bits: int = DEFAULT_PRECISION_BITS
     jobs: int = 1
     domain_kind: str = "full_line"
     domain_endpoints: Optional[Tuple[float, float]] = None
     domain_points: Optional[Tuple[float, ...]] = None
     has_accumulation_point: bool = True
-    witness_doubling_cap: int = 6
+    witness_doubling_cap: int = DEFAULT_DOUBLING_CAP
     witness_alpha: Optional[float] = None
     psd_num_points: int = 8
     psd_points: Optional[Tuple[float, ...]] = None
@@ -477,7 +485,7 @@ def run(cfg: RunConfig, certs_dir: Optional[str] = None) -> Tuple[Dict[str, Any]
                     sequence=sequence,
                 )
                 results["interpolant"] = norm_trace_to_dict(trace, cfg.precision_bits)
-        except (ValueError, ArithmeticError, WitnessSearchError, SingularGramError) as exc:
+        except (ValueError, ArithmeticError, WitnessSearchError) as exc:
             errors[task] = f"{type(exc).__name__}: {exc}"
     report = {
         "schema": REPORT_SCHEMA,
@@ -591,6 +599,8 @@ def _apply_flags(data: Dict[str, Any], args: argparse.Namespace) -> Dict[str, An
 
     A config flag's argparse dest is its key, dotted inside a section
     (``decay.ell_max``); the other dests (``out``, ``config``, ``c``) are no keys.
+    Its value is the text given, or for a comma-list key the list of its
+    entries' texts, unconverted: config_from_dict converts and checks it.
     ``data`` that is not a dict is returned as it is, for config_from_dict to reject.
     """
     if not isinstance(data, dict):
@@ -715,14 +725,60 @@ def _comma_list(text: str) -> List[str]:
     return [entry.strip() for entry in text.split(",") if entry.strip()]
 
 
-def _flag(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs: Any) -> None:
-    """Add ``flag``, which sets config key ``key``; it has no default, the config does."""
-    metavar = None if "choices" in kwargs else flag[2:].replace("-", "_").upper()
-    parser.add_argument(flag, dest=key, metavar=metavar, **kwargs)
+# The help of the config flags whose name does not say it all, at their config keys.
+_FLAG_HELP = {
+    "tasks": "comma-separated subset of: " + ",".join(ALL_TASKS),
+    "c_grid": "comma-separated positive scales",
+    "jobs": "at most this many worker processes; scales are dealt round-robin and each worker shares f values",
+    "witness.alpha": "declared tail lower bound for the witness task",
+    "psd.points": "comma-separated nodes (default: first sequence points)",
+    "interpolant.base_points": "comma-separated base nodes",
+    "interpolant.rule": "one of: " + ",".join(EXTENSION_RULES),
+}
+_COMMA_KEYS = ("tasks", "c_grid", "psd.points", "interpolant.base_points")
+
+# The single-task commands: (command, task, help, config keys of its flags).
+_TASK_COMMANDS = (
+    ("decay-check", "decay", "measure off-diagonal kernel decay",
+     ("kernel", "sequence", "decay.window", "decay.ell_max", "decay.threshold", "precision_bits")),
+    ("psd-check", "psd", "PSD test of the kernel Gram matrix",
+     ("kernel", "sequence", "psd.points", "psd.num_points", "psd.control_x0", "precision_bits")),
+    ("derivatives", "analytic", "diagonal derivative bounds and envelope",
+     ("kernel", "analytic.n_max", "analytic.norm_bound", "analytic.fd_step", "analytic.fd_x", "precision_bits")),
+    ("interp-norm", "interpolant", "minimum-norm interpolant growth trace",
+     ("kernel", "function", "sequence", "interpolant.base_points", "interpolant.rule", "interpolant.steps",
+      "interpolant.ridge", "precision_bits")),
+)
+
+
+def _config_flags(parser: argparse.ArgumentParser, keys: Sequence[str], required: bool = False) -> None:
+    """Add one flag per config key in ``keys``, each setting its key to the text given.
+
+    The flag is "--" and the key's last part, "_" written "-"; only
+    ``interpolant.base_points`` is ``--points``.  It has no default, type or
+    choices: config_from_dict supplies the default and converts and checks
+    the text.  A comma-list key's text is split into its entries first.
+    With ``required``, ``--kernel`` and ``--function`` must be given: every
+    command but ``run``, which may read them from a config file, asks that.
+    """
+    for key in keys:
+        name = "points" if key == "interpolant.base_points" else key.rpartition(".")[2]
+        parser.add_argument(
+            "--" + name.replace("_", "-"), dest=key, metavar=name.upper(),
+            required=required and key in ("kernel", "function"),
+            type=_comma_list if key in _COMMA_KEYS else None, help=_FLAG_HELP.get(key),
+        )
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its subparsers, whose usage errors raise ConfigError."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rkhs-cert",
         description=(
             "Witness-based certificates that candidate functions lie outside "
@@ -733,79 +789,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute configured diagnostic tasks")
     p_run.add_argument("--config", help="JSON config file")
-    _flag(p_run, "--kernel", "kernel")
-    _flag(p_run, "--function", "function")
-    _flag(p_run, "--sequence", "sequence")
-    _flag(p_run, "--tasks", "tasks", type=_comma_list, help="comma-separated subset of: " + ",".join(ALL_TASKS))
-    _flag(p_run, "--c-grid", "c_grid", type=_comma_list, help="comma-separated positive scales")
-    _flag(p_run, "--ell-max", "ell_max", type=int)
-    _flag(p_run, "--precision-bits", "precision_bits", type=int)
-    _flag(
-        p_run,
-        "--jobs",
-        "jobs",
-        type=int,
-        help="at most this many worker processes; scales are dealt round-robin and each worker shares f values",
-    )
-    _flag(p_run, "--alpha", "witness.alpha", type=float, help="declared tail lower bound for the witness task")
+    run_keys = ("kernel", "function", "sequence", "tasks", "c_grid", "ell_max", "precision_bits", "jobs",
+                "witness.alpha")
+    _config_flags(p_run, run_keys)
     p_run.add_argument("--out", required=True, help="report output path")
-    p_run.add_argument("--certs-dir", dest="certs_dir", help="also write one JSON file per certificate")
-    p_run.add_argument("--csv-dir", dest="csv_dir", help="also write one CSV table per task result")
+    p_run.add_argument("--certs-dir", help="also write one JSON file per certificate")
+    p_run.add_argument("--csv-dir", help="also write one CSV table per task result")
     p_run.set_defaults(func=_cmd_run)
 
     p_wit = sub.add_parser("witness", help="build a single negativity certificate")
-    _flag(p_wit, "--kernel", "kernel", required=True)
-    _flag(p_wit, "--function", "function", required=True)
-    _flag(p_wit, "--sequence", "sequence")
-    p_wit.add_argument("--c", type=float, required=True)
-    _flag(p_wit, "--alpha", "witness.alpha", type=float, help="override the tail lower bound")
-    _flag(p_wit, "--ell-max", "ell_max", type=int)
-    _flag(p_wit, "--precision-bits", "precision_bits", type=int)
+    _config_flags(p_wit, ("kernel", "function", "sequence", "witness.alpha", "ell_max", "precision_bits"), required=True)
+    p_wit.add_argument("--c", required=True, help="the one scale of the grid")
     p_wit.add_argument("--out", help="certificate output path")
     p_wit.set_defaults(func=_cmd_witness)
 
-    p_decay = sub.add_parser("decay-check", help="measure off-diagonal kernel decay")
-    _flag(p_decay, "--kernel", "kernel", required=True)
-    _flag(p_decay, "--sequence", "sequence")
-    _flag(p_decay, "--window", "decay.window", type=int)
-    _flag(p_decay, "--ell-max", "decay.ell_max", type=int)
-    _flag(p_decay, "--threshold", "decay.threshold", type=float)
-    _flag(p_decay, "--precision-bits", "precision_bits", type=int)
-    p_decay.add_argument("--out")
-    p_decay.set_defaults(func=_cmd_task, tasks=["decay"])
-
-    p_psd = sub.add_parser("psd-check", help="PSD test of the kernel Gram matrix")
-    _flag(p_psd, "--kernel", "kernel", required=True)
-    _flag(p_psd, "--sequence", "sequence")
-    points_help = "comma-separated nodes (default: first sequence points)"
-    _flag(p_psd, "--points", "psd.points", type=_comma_list, help=points_help)
-    _flag(p_psd, "--num-points", "psd.num_points", type=int)
-    _flag(p_psd, "--control-x0", "psd.control_x0", type=float)
-    _flag(p_psd, "--precision-bits", "precision_bits", type=int)
-    p_psd.add_argument("--out")
-    p_psd.set_defaults(func=_cmd_task, tasks=["psd"])
-
-    p_der = sub.add_parser("derivatives", help="diagonal derivative bounds and envelope")
-    _flag(p_der, "--kernel", "kernel", required=True)
-    _flag(p_der, "--n-max", "analytic.n_max", type=int)
-    _flag(p_der, "--norm-bound", "analytic.norm_bound", type=float)
-    _flag(p_der, "--fd-step", "analytic.fd_step", type=float)
-    _flag(p_der, "--fd-x", "analytic.fd_x", type=float)
-    _flag(p_der, "--precision-bits", "precision_bits", type=int)
-    p_der.add_argument("--out")
-    p_der.set_defaults(func=_cmd_task, tasks=["analytic"])
-
-    p_interp = sub.add_parser("interp-norm", help="minimum-norm interpolant growth trace")
-    _flag(p_interp, "--kernel", "kernel", required=True)
-    _flag(p_interp, "--function", "function", required=True)
-    _flag(p_interp, "--sequence", "sequence")
-    _flag(p_interp, "--points", "interpolant.base_points", type=_comma_list, help="comma-separated base nodes")
-    _flag(p_interp, "--rule", "interpolant.rule", choices=EXTENSION_RULES)
-    _flag(p_interp, "--steps", "interpolant.steps", type=int)
-    _flag(p_interp, "--ridge", "interpolant.ridge", type=float)
-    _flag(p_interp, "--precision-bits", "precision_bits", type=int)
-    p_interp.add_argument("--out")
-    p_interp.set_defaults(func=_cmd_task, tasks=["interpolant"])
+    for command, task, help_text, keys in _TASK_COMMANDS:
+        p_task = sub.add_parser(command, help=help_text)
+        _config_flags(p_task, keys, required=True)
+        p_task.add_argument("--out", help="report output path")
+        p_task.set_defaults(func=_cmd_task, tasks=[task])
 
     p_ver = sub.add_parser("verify", help="re-check a certificate from its JSON file alone")
     p_ver.add_argument("certificate", help="path to a certificate JSON file")
@@ -815,9 +817,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:  # ConfigError among them
         print(f"config error: {exc}", file=sys.stderr)

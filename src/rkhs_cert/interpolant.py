@@ -66,14 +66,22 @@ class NormTrace:
 
 
 def _widen_step(points: List[Any], sequence: SequenceSpec, state: dict) -> List[Any]:
+    """``points`` and the first sequence point past the last index used that is not among them.
+
+    The scan stops after len(points) + 1 indices: among that many points of
+    a sequence whose points are distinct one is new, so only a sequence that
+    repeats a point gets that far, and it raises ValueError.
+    """
     existing = {float(p) for p in points}
-    n = state.get("next_index", 1)
-    while True:
+    start = state.get("next_index", 1)
+    for n in range(start, start + len(points) + 1):
         candidate = sequence.point(n)
-        n += 1
         if float(candidate) not in existing:
-            state["next_index"] = n
+            state["next_index"] = n + 1
             return points + [candidate]
+    raise ValueError(
+        f"sequence {sequence.name} repeats: its indices {start} to {n} give no point new to the {len(points)} nodes"
+    )
 
 
 def _refine_step(points: List[Any]) -> List[Any]:
@@ -105,11 +113,12 @@ def norm_growth_trace(
     """Norms over ``steps`` nested extensions of the base point set.
 
     "widen" appends the next unused point of ``sequence`` (triangular toward
-    +inf by default) per step; "refine" inserts midpoints between consecutive
-    nodes per step.  A numerically singular step retries once at quadrupled
-    precision; if that also fails the trace is truncated with the reason
-    recorded rather than inventing values.  ``divergence_evidence`` flags a
-    last/first norm ratio above ``divergence_factor``.
+    +inf by default) per step, and raises ValueError for a sequence that
+    repeats a point (see ``_widen_step``); "refine" inserts midpoints between
+    consecutive nodes per step.  A numerically singular step retries once at
+    quadrupled precision; if that also fails the trace is truncated with the
+    reason recorded rather than inventing values.  ``divergence_evidence``
+    flags a last/first norm ratio above ``divergence_factor``.
     """
     if steps < 1:
         raise ValueError("need at least one extension step")

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Tuple, Union
 
 import mpmath
-from mpmath import iv, mpf, workprec
+from mpmath import iv, mpf, nstr, workprec
 
 from .errors import EvaluationError, ProfileDerivativeError
 from .expressions import Expression, as_mpf, compile_expression
@@ -124,6 +124,14 @@ class KernelSpec:
 
     def eval_mp(self, x: Any, y: Any) -> Any:
         return self.fn_mp(as_mpf(x), as_mpf(y))
+
+
+def undefined_pair(kernel: Any, x: Any, y: Any, cause: BaseException) -> EvaluationError:
+    """The EvaluationError for ``kernel`` undefined at the pair (x, y), as the arithmetic error ``cause`` shows.
+
+    ``kernel`` is anything with a ``kernel_id``; x and y are mpf values.
+    """
+    return EvaluationError.undefined(f"kernel {kernel.kernel_id}", f"(x, y) = ({nstr(x, 17)}, {nstr(y, 17)})", cause)
 
 
 def check_analytic_constants(profile: RadialProfile, depth: int = 30) -> None:

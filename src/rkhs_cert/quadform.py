@@ -24,7 +24,7 @@ from mpmath import mpf, workprec
 from mpmath.libmp import from_man_exp, mpf_sum
 
 from .errors import SingularGramError
-from .kernels import KernelSpec
+from .kernels import KernelSpec, undefined_pair
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -166,7 +166,8 @@ def assemble_gram(
     Each unordered pair is evaluated once and mirrored, so the matrix is
     exactly symmetric.  Points that coincide at the working precision are
     rejected: they make the matrix trivially singular and usually indicate a
-    config mistake.
+    config mistake.  A pair where the kernel is undefined raises
+    EvaluationError naming the kernel and the pair.
     """
     if len(points) == 0:
         raise ValueError("need at least one point")
@@ -176,12 +177,14 @@ def assemble_gram(
             raise ValueError("coincident points in node set")
         n = len(pts)
         rows: List[List[Any]] = [[mpf(0)] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = kernel.eval_mp(pts[i], pts[i])
-            for j in range(i + 1, n):
-                v = kernel.eval_mp(pts[i], pts[j])
-                rows[i][j] = v
-                rows[j][i] = v
+        try:
+            for i in range(n):
+                for j in range(i, n):
+                    v = kernel.eval_mp(pts[i], pts[j])
+                    rows[i][j] = v
+                    rows[j][i] = v
+        except (ArithmeticError, ValueError) as exc:
+            raise undefined_pair(kernel, pts[i], pts[j], exc) from exc
     return GramMatrix(
         points=pts,
         entries=tuple(tuple(row) for row in rows),
@@ -395,6 +398,8 @@ def schur_deflation_control(
         raise ValueError("control point has nonpositive diagonal value")
 
     class _Section:
+        kernel_id = f"{kernel.kernel_id} deflated at x0 = {x0!r}"
+
         @staticmethod
         def eval_mp(x: Any, y: Any) -> Any:
             return kernel.eval_mp(x, y) - kernel.eval_mp(x, center) * kernel.eval_mp(center, y) / k00

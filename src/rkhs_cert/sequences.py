@@ -22,7 +22,7 @@ from mpmath import mpf, workprec
 
 from .errors import EvaluationError
 from .expressions import compile_expression
-from .kernels import KernelSpec
+from .kernels import KernelSpec, undefined_pair
 from .quadform import DEFAULT_PRECISION_BITS
 
 
@@ -200,15 +200,21 @@ def max_offdiag(
     window: int,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> Any:
-    """max over 1 <= n < m <= window of |K(x_{ell+n}, x_{ell+m})| as an mpf."""
+    """max over 1 <= n < m <= window of |K(x_{ell+n}, x_{ell+m})| as an mpf.
+
+    A pair where the kernel is undefined raises EvaluationError naming it.
+    """
     with workprec(precision_bits):
         pts = [mpf(sequence.point(ell + i)) for i in range(1, window + 1)]
         best = mpf(0)
-        for i in range(window):
-            for j in range(i + 1, window):
-                v = abs(kernel.eval_mp(pts[i], pts[j]))
-                if v > best:
-                    best = v
+        try:
+            for i in range(window):
+                for j in range(i + 1, window):
+                    v = abs(kernel.eval_mp(pts[i], pts[j]))
+                    if v > best:
+                        best = v
+        except (ArithmeticError, ValueError) as exc:
+            raise undefined_pair(kernel, pts[i], pts[j], exc) from exc
         return best
 
 

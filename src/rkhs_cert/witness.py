@@ -84,7 +84,7 @@ from mpmath.libmp import from_man_exp, mpf_shift, to_int
 from .errors import WitnessSearchError
 from .expressions import as_mpf
 from .functions import DECLARED, CandidateFunction, TailBound, tail_lower_bound
-from .kernels import KernelSpec
+from .kernels import KernelSpec, undefined_pair
 from .quadform import DEFAULT_PRECISION_BITS, Block, block_terms, fixed_point_block, neumaier_sum
 from .quadform import assemble_gram, quadratic_form  # noqa: F401  unused; perfbench/trace_child.py patches them here
 from .sequences import SequenceSpec, offset_ladder
@@ -115,7 +115,10 @@ def point_in_range(point: Any) -> bool:
     bits = point.bit_length() if isinstance(point, int) else mpmath.mag(point)
     return bits <= MAX_POINT_BITS
 
+
+# The search's defaults: how often a window may double, and the largest window offset.
 DEFAULT_DOUBLING_CAP = 6
+DEFAULT_ELL_MAX = 10**6
 
 
 def default_c_grid() -> Tuple[float, ...]:
@@ -263,7 +266,8 @@ def evaluate_ones_form(
     pairs, and may hold at most DENSE_FALLBACK_LIMIT points (else
     ``window-too-large``, raised before any point check).  The rule depends
     only on the kernel, so verification reproduces the builder's choice.  A
-    kernel without a radial profile raises ``no-radial-profile``.
+    kernel without a radial profile raises ``no-radial-profile``, and a pair
+    where the profile is undefined raises EvaluationError naming the pair.
 
     The bookkeeping (the point checks, the gaps and the band test d^2 > r*)
     runs on the window's exact integer keys (``_window_keys``, which raises
@@ -306,18 +310,21 @@ def evaluate_ones_form(
         # D^2 * 4^e > r* iff D^2 > floor(r* / 4^e) for an integer D^2
         r_star = math.inf if radius is None else to_int(mpf_shift(radius._mpf_, -e2), "f")
         off_terms: List[Any] = []
-        for i in range(n - 1):
-            x = keys[i]
-            if (keys[i + 1] - x) ** 2 > r_star:
-                continue  # the row's first pair is its nearest: the row is empty
-            acc = mpf(0)
-            for j in range(i + 1, n):
-                d = keys[j] - x
-                d2 = d * d
-                if d2 > r_star:
-                    break
-                acc += profile.value_mp(_make_mpf(from_man_exp(d2, e2, prec, rnd)))
-            off_terms.append(2 * acc)
+        try:
+            for i in range(n - 1):
+                x = keys[i]
+                if (keys[i + 1] - x) ** 2 > r_star:
+                    continue  # the row's first pair is its nearest: the row is empty
+                acc = mpf(0)
+                for j in range(i + 1, n):
+                    d = keys[j] - x
+                    d2 = d * d
+                    if d2 > r_star:
+                        break
+                    acc += profile.value_mp(_make_mpf(from_man_exp(d2, e2, prec, rnd)))
+                off_terms.append(2 * acc)
+        except (ArithmeticError, ValueError) as exc:
+            raise undefined_pair(kernel, mpmath.ldexp(keys[i], e), mpmath.ldexp(keys[j], e), exc) from exc
         del keys  # garbage before f
         diag = n * profile.value_mp(0)
         fsum = neumaier_sum(f.values_mp(points) if f_values is None else f_values())
@@ -599,7 +606,7 @@ def build_witness(
     sequence: SequenceSpec,
     c: float,
     alpha: Optional[float] = None,
-    ell_max: int = 10**6,
+    ell_max: int = DEFAULT_ELL_MAX,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     doubling_cap: int = DEFAULT_DOUBLING_CAP,
 ) -> WitnessCertificate:
@@ -715,9 +722,9 @@ def verify_certificate(
     precision differs, gets a new table and leaves the shared one as it was;
     a table for another function, or a search's table, raises ValueError.
     f is asked for only once the window has passed the evaluator's point
-    checks, so a window rejected there costs no f values.  A point where f
-    is undefined raises EvaluationError, and a window with coincident points
-    raises ValueError.
+    checks, so a window rejected there costs no f values.  A point where f,
+    or a pair where the kernel, is undefined raises EvaluationError, and a
+    window with coincident points raises ValueError.
     """
     if cert.kernel_id != kernel.kernel_id:
         raise ValueError(
@@ -780,7 +787,7 @@ def sweep_c(
     f: CandidateFunction,
     sequence: SequenceSpec,
     c_grid: Optional[Sequence[float]] = None,
-    ell_max: int = 10**6,
+    ell_max: int = DEFAULT_ELL_MAX,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     doubling_cap: int = DEFAULT_DOUBLING_CAP,
     alpha: Optional[float] = None,

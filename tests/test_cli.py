@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -15,9 +17,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rkhs_cert.cli import ALL_TASKS, RunConfig, config_from_dict, main, run
+from rkhs_cert import cli
+from rkhs_cert.cli import ALL_TASKS, RunConfig, build_parser, config_from_dict, main, run
 from rkhs_cert.errors import ConfigError
-from rkhs_cert.registry import resolve_kernel, resolve_sequence
+from rkhs_cert.registry import resolve_function, resolve_kernel, resolve_sequence
 from rkhs_cert.sequences import SequenceSpec
 from rkhs_cert.serialize import (
     canonical_dumps,
@@ -27,7 +30,7 @@ from rkhs_cert.serialize import (
     witness_from_dict,
     witness_to_dict,
 )
-from rkhs_cert.witness import MAX_WINDOW_POINTS
+from rkhs_cert.witness import MAX_WINDOW_POINTS, build_witness, sweep_c
 from test_serialize import _JSON, _cert
 
 
@@ -1424,12 +1427,16 @@ def test_interpolant_undefined_function_value_names_the_point(tmp_path, capsys):
     assert err == f"task interpolant errored: EvaluationError: {message}\n"
 
 
+def _child_env():
+    """This environment, with this checkout's ``src`` first on PYTHONPATH."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
     # the pool's modules are imported only by a run with --jobs > 1
     code = "import sys, rkhs_cert.cli; print('concurrent.futures.process' in sys.modules)"
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
@@ -1509,3 +1516,159 @@ def test_tail_beyond_ell_max_fails_its_scale(tmp_path, sequence):
     assert report["task_errors"] == {}
     (failure,) = report["results"]["witness"]["failures"]
     assert failure["reason"].startswith("tail-unreachable") and "offset 1000000" in failure["reason"]
+
+
+# --- flags are config keys: one checker, one exit code for usage errors ----------
+
+_NO_KEY_FLAGS = {"-h", "--help", "--config", "--out", "--certs-dir", "--csv-dir", "--c"}
+
+
+def _is_config_key(dest):
+    section, _, key = dest.rpartition(".")
+    echo = RunConfig().to_dict()
+    return dest == "jobs" or (key in echo.get(section, {}) if section else key in echo)
+
+
+def _options():
+    """(command, action) for every option of every subcommand."""
+    parser = build_parser()
+    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return [
+        (command, action)
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        if action.option_strings
+    ]
+
+
+def test_every_config_flag_is_named_by_its_key_and_left_to_the_config_to_check():
+    options = _options()
+    config_options = [(command, action) for command, action in options if _is_config_key(action.dest)]
+    no_key_flags = {flag for _, action in options if not _is_config_key(action.dest) for flag in action.option_strings}
+    assert no_key_flags == _NO_KEY_FLAGS
+    assert len(config_options) == 41
+    for command, action in config_options:
+        name = "points" if action.dest == "interpolant.base_points" else action.dest.rpartition(".")[2]
+        assert action.option_strings == ["--" + name.replace("_", "-")], (command, action.dest)
+        assert action.type in (None, cli._comma_list), (command, action.dest)
+        assert action.choices is None and action.default is None, (command, action.dest)
+    helps = {}
+    for _, action in config_options:
+        assert helps.setdefault(action.dest, action.help) == action.help, action.dest
+
+
+def _valid_argv(command, tmp_path):
+    """Flags that make ``command`` well formed, each with a value every check passes."""
+    if command == "run":
+        return ["--out", str(tmp_path / "r.json")]
+    argv = ["--kernel", "gaussian"]
+    if command in ("witness", "interp-norm"):
+        argv += ["--function", "constant:1.0"]
+    return argv + (["--c", "1"] if command == "witness" else [])
+
+
+def _refusal(data):
+    """The ConfigError message for config ``data``: config_from_dict's, else resolving its identifiers'."""
+    with pytest.raises(ConfigError) as info:
+        cfg = config_from_dict(data)
+        resolve_function(cfg.function, resolve_kernel(cfg.kernel))
+        resolve_sequence(cfg.sequence)
+    return str(info.value)
+
+
+_BAD_TEXT_CASES = [
+    (command, action.option_strings[0], action.dest, action.type is not None)
+    for command, action in _options()
+    if _is_config_key(action.dest)
+] + [("witness", "--c", "c_grid", True)]
+
+
+@pytest.mark.parametrize(
+    "command, flag, key, listed", _BAD_TEXT_CASES, ids=[f"{case[0]} {case[1]}" for case in _BAD_TEXT_CASES]
+)
+def test_bad_text_at_any_flag_is_the_config_refusal_of_that_text(tmp_path, capsys, command, flag, key, listed):
+    argv = [command] + _valid_argv(command, tmp_path) + [flag, "abc"]
+    data = {"kernel": "gaussian", "function": "constant:1.0"}
+    section, _, name = key.rpartition(".")
+    (data.setdefault(section, {}) if section else data)[name] = ["abc"] if listed else "abc"
+    expected = _refusal(data)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify"], "rkhs-cert verify: the following arguments are required: certificate"),
+        (["verify", "a", "b"], "rkhs-cert: unrecognized arguments: b"),
+        (["run"], "rkhs-cert run: the following arguments are required: --out"),
+        (["run", "--kernel"], "rkhs-cert run: argument --kernel: expected one argument"),
+        (["bogus"], "rkhs-cert: argument command: invalid choice: 'bogus'"),
+        ([], "rkhs-cert: the following arguments are required: command"),
+    ],
+    ids=["verify", "verify-two-paths", "run-no-out", "run-flag-no-value", "bogus", "no-command"],
+)
+def test_usage_error_is_a_config_error_of_one_line(capsys, argv, message):
+    assert main(argv) == 1  # no SystemExit
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+
+
+def test_run_config_search_defaults_are_the_searchs_own():
+    for search in (build_witness, sweep_c):
+        parameters = inspect.signature(search).parameters
+        assert parameters["ell_max"].default == RunConfig().ell_max == 10**6
+        assert parameters["doubling_cap"].default == RunConfig().witness_doubling_cap == 6
+
+
+# --- a kernel undefined at a pair; a sequence that repeats under widening ---------
+
+_POLE_KERNEL = "custom:1/(r-4)**2"  # undefined at every pair two apart
+
+
+def _pole_message(x, y):
+    return f"kernel {_POLE_KERNEL} is undefined at (x, y) = ({x}, {y}): division by zero"
+
+
+def test_verify_of_a_window_where_the_kernel_is_undefined_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    argv = ["witness", "--kernel", _POLE_KERNEL, "--function", "constant:1.0", "--c", "1", "--out", str(path)]
+    assert main(argv) == 0
+    data = json.loads(path.read_text())
+    data["ell"], data["points"] = 0, ["1", "3"]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"evaluation error: {_pole_message(1.0, 3.0)}\n"
+
+
+@pytest.mark.parametrize(
+    "command, task, flags, pair",
+    [
+        ("psd-check", "psd", [], (1.0, 3.0)),
+        ("interp-norm", "interpolant", ["--function", "constant:1.0"], (1.0, 3.0)),
+        ("decay-check", "decay", ["--sequence", "arithmetic:1"], (2.0, 4.0)),
+    ],
+)
+def test_task_where_the_kernel_is_undefined_names_the_kernel_and_the_pair(capsys, command, task, flags, pair):
+    assert main([command, "--kernel", _POLE_KERNEL] + flags) == 2
+    assert capsys.readouterr().err == f"task {task} errored: EvaluationError: {_pole_message(*pair)}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sequence", "custom:1"], "sequence custom:1 repeats: its indices 1 to 4 give no point new to the 3 nodes"),
+        (
+            ["--points", "1,2", "--sequence", "custom:1+0*n", "--steps", "1"],
+            "sequence custom:1+0*n repeats: its indices 1 to 3 give no point new to the 2 nodes",
+        ),
+    ],
+)
+def test_widening_along_a_repeating_sequence_ends_with_one_line(flags, message):
+    # in a child process, so a widening that never ends fails the test instead of hanging the suite
+    argv = [sys.executable, "-m", "rkhs_cert.cli", "interp-norm", "--kernel", "gaussian", "--function", "constant:1.0"]
+    done = subprocess.run(argv + flags, env=_child_env(), capture_output=True, text=True, timeout=20)
+    assert (done.returncode, done.stderr) == (2, f"task interpolant errored: ValueError: {message}\n")

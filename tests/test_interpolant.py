@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from mpmath import mpf, workprec
@@ -12,6 +13,7 @@ from rkhs_cert.functions import (
 )
 from rkhs_cert.interpolant import min_norm_interpolant_norm, norm_growth_trace
 from rkhs_cert.kernels import custom_radial_from_expression, make_gaussian
+from rkhs_cert.sequences import triangular_sequence
 
 
 def test_two_point_closed_form():
@@ -151,3 +153,26 @@ def test_argument_validation():
         norm_growth_trace(kernel, f, [])
     with pytest.raises(ValueError):
         norm_growth_trace(kernel, f, [0.5], extension_rule="refine")
+
+
+def _counted(sequence, calls):
+    """``sequence`` with each index it is asked for appended to ``calls``."""
+    return replace(sequence, generator=lambda n: calls.append(n) or sequence.point(n))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_widen_from_the_first_points_of_the_sequence_scans_one_index_more(k):
+    # base = x_1..x_k: the step scans indices 1..k + 1, the most the limit allows, and adds x_{k+1}
+    sequence, calls = triangular_sequence(1), []
+    base = list(sequence.points(1, k))
+    trace = norm_growth_trace(make_gaussian(), make_constant(1.0), base, steps=1, sequence=_counted(sequence, calls))
+    assert trace.point_sets[1] == tuple(base) + (sequence.point(k + 1),)
+    assert calls == list(range(1, k + 2))
+
+
+def test_widen_refuses_a_sequence_that_repeats_past_the_limit():
+    # x_1..x_4 = 1, 2, 3, 3 repeat the base 1, 2, 3: the new x_5 = 5 lies beyond the limit of 4 indices
+    values = [1.0, 2.0, 3.0, 3.0, 5.0]
+    sequence = replace(triangular_sequence(1), name="repeating", generator=lambda n: values[n - 1])
+    with pytest.raises(ValueError, match="sequence repeating repeats: its indices 1 to 4 give no point new"):
+        norm_growth_trace(make_gaussian(), make_constant(1.0), [1.0, 2.0, 3.0], steps=1, sequence=sequence)
