@@ -10,6 +10,11 @@ cannot complete verification.  Each error is one line on stderr.
 Every flag but ``--config``, ``--out``, ``--certs-dir``, ``--csv-dir`` and
 ``witness --c`` is a config key, and its text reaches config_from_dict as
 it is, to be converted and checked there as a config file's string is.
+Each key's RunConfig field declares its domain, so a value outside it
+exits 1 before any task runs, and exit 2 never comes from a config value's
+range: only from what a task finds, such as a kernel with no analytic
+constants or a sequence that repeats a point.  A flag is taken by its full
+name only, never by a prefix.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import math
 import sys
 
 import mpmath
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
@@ -67,75 +72,126 @@ DOMAIN_KINDS = ("full_line", "interval", "finite_set")
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run configuration with every default filled in."""
+class Domain:
+    """The values one config key admits, each range copied from the guard of the code that reads the key.
 
-    kernel: Any = "gaussian"
-    function: str = "paper_example"
-    sequence: str = "triangular+"
-    tasks: Tuple[str, ...] = ("witness",)
-    c_grid: Optional[Tuple[float, ...]] = None
-    ell_max: int = DEFAULT_ELL_MAX
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    jobs: int = 1
-    domain_kind: str = "full_line"
-    domain_endpoints: Optional[Tuple[float, float]] = None
-    domain_points: Optional[Tuple[float, ...]] = None
-    has_accumulation_point: bool = True
-    witness_doubling_cap: int = DEFAULT_DOUBLING_CAP
-    witness_alpha: Optional[float] = None
-    psd_num_points: int = 8
-    psd_points: Optional[Tuple[float, ...]] = None
-    psd_control_x0: float = 0.0
-    decay_window: int = 3
-    decay_ell_max: int = 10
-    decay_threshold: float = 1e-8
-    analytic_n_max: int = 10
-    analytic_norm_bound: float = 1.0
-    analytic_fd_step: Optional[float] = 1e-4
-    analytic_fd_x: float = 0.0
-    interp_base_points: Optional[Tuple[float, ...]] = None
-    interp_rule: str = "widen"
-    interp_steps: int = 6
-    interp_ridge: float = 0.0
-    interp_divergence_factor: float = 1e3
+    ``kind`` converts a value: int and float as _cast does (so a number is
+    finite), bool takes only a boolean, str only one of ``choices``, and
+    object takes any value as it is, an identifier for the registry to
+    resolve.  A number lies in [``min``, ``max``] and above ``above``.
+    ``null`` admits null, the field's None.  On a tuple-typed field this
+    holds for each entry, and the list is nonempty, with no entry twice if
+    ``distinct``.
+    """
+
+    kind: type
+    min: Optional[float] = None
+    max: Optional[float] = None
+    above: Optional[float] = None
+    choices: Tuple[str, ...] = ()
+    null: bool = False
+    distinct: bool = False
+
+    def outside(self, number: float) -> bool:
+        return not (
+            (self.min is None or number >= self.min)
+            and (self.max is None or number <= self.max)
+            and (self.above is None or number > self.above)
+        )
+
+    def bounds(self) -> str:
+        """The numeric range in words, as a refusal states it."""
+        if self.above is not None:
+            return f"above {self.above}" if self.above else "positive"
+        return f">= {self.min}" if self.max is None else f"{self.min} to {self.max}"
+
+
+def _key(
+    default: Any, key: str, kind: type, help: Optional[str] = None, flag: Optional[str] = None, **domain: Any
+) -> Any:
+    """A RunConfig field declaring its config key ``key`` ("section.name" inside a section).
+
+    ``kind`` and ``domain`` make the key's Domain.  ``help`` is the help of
+    the key's flag, and ``flag`` the flag's name where it is not the key's
+    last part.
+    """
+    return field(default=default, metadata={"key": key, "domain": Domain(kind, **domain), "help": help, "flag": flag})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Fully resolved run configuration with every default filled in.
+
+    Each field is the one declaration of its config key: default, Domain and
+    flag help (see _key).
+    """
+
+    kernel: Any = _key("gaussian", "kernel", object)
+    function: str = _key("paper_example", "function", object)
+    sequence: str = _key("triangular+", "sequence", object)
+    tasks: Tuple[str, ...] = _key(
+        ("witness",), "tasks", str, "comma-separated subset of: " + ",".join(ALL_TASKS),
+        choices=ALL_TASKS, distinct=True,
+    )
+    c_grid: Optional[Tuple[float, ...]] = _key(
+        None, "c_grid", float, "comma-separated positive scales", above=0, null=True
+    )
+    ell_max: int = _key(DEFAULT_ELL_MAX, "ell_max", int, min=0)
+    precision_bits: int = _key(
+        DEFAULT_PRECISION_BITS, "precision_bits", int, min=MIN_PRECISION_BITS, max=MAX_PRECISION_BITS
+    )
+    jobs: int = _key(
+        1, "jobs", int,
+        "at most this many worker processes; scales are dealt round-robin and each worker shares f values", min=1,
+    )
+    domain_kind: str = _key("full_line", "domain.kind", str, choices=DOMAIN_KINDS)
+    domain_endpoints: Optional[Tuple[float, float]] = _key(None, "domain.endpoints", float, null=True)
+    domain_points: Optional[Tuple[float, ...]] = _key(None, "domain.points", float, null=True, distinct=True)
+    # null, as when absent, reads the flag off the domain's kind (see _cross_key_rules)
+    has_accumulation_point: bool = _key(True, "domain.has_accumulation_point", bool, null=True)
+    witness_doubling_cap: int = _key(DEFAULT_DOUBLING_CAP, "witness.doubling_cap", int, min=0)
+    witness_alpha: Optional[float] = _key(
+        None, "witness.alpha", float, "declared tail lower bound for the witness task", above=0, null=True
+    )
+    psd_num_points: int = _key(8, "psd.num_points", int, min=1)
+    psd_points: Optional[Tuple[float, ...]] = _key(
+        None, "psd.points", float, "comma-separated nodes (default: first sequence points)", null=True, distinct=True
+    )
+    psd_control_x0: float = _key(0.0, "psd.control_x0", float)
+    decay_window: int = _key(3, "decay.window", int, min=2)
+    decay_ell_max: int = _key(10, "decay.ell_max", int, min=1)
+    decay_threshold: float = _key(1e-8, "decay.threshold", float)
+    analytic_n_max: int = _key(10, "analytic.n_max", int, min=0)
+    analytic_norm_bound: float = _key(1.0, "analytic.norm_bound", float, min=0)
+    analytic_fd_step: Optional[float] = _key(1e-4, "analytic.fd_step", float, above=0, null=True)
+    analytic_fd_x: float = _key(0.0, "analytic.fd_x", float)
+    interp_base_points: Optional[Tuple[float, ...]] = _key(
+        None, "interpolant.base_points", float, "comma-separated base nodes", flag="points", null=True, distinct=True
+    )
+    interp_rule: str = _key(
+        "widen", "interpolant.rule", str, "one of: " + ",".join(EXTENSION_RULES), choices=EXTENSION_RULES
+    )
+    interp_steps: int = _key(6, "interpolant.steps", int, min=1)
+    interp_ridge: float = _key(0.0, "interpolant.ridge", float, min=0)
+    interp_divergence_factor: float = _key(1e3, "interpolant.divergence_factor", float)
 
     def to_dict(self) -> Dict[str, Any]:
         """The config echo: every field at its config key, but "jobs"."""
         out: Dict[str, Any] = {}
-        for field in fields(self):
-            value = getattr(self, field.name)
-            section, key = _place(field.name)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            section, _, key = f.metadata["key"].rpartition(".")
             target = out.setdefault(section, {}) if section else out
             target[key] = list(value) if isinstance(value, tuple) else value
         del out["jobs"]  # parallelism must not influence report bytes
         return out
 
 
-# A RunConfig field's name prefix names its config section.
-_SECTIONS = {
-    "domain_": "domain",
-    "witness_": "witness",
-    "psd_": "psd",
-    "decay_": "decay",
-    "analytic_": "analytic",
-    "interp_": "interpolant",
-}
-
-
-def _place(name: str) -> Tuple[str, str]:
-    """The (section, key) of RunConfig field ``name`` in a config; section "" is the top level."""
-    if name == "has_accumulation_point":
-        return "domain", name
-    for prefix, section in _SECTIONS.items():
-        if name.startswith(prefix):
-            return section, name[len(prefix) :]
-    return "", name
-
-
 # The config schema is the echo's, plus "jobs", which the echo omits.
 _ECHO = RunConfig().to_dict()
 _KEYS = set(_ECHO) | {"jobs"}
+# Each config key's RunConfig field, in declaration order.
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def _require_keys(section: Dict[str, Any], allowed: set, where: str) -> None:
@@ -170,127 +226,88 @@ def _cast(caster: Callable[[Any], Any], value: Any, where: str) -> Any:
     return cast
 
 
-def _list(value: Any, where: str) -> Tuple[Any, ...]:
-    if not isinstance(value, (list, tuple)):  # a string or an object would iterate
+def _listed(f: Any) -> bool:
+    """Whether RunConfig field ``f`` is tuple-typed: its key takes a list, and its flag a comma list."""
+    return "Tuple[" in f.type
+
+
+def _entry(domain: Domain, value: Any, where: str) -> Any:
+    """One value of ``domain``'s kind, converted, or a ConfigError naming ``where``; choices are checked by _admit."""
+    if domain.kind is bool and not isinstance(value, bool):
+        raise ConfigError(f"{where} must be a boolean, not {value!r}")
+    if domain.kind not in (int, float):
+        return value
+    number = _cast(domain.kind, value, where)
+    if domain.outside(number):
+        raise ConfigError(f"{where} must be {domain.bounds()}, not {value!r}")
+    return number
+
+
+def _admit(f: Any, value: Any, where: str) -> Any:
+    """``value`` as RunConfig field ``f`` holds it, or a ConfigError naming ``where`` if f's Domain refuses it."""
+    domain: Domain = f.metadata["domain"]
+    if value is None and domain.null:
+        return None
+    listed = _listed(f)
+    if listed and not isinstance(value, (list, tuple)):  # a string or an object would iterate
         raise ConfigError(f"{where} must be a list, not {value!r}")
-    return tuple(value)
+    values = tuple(value) if listed else (value,)
+    unknown = [v for v in values if domain.choices and v not in domain.choices]
+    if unknown:
+        raise ConfigError(f"unknown {where} {unknown if listed else value!r}; choose from {list(domain.choices)}")
+    values = tuple(_entry(domain, v, f"each entry of {where}" if listed else where) for v in values)
+    if not listed:
+        return values[0]
+    if not values:
+        raise ConfigError(f"{where} must be nonempty")
+    if domain.distinct and len(set(values)) != len(values):
+        raise ConfigError(f"{where} must not repeat: its entries must be distinct")
+    return values
 
 
-def _numbers(value: Any, where: str) -> Tuple[float, ...]:
-    return tuple(_cast(float, v, f"each entry of {where}") for v in _list(value, where))
-
-
-def _parse_domain(section: Dict[str, Any]) -> Dict[str, Any]:
-    """Validate the declared domain; returns RunConfig keyword arguments.
+def _cross_key_rules(cfg: RunConfig) -> RunConfig:
+    """``cfg``, refused where its keys contradict one another, with its unset (None) accumulation flag filled in.
 
     The accumulation-point flag is a user declaration, but for the three
     supported domain shapes its truth is decidable, so contradictory
-    declarations are rejected rather than recorded.
+    declarations are rejected rather than recorded.  Refinement puts
+    midpoints between base points, so it needs two of them.
     """
-    kind = section.get("kind", "full_line")
-    if kind not in DOMAIN_KINDS:
-        raise ConfigError(f"unknown domain kind {kind!r}; choose from {list(DOMAIN_KINDS)}")
-    kwargs: Dict[str, Any] = {"domain_kind": kind}
-    endpoints = section.get("endpoints")
-    points = section.get("points")
+    kind, endpoints = cfg.domain_kind, cfg.domain_endpoints
     if kind == "interval":
         if endpoints is None:
             raise ConfigError("interval domain needs endpoints [a, b]")
-        pair = _numbers(endpoints, "interval endpoints")
-        if len(pair) != 2:
+        if len(endpoints) != 2:
             raise ConfigError("interval endpoints must be two finite numbers")
-        if not pair[0] < pair[1]:
+        if not endpoints[0] < endpoints[1]:
             raise ConfigError("interval endpoints must be strictly increasing")
-        kwargs["domain_endpoints"] = pair
     elif endpoints is not None:
         raise ConfigError(f"endpoints only apply to interval domains, not {kind!r}")
-    if kind == "finite_set":
-        if points is None:
-            raise ConfigError("finite_set domain needs a list of points")
-        pts = _numbers(points, "finite_set points")
-        if not pts:
-            raise ConfigError("finite_set points must be a nonempty list of finite numbers")
-        if len(set(pts)) != len(pts):
-            raise ConfigError("finite_set points must be distinct")
-        kwargs["domain_points"] = pts
-    elif points is not None:
+    if kind == "finite_set" and cfg.domain_points is None:
+        raise ConfigError("finite_set domain needs a list of points")
+    if kind != "finite_set" and cfg.domain_points is not None:
         raise ConfigError(f"points only apply to finite_set domains, not {kind!r}")
-    flag = section.get("has_accumulation_point")
-    if flag is None:
-        flag = kind != "finite_set"
-    if not isinstance(flag, bool):
-        raise ConfigError("has_accumulation_point must be a boolean")
-    if kind == "finite_set" and flag:
-        raise ConfigError("a finite set has no accumulation point")
-    if kind != "finite_set" and not flag:
-        raise ConfigError(f"a {kind} domain always has accumulation points")
-    kwargs["has_accumulation_point"] = flag
-    return kwargs
+    flag = kind != "finite_set"
+    if cfg.has_accumulation_point not in (None, flag):
+        truth = f"a {kind} domain always has accumulation points" if flag else "a finite set has no accumulation point"
+        raise ConfigError(truth)
+    if cfg.interp_rule == "refine" and cfg.interp_base_points is not None and len(cfg.interp_base_points) < 2:
+        raise ConfigError("interpolant rule refine needs at least two distinct base_points")
+    return replace(cfg, has_accumulation_point=flag)
 
 
 def config_from_dict(data: Dict[str, Any]) -> RunConfig:
+    """The RunConfig of config object ``data``: each key given, admitted by its field's Domain, then cross-key rules."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     _require_keys(data, _KEYS, "config")
-    kwargs: Dict[str, Any] = {}
-    for key in ("kernel", "function", "sequence"):
-        if key in data:
-            kwargs[key] = data[key]
-    if "tasks" in data:
-        tasks = _list(data["tasks"], "tasks")
-        bad = [t for t in tasks if t not in ALL_TASKS]
-        if bad:
-            raise ConfigError(f"unknown tasks {bad}; choose from {list(ALL_TASKS)}")
-        if not tasks:
-            raise ConfigError("tasks must be nonempty")
-        if len(set(tasks)) != len(tasks):
-            raise ConfigError("tasks must not repeat")
-        kwargs["tasks"] = tasks
-    if "c_grid" in data and data["c_grid"] is not None:
-        grid = _numbers(data["c_grid"], "c_grid")
-        if not grid or any(not c > 0 for c in grid):
-            raise ConfigError("c_grid must be a nonempty list of positive finite scales")
-        kwargs["c_grid"] = grid
-    kwargs.update(_parse_domain(_section(data, "domain")))
-    # A plain number must convert to the type of its field's default; an
-    # Optional one may also be null.
-    for field in fields(RunConfig):
-        caster = type(field.default)
-        if caster not in (int, float):
-            continue
-        name, key = _place(field.name)
-        section = _section(data, name) if name else data
-        if key in section:
-            value = section[key]
-            nullable = value is None and field.type.startswith("Optional")
-            kwargs[field.name] = None if nullable else _cast(caster, value, f"{name} {key}".lstrip())
-    section = _section(data, "witness")
-    if section.get("alpha") is not None:
-        alpha = _cast(float, section["alpha"], "witness alpha")
-        if not alpha > 0:
-            raise ConfigError("witness alpha must be positive and finite")
-        kwargs["witness_alpha"] = alpha
-    section = _section(data, "psd")
-    if section.get("points") is not None:
-        kwargs["psd_points"] = _numbers(section["points"], "psd points")
-    section = _section(data, "interpolant")
-    if section.get("base_points") is not None:
-        kwargs["interp_base_points"] = _numbers(section["base_points"], "interpolant base_points")
-    if "rule" in section:
-        rule = section["rule"]
-        if rule not in EXTENSION_RULES:
-            raise ConfigError(f"interpolant rule must be one of {list(EXTENSION_RULES)}, not {rule!r}")
-        kwargs["interp_rule"] = rule
-    cfg = RunConfig(**kwargs)
-    if not MIN_PRECISION_BITS <= cfg.precision_bits <= MAX_PRECISION_BITS:
-        raise ConfigError(f"precision_bits must be {MIN_PRECISION_BITS} to {MAX_PRECISION_BITS}")
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    if cfg.ell_max < 0:
-        raise ConfigError("ell_max must be >= 0")
-    if cfg.witness_doubling_cap < 0:
-        raise ConfigError("witness doubling_cap must be >= 0")
-    return cfg
+    kwargs: Dict[str, Any] = {"has_accumulation_point": None}  # until given, the domain's kind decides it
+    for key, f in _FIELDS.items():
+        section, _, name = key.rpartition(".")
+        values = _section(data, section) if section else data
+        if name in values:
+            kwargs[f.name] = _admit(f, values[name], key.replace(".", " "))
+    return _cross_key_rules(RunConfig(**kwargs))
 
 
 def _sweep(cfg: RunConfig, scales: Tuple[float, ...], kernel: Any, f: Any, sequence: Any) -> SweepResult:
@@ -606,9 +623,9 @@ def _apply_flags(data: Dict[str, Any], args: argparse.Namespace) -> Dict[str, An
     if not isinstance(data, dict):
         return data
     for dest, value in vars(args).items():
-        section, _, key = dest.rpartition(".")
-        if value is None or (section or key) not in _KEYS:
+        if value is None or dest not in _FIELDS:
             continue
+        section, _, key = dest.rpartition(".")
         target = data.setdefault(section, {}) if section else data
         if isinstance(target, dict):  # config_from_dict rejects anything else
             target[key] = value
@@ -710,9 +727,11 @@ def _cmd_task(args: argparse.Namespace) -> int:
                 "envelope dominates at every order"
             )
         elif task == "interpolant":
+            truncated = result.get("truncated_reason")
             print(
                 f"interpolant norms over {len(result['norms'])} nested sets; "
                 f"divergence evidence: {result['divergence_evidence']}"
+                + (f"; truncated: {truncated}" if truncated else "")
             )
     else:
         for task_name, message in report["task_errors"].items():
@@ -724,18 +743,6 @@ def _comma_list(text: str) -> List[str]:
     """A comma-separated flag value as its nonempty entries; config_from_dict converts them."""
     return [entry.strip() for entry in text.split(",") if entry.strip()]
 
-
-# The help of the config flags whose name does not say it all, at their config keys.
-_FLAG_HELP = {
-    "tasks": "comma-separated subset of: " + ",".join(ALL_TASKS),
-    "c_grid": "comma-separated positive scales",
-    "jobs": "at most this many worker processes; scales are dealt round-robin and each worker shares f values",
-    "witness.alpha": "declared tail lower bound for the witness task",
-    "psd.points": "comma-separated nodes (default: first sequence points)",
-    "interpolant.base_points": "comma-separated base nodes",
-    "interpolant.rule": "one of: " + ",".join(EXTENSION_RULES),
-}
-_COMMA_KEYS = ("tasks", "c_grid", "psd.points", "interpolant.base_points")
 
 # The single-task commands: (command, task, help, config keys of its flags).
 _TASK_COMMANDS = (
@@ -754,24 +761,29 @@ _TASK_COMMANDS = (
 def _config_flags(parser: argparse.ArgumentParser, keys: Sequence[str], required: bool = False) -> None:
     """Add one flag per config key in ``keys``, each setting its key to the text given.
 
-    The flag is "--" and the key's last part, "_" written "-"; only
-    ``interpolant.base_points`` is ``--points``.  It has no default, type or
-    choices: config_from_dict supplies the default and converts and checks
-    the text.  A comma-list key's text is split into its entries first.
-    With ``required``, ``--kernel`` and ``--function`` must be given: every
-    command but ``run``, which may read them from a config file, asks that.
+    The flag, its help, and whether its text is a comma list to split into
+    entries come from the key's RunConfig field (see _key).  It has no
+    default, type or choices: config_from_dict supplies the default and
+    converts and checks the text.  With ``required``, ``--kernel`` and
+    ``--function`` must be given: every command but ``run``, which may read
+    them from a config file, asks that.
     """
     for key in keys:
-        name = "points" if key == "interpolant.base_points" else key.rpartition(".")[2]
+        f = _FIELDS[key]
+        name = f.metadata["flag"] or key.rpartition(".")[2]
         parser.add_argument(
             "--" + name.replace("_", "-"), dest=key, metavar=name.upper(),
             required=required and key in ("kernel", "function"),
-            type=_comma_list if key in _COMMA_KEYS else None, help=_FLAG_HELP.get(key),
+            type=_comma_list if _listed(f) else None, help=f.metadata["help"],
         )
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser, and so each of its subparsers, whose usage errors raise ConfigError."""
+    """An ArgumentParser, and so each of its subparsers, that takes no prefix of a flag for the flag
+    and whose usage errors raise ConfigError."""
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> NoReturn:
         raise ConfigError(f"{self.prog}: {message}")

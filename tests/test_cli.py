@@ -1672,3 +1672,138 @@ def test_widening_along_a_repeating_sequence_ends_with_one_line(flags, message):
     argv = [sys.executable, "-m", "rkhs_cert.cli", "interp-norm", "--kernel", "gaussian", "--function", "constant:1.0"]
     done = subprocess.run(argv + flags, env=_child_env(), capture_output=True, text=True, timeout=20)
     assert (done.returncode, done.stderr) == (2, f"task interpolant errored: ValueError: {message}\n")
+
+
+# --- each config key declares its domain: a value outside it is refused before any task runs ----
+
+# (config key, a text just outside the key's domain); every numeric and list key has a case
+_OUTSIDE_DOMAIN = [
+    ("tasks", ","), ("tasks", "psd,psd"), ("tasks", "witness,bogus"),
+    ("c_grid", ","), ("c_grid", "1,0"),
+    ("ell_max", "-1"),
+    ("precision_bits", "63"), ("precision_bits", "65537"),
+    ("jobs", "0"),
+    ("domain.endpoints", ","), ("domain.points", ","), ("domain.points", "1,1"),
+    ("witness.doubling_cap", "-1"), ("witness.alpha", "0"),
+    ("psd.num_points", "0"), ("psd.points", ","), ("psd.points", "2,2.0"), ("psd.control_x0", "inf"),
+    ("decay.window", "1"), ("decay.ell_max", "0"), ("decay.threshold", "nan"),
+    ("analytic.n_max", "-1"), ("analytic.norm_bound", "-5e-324"), ("analytic.fd_step", "0"),
+    ("analytic.fd_x", "-inf"),
+    ("interpolant.base_points", ","), ("interpolant.base_points", "1,1"), ("interpolant.steps", "0"),
+    ("interpolant.ridge", "-5e-324"), ("interpolant.divergence_factor", "inf"),
+]
+
+
+def test_every_numeric_and_list_key_has_a_case_outside_its_domain():
+    declared = {key for key, f in cli._FIELDS.items() if f.metadata["domain"].kind in (int, float) or cli._listed(f)}
+    assert {key for key, _ in _OUTSIDE_DOMAIN} == declared
+
+
+def _json_or_text(text):
+    try:
+        return json.loads(text)
+    except ValueError:  # nan, inf: no JSON numbers, so the config file holds the text, as a flag does
+        return text
+
+
+# each case from a config file (no flag), and from every command's flag that sets the key
+_OUTSIDE_CASES = [(key, text, None) for key, text in _OUTSIDE_DOMAIN] + [
+    (key, text, (command, action.option_strings[0]))
+    for key, text in _OUTSIDE_DOMAIN
+    for command, action in _options()
+    if action.dest == key
+]
+
+
+@pytest.mark.parametrize(
+    "key, text, flag",
+    _OUTSIDE_CASES,
+    ids=[f"{key}={text} " + (" ".join(flag) if flag else "config") for key, text, flag in _OUTSIDE_CASES],
+)
+def test_a_value_outside_its_domain_is_one_config_error_before_any_task(tmp_path, capsys, monkeypatch, key, text, flag):
+    def no_task(*args, **kwargs):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(cli, "run", no_task)
+    out = tmp_path / "r.json"
+    if flag is None:
+        section, _, name = key.rpartition(".")
+        listed = cli._listed(cli._FIELDS[key])
+        value = [_json_or_text(entry) for entry in text.split(",") if entry] if listed else _json_or_text(text)
+        data = {section: {name: value}} if section else {name: value}
+        (tmp_path / "config.json").write_text(json.dumps(data))
+        argv = ["run", "--config", str(tmp_path / "config.json"), "--out", str(out)]
+    else:
+        command, option = flag
+        # "--flag=text": argparse would take a text such as -5e-324 for a flag of its own
+        argv = [command] + _valid_argv(command, tmp_path) + [f"{option}={text}", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert key.replace(".", " ") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interp-norm", "--function", "constant:1.0", "--steps=1", "--ridge=0"],
+        ["interp-norm", "--function", "constant:1.0", "--rule=refine", "--points=1,2", "--steps=1"],
+        ["decay-check", "--window=2", "--ell-max=1"],
+        ["psd-check", "--num-points=1"],
+        ["psd-check", "--points=2", "--precision-bits=64"],
+        ["psd-check", "--points=2", "--precision-bits=65536"],
+        ["derivatives", "--n-max=0", "--norm-bound=0", "--fd-step=5e-324"],
+        ["run", "--function", "constant:1.0", "--c-grid=1", "--ell-max=0", "--jobs=1", "--tasks=witness"],
+    ],
+)
+def test_a_value_on_its_domain_boundary_runs_its_task(tmp_path, argv):
+    out = tmp_path / "r.json"
+    kernel = [] if argv[0] == "run" else ["--kernel", "gaussian"]
+    assert main(argv[:1] + kernel + argv[1:] + ["--out", str(out)]) == 0
+    assert load_json(out)["task_errors"] == {}
+
+
+def test_refinement_of_one_base_point_is_a_config_error():
+    with pytest.raises(ConfigError, match="refine needs at least two"):
+        config_from_dict({"interpolant": {"rule": "refine", "base_points": [1.0]}})
+    assert config_from_dict({"interpolant": {"rule": "widen", "base_points": [1.0]}}).interp_base_points == (1.0,)
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["run", "--function", "constant:1.0", "--c-grid", "1", "--prec", "128"], "--prec 128"),
+        (["decay-check", "--kernel", "gaussian", "--thr", "1e-3"], "--thr 1e-3"),
+    ],
+)
+def test_a_prefix_of_a_flag_is_no_flag(tmp_path, capsys, argv, prefix):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: rkhs-cert: unrecognized arguments: {prefix}\n"
+    assert not out.exists()
+
+
+def test_interp_norm_summary_says_the_trace_was_truncated(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["interp-norm", "--kernel", "gaussian", "--function", "constant:1.0", "--points", "0,1e-200"]
+    assert main(argv + ["--out", str(out)]) == 0
+    reason = load_json(out)["results"]["interpolant"]["truncated_reason"]
+    assert reason.startswith("Gram numerically singular at 2 points even at 1024 bits")
+    summary = f"interpolant norms over 0 nested sets; divergence evidence: False; truncated: {reason}\n"
+    assert capsys.readouterr().out == summary
+
+
+def test_readme_config_example_names_every_key_and_is_accepted():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = json.loads(readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0])
+    config_from_dict(example)
+    echo = RunConfig().to_dict()
+    sections = {key for key, value in echo.items() if isinstance(value, dict)}
+
+    def keys(config):
+        top = {key for key in config if key not in sections}
+        return top | {f"{key}.{name}" for key in sections & set(config) for name in config[key]}
+
+    # endpoints and points belong to the interval and finite_set domains, not the example's full line
+    assert keys(example) == (keys(echo) | {"jobs"}) - {"domain.endpoints", "domain.points"}

@@ -1,7 +1,10 @@
 """Checks on the package source itself, run with the other tier-1 tests."""
 
 import ast
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+
+from rkhs_cert import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rkhs_cert"
 
@@ -286,3 +289,24 @@ def test_only_quadform_sums():
     assert SUMMER in {p.name for p in modules}
     summers = {p.name: found for p in modules if (found := sum_calls(p.read_text()))}
     assert set(summers) == {SUMMER}
+
+
+def undeclared_fields(config_class: type) -> list:
+    """Names of the fields of dataclass ``config_class`` that declare no config Domain, in field order."""
+    return [f.name for f in fields(config_class) if not isinstance(f.metadata.get("domain"), cli.Domain)]
+
+
+def test_undeclared_field_check_finds_each_one():
+    @dataclass(frozen=True)
+    class Config:
+        declared: int = cli._key(1, "declared", int, min=0)
+        bare: int = 2
+        helped: str = field(default="x", metadata={"help": "a help but no domain"})
+        listed: tuple = cli._key((), "listed", float, distinct=True)
+
+    assert undeclared_fields(Config) == ["bare", "helped"]
+
+
+def test_every_run_config_field_declares_a_domain():
+    assert fields(cli.RunConfig)
+    assert undeclared_fields(cli.RunConfig) == []
