@@ -14,7 +14,9 @@ Each key's RunConfig field declares its domain, so a value outside it
 exits 1 before any task runs, and exit 2 never comes from a config value's
 range: only from what a task finds, such as a kernel with no analytic
 constants or a sequence that repeats a point.  A flag is taken by its full
-name only, never by a prefix.
+name only, never by a prefix, and a text after it that starts as a negative
+number (``-1e-3``, ``-inf``) is its value.  A RunConfig built directly is
+checked as a config file is.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 
 import mpmath
@@ -123,7 +126,9 @@ class RunConfig:
     """Fully resolved run configuration with every default filled in.
 
     Each field is the one declaration of its config key: default, Domain and
-    flag help (see _key).
+    flag help (see _key).  However it is built, a RunConfig holds only
+    values its fields' Domains admit, converted as a config file's are, and
+    keys that agree with one another (``__post_init__``).
     """
 
     kernel: Any = _key("gaussian", "kernel", object)
@@ -147,8 +152,8 @@ class RunConfig:
     domain_kind: str = _key("full_line", "domain.kind", str, choices=DOMAIN_KINDS)
     domain_endpoints: Optional[Tuple[float, float]] = _key(None, "domain.endpoints", float, null=True)
     domain_points: Optional[Tuple[float, ...]] = _key(None, "domain.points", float, null=True, distinct=True)
-    # null, as when absent, reads the flag off the domain's kind (see _cross_key_rules)
-    has_accumulation_point: bool = _key(True, "domain.has_accumulation_point", bool, null=True)
+    # null, the default, reads the flag off the domain's kind (see _cross_key_rules)
+    has_accumulation_point: Optional[bool] = _key(None, "domain.has_accumulation_point", bool, null=True)
     witness_doubling_cap: int = _key(DEFAULT_DOUBLING_CAP, "witness.doubling_cap", int, min=0)
     witness_alpha: Optional[float] = _key(
         None, "witness.alpha", float, "declared tail lower bound for the witness task", above=0, null=True
@@ -175,6 +180,17 @@ class RunConfig:
     interp_ridge: float = _key(0.0, "interpolant.ridge", float, min=0)
     interp_divergence_factor: float = _key(1e3, "interpolant.divergence_factor", float)
 
+    def __post_init__(self) -> None:
+        """Admit each field's value by its Domain, in field order, then apply the cross-key rules.
+
+        A value outside its domain, or keys that contradict one another,
+        raise ConfigError, the refusal a config file gets; an unset (None)
+        accumulation flag is filled in from the domain's kind.
+        """
+        for f in fields(self):
+            object.__setattr__(self, f.name, _admit(f, getattr(self, f.name), f.metadata["key"].replace(".", " ")))
+        object.__setattr__(self, "has_accumulation_point", _cross_key_rules(self))
+
     def to_dict(self) -> Dict[str, Any]:
         """The config echo: every field at its config key, but "jobs"."""
         out: Dict[str, Any] = {}
@@ -185,13 +201,6 @@ class RunConfig:
             target[key] = list(value) if isinstance(value, tuple) else value
         del out["jobs"]  # parallelism must not influence report bytes
         return out
-
-
-# The config schema is the echo's, plus "jobs", which the echo omits.
-_ECHO = RunConfig().to_dict()
-_KEYS = set(_ECHO) | {"jobs"}
-# Each config key's RunConfig field, in declaration order.
-_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def _require_keys(section: Dict[str, Any], allowed: set, where: str) -> None:
@@ -265,8 +274,8 @@ def _admit(f: Any, value: Any, where: str) -> Any:
     return values
 
 
-def _cross_key_rules(cfg: RunConfig) -> RunConfig:
-    """``cfg``, refused where its keys contradict one another, with its unset (None) accumulation flag filled in.
+def _cross_key_rules(cfg: RunConfig) -> bool:
+    """``cfg``'s accumulation flag, filled in where unset (None); a ConfigError where its keys contradict one another.
 
     The accumulation-point flag is a user declaration, but for the three
     supported domain shapes its truth is decidable, so contradictory
@@ -293,21 +302,28 @@ def _cross_key_rules(cfg: RunConfig) -> RunConfig:
         raise ConfigError(truth)
     if cfg.interp_rule == "refine" and cfg.interp_base_points is not None and len(cfg.interp_base_points) < 2:
         raise ConfigError("interpolant rule refine needs at least two distinct base_points")
-    return replace(cfg, has_accumulation_point=flag)
+    return flag
+
+
+# The config schema is the echo's, plus "jobs", which the echo omits.
+_ECHO = RunConfig().to_dict()
+_KEYS = set(_ECHO) | {"jobs"}
+# Each config key's RunConfig field, in declaration order.
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def config_from_dict(data: Dict[str, Any]) -> RunConfig:
-    """The RunConfig of config object ``data``: each key given, admitted by its field's Domain, then cross-key rules."""
+    """The RunConfig of config object ``data``: each key given, at the field that declares it (see RunConfig)."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     _require_keys(data, _KEYS, "config")
-    kwargs: Dict[str, Any] = {"has_accumulation_point": None}  # until given, the domain's kind decides it
+    kwargs: Dict[str, Any] = {}
     for key, f in _FIELDS.items():
         section, _, name = key.rpartition(".")
         values = _section(data, section) if section else data
         if name in values:
-            kwargs[f.name] = _admit(f, values[name], key.replace(".", " "))
-    return _cross_key_rules(RunConfig(**kwargs))
+            kwargs[f.name] = values[name]
+    return RunConfig(**kwargs)
 
 
 def _sweep(cfg: RunConfig, scales: Tuple[float, ...], kernel: Any, f: Any, sequence: Any) -> SweepResult:
@@ -686,7 +702,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     data = _load_json_file(load_certificate, args.certificate, "certificate")
     cert = witness_from_dict(data)
-    del data  # its point list: the certificate holds the same points as its own tuple
+    del data  # the certificate holds its point window itself
     kernel = resolve_kernel(cert.kernel_id)
     f = resolve_function(cert.function_id, kernel)
     try:
@@ -778,12 +794,19 @@ def _config_flags(parser: argparse.ArgumentParser, keys: Sequence[str], required
         )
 
 
+# An argument argparse reads as a value, not a flag: one that starts as a negative number,
+# "-inf" or "-nan" does (argparse itself reads only -5, -.5 and -1.5 so).
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser, and so each of its subparsers, that takes no prefix of a flag for the flag
+    """An ArgumentParser, and so each of its subparsers, that takes no prefix of a flag for the flag,
+    takes any negative number (``-1e-3``, ``-inf``, ``-1,2``) after a flag as its value,
     and whose usage errors raise ConfigError."""
 
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str) -> NoReturn:
         raise ConfigError(f"{self.prog}: {message}")

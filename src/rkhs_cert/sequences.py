@@ -9,13 +9,24 @@ conclusion "proved" only when the exact gap identity and the profile's
 interval form back it: the sequence is triangular and the profile has a
 ``truncation_radius`` beyond which |phi| is provably negligible.  Otherwise
 the evidence stays "empirical".
+
+A window of points, as ``SequenceSpec.points`` gives it, is one ``pack``:
+an ``array('q')`` when every point is an int that fits a signed 64-bit
+word (the built-in integer sequences), 8 bytes a point and no int object
+per point, else a tuple of the points as given.  The two compare unequal to
+each other, so compare windows by their contents (``tuple(window)``).  The
+package builds no other array: a table of points, a certificate and the
+certificate reader keep the packed window they are given, or ``joined``
+ones.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from itertools import islice
+from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
@@ -46,8 +57,58 @@ class SequenceSpec:
             raise ValueError("sequence indices start at 1")
         return self.generator(n)
 
-    def points(self, start: int, count: int) -> Tuple[Any, ...]:
-        return tuple(self.point(n) for n in range(start, start + count))
+    def points(self, start: int, count: int) -> Sequence[Any]:
+        """The window x_start, ..., x_{start+count-1}, packed as it is generated (``pack``)."""
+        return pack(map(self.point, range(start, start + count)))
+
+
+# A packed window's type code: one signed 64-bit word a point.
+PACKED_TYPECODE = "q"
+
+# Points ``pack`` reads at a time: a list of them is checked and packed at once.
+PACK_CHUNK = 1024
+
+
+def is_packed(points: Any) -> bool:
+    """Whether ``points`` is a packed window: an ``array('q')``, every point an int below 2**63 in magnitude."""
+    return type(points) is array and points.typecode == PACKED_TYPECODE
+
+
+def pack(points: Iterable[Any]) -> Sequence[Any]:
+    """The points as one window: an ``array('q')`` if each is an int within a signed 64-bit word, else a tuple.
+
+    The points are read once, in order, and packed PACK_CHUNK at a time, so
+    a generator's points take 8 bytes each and no list is made of them all.
+    A point that is not an ``int`` (a float, a bool, an mpf) or lies outside
+    the word puts the whole window in a tuple.  A packed window is returned
+    as it is.
+    """
+    if is_packed(points):
+        return points
+    packed = array(PACKED_TYPECODE)
+    items = iter(points)
+    while chunk := list(islice(items, PACK_CHUNK)):
+        try:
+            if set(map(type, chunk)) != {int}:
+                raise TypeError("a point is no int")
+            packed.fromlist(chunk)  # all or nothing: OverflowError, and the window is as it was
+        except (TypeError, OverflowError):
+            return (*packed, *chunk, *items)
+    return packed
+
+
+def joined(head: Sequence[Any], tail: Sequence[Any]) -> Sequence[Any]:
+    """The points of ``head`` then of ``tail``, with ``head`` extended in place where it can be.
+
+    Packed, in ``head``, when both are packed; in ``head`` when it is a
+    list; ``tail`` itself when ``head`` is empty; else a new list.
+    """
+    if not head:
+        return tail
+    if type(head) is list or is_packed(head) and is_packed(tail):
+        head += tail
+        return head
+    return [*head, *tail]
 
 
 def triangular_sequence(direction: int = 1) -> SequenceSpec:

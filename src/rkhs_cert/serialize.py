@@ -21,9 +21,13 @@ string per point nor the file's whole text.
 A certificate file is read back by ``load_certificate``, which gives what
 ``load_json`` gives but for its point list: it walks the top-level object
 with json's own scanner and reads the ``points`` array one element at a
-time, so each point string that ``int()`` reads, in range, becomes that int
-as it is read.  It holds the file's text and the parsed points, not a string
-per point.  Text that it does not read as json does is handed to
+time, so each point string that ``int()`` reads within a signed 64-bit
+word is appended, as that int, to one packed window (``sequences.pack``)
+as it is read.  It holds the file's text and 8 bytes a point, not a string
+or an int object per point.  From the first point that is no such int, the
+rest are kept as json reads them, in a list.  ``witness_from_dict`` keeps a
+packed window as the certificate's points, and converts and checks a list's
+points once each.  Text that it does not read as json does is handed to
 ``json.loads`` whole, so every refusal is json's own.
 """
 
@@ -50,7 +54,7 @@ from mpmath.libmp import from_man_exp, from_str, mpf_pos
 from .analytic import DerivativeReport
 from .interpolant import NormTrace
 from .quadform import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, PsdVerdict
-from .sequences import DecayReport
+from .sequences import DecayReport, is_packed, pack
 from .witness import MAX_POINT_BITS, WITNESS_SCHEMA, SweepResult, WitnessCertificate, point_in_range
 
 REPORT_SCHEMA = "rkhs-cert/report/v2"
@@ -142,11 +146,12 @@ _comma = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
 
 
 def load_certificate(path: str | Path) -> Any:
-    """``load_json(path)``, but each point string that ``int()`` reads, in range, is that int.
+    """``load_json(path)``, but a point list of ints within a 64-bit word is one packed window of them.
 
-    For such a string ``int(v)`` is what ``str_to_number(v)`` returns at any
-    precision, so ``witness_from_dict`` reads the same certificate from
-    either; the strings themselves are never held together.  A text that
+    Each point is an int or a string that ``int()`` reads; for such a string
+    ``int(v)`` is what ``str_to_number(v)`` returns at any precision, so
+    ``witness_from_dict`` reads the same certificate from either; the
+    strings themselves are never held together.  A text that
     ``_certificate_object`` does not read is ``json.loads``'s to refuse or,
     if it is not an object, to read: every outcome but the point ints is
     json's own.
@@ -194,27 +199,36 @@ def _certificate_object(text: str) -> Dict[str, Any]:
     return data
 
 
-def _point_array(text: str, end: int) -> Tuple[List[Any], int]:
+def _point_array(text: str, end: int) -> Tuple[Sequence[Any], int]:
     """The JSON array whose elements start at ``end``, after its ``[``, and the index past its ``]``.
 
-    Each element is scanned as json scans it; a string that ``int()`` reads
-    as a point in range is kept as that int, and its string is dropped.
+    Each element is scanned as json scans it.  While each is an int, or a
+    string that ``int()`` reads, within a signed 64-bit word, it is appended
+    as that int to one packed window, and its string is dropped; from the
+    first that is not, the window becomes a list of ints, and that element
+    and the rest are appended to it as json gives them.
     """
-    points: List[Any] = []
+    points: Any = pack(())
     end = _skip_space(text, end).end()
     if text[end : end + 1] == "]":
         return points, end + 1
     while True:
         value, end = _scan_value(text, end)
-        if type(value) is str:
+        if type(points) is list:
+            points.append(value)
+        else:
+            number = value
+            if type(value) is str:
+                try:
+                    number = int(value)
+                except ValueError:
+                    pass
             try:
-                number = int(value)
-            except ValueError:
-                pass
-            else:
-                if point_in_range(number):
-                    value = number
-        points.append(value)
+                if type(number) is not int:  # the window would take a bool as 0 or 1
+                    raise TypeError("not an int")
+                points.append(number)  # OverflowError beyond the 64-bit word
+            except (TypeError, OverflowError):
+                points = [*points, value]
         comma = _comma(text, end)
         if comma is None:
             return points, _closed(text, end, "]")
@@ -372,17 +386,26 @@ def _field(data: Dict[str, Any], key: str, parse: Callable[[Any], Any]) -> Any:
         raise ValueError(f"certificate field {key!r} is malformed: {exc}") from None
 
 
-def _points(value: Any, precision_bits: int) -> Tuple[Any, ...]:
-    """A list of stored points: each int as it is, any other ``_real(str(v))``; finite, below 2**1024 in magnitude."""
+def _points(value: Any, precision_bits: int) -> Sequence[Any]:
+    """Stored points as one window (``pack``): a packed window as it is, or a list's points, each checked once.
+
+    Each point of a packed window is in range.  A list's int is kept as it
+    is, any other entry is ``_real(str(v))``, and each must be finite and
+    below 2**MAX_POINT_BITS in magnitude.
+    """
+    if is_packed(value):
+        return value
     if not isinstance(value, list):
         raise TypeError(f"expected a list, not {value!r}")
-    points = []
-    for v in value:
-        point = v if type(v) is int else _real(str(v), precision_bits)
-        if not point_in_range(point):
-            raise ValueError(f"expected a finite point below 2**{MAX_POINT_BITS} in magnitude, not {str(v)!r}")
-        points.append(point)
-    return tuple(points)
+    return pack(map(partial(_point, precision_bits=precision_bits), value))
+
+
+def _point(value: Any, precision_bits: int) -> Any:
+    """One stored point of a list: an int as it is, anything else ``_real(str(value))``, checked in range."""
+    point = value if type(value) is int else _real(str(value), precision_bits)
+    if not point_in_range(point):
+        raise ValueError(f"expected a finite point below 2**{MAX_POINT_BITS} in magnitude, not {str(value)!r}")
+    return point
 
 
 def _ones(value: Any) -> None:

@@ -35,8 +35,17 @@ exact Python ints for every window, read in place with no list of gaps:
 ``_window_keys`` writes each point, as the working precision gives it, as
 k * 2^e for one exponent e, so every difference and square is exact and
 phi's argument d^2 is rounded once.  An int window below 2^precision is its
-own keys; any other window is converted once to read them.  f always gets
-the points as given and converts each itself.
+own keys, and a packed window (``sequences.pack``: an ``array('q')``, 8
+bytes a point) is its own at 64 bits and more with no scan of its points;
+any other window is converted once to read them.  f always gets the points
+as given and converts each itself.
+
+A window of the built-in integer sequences is packed from the sequence to
+the certificate: a ``PointTable`` holds its points as one packed window,
+extended in place, the window a search evaluates is a slice of it, and that
+slice is the certificate's ``points``.  A window with a point that is no
+64-bit int is a tuple, as the certificate's points are then, and the
+table's points a tuple or a list.
 
 ``sweep_c`` is the one loop over scales, for the library and for
 ``rkhs-cert run``; ``build_witness`` is its search at a single scale.  The
@@ -87,7 +96,7 @@ from .functions import DECLARED, CandidateFunction, TailBound, tail_lower_bound
 from .kernels import KernelSpec, undefined_pair
 from .quadform import DEFAULT_PRECISION_BITS, Block, block_terms, fixed_point_block, neumaier_sum
 from .quadform import assemble_gram, quadratic_form  # noqa: F401  unused; perfbench/trace_child.py patches them here
-from .sequences import SequenceSpec, offset_ladder
+from .sequences import SequenceSpec, is_packed, joined, offset_ladder, pack
 
 WITNESS_SCHEMA = "rkhs-cert/witness/v1"
 
@@ -157,12 +166,16 @@ def _no_radial_profile(kernel: KernelSpec) -> WitnessSearchError:
 def _window_keys(points: Sequence[Any], prec: int) -> Tuple[Sequence[int], int]:
     """Ints k_i and one exponent e with k_i * 2^e each point's value at precision ``prec``, exactly.
 
-    Ints below 2^prec are their own keys, with e = 0.  Any other window is
+    Ints below 2^prec are their own keys, with e = 0: a packed window at
+    prec >= 64 with no scan, as |k| <= 2^63 < 2^prec, and any other window
+    of ints once its types and extremes are checked.  Any other window is
     converted once, at the working precision, to read each point's raw
     value (``fixed_point_block``); a non-finite point, or keys spanning more
     than prec + 2 MAX_POINT_BITS + 64 bits (one tiny point widens every
     key), raise ValueError before any key is made.
     """
+    if prec >= 64 and is_packed(points):
+        return points, 0
     if set(map(type, points)) == {int} and -(1 << prec) < min(points) and max(points) < 1 << prec:
         return points, 0
     limit = prec + 2 * MAX_POINT_BITS + 64
@@ -276,7 +289,8 @@ def evaluate_ones_form(
     phi gets D^2 * 4^e rounded once at ``precision_bits``.  It reads
     consecutive keys in place and keeps no list of gaps, so a monotone int
     window, ascending or descending, costs no memory per point beyond its
-    inputs and one term per row that holds a pair.  Only that
+    inputs (8 bytes a point, packed) and one term per row that holds a
+    pair.  Only that
     bookkeeping sees the sorted order: f gets the points as given.
 
     ``f_values``, when given, returns f at the points, computed at
@@ -311,9 +325,10 @@ def evaluate_ones_form(
         r_star = math.inf if radius is None else to_int(mpf_shift(radius._mpf_, -e2), "f")
         off_terms: List[Any] = []
         try:
-            for i in range(n - 1):
-                x = keys[i]
-                if (keys[i + 1] - x) ** 2 > r_star:
+            # each row's nearest pair from two iterators: faster than indexing, on a list or a packed window
+            for i, (x, y) in enumerate(zip(keys, islice(keys, 1, None))):
+                d = y - x
+                if d * d > r_star:
                     continue  # the row's first pair is its nearest: the row is empty
                 acc = mpf(0)
                 for j in range(i + 1, n):
@@ -359,7 +374,10 @@ class PointTable:
     range there, so no index outside a requested window is ever computed;
     an offset probe's points, asked for through ``probe``, never restart it.
     Restarting the points drops the values: a value is held only with its point.
-    Windows are list slices: the caller may keep them, but not modify them.
+    The points are one window (``sequences.joined``): packed, 8 bytes a
+    point, and extended in place, while every window it holds is; a tuple
+    or a list otherwise.  The windows ``points`` returns are slices of it:
+    the caller may keep them, but not modify them.
     A verifier's table has no ``sequence``: it holds the certificates' stored
     points, passed to ``points`` as ``given``.
     The table holds points and f values only; the search owns its tail facts.
@@ -375,18 +393,19 @@ class PointTable:
         self.sequence = sequence
         self.precision_bits = precision_bits
         self.first = 1
-        self.raw: List[Any] = []
+        self.raw: Sequence[Any] = []
         self.values_first = 1
         self.values_held = 0
         self.value_blocks: List[Block] = []
 
-    def points(self, start: int, count: int, given: Optional[Sequence[Any]] = None) -> List[Any]:
+    def points(self, start: int, count: int, given: Optional[Sequence[Any]] = None) -> Sequence[Any]:
         """The points at indices start, ..., start + count - 1, as the sequence gives them.
 
         ``given`` supplies them instead.  Where the table holds a point at one
         of those indices, the given one must be ``==`` to it (exact on ints,
         floats and mpf, so equal points convert to the same mpf and share f
-        values), else ValueError, and the table is left as it was.
+        values), else ValueError, and the table is left as it was.  Two
+        packed windows are compared as arrays, with no int made per point.
         """
         self._hold(start, count, given)
         i = start - self.first
@@ -400,7 +419,10 @@ class PointTable:
         else:
             lo, hi = max(start, self.first), min(start + count, self.first + len(self.raw))
             held = self.raw[lo - self.first : max(lo, hi) - self.first]
-            if tuple(held) != tuple(given[lo - start : lo - start + len(held)]):
+            part = given[lo - start : lo - start + len(held)]
+            # windows of one type compare as they are: two packed ones with no int made per point
+            same = held == part if type(held) is type(part) else tuple(held) == tuple(part)
+            if not same:
                 raise ValueError("given points differ from the points the table holds")
             new = lambda first, n: given[first - start : first - start + n]
         self.first, self.raw = _cover(self.first, len(self.raw), self.raw, start, count, new)
@@ -494,18 +516,19 @@ def _cover(
     """Grow a list covering ``held`` indices first, first + 1, ... to cover start, ..., start + count - 1.
 
     ``new(a, k)`` returns the items for indices a, ..., a + k - 1: one item
-    per index, or blocks of them.  A request that neither overlaps nor
-    adjoins the covered range restarts the list there.  Returns the new
-    first index and the list.
+    per index, or blocks of them.  The list is a list, or a window of points
+    (``sequences.joined``).  A request that neither overlaps nor adjoins the
+    covered range restarts the list there.  Returns the new first index and
+    the list.
     """
     stop = first + held
     if not _touches(first, held, start, count):
         first, items, stop = start, [], start
     if start < first:
-        items = [*new(start, first - start), *items]  # not in place: a raising new() leaves it whole
+        items = joined(new(start, first - start), items)  # new() runs first: if it raises, items is whole
         first = start
     if start + count > stop:
-        items += new(stop, start + count - stop)
+        items = joined(items, new(stop, start + count - stop))
     return first, items
 
 
@@ -526,7 +549,7 @@ class WitnessCertificate:
     n_points: int
     ell: int
     r_value: Any
-    points: Tuple[Any, ...]
+    points: Sequence[Any]  # a window (sequences.pack): packed when every point is a 64-bit int, else a tuple
     precision_bits: int
     schema: str = WITNESS_SCHEMA
 
@@ -669,7 +692,7 @@ def _search(
                 n_points=n,
                 ell=ell,
                 r_value=r,
-                points=tuple(points),
+                points=pack(points),
                 precision_bits=precision_bits,
             )
         last_r = r
@@ -746,7 +769,8 @@ def verify_certificate(
     if cert.n_points < n_threshold(cert.kernel_diag_sup, cert.c, cert.alpha):
         return False
     # The extremes bound every magnitude: a check per point would cost more than these two.
-    if not (point_in_range(min(cert.points)) and point_in_range(max(cert.points))):
+    # A packed window's points are below 2**63 in magnitude, so it needs neither.
+    if not is_packed(cert.points) and not (point_in_range(min(cert.points)) and point_in_range(max(cert.points))):
         return False
     bits, start, n = cert.precision_bits, cert.ell + 1, cert.n_points
     if table is None or table.precision_bits != bits:

@@ -1807,3 +1807,50 @@ def test_readme_config_example_names_every_key_and_is_accepted():
 
     # endpoints and points belong to the interval and finite_set domains, not the example's full line
     assert keys(example) == (keys(echo) | {"jobs"}) - {"domain.endpoints", "domain.points"}
+
+
+def test_a_directly_built_config_is_checked_as_a_config_file_is():
+    # the field default leaves the accumulation flag to the domain's kind: a one-point set has none
+    cfg = RunConfig(function="constant:1.0", c_grid=(1.0,), domain_kind="finite_set", domain_points=(1.0,))
+    assert cfg.has_accumulation_point is False
+    domain = {"kind": "finite_set", "points": [1.0]}
+    assert cfg == config_from_dict({"function": "constant:1.0", "c_grid": [1.0], "domain": domain})
+    report, code = run(cfg)
+    assert code == 0
+    assert report["results"]["witness"]["domain_transfer"].startswith(
+        "restriction remark withheld: the declared domain has no accumulation point"
+    )
+    with pytest.raises(ConfigError, match=r"^interpolant ridge must be >= 0, not -1.0$"):
+        RunConfig(tasks=("interpolant",), interp_ridge=-1.0)
+    with pytest.raises(ConfigError, match="^a finite set has no accumulation point$"):
+        RunConfig(domain_kind="finite_set", domain_points=(1.0,), has_accumulation_point=True)
+    # values are converted as a config file's are
+    assert RunConfig(c_grid=[1, 0.5], ell_max=7.0).c_grid == (1.0, 0.5)
+
+
+_NEGATIVE_AFTER_FLAG = [
+    (["interp-norm", "--kernel", "gaussian", "--function", "constant:1.0"], "--ridge", "-1e-300"),
+    (["interp-norm", "--kernel", "gaussian", "--function", "constant:1.0"], "--ridge", "-inf"),
+    (["run", "--function", "constant:1.0", "--tasks", "witness"], "--c-grid", "-1e-3"),
+    (["run", "--function", "constant:1.0", "--tasks", "witness"], "--c-grid", "-inf"),
+    (["derivatives", "--kernel", "gaussian"], "--fd-x", "-2e-3"),
+    (["derivatives", "--kernel", "gaussian"], "--fd-x", "-inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,value", _NEGATIVE_AFTER_FLAG, ids=[f"{a[0]} {f} {v}" for a, f, v in _NEGATIVE_AFTER_FLAG]
+)
+def test_a_negative_number_after_its_flag_is_its_value(tmp_path, capsys, argv, flag, value):
+    """``--flag -1e-3`` reaches the config as ``--flag=-1e-3`` does: the same exit, output and report."""
+
+    def outcome(given, name):
+        out = tmp_path / name
+        code = main(argv + given + ["--out", str(out)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+    apart, joined = outcome([flag, value], "apart.json"), outcome([f"{flag}={value}"], "joined.json")
+    assert apart == joined
+    assert "expected one argument" not in apart[2]
+    assert apart[0] == (0 if value == "-2e-3" else 1)

@@ -162,3 +162,69 @@ def test_offdiag_bounded_by_smallest_gap_value(ell, window):
     with mpmath.workprec(128):
         expected = 1 / (1 + mpmath.mpf(smallest_gap) ** 2)
         assert abs(v - expected) <= mpmath.mpf(1e-30)
+
+
+# --- packed windows -------------------------------------------------------------
+
+
+def test_pack_packs_ints_within_a_64_bit_word_and_keeps_any_other_window_a_tuple():
+    from rkhs_cert.sequences import PACK_CHUNK, is_packed, pack
+
+    word = [-(2**63), -1, 0, 2**63 - 1]
+    assert is_packed(pack(word)) and tuple(pack(word)) == tuple(word)
+    assert is_packed(pack(iter(word))) and is_packed(pack(()))
+    packed = pack(word)
+    assert pack(packed) is packed
+    # one point that is no 64-bit int, in any chunk, leaves every point as it was, in a tuple
+    for other in (2**63, -(2**63) - 1, 2.0, True, mpmath.mpf(3)):
+        for at in (0, 5, PACK_CHUNK + 5):
+            points = list(range(PACK_CHUNK + 9))
+            points[at] = other
+            window = pack(iter(points))
+            assert type(window) is tuple and window == tuple(points)
+            assert [type(p) for p in window] == [type(p) for p in points]
+
+
+def test_joined_extends_a_packed_window_in_place_and_a_mixed_one_as_a_list():
+    from rkhs_cert.sequences import is_packed, joined, pack
+
+    head = pack([1, 2])
+    assert joined(head, pack([3])) is head and tuple(head) == (1, 2, 3)
+    mixed = joined(head, (4.5,))
+    assert type(mixed) is list and mixed == [1, 2, 3, 4.5]
+    assert joined(mixed, pack([6])) is mixed and mixed == [1, 2, 3, 4.5, 6]
+    tail = pack([7])
+    assert joined([], tail) is tail and joined(pack([]), tail) is tail
+    assert is_packed(joined(pack([0]), tail))
+
+
+def test_a_triangular_window_holds_at_most_10_bytes_a_point():
+    import tracemalloc
+
+    n = 2**16
+    sequence = triangular_sequence(1)
+    sequence.points(1, 2)
+    tracemalloc.start()
+    try:
+        window = sequence.points(1, n)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert window[-1] == n * (n + 1) // 2 and len(window) == n
+    assert held <= 10 * n
+
+
+@pytest.mark.parametrize(
+    "sequence,packed",
+    [("triangular+", True), ("triangular-", True), ("mixed_sign_triangular", True),
+     ("arithmetic:1e19", False), ("arithmetic:1e18", False), ("arithmetic:7.5", False), ("custom:n**2/2 + 1/4", False)],
+)
+def test_a_window_is_packed_exactly_when_each_point_is_a_64_bit_int(sequence, packed):
+    from rkhs_cert.registry import resolve_sequence
+    from rkhs_cert.sequences import is_packed
+
+    seq = resolve_sequence(sequence)
+    window = seq.points(1, 12)  # arithmetic:1e18 leaves the word at x_10
+    assert is_packed(window) is packed
+    assert tuple(window) == tuple(seq.point(n) for n in range(1, 13))
+    assert [type(p) for p in window] == [type(seq.point(n)) for n in range(1, 13)]

@@ -241,8 +241,28 @@ def test_certificate_read_holds_no_string_per_point(tmp_path):
     finally:
         tracemalloc.stop()
     assert cert == witness_from_dict(load_json(path))
-    assert cert.points == tuple(points)
+    assert tuple(cert.points) == tuple(points)
     assert peak - held <= 32 * n
+
+
+def test_certificate_read_from_a_file_holds_at_most_10_bytes_a_point(tmp_path):
+    """The certificate ``witness_from_dict(load_certificate(path))`` returns
+    for a 2^16-point file holds its points as one packed window: the file's
+    text and its scan are garbage once it is read."""
+    import tracemalloc
+
+    n = 2**16
+    path = tmp_path / "cert.json"
+    stream_certificate(_certificate(triangular_sequence(1).points(1, n)), path)
+    witness_from_dict(load_certificate(path))
+    tracemalloc.start()
+    try:
+        cert = witness_from_dict(load_certificate(path))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.n_points == len(cert.points) == n and cert.points[-1] == n * (n + 1) // 2
+    assert held <= 10 * n
 
 
 def test_write_and_load_json(tmp_path):

@@ -310,3 +310,63 @@ def test_undeclared_field_check_finds_each_one():
 def test_every_run_config_field_declares_a_domain():
     assert fields(cli.RunConfig)
     assert undeclared_fields(cli.RunConfig) == []
+
+
+# The one module that builds an array: a window is packed, or not, by one rule there.
+PACKER = "sequences.py"
+
+
+# The array module's type, under both of its names.
+ARRAY_TYPES = ("array", "ArrayType")
+
+
+def array_builds(source: str) -> list:
+    """Lines that call ``array.array`` under any name an import gives it.
+
+    A build is ``name(...)`` for a name imported as one of ARRAY_TYPES from
+    the ``array`` module (under any alias), or ``m.array(...)`` /
+    ``m.ArrayType(...)`` on a name that ``import array`` binds.
+    """
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names if alias.name == "array")
+        elif isinstance(node, ast.ImportFrom) and node.module == "array":
+            functions.update(alias.asname or alias.name for alias in node.names if alias.name in ARRAY_TYPES)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ARRAY_TYPES:
+            if isinstance(func.value, ast.Name) and func.value.id in modules:
+                found.append(node.lineno)
+        elif isinstance(func, ast.Name) and func.id in functions:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_array_build_check_finds_each_spelling():
+    source = (
+        "import array\n"
+        "import array as arrays\n"
+        "from array import array as packed, typecodes, ArrayType\n"
+        "array.array('q')\n"
+        "arrays.array('q', [1])\n"
+        "packed('q')\n"
+        "ArrayType('q')\n"
+        "array.ArrayType('q')\n"
+        "typecodes.count('q')\n"
+        "numpy.array([1])\n"
+        "isinstance(x, packed)\n"
+        "x.typecode == 'q'\n"
+    )
+    assert array_builds(source) == [4, 5, 6, 7, 8]
+
+
+def test_only_sequences_builds_an_array():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKER in {p.name for p in modules}
+    builders = {p.name: found for p in modules if (found := array_builds(p.read_text()))}
+    assert set(builders) == {PACKER}

@@ -748,7 +748,7 @@ def test_point_table_extends_and_restarts():
     table.window(1, 2)  # adjoins the stored range
     assert len(calls) == 10
     raw = table.points(3, 8)
-    assert raw == list(seq.points(3, 8))
+    assert list(raw) == list(seq.points(3, 8))
     with workprec(256):
         assert values == [make_paper_example().eval_mp(x)._mpf_ for x in raw]
     table.window(20, 2)  # disjoint: the table starts over there
@@ -1454,3 +1454,63 @@ def test_sweep_rejects_bad_grid():
         sweep_c(make_gaussian(), make_constant(1.0), triangular_sequence(1), c_grid=())
     with pytest.raises(ValueError):
         sweep_c(make_gaussian(), make_constant(1.0), triangular_sequence(1), c_grid=(0.0,))
+
+
+def test_sweep_certificates_hold_at_most_10_bytes_a_point():
+    """The certificates of a sweep of constant:1.0 down to 2^-6 (10,929 points
+    in all) hold their points packed: no int object and no reference per point."""
+    import tracemalloc
+
+    k, f, seq = make_gaussian(), make_constant(1.0), triangular_sequence(1)
+    grid = [2.0**-j for j in range(7)]
+    sweep_c(k, f, seq, grid)  # mpmath's caches, filled once
+    tracemalloc.start()
+    try:
+        sweep = sweep_c(k, f, seq, grid)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = sum(cert.n_points for cert in sweep.certificates)
+    assert len(sweep.certificates) == len(grid) and n == 10929
+    assert held <= 10 * n
+
+
+# r of certificates whose windows hold a point that is no 64-bit int, which
+# stay tuples: gaussian, constant:1.0, c = 0.25, 256 bits, 33 points each.
+TUPLE_WINDOW_R = [
+    ("arithmetic:1e19", 0, int, "-35.0625"),  # every point at least 2^63
+    ("arithmetic:1e18", 0, int, "-35.0625"),  # x_10 = 10^19 leaves the word
+    ("arithmetic:7.5", 0, float,
+     "-35.06249999999999999999997617047602079673325254995102598089264731923046355140423749011"),
+    ("custom:n**2/2 + 1/4", 1, float,
+     "-35.05862951828215799384414086329939595551065478469881421866710074692019308527023730643"),
+]
+
+
+@pytest.mark.parametrize("sequence,ell,kind,expected", TUPLE_WINDOW_R, ids=[s for s, *_ in TUPLE_WINDOW_R])
+def test_a_window_with_a_point_beyond_64_bit_ints_keeps_a_tuple_and_its_r_bits(sequence, ell, kind, expected):
+    from rkhs_cert.registry import resolve_sequence
+    from rkhs_cert.serialize import number_to_str
+
+    k, f, seq = make_gaussian(), make_constant(1.0), resolve_sequence(sequence)
+    cert = build_witness(k, f, seq, 0.25)
+    assert (cert.n_points, cert.ell) == (33, ell)
+    assert type(cert.points) is tuple and {type(p) for p in cert.points} == {kind}
+    assert cert.points == tuple(seq.point(n) for n in range(ell + 1, ell + 34))
+    assert number_to_str(cert.r_value, 256) == expected
+    assert verify_certificate(cert, k, f)
+
+
+def test_a_packed_window_below_64_bits_takes_the_checked_path():
+    from rkhs_cert.sequences import is_packed
+    from rkhs_cert.witness import _window_keys
+
+    points = triangular_sequence(1).points(2**27, 5)  # each above 2^53
+    assert is_packed(points) and min(points) > 2**53
+    assert _window_keys(points, 64) == (points, 0)
+    keys, e = _window_keys(points, 53)
+    assert e > 0 and (list(keys), e) == (list(_window_keys(tuple(points), 53)[0]), e)
+    k, f = make_gaussian(), make_paper_example()
+    for bits in (53, 64):
+        r = evaluate_ones_form(k, f, 0.5, points, bits)
+        assert r._mpf_ == evaluate_ones_form(k, f, 0.5, tuple(points), bits)._mpf_
