@@ -17,7 +17,7 @@ per point, else a tuple of the points as given.  The two compare unequal to
 each other, so compare windows by their contents (``tuple(window)``).  The
 package builds no other array: a table of points, a certificate and the
 certificate reader keep the packed window they are given, or ``joined``
-ones.
+ones, and the ones-form evaluator packs its band rows' indices here too.
 """
 
 from __future__ import annotations
@@ -58,8 +58,14 @@ class SequenceSpec:
         return self.generator(n)
 
     def points(self, start: int, count: int) -> Sequence[Any]:
-        """The window x_start, ..., x_{start+count-1}, packed as it is generated (``pack``)."""
-        return pack(map(self.point, range(start, start + count)))
+        """The window x_start, ..., x_{start+count-1}, packed as it is generated (``pack``).
+
+        The index check is ``point``'s, made once for the window; each point
+        is then the generator's, with no Python frame of this class per index.
+        """
+        if start < 1 and count > 0:
+            raise ValueError("sequence indices start at 1")
+        return pack(map(self.generator, range(start, start + count)))
 
 
 # A packed window's type code: one signed 64-bit word a point.

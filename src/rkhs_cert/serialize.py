@@ -244,6 +244,9 @@ def _closed(text: str, end: int, close: str) -> int:
 
 
 def _num_list(values: Iterable[Any], precision_bits: int) -> List[str]:
+    """``number_to_str`` of each value: ``str`` of each int of a packed window, with no Python call per point."""
+    if is_packed(values):
+        return list(map(str, values))
     return [number_to_str(v, precision_bits) for v in values]
 
 

@@ -25,8 +25,12 @@ certificate's comparison tolerance, whatever phi's sign or shape.  Without
 such an r* a window sums all of its pairs, up to DENSE_FALLBACK_LIMIT
 points.  In a strictly monotone order a row's pairs move apart as they go,
 so each row ends at its own first pair beyond r*, and a row whose nearest
-pair lies beyond r* adds nothing: the band is decided row by row, with no
-scan of the whole window.  The rule depends only on the profile's
+pair lies beyond r* adds nothing.  One C-level pass over the window's
+consecutive gaps selects the band rows, those whose first gap lies within
+r*, and checking the order on those rows alone proves the window monotone;
+only band rows get a Python frame, about a dozen on a triangular window
+however long it is.  A window that is not monotone is sorted and takes the
+same pass, as before.  The rule depends only on the profile's
 expression, which the kernel identifier names, so builder and verifier
 select the same path and reverification reproduces r to working accuracy.
 
@@ -82,8 +86,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
-from operator import gt, lt
+from itertools import compress, count, islice, repeat
+from operator import attrgetter, ge, gt, le, lt, sub
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import mpmath
@@ -286,12 +290,19 @@ def evaluate_ones_form(
     runs on the window's exact integer keys (``_window_keys``, which raises
     ValueError for a non-finite point or too wide a span): with points
     k_i * 2^e, d^2 > r* is D^2 > floor(r* / 4^e) for the integer D^2, and
-    phi gets D^2 * 4^e rounded once at ``precision_bits``.  It reads
-    consecutive keys in place and keeps no list of gaps, so a monotone int
-    window, ascending or descending, costs no memory per point beyond its
-    inputs (8 bytes a point, packed) and one term per row that holds a
-    pair.  Only that
-    bookkeeping sees the sorted order: f gets the points as given.
+    phi gets D^2 * 4^e rounded once at ``precision_bits``.  One pass
+    (``_band_rows``) reads consecutive keys in place, with no list of gaps
+    and no Python frame per point: in the order of the first pair, it
+    selects the rows whose first gap D has |D| <= isqrt(floor(r* / 4^e))
+    (every row without a radius), and checks the strict order on those rows
+    alone, before any profile value, since every other gap exceeds that
+    reach with the order's sign.  Only the selected rows, the band rows, run
+    the Python loop over their pairs.  A window that fails the check is
+    sorted and takes the same pass, where a zero gap is a coincident point.
+    So a monotone int window, ascending or descending, costs no memory per
+    point beyond its inputs (8 bytes a point, packed), its band rows' packed
+    indices and one term per band row.  Only that bookkeeping sees the
+    sorted order: f gets the points as given.
 
     ``f_values``, when given, returns f at the points, computed at
     ``precision_bits``: mpf values, or the ``Block``s a ``PointTable``
@@ -315,21 +326,21 @@ def evaluate_ones_form(
             )
         prec, rnd = mpmath.mp._prec_rounding
         keys, e = _window_keys(points, prec)
-        if not (_consecutive(gt, keys) or _consecutive(lt, keys)):
+        e2 = 2 * e
+        # D^2 * 4^e > r* iff D^2 > floor(r* / 4^e) for an integer D^2, and D^2 <= R iff |D| <= isqrt(R)
+        r_star = math.inf if radius is None else to_int(mpf_shift(radius._mpf_, -e2), "f")
+        reach = math.inf if radius is None else math.isqrt(r_star)
+        rows = _band_rows(keys, reach, n > 1 and keys[1] < keys[0])
+        if rows is None:
             # the form is symmetric in the points: sort the evaluator's own keys
             keys = sorted(keys)
-            if not _consecutive(lt, keys):
+            rows = _band_rows(keys, reach, False)
+            if rows is None:
                 raise ValueError("coincident points in node set")
-        e2 = 2 * e
-        # D^2 * 4^e > r* iff D^2 > floor(r* / 4^e) for an integer D^2
-        r_star = math.inf if radius is None else to_int(mpf_shift(radius._mpf_, -e2), "f")
         off_terms: List[Any] = []
         try:
-            # each row's nearest pair from two iterators: faster than indexing, on a list or a packed window
-            for i, (x, y) in enumerate(zip(keys, islice(keys, 1, None))):
-                d = y - x
-                if d * d > r_star:
-                    continue  # the row's first pair is its nearest: the row is empty
+            for i in rows:
+                x = keys[i]
                 acc = mpf(0)
                 for j in range(i + 1, n):
                     d = keys[j] - x
@@ -346,9 +357,20 @@ def evaluate_ones_form(
         return diag + neumaier_sum(off_terms) - mpf(c) ** 2 * fsum * fsum
 
 
-def _consecutive(order: Callable[[Any, Any], bool], keys: Sequence[Any]) -> bool:
-    """Whether ``order(k_i, k_{i+1})`` holds for every two consecutive keys, read in place."""
-    return all(map(order, keys, islice(keys, 1, None)))
+def _band_rows(keys: Sequence[int], reach: Any, descending: bool) -> Optional[Sequence[int]]:
+    """The rows i whose first gap |k_{i+1} - k_i| is at most ``reach``, packed; None unless the keys are monotone.
+
+    One C-level pass over consecutive keys, read in place, selects the rows
+    whose gap is at most ``reach`` (>= 0) in the order asked for, ascending
+    or ``descending``: every gap it leaves out has that order's sign, and
+    one of the other sign, or zero, is selected.  So checking the strict
+    order on the selected rows alone proves every key strictly ascending
+    (or descending), and the band needs no Python frame per point.
+    """
+    within, order, reach = (ge, gt, -reach) if descending else (le, lt, reach)
+    rows = pack(compress(count(), map(within, map(sub, islice(keys, 1, None), keys), repeat(reach))))
+    nexts = map(keys.__getitem__, map((1).__add__, rows))
+    return rows if all(map(order, map(keys.__getitem__, rows), nexts)) else None
 
 
 class PointTable:
@@ -450,12 +472,12 @@ class PointTable:
         self._hold(start, count)
 
         def new_blocks(first: int, n: int) -> List[Block]:
-            lo, blocks = first - self.first, []
+            lo, blocks, values_mp = first - self.first, [], self.f.values_mp
             with workprec(self.precision_bits):
                 for a in range(lo, lo + n, VALUE_BLOCK):
                     chunk = self.raw[a : min(a + VALUE_BLOCK, lo + n)]
                     # one expression: the mpf values are garbage before the block is made
-                    blocks.append(_value_block([v._mpf_ for v in self.f.values_mp(chunk)], self.precision_bits))
+                    blocks.append(_value_block(list(map(attrgetter("_mpf_"), values_mp(chunk))), self.precision_bits))
             return blocks
 
         self.values_first, self.value_blocks = _cover(
@@ -496,7 +518,7 @@ def _value_block(raw: List[Any], prec: int) -> Block:
         return Block(raw)
     if one:
         q = block.values[0]
-        return block._replace(values=[q for _ in raw], total=q * len(raw))
+        return block._replace(values=[q] * len(raw), total=q * len(raw))
     return block
 
 

@@ -3,18 +3,22 @@
 Everything here is deliberately built from the standard library (math,
 math.fsum), numpy for eigenvalues and mpmath's ``mpf`` objects for the
 reference expression evaluator and the deflated kernel, with no imports
-from the package under test.  The frozen constants below were produced by running this module
+from the package under test (the two-pass ones-form evaluator is given the
+package helpers it calls).  The frozen constants below were produced by running this module
 directly; rerun ``python3 tests/oracles.py`` to regenerate them.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any
 
 import mpmath
+from mpmath.libmp import from_man_exp, mpf_shift, to_int
 
 # --- frozen double-precision expected values ---------------------------------
 
@@ -220,6 +224,54 @@ def reference_mp(source: str, variable: str, x, max_mag: int = 64):
         return value
 
     return walk(ast.parse(source, mode="eval").body)
+
+
+# --- the two-pass ones-form evaluator ---------------------------------------
+
+
+def two_pass_ones_form(kernel, f, c, points, precision_bits, window_keys, neumaier_sum):
+    """r as ``witness.evaluate_ones_form`` computed it before one pass selected its band rows.
+
+    It scans the window's keys for a strict order, sorting them when there
+    is none, then loops over every row in Python: a row whose first pair
+    lies beyond the truncation radius adds no term, and any other sums its
+    pairs up to its first one beyond.  The package's ``window_keys`` and
+    ``neumaier_sum`` are passed in, so this module imports nothing from the
+    package.  The kernel must have a radial profile and the window must be
+    within the full-sum limit; f gets the points as given.
+    """
+    profile = kernel.profile
+    n = len(points)
+    with mpmath.workprec(precision_bits):
+        radius = profile.truncation_radius()
+        prec, rnd = mpmath.mp._prec_rounding
+        keys, e = window_keys(points, prec)
+        if not (_consecutive(operator.gt, keys) or _consecutive(operator.lt, keys)):
+            keys = sorted(keys)
+            if not _consecutive(operator.lt, keys):
+                raise ValueError("coincident points in node set")
+        e2 = 2 * e
+        r_star = math.inf if radius is None else to_int(mpf_shift(radius._mpf_, -e2), "f")
+        off_terms = []
+        for i, (x, y) in enumerate(zip(keys, itertools.islice(keys, 1, None))):
+            d = y - x
+            if d * d > r_star:
+                continue
+            acc = mpmath.mpf(0)
+            for j in range(i + 1, n):
+                d = keys[j] - x
+                d2 = d * d
+                if d2 > r_star:
+                    break
+                acc += profile.value_mp(mpmath.mp.make_mpf(from_man_exp(d2, e2, prec, rnd)))
+            off_terms.append(2 * acc)
+        diag = n * profile.value_mp(0)
+        fsum = neumaier_sum(f.values_mp(points))
+        return diag + neumaier_sum(off_terms) - mpmath.mpf(c) ** 2 * fsum * fsum
+
+
+def _consecutive(order, keys):
+    return all(map(order, keys, itertools.islice(keys, 1, None)))
 
 
 if __name__ == "__main__":

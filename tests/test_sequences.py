@@ -228,3 +228,29 @@ def test_a_window_is_packed_exactly_when_each_point_is_a_64_bit_int(sequence, pa
     assert is_packed(window) is packed
     assert tuple(window) == tuple(seq.point(n) for n in range(1, 13))
     assert [type(p) for p in window] == [type(seq.point(n)) for n in range(1, 13)]
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    ["triangular+", "triangular-", "arithmetic:3", "arithmetic:0.1", "mixed_sign_triangular", "custom:n**2/2 + 1/4"],
+)
+def test_points_are_the_generator_at_each_index(monkeypatch, sequence):
+    """A window is the generator's point at each index, made with no call to
+    ``SequenceSpec.point``; its index check is made once, with point's text."""
+    from rkhs_cert.registry import resolve_sequence
+    from rkhs_cert.sequences import SequenceSpec
+
+    seq = resolve_sequence(sequence)
+    calls = []
+    point = SequenceSpec.point
+    monkeypatch.setattr(SequenceSpec, "point", lambda self, n: calls.append(n) or point(self, n))
+    for start, count in [(1, 0), (1, 1), (1, 3), (5, 2000), (10**6, 4)]:
+        window = seq.points(start, count)
+        expected = tuple(seq.generator(n) for n in range(start, start + count))
+        assert tuple(window) == expected
+        assert [type(p) for p in window] == [type(p) for p in expected]
+    assert calls == []
+    for start in (0, -3):
+        with pytest.raises(ValueError, match="^sequence indices start at 1$"):
+            seq.points(start, 2)
+    assert tuple(seq.points(0, 0)) == ()  # an empty window asks for no index, as before

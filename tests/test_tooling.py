@@ -1,6 +1,7 @@
 """Checks on the package source itself, run with the other tier-1 tests."""
 
 import ast
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -370,3 +371,61 @@ def test_only_sequences_builds_an_array():
     assert PACKER in {p.name for p in modules}
     builders = {p.name: found for p in modules if (found := array_builds(p.read_text()))}
     assert set(builders) == {PACKER}
+
+
+def unread_private_functions(sources: dict) -> list:
+    """(module, line, name) for each private top-level function that no source reads outside its own ``def``.
+
+    ``sources`` maps a module's name to its source.  A function is private
+    when its name starts with one underscore (dunders are left out).  It is
+    read where its name appears as an ``ast.Name`` or as the attribute of an
+    ``ast.Attribute`` (``cli._key``), in any module; a read inside its own
+    body, a recursive call, does not count.
+    """
+
+    def reads(node: ast.AST) -> Counter:
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((reads(tree) for tree in trees.values()), Counter())
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and everywhere[node.name] == reads(node)[node.name]
+    )
+
+
+def test_unread_private_function_check_finds_one():
+    sources = {
+        "witness": (
+            "def _called(x):\n"
+            "    return x\n"
+            "def _recursive(n):\n"
+            "    return n and _recursive(n - 1)\n"
+            "def _read_elsewhere():\n"
+            "    pass\n"
+            "def __getattr__(name):\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _called(1)\n"
+            "class Table:\n"
+            "    def _method(self):\n"
+            "        pass\n"
+        ),
+        "cli": "from . import witness\nwitness._read_elsewhere()\n",
+    }
+    assert unread_private_functions(sources) == [("witness", 3, "_recursive")]
+
+
+def test_every_private_function_is_read_somewhere():
+    """A private helper nothing reads is dead code: its callers are gone."""
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_private_functions(sources) == []

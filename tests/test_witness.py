@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from functools import partial
+from itertools import accumulate
 
 import mpmath
 import pytest
@@ -18,13 +19,14 @@ from rkhs_cert.functions import (
     make_sin_squared_shifted,
 )
 from rkhs_cert.kernels import (
+    custom_radial_from_expression,
     make_exp_product,
     make_gaussian,
     make_inverse_quadratic,
     make_laplace,
 )
 from rkhs_cert.quadform import Block
-from rkhs_cert.sequences import triangular_sequence
+from rkhs_cert.sequences import is_packed, pack, triangular_sequence
 from rkhs_cert.witness import (
     PointTable,
     build_witness,
@@ -294,6 +296,85 @@ def test_int_window_r_equals_libmp_r(window, tamper, at):
         assert outcome == _banded_outcome(sorted(points), bits)
     elif tamper == "repeat":
         assert outcome == "coincident"
+
+
+@st.composite
+def _oracle_windows(draw):
+    """(bits, points): a window of 0-3 or 4-48 points, with gaps of 1-40
+    around the gaussian's reach isqrt(256) = 16, ascending, descending,
+    shuffled or with one point repeated; packed, or a tuple of ints (some
+    beyond 2^63), or 64-bit mpf values a third of those ints."""
+    kind = draw(st.sampled_from(["packed", "tuple", "wide", "mpf"]))
+    n = draw(st.one_of(st.integers(0, 3), st.integers(4, 48)))
+    gaps = draw(st.lists(st.integers(1, 40), min_size=max(n - 1, 0), max_size=max(n - 1, 0)))
+    base = draw(st.integers(-(2**40), 2**40)) + (2**64 if kind == "wide" else 0)
+    points = list(accumulate([base, *gaps]))[:n]
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled", "repeated"]))
+    if order == "descending":
+        points.reverse()
+    elif order == "shuffled":
+        points = draw(st.permutations(points))
+    elif order == "repeated" and n >= 2:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        points[j] = points[i]
+    if kind == "mpf":
+        with workprec(64):
+            return 64, tuple(mpf(p) / 3 for p in points)
+    bits = draw(st.sampled_from([64, 256]))
+    if kind == "packed":
+        window = pack(points)
+        assert is_packed(window)
+        return bits, window
+    return bits, tuple(points)
+
+
+def _recorded_outcome(evaluate, calls, points, bits):
+    """(r bits or the ValueError's text, the calls ``calls`` recorded) of one evaluation."""
+    calls.clear()
+    try:
+        outcome = evaluate(points, bits)._mpf_
+    except ValueError as exc:
+        outcome = str(exc)
+    return outcome, list(calls)
+
+
+@given(
+    window=_oracle_windows(),
+    kernel=st.sampled_from([make_gaussian(), custom_radial_from_expression("1/(1 + abs(r - 1000))")]),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_evaluator_matches_the_two_pass_oracle(window, kernel):
+    """The band rows one pass selects are the rows the old per-row loop
+    filled: the same r bits, the same profile arguments and the same terms
+    summed, in the same order, and the same refusal of a window with a
+    repeated point, with and without a truncation radius."""
+    from rkhs_cert import kernels, witness
+    from rkhs_cert.quadform import neumaier_sum
+
+    bits, points = window
+    f = make_constant(1.0)
+    calls = []
+    value_mp = kernels.RadialProfile.value_mp
+
+    def profile_value(self, r):
+        calls.append(("phi", getattr(r, "_mpf_", r)))
+        return value_mp(self, r)
+
+    def summed(terms):
+        calls.append(("sum", [t._mpf_ for t in terms]))
+        return neumaier_sum(terms)
+
+    def one_pass(points, bits):
+        return evaluate_ones_form(kernel, f, 0.25, points, bits)
+
+    def two_pass(points, bits):
+        return oracles.two_pass_ones_form(kernel, f, 0.25, points, bits, witness._window_keys, summed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels.RadialProfile, "value_mp", profile_value)
+        patch.setattr(witness, "neumaier_sum", summed)
+        expected = _recorded_outcome(two_pass, calls, points, bits)
+        assert _recorded_outcome(one_pass, calls, points, bits) == expected
 
 
 @pytest.mark.parametrize("seed", [*range(4), "reversed"])
