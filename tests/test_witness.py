@@ -344,8 +344,8 @@ def _recorded_outcome(evaluate, calls, points, bits):
 )
 @settings(max_examples=300, deadline=None)
 def test_one_pass_evaluator_matches_the_two_pass_oracle(window, kernel):
-    """The band rows one pass selects are the rows the old per-row loop
-    filled: the same r bits, the same profile arguments and the same terms
+    """The band rows one pass selects are the rows the oracle's per-row loop
+    fills: the same r bits, the same profile arguments and the same terms
     summed, in the same order, and the same refusal of a window with a
     repeated point, with and without a truncation radius."""
     from rkhs_cert import kernels, witness
