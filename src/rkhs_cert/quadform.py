@@ -17,7 +17,10 @@ unconfirmed suspicion leaves the verdict at "PSD within tolerance".
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import itemgetter
+from struct import Struct
+from typing import Any, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf, workprec
@@ -37,12 +40,19 @@ MAX_PRECISION_BITS = 1 << 16
 class Block(NamedTuple):
     """Terms of a sum held together, as ``witness.PointTable`` holds f.
 
-    With ``exp`` None, ``values`` are the terms' raw libmp tuples, an mpf's
-    ``_mpf_``.  With ``exp`` an int, each term is exactly q_i * 2^exp for an
-    int q_i below 2^(top - exp) in magnitude (``fixed_point_block``), and
-    ``total`` is the exact sum of the q_i.  The q_i are ``values`` itself
-    when ``width`` is 0, or else packed in ``values``, one ``bytes``, as
-    fields of ``width`` bytes each, little-endian two's complement.
+    With ``exp`` an int, each term is exactly q_i * 2^exp for an int q_i
+    below 2^(top - exp) in magnitude (``fixed_point_block``), and ``total``
+    is the exact sum of the q_i.  The q_i are ``values`` itself when
+    ``width`` is 0, or else packed in ``values``, one ``bytes``, as fields of
+    ``width`` bytes each, little-endian two's complement.
+
+    With ``exp`` None, the terms are raw libmp tuples, an mpf's ``_mpf_``.
+    When ``width`` is 0 they are ``values`` itself.  Else the block holds
+    finite terms as three columns (``column_block``): their signs, one byte
+    each in ``signs``; their mantissas, unsigned fields of ``width`` bytes
+    each in ``values``, one ``bytes``, little-endian; and their exponents,
+    ``exps``.  Each tuple is rebuilt exactly, its bit count being its
+    mantissa's (``raw``).
     """
 
     values: Sequence[Any]
@@ -50,6 +60,8 @@ class Block(NamedTuple):
     top: int = 0
     total: int = 0
     width: int = 0
+    signs: bytes = b""
+    exps: Sequence[int] = ()
 
     def size(self) -> int:
         """How many terms the block holds."""
@@ -62,12 +74,31 @@ class Block(NamedTuple):
         w, data = self.width, self.values
         return [int.from_bytes(data[i : i + w], "little", signed=True) for i in range(lo * w, hi * w, w)]
 
+    def raw(self, lo: int, hi: int) -> Iterable[Any]:
+        """The raw tuples of terms lo, ..., hi - 1 of a block that is not fixed-point.
+
+        A column block rebuilds them in one C-level pass over its columns,
+        decoding only those fields.
+        """
+        if not self.width:
+            return self.values[lo:hi]
+        # a Struct of its own: the module's cache of formats would keep one per cut's length
+        fields = Struct(f"{self.width}s" * (hi - lo)).unpack_from(self.values, lo * self.width)
+        mantissas = list(map(int.from_bytes, fields, repeat("little")))
+        return zip(self.signs[lo:hi], mantissas, self.exps[lo:hi], map(int.bit_length, mantissas))
+
     def cut(self, lo: int, hi: int) -> "Block":
-        """The block of terms lo, ..., hi - 1; a fixed-point one holds their ints unpacked."""
+        """The block of terms lo, ..., hi - 1, holding their ints or raw tuples unpacked."""
         if self.exp is None:
-            return self._replace(values=self.values[lo:hi])
+            return Block(list(self.raw(lo, hi)))
         ints = self.ints(lo, hi)
         return self._replace(values=ints, total=sum(ints), width=0)
+
+
+def finite(raw: Iterable[Any]) -> bool:
+    """Whether no raw libmp value is inf or nan."""
+    # inf and nan have a zero mantissa and a nonzero bit count; zero has neither
+    return all(man or not bc for _, man, _, bc in raw)
 
 
 def fixed_point_block(raw: Sequence[Any], max_bits: int, packed: bool = False) -> Optional[Block]:
@@ -79,8 +110,7 @@ def fixed_point_block(raw: Sequence[Any], max_bits: int, packed: bool = False) -
     wider than ``max_bits``.  ``packed`` writes each int into the block's
     bytes as it is made, so no list of ints is built.
     """
-    # inf and nan have a zero mantissa and a nonzero bit count; zero has neither
-    if any(not man and bc for _, man, _, bc in raw):
+    if not finite(raw):
         return None
     e = min((exp for _, man, exp, _ in raw if man), default=0)
     bits = max((exp + bc - e for _, man, exp, bc in raw if man), default=0)
@@ -95,6 +125,19 @@ def fixed_point_block(raw: Sequence[Any], max_bits: int, packed: bool = False) -
         total += q
         data += q.to_bytes(width, "little", signed=True)
     return Block(bytes(data), e, e + bits, total, width)
+
+
+def column_block(raw: Sequence[Any], exps: Sequence[int]) -> Block:
+    """Finite raw libmp values as a Block of columns.
+
+    The signs and the mantissas, in fields as wide as the widest mantissa,
+    are packed here in C-level passes; ``exps`` is the values' exponents as
+    the caller holds them (``sequences.pack`` gives one signed 64-bit word
+    each, or a tuple when one is wider).
+    """
+    width = max(1, (max(map(itemgetter(3), raw)) + 7) // 8)
+    mantissas = b"".join(map(int.to_bytes, map(itemgetter(1), raw), repeat(width), repeat("little")))
+    return Block(mantissas, width=width, signs=bytes(map(itemgetter(0), raw)), exps=exps)
 
 
 def neumaier_sum(terms: Sequence[Any]) -> Any:
@@ -134,10 +177,10 @@ def _block_sum(blocks: Sequence[Block], prec: int, rnd: str) -> Any:
 
 
 def block_terms(blocks: Sequence[Block]) -> Iterator[Any]:
-    """The blocks' terms as raw libmp tuples, in order, one at a time: each int q_i rebuilt exactly."""
+    """The blocks' terms as raw libmp tuples, in order, one at a time: each int q_i or column rebuilt exactly."""
     for b in blocks:
         if b.exp is None:
-            yield from b.values
+            yield from b.raw(0, b.size())
         else:
             for q in b.ints(0, b.size()):
                 yield from_man_exp(q, b.exp)

@@ -78,6 +78,16 @@ def paper_f_double(x: float) -> float:
     return math.exp(-math.sin(x) ** 2 + 1.0 / math.sqrt(1.0 + x * x))
 
 
+def radial_kernel_mp(profile_mp, x, y):
+    """phi((x - y)^2) on ``mpf`` objects at the working precision.
+
+    x and y convert through ``mpmath.mpf``; x - y and its square are ``mpf``
+    operations, and ``profile_mp`` is phi on an mpf.
+    """
+    d = mpmath.mpf(x) - mpmath.mpf(y)
+    return profile_mp(d * d)
+
+
 def poly_tail_grid_min(coeffs, direction: int) -> float:
     """min |p| over x = +-(x* + 0.1 i), i = 0..10,000, in float Horner; x* = 1 + max |c_i / c_d|.
 

@@ -5,9 +5,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import workprec
+from mpmath.libmp import from_man_exp, round_nearest
 
 import oracles
-from rkhs_cert.errors import ProfileDerivativeError
+from rkhs_cert.errors import EvaluationError, ProfileDerivativeError
 from rkhs_cert.kernels import (
     RadialProfile,
     builtin_kernel,
@@ -18,6 +19,7 @@ from rkhs_cert.kernels import (
     make_gaussian,
     make_inverse_quadratic,
     make_laplace,
+    undefined_pair,
 )
 from rkhs_cert.quadform import assemble_gram, psd_check
 
@@ -225,3 +227,56 @@ def test_gram_on_8_points_is_psd(name, seed):
     k = builtin_kernel(name)
     verdict = psd_check(assemble_gram(k, sorted(pts), 256))
     assert verdict.is_psd
+
+
+_RAW_KERNELS = {
+    "gaussian": make_gaussian,
+    "laplace": make_laplace,
+    "inverse_quadratic": make_inverse_quadratic,
+    "custom:1/(1 + abs(r - 1000))": lambda: custom_radial_from_expression("1/(1 + abs(r - 1000))"),
+}
+
+
+def _mpf_at(bits):
+    """mpf values rounded to ``bits``, whatever the working precision."""
+    return st.builds(
+        lambda man, exp: mpmath.mpf(from_man_exp(man, exp, bits, round_nearest)),
+        st.integers(-(2**300), 2**300),
+        st.integers(-320, 40),
+    )
+
+
+_KERNEL_ARGS = (
+    st.integers(2**63, 2**70)
+    | st.integers(-(2**70), -(2**63))
+    | st.floats(-1e4, 1e4)
+    | _mpf_at(64)
+    | _mpf_at(256)
+)
+
+
+@pytest.mark.parametrize("name", sorted(_RAW_KERNELS))
+@settings(max_examples=60, deadline=None)
+@given(x=_KERNEL_ARGS, y=_KERNEL_ARGS, bits=st.sampled_from([53, 64, 256]))
+def test_radial_kernel_on_raw_values_is_the_mpf_computation(name, x, y, bits):
+    """A radial kernel's value, computed on raw libmp values, has the bits
+    of x - y, its square and phi on ``mpf`` objects, for int, float and mpf
+    arguments of any width."""
+    kernel = _RAW_KERNELS[name]()
+    with workprec(bits):
+        assert kernel.eval_mp(x, y)._mpf_ == oracles.radial_kernel_mp(kernel.profile.fn_mp, x, y)._mpf_
+
+
+def test_undefined_radial_kernel_pair_names_the_pair():
+    """A pair where a custom profile is undefined raises EvaluationError with
+    the text the ``mpf`` computation's own error gives."""
+    kernel = custom_radial_from_expression("1/(4 - r)")
+    with workprec(256):
+        x, y = mpmath.mpf(0), mpmath.mpf(2)
+        with pytest.raises(ZeroDivisionError) as cause:
+            oracles.radial_kernel_mp(kernel.profile.fn_mp, x, y)
+        expected = str(undefined_pair(kernel, x, y, cause.value))
+    assert expected == "kernel custom:1/(4 - r) is undefined at (x, y) = (0.0, 2.0): division by zero"
+    with pytest.raises(EvaluationError) as raised:
+        assemble_gram(kernel, [0, 2], 256)
+    assert str(raised.value) == expected

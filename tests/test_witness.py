@@ -7,6 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf, workprec
+from mpmath.libmp import finf, fnan, from_man_exp
 
 import oracles
 from rkhs_cert.errors import WitnessSearchError
@@ -421,8 +422,6 @@ def test_triangular_window_bookkeeping_runs_on_ints(monkeypatch):
     """Every squared gap reaches phi as an exact int, rounded once: on an int
     window as its own keys (exponent 0, no conversion), on a float window as
     keys of one common exponent."""
-    from mpmath.libmp import from_man_exp
-
     from rkhs_cert import witness
     from rkhs_cert.registry import resolve_sequence
 
@@ -1360,12 +1359,15 @@ def test_window_sum_of_blocks_is_mpf_sum_of_raw_values(name, bits, block, reques
 def test_value_blocks_hold_ints_where_the_exponents_are_close():
     """A narrow-range f fills its blocks with ints over one exponent, packed
     in one bytes object; a kernel section, whose values fall by more than 64
-    bits within a block, keeps raw tuples; a function without x holds one
-    int a block, in a list of its values."""
+    bits within a block, holds packed columns: signs and mantissas in bytes,
+    exponents in a packed window; a function without x holds one int a
+    block, in a list of its values."""
 
     def form(b):
         if b.exp is None:
-            return "raw"
+            if not b.width:
+                return "raw"
+            return f"{type(b.signs).__name__}, {type(b.values).__name__} and {type(b.exps).__name__} of {b.size()}"
         if b.width:
             return f"{type(b.values).__name__} of {b.size()} fields"
         return f"{len({id(q) for q in b.values})} int"
@@ -1384,21 +1386,27 @@ def test_value_blocks_hold_ints_where_the_exponents_are_close():
         kinds[name] = [form(b) for b in blocks]
     assert kinds == {
         "paper_example": ["bytes of 1024 fields", "bytes of 1024 fields"],
-        "kernel_section": ["raw", "raw"],
+        "kernel_section": ["bytes, bytes and array of 1024", "bytes, bytes and array of 1024"],
         "sqrt(2)/7": ["1 int", "1 int"],
     }
 
 
 @pytest.mark.parametrize(
     "function, per_value",
-    [(make_paper_example, 48), (lambda: make_expression_function("sqrt(2)/7"), 16)],
-    ids=["paper_example", "without x"],
+    [
+        (make_paper_example, 48),
+        (lambda: make_expression_function("sqrt(2)/7"), 16),
+        (lambda: kernel_section(make_gaussian(), 0.0), 48),
+    ],
+    ids=["paper_example", "without x", "kernel_section"],
 )
 def test_point_table_holds_values_as_fixed_point_ints(function, per_value):
     """2^12 f values at 256 bits take at most 48 bytes each in the table for
     paper_example (about 33 packed; about 72 as a list of ints and 138 as
-    raw tuples), and at most 16 for a function without x (about 9), whose
-    blocks share one int each."""
+    raw tuples), at most 16 for a function without x (about 9), whose
+    blocks share one int each, and at most 48 for a kernel section, whose
+    fills are too wide for ints (about 42 as packed columns: a sign byte,
+    32 mantissa bytes and an 8-byte exponent; over 100 as raw tuples)."""
     import tracemalloc
 
     f, n = function(), 2**12
@@ -1413,6 +1421,24 @@ def test_point_table_holds_values_as_fixed_point_ints(function, per_value):
     finally:
         tracemalloc.stop()
     assert held <= per_value * n
+
+
+@pytest.mark.parametrize("special", [finf, fnan], ids=["inf", "nan"])
+def test_a_fill_with_inf_or_nan_keeps_raw_tuples(special):
+    """A fill that holds inf or nan keeps its raw tuples, and its block sums
+    as mpf_sum does on them; the same fill without it holds columns."""
+    from mpmath.libmp import mpf_sum, round_nearest
+
+    from rkhs_cert.quadform import neumaier_sum
+    from rkhs_cert.witness import _value_block
+
+    finite = [from_man_exp(3, -2), from_man_exp(-1, 900), from_man_exp(0, 0)]
+    raw = [*finite, special]
+    block = _value_block(raw, 256)
+    assert block == Block(raw)
+    with workprec(256):
+        assert neumaier_sum([block])._mpf_ == mpf_sum(raw, 256, round_nearest)
+    assert _value_block(finite, 64).width
 
 
 WINDOW_POINTS = 2**16
