@@ -12,7 +12,6 @@ import oracles
 from rkhs_cert.errors import SingularGramError
 from rkhs_cert.functions import kernel_section, make_constant, make_paper_example
 from rkhs_cert.kernels import builtin_kernel, make_gaussian
-from rkhs_cert.sequences import pack
 from rkhs_cert.quadform import (
     Block,
     GramMatrix,
@@ -27,6 +26,7 @@ from rkhs_cert.quadform import (
     quadratic_form,
     schur_deflation_control,
 )
+from rkhs_cert.sequences import pack
 
 
 def _gram_from_rows(rows, bits=256):
