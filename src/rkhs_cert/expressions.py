@@ -98,6 +98,29 @@ _make_mpf = mpmath.mp.make_mpf
 _QUOTED_CHARS = 60
 
 
+def interval_abs_bound(fn_iv: Any, lo: Any, hi: Any) -> Any:
+    """An upper bound on |g| over [lo, hi], g with interval form ``fn_iv``, as an mpf at the working precision.
+
+    One ``fn_iv`` call on ``iv.mpf([lo, hi])`` (either end may be infinite)
+    at ``iv.prec`` equal to the working precision.  ``mpmath.inf`` when
+    there is no enclosure: no ``fn_iv``, an operation that raises (``sqrt``
+    reaching below 0), or a nan.
+    """
+    if fn_iv is None:
+        return mpmath.inf
+    saved, iv.prec = iv.prec, mpmath.mp.prec
+    try:
+        enclosure = fn_iv(iv.mpf([lo, hi]))
+    except (ArithmeticError, ValueError):
+        return mpmath.inf
+    finally:
+        iv.prec = saved
+    ends = [_make_mpf(end) for end in enclosure._mpi_]
+    if any(map(mpmath.isnan, ends)):
+        return mpmath.inf
+    return max(map(abs, ends))
+
+
 def _quoted(source: str) -> str:
     """``source`` as a refusal names it: whole when short, else its first _QUOTED_CHARS and its length."""
     if len(source) <= _QUOTED_CHARS:

@@ -13,6 +13,13 @@ definition's value at the root bound, at 53 bits.  Every window of values
 comes from ``values_mp``; a function whose expression never reads ``x``
 (``constant:v``, ``poly:v``, an ``expr:`` without ``x``) is evaluated there
 once per window, at its first point, and that one value serves every point.
+
+``CandidateFunction.ray_bound`` bounds |f| over a ray [x, +inf) or
+(-inf, x] by one evaluation of its interval form ``fn_iv``: an
+expression's, or a kernel section's, made from its profile's.  A search
+asks for it only after a block of values too wide for fixed point (see
+``witness.PointTable``), to end a window sum whose remaining terms the
+bound proves dropped; resolving a function does no interval work.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import mpmath
 from mpmath import mpf, nstr, workprec
 
 from .errors import EvaluationError
-from .expressions import Expression, as_mpf, compile_expression
+from .expressions import Expression, as_mpf, compile_expression, interval_abs_bound
 from .kernels import KernelSpec
 from .quadform import DEFAULT_PRECISION_BITS
 
@@ -55,7 +62,9 @@ class CandidateFunction:
 
     ``reads_x`` is False only for a function compiled from an expression
     that never names ``x`` (``Expression.reads_variable``); any other
-    function is taken to read its point.
+    function is taken to read its point.  ``fn_iv`` is f on ``mpmath.iv``
+    intervals: its expression's (``Expression.fn_iv``), or a kernel
+    section's, composed from its profile's; without it f has no bound.
     """
 
     function_id: str
@@ -63,9 +72,24 @@ class CandidateFunction:
     tail_pos: Optional[TailBound] = None
     tail_neg: Optional[TailBound] = None
     reads_x: bool = True
+    fn_iv: Optional[Callable[[Any], Any]] = None
 
     def eval_mp(self, x: Any) -> Any:
         return self.fn_mp(as_mpf(x))
+
+    def ray_bound(self, x: Any, direction: int) -> Any:
+        """An upper bound on |f| over the ray from x toward +inf (``direction`` +1) or -inf (-1).
+
+        The ray starts at x as ``eval_mp`` converts it, so it holds every
+        later point of a sequence monotone in that direction as f gets it.
+        An mpf at the working precision, from one ``fn_iv`` call on
+        [x, +inf] or [-inf, x] (``expressions.interval_abs_bound``):
+        ``mpmath.inf`` when there is no enclosure.  The bound is of f's
+        exact values; f's own rounding is the caller's to allow for.
+        """
+        point = as_mpf(x)
+        lo, hi = (point, mpmath.inf) if direction > 0 else (-mpmath.inf, point)
+        return interval_abs_bound(self.fn_iv, lo, hi)
 
     def values_mp(self, points: Sequence[Any]) -> List[Any]:
         """f at each point, at the working precision.
@@ -91,7 +115,7 @@ def _expression_function(function_id: str, source: str, **fields: Any) -> Candid
     """A function whose values come from one expression in ``x``."""
     expr: Expression = compile_expression(source, "x")
     return CandidateFunction(
-        function_id=function_id, fn_mp=expr.fn_mp, reads_x=expr.reads_variable, **fields
+        function_id=function_id, fn_mp=expr.fn_mp, reads_x=expr.reads_variable, fn_iv=expr.fn_iv, **fields
     )
 
 
@@ -149,6 +173,7 @@ def make_polynomial(coeffs: Sequence[float]) -> CandidateFunction:
         fn_mp=expr.fn_mp,
         tail_pos=_poly_tail(cs, expr.eval_mp, +1),
         tail_neg=_poly_tail(cs, expr.eval_mp, -1),
+        fn_iv=expr.fn_iv,
     )
 
 
@@ -184,13 +209,27 @@ def make_expression_function(source: str) -> CandidateFunction:
 
 
 def kernel_section(kernel: KernelSpec, x0: float) -> CandidateFunction:
-    """f = K(., x0): the canonical member of the kernel's space (norm sqrt(K(x0, x0)))."""
+    """f = K(., x0): the canonical member of the kernel's space (norm sqrt(K(x0, x0))).
+
+    Its interval form is the profile's on (x - x0)^2, each step rounded
+    outward, so its ray bound on a ray moving away from x0 is the profile's
+    ``abs_bound`` at the ray start's squared distance, rounded down; on a
+    ray that starts on the other side of x0 it is the bound on all of phi.
+    A kernel without a radial profile, or a profile without an interval
+    form, gives none.
+    """
     center = float(x0)
     with workprec(53):
         center_mp = mpf(center)  # exact: a double has 53 bits
+    profile = kernel.profile
+    fn_iv = None
+    if profile is not None and profile.fn_iv is not None:
+        # the center, a double, is an exact interval at every working precision (64 bits and more)
+        fn_iv = lambda x: profile.fn_iv((x - center) ** 2)
     return CandidateFunction(
         function_id=f"kernel_section:{center!r}",
         fn_mp=lambda x: kernel.eval_mp(x, center_mp),
+        fn_iv=fn_iv,
     )
 
 

@@ -33,11 +33,11 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Tuple, Union
 
 import mpmath
-from mpmath import iv, mpf, nstr, workprec
+from mpmath import mpf, nstr, workprec
 from mpmath.libmp import mpf_mul, mpf_sub
 
 from .errors import EvaluationError, ProfileDerivativeError
-from .expressions import Expression, as_mpf, compile_expression
+from .expressions import Expression, as_mpf, compile_expression, interval_abs_bound
 
 Number = Union[int, float, Fraction]
 
@@ -71,23 +71,10 @@ class RadialProfile:
     def abs_bound(self, lo: Any) -> Any:
         """An upper bound on |phi(r)| over r >= lo, as an mpf at the working precision.
 
-        One ``fn_iv`` call on [lo, +inf) at ``iv.prec`` equal to the working
-        precision.  ``mpmath.inf`` when there is no enclosure: no ``fn_iv``,
-        an operation that raises (``sqrt`` reaching below 0), or a nan.
+        One ``fn_iv`` call on [lo, +inf) (``expressions.interval_abs_bound``):
+        ``mpmath.inf`` when there is no enclosure.
         """
-        if self.fn_iv is None:
-            return mpmath.inf
-        saved, iv.prec = iv.prec, mpmath.mp.prec
-        try:
-            enclosure = self.fn_iv(iv.mpf([lo, mpmath.inf]))
-        except (ArithmeticError, ValueError):
-            return mpmath.inf
-        finally:
-            iv.prec = saved
-        ends = [_make_mpf(end) for end in enclosure._mpi_]
-        if any(map(mpmath.isnan, ends)):
-            return mpmath.inf
-        return max(map(abs, ends))
+        return interval_abs_bound(self.fn_iv, lo, mpmath.inf)
 
     def truncation_radius(self) -> Optional[Any]:
         """The first r* = 1, 4, 16, ... with |phi| < 2^-(prec + 64) * max(phi(0), 1) on [r*, +inf).

@@ -87,6 +87,12 @@ class Block(NamedTuple):
         mantissas = list(map(int.from_bytes, fields, repeat("little")))
         return zip(self.signs[lo:hi], mantissas, self.exps[lo:hi], map(int.bit_length, mantissas))
 
+    def low(self) -> int:
+        """An exponent no higher than any of its terms': ``exp``, or the lowest exponent held (a zero's is 0)."""
+        if self.exp is not None:
+            return self.exp
+        return min(self.exps) if self.width else min(map(itemgetter(2), self.values))
+
     def cut(self, lo: int, hi: int) -> "Block":
         """The block of terms lo, ..., hi - 1, holding their ints or raw tuples unpacked."""
         if self.exp is None:
@@ -174,6 +180,26 @@ def _block_sum(blocks: Sequence[Block], prec: int, rnd: str) -> Any:
         if max(b.top for b in blocks) - low <= 2 * prec:
             return from_man_exp(sum(b.total << (b.exp - low) for b in blocks), low, prec, rnd)
     return mpf_sum(block_terms(blocks), prec, rnd)
+
+
+def drops_after(blocks: Sequence[Block], bound: Any) -> bool:
+    """Whether ``neumaier_sum`` of the blocks is its sum with any terms below ``bound`` in magnitude appended.
+
+    ``mpf_sum`` holds its running sum as an int man times 2^exp, where exp
+    is 0 or the exponent of a term summed so far, so exp >= low, the least
+    of 0 and the blocks' ``low``s.  It drops a later term m * 2^e of bc
+    bits, leaving man and exp as they are, when man != 0 and
+    exp - e - bc > 2 prec; a term below 2^(low - 2 prec - 1) in magnitude
+    has e + bc <= low - 2 prec - 1, so it is dropped.  man != 0 exactly when
+    the blocks' sum, at the working precision, is finite and nonzero.  The
+    blocks sum to the same bits however they are summed (see neumaier_sum).
+    The bound is compared first, so a false answer on it costs no sum.
+    """
+    prec, rnd = mpmath.mp._prec_rounding
+    low = min(0, *map(Block.low, blocks))
+    if not bound < mpmath.ldexp(1, low - 2 * prec - 1):
+        return False
+    return bool(_block_sum(blocks, prec, rnd)[1])  # a zero, inf or nan sum has no mantissa
 
 
 def block_terms(blocks: Sequence[Block]) -> Iterator[Any]:

@@ -61,10 +61,25 @@ one ``PointTable``, shared across doublings and scales (their windows start
 at nearby offsets and mostly contain one another); a probe far beyond the
 table's points is read from the sequence and not stored, so the table keeps
 the points the next windows need.  A window's f values are computed only
-after it passes the evaluator's point checks.  Verification
-shares nothing with the builder and recomputes every value from the stored
-points; certificates verified together may share the verifier's own f values
-through a ``PointTable`` of stored points, made without a sequence.
+after it passes the evaluator's point checks.
+
+A search's window sum ends where ``mpf_sum`` stops reading it.  Its table
+fills f from the window's start, VALUE_BLOCK values at a time, and after a
+block that is not fixed-point it stops once three facts hold: the rest of
+the window is strictly monotone, the blocks so far have a finite nonzero
+sum, and f's ``ray_bound`` over the ray from the next point, with
+F_ROUNDING_BITS to spare, lies below every term ``mpf_sum`` would then keep
+(``quadform.drops_after``).  Every later value is then dropped, so the sum
+has the bits of the whole window's without them.  A kernel section's
+windows, whose values fall by thousands of bits a point, end after their
+first fill.
+
+Verification recomputes r from the stored points with the builder's own
+evaluator: it shares ``evaluate_ones_form`` and its ``_band_rows``,
+``PointTable`` and ``neumaier_sum``, but not the stop.  A verifier's table,
+made without a sequence, never stops, so ``verify_certificate`` computes f
+at every stored point and sums every value; certificates verified together
+may share those f values through one such table.
 
 At a million window points, f values are most of what a run or a verifier
 holds, and r needs only their sum.  A ``PointTable`` keeps the values it
@@ -102,7 +117,8 @@ from .errors import WitnessSearchError
 from .expressions import as_mpf
 from .functions import DECLARED, CandidateFunction, TailBound, tail_lower_bound
 from .kernels import KernelSpec, undefined_pair
-from .quadform import DEFAULT_PRECISION_BITS, Block, block_terms, column_block, finite, fixed_point_block, neumaier_sum
+from .quadform import DEFAULT_PRECISION_BITS, Block, block_terms, column_block, drops_after, finite, fixed_point_block
+from .quadform import neumaier_sum
 from .quadform import assemble_gram, quadratic_form  # noqa: F401  unused; perfbench/trace_child.py patches them here
 from .sequences import SequenceSpec, is_packed, joined, offset_ladder, pack
 
@@ -264,6 +280,9 @@ FValues = Callable[[], Sequence[Any]]
 # How many f values a PointTable computes as mpf values at once, and holds as one Block.
 VALUE_BLOCK = 1024
 
+# Bits by which a computed f value may exceed the bound its ray_bound proves on exact values.
+F_ROUNDING_BITS = 63
+
 
 def evaluate_ones_form(
     kernel: KernelSpec,
@@ -310,7 +329,8 @@ def evaluate_ones_form(
 
     ``f_values``, when given, returns f at the points, computed at
     ``precision_bits``: mpf values, or the ``Block``s a ``PointTable``
-    holds them in, which ``neumaier_sum`` sums to the same bits.  It is
+    holds them in, which ``neumaier_sum`` sums to the same bits (a
+    search's table may end them where the rest are dropped).  It is
     called only once the window has passed its point checks, so a window
     rejected there costs no f values.  Without it, f is evaluated once per
     point.
@@ -402,6 +422,10 @@ class PointTable:
     range there, so no index outside a requested window is ever computed;
     an offset probe's points, asked for through ``probe``, never restart it.
     Restarting the points drops the values: a value is held only with its point.
+    A search's table (one with a ``sequence``) reads a window's values in
+    index order from its start, and ``blocks`` may end them early where the
+    rest are proved dropped from the sum; values past that end are not
+    computed, and new values that end before the held ones replace them.
     The points are one window (``sequences.joined``): packed, 8 bytes a
     point, and extended in place, while every window it holds is; a tuple
     or a list otherwise.  The windows ``points`` returns are slices of it:
@@ -453,7 +477,7 @@ class PointTable:
             if not same:
                 raise ValueError("given points differ from the points the table holds")
             new = lambda first, n: given[first - start : first - start + n]
-        self.first, self.raw = _cover(self.first, len(self.raw), self.raw, start, count, new)
+        self.first, self.raw = _cover(self.first, self.raw, start, count, new)
         if not self.first <= self.values_first <= self.first + len(self.raw) - self.values_held:
             # the points restarted: drop the values of the old ones
             self.values_held, self.value_blocks = 0, []
@@ -473,35 +497,95 @@ class PointTable:
     def blocks(self, start: int, count: int) -> List[Block]:
         """f values at indices start, ..., start + count - 1, as ``Block``s for ``neumaier_sum``.
 
-        A block partly outside the window is cut to its part inside.
+        A block partly outside the window is cut to its part inside.  A
+        search's table (one with a sequence) may end the list early, after
+        a block that is not fixed-point, where ``_drops_rest`` proves that
+        ``neumaier_sum`` would drop every later value of the window: the
+        list then sums to the window's bits without them, and they are not
+        computed.  A verifier's table always gives every value.
         """
-        self._hold(start, count)
-
-        def new_blocks(first: int, n: int) -> List[Block]:
-            lo, blocks, values_mp = first - self.first, [], self.f.values_mp
-            with workprec(self.precision_bits):
-                for a in range(lo, lo + n, VALUE_BLOCK):
-                    chunk = self.raw[a : min(a + VALUE_BLOCK, lo + n)]
-                    # one expression: the mpf values are garbage before the block is made
-                    blocks.append(_value_block(list(map(attrgetter("_mpf_"), values_mp(chunk))), self.precision_bits))
-            return blocks
-
-        self.values_first, self.value_blocks = _cover(
-            self.values_first, self.values_held, self.value_blocks, start, count, new_blocks
-        )
-        self.values_held = sum(b.size() for b in self.value_blocks)
-        parts, first = [], self.values_first
-        for b in self.value_blocks:
-            size = b.size()
-            lo, hi = max(start - first, 0), min(start + count - first, size)
-            if lo < hi:
-                parts.append(b if hi - lo == size else b.cut(lo, hi))
-            first += size
-        return parts
+        return self._values(start, count, self.sequence is not None)
 
     def window(self, start: int, count: int) -> List[Any]:
         """f values at indices start, ..., start + count - 1, as raw libmp tuples."""
-        return list(block_terms(self.blocks(start, count)))
+        return list(block_terms(self._values(start, count, False)))
+
+    def _values(self, start: int, count: int, may_stop: bool) -> List[Block]:
+        """The window's blocks, as ``blocks`` gives them, computing only what the table does not hold.
+
+        The window is read in index order from ``start``: held blocks, and
+        new ones of up to VALUE_BLOCK values (one ``_fill`` each), before,
+        among or after them; with ``may_stop``, it ends after a block that
+        is not fixed-point once ``_drops_rest`` holds.  The new blocks are
+        stored with the held ones when they adjoin them, and instead of
+        them when the window ended before reaching them.
+        """
+        self._hold(start, count)
+        end, first, stored = start + count, self.values_first, self.value_blocks
+        if not _touches(first, self.values_held, start, count):
+            first, stored = start, []
+        front: List[Block] = []  # new blocks before the held ones
+        back: List[Block] = []  # new blocks after them
+
+        def walk() -> Any:
+            """(first index, block) for each block the window crosses, in order, computing the new ones."""
+            i = start
+            while i < min(first, end):
+                front.append(self._fill(i, min(i + VALUE_BLOCK, first)))
+                yield i, front[-1]
+                i += front[-1].size()
+            at = first
+            for b in stored:
+                if i < at + b.size() and at < end:
+                    yield at, b
+                at += b.size()
+            i = max(i, at)
+            while i < end:
+                back.append(self._fill(i, min(i + VALUE_BLOCK, end)))
+                yield i, back[-1]
+                i += back[-1].size()
+
+        parts = []
+        for at, b in walk():
+            lo, hi = max(start - at, 0), min(end - at, b.size())
+            parts.append(b if hi - lo == b.size() else b.cut(lo, hi))
+            if may_stop and b.exp is None and at + hi < end and self._drops_rest(parts, at + hi, end):
+                break
+        if start + sum(map(Block.size, front)) < first:
+            # the window ended before the held values: its own replace them
+            first, stored = start, front
+        elif front:
+            first, stored = start, front + stored
+        self.values_first, self.value_blocks = first, joined(stored, back)
+        self.values_held = sum(map(Block.size, self.value_blocks))
+        return parts
+
+    def _fill(self, lo: int, hi: int) -> Block:
+        """f at the held points of indices lo, ..., hi - 1, as one Block (``_value_block``)."""
+        with workprec(self.precision_bits):
+            chunk = self.raw[lo - self.first : hi - self.first]
+            # one expression: the mpf values are garbage before the block is made
+            return _value_block(list(map(attrgetter("_mpf_"), self.f.values_mp(chunk))), self.precision_bits)
+
+    def _drops_rest(self, parts: List[Block], nxt: int, end: int) -> bool:
+        """Whether ``neumaier_sum`` of ``parts`` is that of the window's values at indices up to end - 1.
+
+        ``parts`` are the values of the window up to index nxt - 1.  It holds
+        when the points x_nxt, ..., x_{end-1} are strictly monotone, so the
+        ray from x_nxt in their direction holds them all as f gets them
+        (rounding is monotone), and f's ``ray_bound`` on it, with
+        F_ROUNDING_BITS to spare for f's own rounding, lies below the
+        values ``quadform.drops_after`` proves dropped after ``parts``.
+        The bound is checked first, then the drop, then the order.
+        """
+        i, j, raw = nxt - self.first, end - self.first, self.raw
+        ascending = j - i < 2 or raw[i] < raw[i + 1]
+        with workprec(self.precision_bits):
+            bound = self.f.ray_bound(raw[i], 1 if ascending else -1)
+            if not drops_after(parts, mpmath.ldexp(bound, F_ROUNDING_BITS)):
+                return False
+        rest = raw[i:j]
+        return all(map(lt if ascending else gt, rest, islice(rest, 1, None)))
 
 
 # Most bits beyond the precision that one block's ints may take for it to be held as ints.
@@ -535,23 +619,17 @@ def _touches(first: int, held: int, start: int, count: int) -> bool:
 
 
 def _cover(
-    first: int,
-    held: int,
-    items: List[Any],
-    start: int,
-    count: int,
-    new: Callable[[int, int], Sequence[Any]],
-) -> Tuple[int, List[Any]]:
-    """Grow a list covering ``held`` indices first, first + 1, ... to cover start, ..., start + count - 1.
+    first: int, items: Sequence[Any], start: int, count: int, new: Callable[[int, int], Sequence[Any]]
+) -> Tuple[int, Sequence[Any]]:
+    """Grow a window of points x_first, x_{first+1}, ... to cover indices start, ..., start + count - 1.
 
-    ``new(a, k)`` returns the items for indices a, ..., a + k - 1: one item
-    per index, or blocks of them.  The list is a list, or a window of points
-    (``sequences.joined``).  A request that neither overlaps nor adjoins the
-    covered range restarts the list there.  Returns the new first index and
-    the list.
+    ``new(a, k)`` returns the points at indices a, ..., a + k - 1, and the
+    window grows by ``sequences.joined``.  A request that neither overlaps
+    nor adjoins the covered range restarts the window there.  Returns the
+    new first index and the window.
     """
-    stop = first + held
-    if not _touches(first, held, start, count):
+    stop = first + len(items)
+    if not _touches(first, len(items), start, count):
         first, items, stop = start, [], start
     if start < first:
         items = joined(new(start, first - start), items)  # new() runs first: if it raises, items is whole
@@ -769,7 +847,9 @@ def verify_certificate(
     nested windows of one run do, f is then evaluated once per distinct
     stored point.  This is still a recomputation: every certificate's r is
     computed afresh from its own stored points, and the only values shared
-    are f computed here, by the verifier, at equal points.  A certificate
+    are f computed here, by the verifier, at equal points.  A verifier's
+    table never ends a window early, so every stored point's f value is
+    computed and summed, even where the search proved the tail dropped.  A certificate
     whose points differ from the table's at a shared index, or whose
     precision differs, gets a new table and leaves the shared one as it was;
     a table for another function, or a search's table, raises ValueError.

@@ -1207,6 +1207,27 @@ def test_report_bytes_are_pinned(tmp_path, kernel, function, extra, code, digest
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_positive_control_evaluates_f_only_where_its_window_sums_read_it(tmp_path, monkeypatch):
+    """The positive control's windows end at the first fill past which every
+    value is proved dropped: run to 2^-3 as the benchmark runs it, f is
+    evaluated at no more than 4,096 indices (32,833 when every window was
+    summed whole), and the pinned run's report keeps its digest."""
+    from rkhs_cert.functions import CandidateFunction
+
+    calls = []
+    eval_mp = CandidateFunction.eval_mp
+    monkeypatch.setattr(CandidateFunction, "eval_mp", lambda self, x: calls.append(x) or eval_mp(self, x))
+    kernel, function, extra, code, digest = next(pin for pin in REPORT_DIGESTS if pin[1] == "kernel_section:0.0")
+    test_report_bytes_are_pinned(tmp_path, kernel, function, extra, code, digest)
+    del calls[:]
+    argv = ["--kernel", "gaussian", "--function", "kernel_section:0.0", "--alpha", "0.5", "--c-grid", "1,0.5,0.25,0.125"]
+    code, report = _run_report(tmp_path, "control.json", argv + ["--certs-dir", str(tmp_path / "certs")])
+    failures = report["results"]["witness"]["failures"]
+    assert code == 0 and len(failures) == 4
+    assert all(x["reason"].startswith("doubling-cap-exhausted") for x in failures)
+    assert 0 < len(calls) <= 4096
+
+
 # --- verification inside a run --------------------------------------------------
 
 

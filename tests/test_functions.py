@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -181,6 +182,22 @@ def test_kernel_section_evaluates_kernel():
     for bits in BITS + (128,):
         with workprec(bits):
             assert f.eval_mp(2) == k.eval_mp(2, 0)
+
+
+def test_ray_bound_is_the_interval_form_over_the_ray():
+    """A kernel section's bound on a ray moving away from its centre is the
+    profile's beyond the ray start's squared distance; on a ray starting on
+    the other side it bounds all of phi.  An expression's is its interval
+    form's over [x, +inf] or [-inf, x], and f without one has no bound."""
+    k = make_gaussian()
+    with workprec(64):
+        section = kernel_section(k, 1.5)
+        assert section.ray_bound(4, 1) == section.ray_bound(-1, -1) == k.profile.abs_bound(mpmath.mpf(6.25))
+        assert section.ray_bound(1, 1) >= 1 and section.ray_bound(2, -1) >= 1
+        bell = make_expression_function("exp(-x*x)")
+        assert bell.ray_bound(3, 1) == bell.ray_bound(-3, -1) == k.profile.abs_bound(9)
+        assert bell.ray_bound(-3, 1) >= 1
+        assert replace(bell, fn_iv=None).ray_bound(3, 1) == mpmath.inf
 
 
 def test_tail_lower_bound_requires_two_points():

@@ -575,13 +575,16 @@ def test_dense_window_evaluates_f_once_per_point():
 
 
 def test_doublings_evaluate_f_once_per_index():
-    k = make_gaussian()
-    member, calls = _counting(kernel_section(k, 0.0))
-    with pytest.raises(WitnessSearchError) as exc:
-        build_witness(k, member, triangular_sequence(1), 1.0, alpha=0.5)
-    assert exc.value.reason == "doubling-cap-exhausted"
-    # windows of N, 2N, ..., 64N points at one offset: 64N distinct indices
-    assert len(calls) == len(set(calls)) == 64 * n_threshold(1.0, 1.0, 0.5)
+    k, n = make_gaussian(), n_threshold(1.0, 1.0, 0.5)
+    # without a ray bound every window is summed whole: windows of N, 2N,
+    # ..., 64N points at one offset, 64N distinct indices; with it, each
+    # window ends after the N values of the first, the rest proved dropped
+    for member, evaluated in [(replace(kernel_section(k, 0.0), fn_iv=None), 64 * n), (kernel_section(k, 0.0), n)]:
+        member, calls = _counting(member)
+        with pytest.raises(WitnessSearchError) as exc:
+            build_witness(k, member, triangular_sequence(1), 1.0, alpha=0.5)
+        assert exc.value.reason == "doubling-cap-exhausted"
+        assert len(calls) == len(set(calls)) == evaluated
 
 
 def test_sweep_evaluates_f_once_per_index():
@@ -790,11 +793,12 @@ def test_window_no_path_can_take_costs_no_f_values():
 def test_doubling_beyond_the_window_limit_is_refused_before_its_points(monkeypatch):
     from rkhs_cert import witness
 
-    # kernel sections never certify: windows of N, 2N and 4N points, then 8N is refused
+    # kernel sections never certify: windows of N, 2N and 4N points, then 8N is refused;
+    # without a ray bound each window is summed whole, so f runs at all 4N indices
     k = make_gaussian()
     n = n_threshold(1.0, 1.0, 0.5)
     monkeypatch.setattr(witness, "MAX_WINDOW_POINTS", 4 * n)
-    member, calls = _counting(kernel_section(k, 0.0))
+    member, calls = _counting(replace(kernel_section(k, 0.0), fn_iv=None))
     with pytest.raises(WitnessSearchError) as exc:
         build_witness(k, member, triangular_sequence(1), 1.0, alpha=0.5)
     assert exc.value.reason == "window-too-large"
@@ -1354,6 +1358,134 @@ def test_window_sum_of_blocks_is_mpf_sum_of_raw_values(name, bits, block, reques
             summed = neumaier_sum(table.blocks(start, count))
             assert summed._mpf_ == mpf_sum(raw, *mpmath.mp._prec_rounding)
             assert table.window(start, count) == raw
+
+
+_CUT_FUNCTIONS = {
+    "gaussian section": lambda x0: kernel_section(make_gaussian(), x0),
+    "laplace section": lambda x0: kernel_section(make_laplace(), x0),
+    "exp(-x*x)": lambda x0: make_expression_function("exp(-x*x)"),
+}
+
+# Where a section's centre lies on the points' way: before them, among them (about x_24) or beyond them.
+_CENTRES = {"before": -5.0, "inside": 300.5, "after": 1e7}
+
+
+@given(
+    name=st.sampled_from(sorted(_CUT_FUNCTIONS)),
+    centre=st.sampled_from(sorted(_CENTRES)),
+    descending=st.booleans(),
+    bits=st.sampled_from([64, 256]),
+    block=st.sampled_from([4, 16, 64]),
+    requests=st.lists(st.tuples(st.integers(1, 120), st.integers(1, 4), st.integers(0, 63)), min_size=1, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_search_window_sum_ending_early_is_mpf_sum_of_every_value(name, centre, descending, bits, block, requests):
+    """A search table's window sum, which may end at the first fill past
+    which every value is proved dropped, is ``mpf_sum`` on all N values
+    computed directly, bit for bit; and ``window`` still gives every value.
+    The points are +-n(n+1)/2, ascending or descending, each window 1 to 4
+    fills long, starting where the table's earlier fills do not align."""
+    from unittest.mock import patch
+
+    from mpmath.libmp import mpf_sum
+
+    from rkhs_cert import witness
+    from rkhs_cert.quadform import neumaier_sum
+    from rkhs_cert.sequences import SequenceSpec
+
+    sign = -1 if descending else 1
+    f = _CUT_FUNCTIONS[name](sign * _CENTRES[centre])
+    seq = SequenceSpec("signed triangular", lambda n: sign * n * (n + 1) // 2, None)
+    table = PointTable(f, seq, bits)
+    with patch.object(witness, "VALUE_BLOCK", block), workprec(bits):
+        for start, fills, less in requests:
+            count = max(fills * block - less, 1)
+            raw = [v._mpf_ for v in f.values_mp(seq.points(start, count))]
+            assert neumaier_sum(table.blocks(start, count))._mpf_ == mpf_sum(raw, *mpmath.mp._prec_rounding)
+            assert table.window(start, count) == raw
+
+
+@pytest.mark.parametrize(
+    "prefix, ends_early",
+    [
+        ([1, -1, 2**-200, -(2**-200)], False),
+        # mpf_sum drops 2^-300, so its running sum is 0 although the exact sum is not
+        ([1, 2**-300, -1, 0], False),
+        ([1, -1, 2**-200, 0], True),
+    ],
+    ids=["exact sum 0", "running sum 0", "running sum 2^-200"],
+)
+def test_window_sum_goes_on_past_a_prefix_whose_running_sum_is_zero(prefix, ends_early):
+    """After a prefix whose running mpf_sum is 0, mpf_sum takes the next
+    value however small, so the window is summed whole; with a nonzero one
+    it ends after the prefix.  Either way its sum is mpf_sum's on every
+    value.  The prefix is one fill too wide for ints at 64 bits; the values
+    after it are 2^-1000, below the bound 2^-900 its interval form gives."""
+    from unittest.mock import patch
+
+    from mpmath.libmp import mpf_sum
+
+    from rkhs_cert import witness
+    from rkhs_cert.functions import CandidateFunction
+    from rkhs_cert.quadform import neumaier_sum
+    from rkhs_cert.sequences import SequenceSpec
+
+    values = [*prefix, *[2**-1000] * 4]
+    tail = mpmath.iv.mpf([0, mpf(2) ** -900])
+    f = CandidateFunction("hand-made", lambda x: mpf(values[int(x) - 1]), fn_iv=lambda x: tail)
+    f, calls = _counting(f)
+    table = PointTable(f, SequenceSpec("n", lambda n: n, None), 64)
+    with patch.object(witness, "VALUE_BLOCK", 4), workprec(64):
+        summed = neumaier_sum(table.blocks(1, 8))
+        assert summed._mpf_ == mpf_sum([mpf(v)._mpf_ for v in values], *mpmath.mp._prec_rounding)
+    assert summed == (2**-200 if ends_early else 2**-998)
+    assert len(calls) == (4 if ends_early else 8)
+
+
+def test_verifier_evaluates_f_at_every_point_of_a_window_a_search_ends_early():
+    """On a window whose values past the first fill are all dropped (a
+    gaussian section at 0, points 0, 1, 3, 6, ...), a search's table
+    computes one fill and gives r to the bit, while ``verify_certificate``
+    evaluates f at every stored point and accepts that r."""
+    from rkhs_cert.functions import DECLARED
+    from rkhs_cert.sequences import SequenceSpec
+    from rkhs_cert.witness import VALUE_BLOCK, WitnessCertificate
+
+    k, bits, c, n = make_gaussian(), 256, 64.0, 2 * VALUE_BLOCK
+    seq = SequenceSpec("triangular from 0", lambda m: m * (m - 1) // 2, None)
+    points = seq.points(1, n)
+    f, calls = _counting(kernel_section(k, 0.0))
+    searched = evaluate_ones_form(k, f, c, points, bits, f_values=partial(PointTable(f, seq, bits).blocks, 1, n))
+    assert len(calls) == VALUE_BLOCK
+    r = evaluate_ones_form(k, f, c, points, bits)
+    assert searched._mpf_ == r._mpf_ and r < 0
+    cert = WitnessCertificate(
+        kernel_id=k.kernel_id, function_id=f.function_id, sequence_id=seq.name, c=c, alpha=0.5,
+        alpha_provenance=DECLARED, kernel_diag_sup=k.diag_sup, n_points=n, ell=0, r_value=r,
+        points=points, precision_bits=bits,
+    )
+    del calls[:]
+    assert verify_certificate(cert, k, f)
+    assert len(calls) == n
+
+
+def test_bounded_away_functions_never_ask_for_a_ray_bound(monkeypatch):
+    """paper_example and constant:1.0 fill only fixed-point blocks, so their
+    sweeps ask for no ray bound; a kernel section's search does."""
+    from rkhs_cert.functions import CandidateFunction
+
+    asked = []
+    ray_bound = CandidateFunction.ray_bound
+    monkeypatch.setattr(
+        CandidateFunction, "ray_bound", lambda self, x, d: asked.append(self.function_id) or ray_bound(self, x, d)
+    )
+    k, seq = make_gaussian(), triangular_sequence(1)
+    assert len(sweep_c(k, make_paper_example(), seq, c_grid=(1.0, 0.5, 0.25)).certificates) == 3
+    assert len(sweep_c(k, make_constant(1.0), seq, c_grid=tuple(2.0**-j for j in range(7))).certificates) == 7
+    assert asked == []
+    with pytest.raises(WitnessSearchError):
+        build_witness(k, kernel_section(k, 0.0), seq, 1.0, alpha=0.5)
+    assert asked
 
 
 def test_value_blocks_hold_ints_where_the_exponents_are_close():
