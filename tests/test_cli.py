@@ -750,6 +750,126 @@ def test_csv_dir_unwritable(tmp_path):
     assert code == 1
 
 
+# sha256 of each table of a two-scale constant:1.0 run with every task,
+# recorded before the tasks' rows were read from one table of tasks.
+CSV_DIGESTS = {
+    "psd.csv": "e9d530b51472a3d6e42870be25c87058d8952f0a0e0846564c6110c1ca50994c",
+    "decay.csv": "c3b519719c5100c61c9a21652769ff9650799f3ddc7b4c5dc61f19cbb2591231",
+    "witness.csv": "518df67a55e2a35eb7c9a40042b661e0da866c1d86ce82ba4a413272542a51c8",
+    "analytic.csv": "3e655c59f9ca13d599d366bf7a0a9a5ac6a29d60f5f42778f0a2a4184c20b011",
+    "interpolant.csv": "46bc6ff34bfea618c7ea7da6fa123d9f89f35a5b492ba6093f7467aea32a7d2f",
+}
+
+
+def test_csv_table_bytes_are_pinned(tmp_path, capsys):
+    tables = tmp_path / "tables"
+    argv = ["run", "--function", "constant:1.0", "--c-grid", "1,0.5", "--tasks", ",".join(ALL_TASKS)]
+    assert main(argv + ["--out", str(tmp_path / "r.json"), "--csv-dir", str(tables)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote 5 csv table(s) to {tables}\n")
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tables.iterdir()}
+    assert digests == CSV_DIGESTS
+
+
+# --- single-task summary lines and every subcommand's flags, pinned ---------------
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["decay-check", "--kernel", "gaussian", "--threshold", "1e-8"], "decay check passed (evidence: proved)"),
+        (["decay-check", "--kernel", "exp_product"], "decay check failed: divergent (evidence: empirical)"),
+        (["psd-check", "--kernel", "inverse_quadratic", "--num-points", "6"],
+         "psd check: gram=PSD, schur_control:x0=0.0=PSD"),
+        (["derivatives", "--kernel", "gaussian", "--n-max", "4"],
+         "derivative bounds tabulated for orders 0..4; envelope dominates at every order"),
+        (["interp-norm", "--kernel", "gaussian", "--function", "paper_example", "--points", "1,3,6", "--steps", "3"],
+         "interpolant norms over 4 nested sets; divergence evidence: False"),
+    ],
+    ids=["decay-check-passed", "decay-check-failed", "psd-check", "derivatives", "interp-norm"],
+)
+def test_single_task_summary_line_is_pinned(capsys, argv, line):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
+_HELP = ("-h", "--help"), "help", "show this help message and exit", False
+_OUT = ("--out",), "out", "report output path", False
+_KERNEL, _SEQUENCE, _BITS = (("--kernel",), "kernel", None, True), (("--sequence",), "sequence", None, False), (
+    ("--precision-bits",), "precision_bits", None, False)
+_ALPHA = ("--alpha",), "witness.alpha", "declared tail lower bound for the witness task", False
+
+# Each subcommand's help, then (option strings, dest, help, required) of each of its arguments.
+PARSER_PINS = {
+    "run": ("execute configured diagnostic tasks", [
+        _HELP,
+        (("--config",), "config", "JSON config file", False),
+        (("--kernel",), "kernel", None, False),
+        (("--function",), "function", None, False),
+        _SEQUENCE,
+        (("--tasks",), "tasks", "comma-separated subset of: psd,decay,witness,analytic,interpolant", False),
+        (("--c-grid",), "c_grid", "comma-separated positive scales", False),
+        (("--ell-max",), "ell_max", None, False),
+        _BITS,
+        (("--jobs",), "jobs",
+         "at most this many worker processes; scales are dealt round-robin and each worker shares f values", False),
+        _ALPHA,
+        (("--out",), "out", "report output path", True),
+        (("--certs-dir",), "certs_dir", "also write one JSON file per certificate", False),
+        (("--csv-dir",), "csv_dir", "also write one CSV table per task result", False),
+    ]),
+    "witness": ("build a single negativity certificate", [
+        _HELP, _KERNEL, (("--function",), "function", None, True), _SEQUENCE, _ALPHA,
+        (("--ell-max",), "ell_max", None, False), _BITS,
+        (("--c",), "c", "the one scale of the grid", True),
+        (("--out",), "out", "certificate output path", False),
+    ]),
+    "decay-check": ("measure off-diagonal kernel decay", [
+        _HELP, _KERNEL, _SEQUENCE,
+        (("--window",), "decay.window", None, False),
+        (("--ell-max",), "decay.ell_max", None, False),
+        (("--threshold",), "decay.threshold", None, False),
+        _BITS, _OUT,
+    ]),
+    "psd-check": ("PSD test of the kernel Gram matrix", [
+        _HELP, _KERNEL, _SEQUENCE,
+        (("--points",), "psd.points", "comma-separated nodes (default: first sequence points)", False),
+        (("--num-points",), "psd.num_points", None, False),
+        (("--control-x0",), "psd.control_x0", None, False),
+        _BITS, _OUT,
+    ]),
+    "derivatives": ("diagonal derivative bounds and envelope", [
+        _HELP, _KERNEL,
+        (("--n-max",), "analytic.n_max", None, False),
+        (("--norm-bound",), "analytic.norm_bound", None, False),
+        (("--fd-step",), "analytic.fd_step", None, False),
+        (("--fd-x",), "analytic.fd_x", None, False),
+        _BITS, _OUT,
+    ]),
+    "interp-norm": ("minimum-norm interpolant growth trace", [
+        _HELP, _KERNEL, (("--function",), "function", None, True), _SEQUENCE,
+        (("--points",), "interpolant.base_points", "comma-separated base nodes", False),
+        (("--rule",), "interpolant.rule", "one of: widen,refine", False),
+        (("--steps",), "interpolant.steps", None, False),
+        (("--ridge",), "interpolant.ridge", None, False),
+        _BITS, _OUT,
+    ]),
+    "verify": ("re-check a certificate from its JSON file alone", [
+        _HELP, ((), "certificate", "path to a certificate JSON file", True),
+    ]),
+}
+
+
+def test_every_subcommand_and_its_arguments_are_pinned():
+    """Read from the parser as data, not as --help text, whose layout varies by Python version."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in commands._choices_actions}
+    found = {
+        command: (helps[command], [(tuple(a.option_strings), a.dest, a.help, a.required) for a in sub._actions])
+        for command, sub in commands.choices.items()
+    }
+    assert found == PARSER_PINS
+
+
 # --- input robustness -------------------------------------------------------------
 
 
