@@ -26,6 +26,7 @@ import csv
 import math
 import re
 import sys
+from collections import namedtuple
 
 import mpmath
 from dataclasses import dataclass, field, fields, replace
@@ -66,10 +67,284 @@ from .witness import (
     verify_certificate,
 )
 
+# --- the tasks -------------------------------------------------------------------
+# Each task is one record of _TASKS: ``run(cfg, kernel, f, sequence,
+# certs_dir)`` returns its report entry, its result, and ``rows(result)`` its
+# CSV table, a header row then data rows.  Real numbers stay in their
+# decimal-string form from the report, so a table is exactly as reproducible
+# as the JSON it mirrors.  A task with a single-task command also names the
+# command, its help, the config keys of its flags and ``line(result)``, the
+# command's summary line.
+
+
+def _resolve(cfg: RunConfig) -> Tuple[Any, Any, Any]:
+    """The kernel, function and sequence ``cfg`` names, resolved in that order."""
+    kernel = resolve_kernel(cfg.kernel)
+    return kernel, resolve_function(cfg.function, kernel), resolve_sequence(cfg.sequence)
+
+
+def _nodes(given: Optional[Tuple[float, ...]], sequence: Any, count: int) -> List[float]:
+    """The nodes ``given``, or by default the first ``count`` sequence points."""
+    return list(given) if given is not None else [float(sequence.point(n)) for n in range(1, count + 1)]
+
+
+def _run_psd(cfg: RunConfig, kernel: Any, f: Any, sequence: Any, certs_dir: Optional[str]) -> List[Dict[str, Any]]:
+    points = _nodes(cfg.psd_points, sequence, cfg.psd_num_points)
+    gram = assemble_gram(kernel, points, cfg.precision_bits)
+    base = psd_to_dict(psd_check(gram), cfg.precision_bits)
+    base["label"] = "gram"
+    base["points"] = [number_to_str(p, cfg.precision_bits) for p in points]
+    control = psd_to_dict(
+        schur_deflation_control(kernel, cfg.psd_control_x0, points, cfg.precision_bits),
+        cfg.precision_bits,
+    )
+    control["label"] = f"schur_control:x0={cfg.psd_control_x0!r}"
+    return [base, control]
+
+
+def _psd_rows(result: List[Dict[str, Any]]) -> List[List[Any]]:
+    rows = [["label", "is_psd", "min_pivot_or_eigenvalue", "tolerance_used"]]
+    rows.extend(
+        [
+            item["label"],
+            "true" if item["is_psd"] else "false",
+            item["min_pivot_or_eigenvalue"],
+            item["tolerance_used"],
+        ]
+        for item in result
+    )
+    return rows
+
+
+def _psd_line(result: List[Dict[str, Any]]) -> str:
+    states = ", ".join(f"{r['label']}={'PSD' if r['is_psd'] else 'NOT PSD'}" for r in result)
+    return f"psd check: {states}"
+
+
+def _run_decay(cfg: RunConfig, kernel: Any, f: Any, sequence: Any, certs_dir: Optional[str]) -> Dict[str, Any]:
+    report = verify_decay(
+        kernel,
+        sequence,
+        cfg.decay_window,
+        cfg.decay_ell_max,
+        cfg.decay_threshold,
+        cfg.precision_bits,
+    )
+    return decay_to_dict(report, cfg.precision_bits)
+
+
+def _decay_rows(result: Dict[str, Any]) -> List[List[Any]]:
+    rows = [["ell", "max_offdiag"]]
+    rows.extend([ell, v] for ell, v in zip(result["ell_values"], result["max_offdiag"]))
+    return rows
+
+
+def _decay_line(result: Dict[str, Any]) -> str:
+    state = "passed" if result["passed"] else f"failed: {result.get('reason')}"
+    return f"decay check {state} (evidence: {result['evidence']})"
+
+
+def _sweep(cfg: RunConfig, scales: Tuple[float, ...], kernel: Any, f: Any, sequence: Any) -> SweepResult:
+    return sweep_c(
+        kernel, f, sequence, scales, cfg.ell_max, cfg.precision_bits, cfg.witness_doubling_cap,
+        alpha=cfg.witness_alpha,
+    )
+
+
+def _witness_worker(args: Tuple[RunConfig, Tuple[float, ...]]) -> SweepResult:
+    """Sweep one group of scales in a worker process, which resolves its own objects."""
+    cfg, scales = args
+    return _sweep(cfg, scales, *_resolve(cfg))
+
+
+def _analytic_profile(profile: Any) -> bool:
+    """Whether a profile declares analytic constants that check out: then every member is analytic."""
+    try:
+        check_analytic_constants(profile)  # ValueError when none are declared
+    except ValueError:
+        return False
+    return True
+
+
+def _domain_transfer_note(cfg: RunConfig, kernel: Any) -> str:
+    """How a real-line certificate bears on the declared domain."""
+    if cfg.domain_kind == "full_line":
+        return "certificates apply directly: the declared domain is the full real line"
+    if not cfg.has_accumulation_point:
+        return (
+            "restriction remark withheld: the declared domain has no accumulation point, so real-line "
+            "non-membership says nothing about the restricted space on it"
+        )
+    if kernel.profile is None or not _analytic_profile(kernel.profile):
+        return (
+            f"restriction remark withheld: kernel {kernel.kernel_id} has no checked analytic constants, so "
+            "members of its space need not be analytic, and one may agree with the candidate on the domain"
+        )
+    return (
+        "restriction remark: because the kernel's analytic constants are checked and the declared domain "
+        "has an accumulation point, real-line non-membership carries over to the restricted space on "
+        "that domain, provided the candidate's supplied extension is analytic (the candidate's "
+        "analyticity is not verified here)"
+    )
+
+
+def _run_witness(cfg: RunConfig, kernel: Any, f: Any, sequence: Any, certs_dir: Optional[str]) -> Dict[str, Any]:
+    """The sweep over the c grid, each certificate verified; with ``certs_dir`` each is also written there."""
+    grid = tuple(float(c) for c in (cfg.c_grid if cfg.c_grid is not None else default_c_grid()))
+    # Scales are dealt round-robin to the sweeps.  A scale's outcome depends
+    # on its value alone, so outcomes return to grid order by value, repeated
+    # scales included.
+    groups = min(cfg.jobs, len(grid))
+    if cfg.jobs > 1:
+        # imported here: the pool's modules cost a serial run's startup time
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=groups) as pool:
+            sweeps = list(pool.map(_witness_worker, [(cfg, grid[g::groups]) for g in range(groups)]))
+    else:
+        sweeps = [_sweep(cfg, grid, kernel, f, sequence)]
+    built = {cert.c: cert for sweep in sweeps for cert in sweep.certificates}
+    failed = dict(failure for sweep in sweeps for failure in sweep.failures)
+    result = replace(
+        sweeps[0],
+        c_values=grid,
+        certificates=tuple(built[c] for c in grid if c in built),
+        failures=tuple((c, failed[c]) for c in grid if c not in built),
+    )
+    # The windows mostly contain one another, so one table evaluates f once
+    # per distinct stored point; largest first keeps its memory at the
+    # largest certificate's.
+    certificates = result.certificates
+    table = PointTable(f, None, cfg.precision_bits)
+    passed = set()
+    for i in sorted(range(len(certificates)), key=lambda i: -certificates[i].n_points):
+        if verify_certificate(certificates[i], kernel, f, table):
+            passed.add(i)
+    del table  # its values are garbage before serialization starts
+    out = sweep_to_dict(result, cfg.precision_bits, certs_dir)
+    out["verified_scales"] = [
+        number_to_str(cert.c, cfg.precision_bits) for i, cert in enumerate(certificates) if i in passed
+    ]
+    out["all_verified"] = len(passed) == len(grid)
+    out["domain_transfer"] = _domain_transfer_note(cfg, kernel)
+    return out
+
+
+def _witness_rows(result: Dict[str, Any]) -> List[List[Any]]:
+    rows: List[List[Any]] = [["c", "status", "n_points", "ell", "r_value", "verified", "detail"]]
+    certs = {cert["c"]: cert for cert in result["certificates"]}
+    failures = {item["c"]: item["reason"] for item in result["failures"]}
+    verified = set(result["verified_scales"])
+    for c in result["c_values"]:
+        if c in certs:
+            cert = certs[c]
+            rows.append(
+                [
+                    c,
+                    "certificate",
+                    cert["n_points"],
+                    cert["ell"],
+                    cert["r_value"],
+                    "true" if c in verified else "false",
+                    "",
+                ]
+            )
+        else:
+            rows.append([c, "failure", "", "", "", "", failures.get(c, "")])
+    return rows
+
+
+def _run_analytic(cfg: RunConfig, kernel: Any, f: Any, sequence: Any, certs_dir: Optional[str]) -> Dict[str, Any]:
+    report = analyticity_envelope(
+        kernel,
+        cfg.analytic_norm_bound,
+        cfg.analytic_n_max,
+        cfg.precision_bits,
+        fd_step=cfg.analytic_fd_step,
+        fd_x=cfg.analytic_fd_x,
+    )
+    return derivative_report_to_dict(report, cfg.precision_bits)
+
+
+def _analytic_rows(result: Dict[str, Any]) -> List[List[Any]]:
+    rows = [["order", "dnn_value", "exact_bound", "bound_curve", "fd_value"]]
+    fd = result.get("fd_values") or []
+    for i, n in enumerate(result["orders"]):
+        fd_val = fd[n - 1] if 1 <= n <= len(fd) else ""
+        rows.append(
+            [n, result["dnn_values"][i], result["exact_bounds"][i], result["bound_curve"][i], fd_val]
+        )
+    return rows
+
+
+def _analytic_line(result: Dict[str, Any]) -> str:
+    return (
+        f"derivative bounds tabulated for orders 0..{result['orders'][-1]}; "
+        "envelope dominates at every order"
+    )
+
+
+def _run_interpolant(cfg: RunConfig, kernel: Any, f: Any, sequence: Any, certs_dir: Optional[str]) -> Dict[str, Any]:
+    trace = norm_growth_trace(
+        kernel,
+        f,
+        _nodes(cfg.interp_base_points, sequence, 3),
+        extension_rule=cfg.interp_rule,
+        steps=cfg.interp_steps,
+        precision_bits=cfg.precision_bits,
+        ridge=cfg.interp_ridge,
+        divergence_factor=cfg.interp_divergence_factor,
+        sequence=sequence,
+    )
+    return norm_trace_to_dict(trace, cfg.precision_bits)
+
+
+def _interpolant_rows(result: Dict[str, Any]) -> List[List[Any]]:
+    rows = [["step", "num_points", "norm", "precision_bits"]]
+    trace = zip(result["point_sets"], result["norms"], result["precision_bits"])
+    for i, (pts, norm, bits) in enumerate(trace):
+        rows.append([i, len(pts), norm, bits])
+    return rows
+
+
+def _interpolant_line(result: Dict[str, Any]) -> str:
+    truncated = result.get("truncated_reason")
+    return (
+        f"interpolant norms over {len(result['norms'])} nested sets; "
+        f"divergence evidence: {result['divergence_evidence']}"
+        + (f"; truncated: {truncated}" if truncated else "")
+    )
+
+
+# A task with no single-task command has no command, help, keys or line.
+_Task = namedtuple("_Task", "run rows command help keys line", defaults=(None, None, (), None))
+
 # Execution order is fixed regardless of the order tasks appear in a config:
 # structural sanity first, then decay, then the witness sweep, then the
 # purely diagnostic tabulations.
-ALL_TASKS = ("psd", "decay", "witness", "analytic", "interpolant")
+_TASKS: Dict[str, _Task] = {
+    "psd": _Task(
+        _run_psd, _psd_rows, "psd-check", "PSD test of the kernel Gram matrix",
+        ("kernel", "sequence", "psd.points", "psd.num_points", "psd.control_x0", "precision_bits"), _psd_line,
+    ),
+    "decay": _Task(
+        _run_decay, _decay_rows, "decay-check", "measure off-diagonal kernel decay",
+        ("kernel", "sequence", "decay.window", "decay.ell_max", "decay.threshold", "precision_bits"), _decay_line,
+    ),
+    "witness": _Task(_run_witness, _witness_rows),
+    "analytic": _Task(
+        _run_analytic, _analytic_rows, "derivatives", "diagonal derivative bounds and envelope",
+        ("kernel", "analytic.n_max", "analytic.norm_bound", "analytic.fd_step", "analytic.fd_x", "precision_bits"),
+        _analytic_line,
+    ),
+    "interpolant": _Task(
+        _run_interpolant, _interpolant_rows, "interp-norm", "minimum-norm interpolant growth trace",
+        ("kernel", "function", "sequence", "interpolant.base_points", "interpolant.rule", "interpolant.steps",
+         "interpolant.ridge", "precision_bits"),
+        _interpolant_line,
+    ),
+}
+ALL_TASKS = tuple(_TASKS)
 
 DOMAIN_KINDS = ("full_line", "interval", "finite_set")
 
@@ -326,111 +601,6 @@ def config_from_dict(data: Dict[str, Any]) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _sweep(cfg: RunConfig, scales: Tuple[float, ...], kernel: Any, f: Any, sequence: Any) -> SweepResult:
-    return sweep_c(
-        kernel, f, sequence, scales, cfg.ell_max, cfg.precision_bits, cfg.witness_doubling_cap,
-        alpha=cfg.witness_alpha,
-    )
-
-
-def _witness_worker(args: Tuple[RunConfig, Tuple[float, ...]]) -> SweepResult:
-    """Sweep one group of scales in a worker process, which resolves its own objects."""
-    cfg, scales = args
-    kernel = resolve_kernel(cfg.kernel)
-    return _sweep(cfg, scales, kernel, resolve_function(cfg.function, kernel), resolve_sequence(cfg.sequence))
-
-
-def _analytic_profile(profile: Any) -> bool:
-    """Whether a profile declares analytic constants that check out: then every member is analytic."""
-    try:
-        check_analytic_constants(profile)  # ValueError when none are declared
-    except ValueError:
-        return False
-    return True
-
-
-def _domain_transfer_note(cfg: RunConfig, kernel: Any) -> str:
-    """How a real-line certificate bears on the declared domain."""
-    if cfg.domain_kind == "full_line":
-        return "certificates apply directly: the declared domain is the full real line"
-    if not cfg.has_accumulation_point:
-        return (
-            "restriction remark withheld: the declared domain has no accumulation point, so real-line "
-            "non-membership says nothing about the restricted space on it"
-        )
-    if kernel.profile is None or not _analytic_profile(kernel.profile):
-        return (
-            f"restriction remark withheld: kernel {kernel.kernel_id} has no checked analytic constants, so "
-            "members of its space need not be analytic, and one may agree with the candidate on the domain"
-        )
-    return (
-        "restriction remark: because the kernel's analytic constants are checked and the declared domain "
-        "has an accumulation point, real-line non-membership carries over to the restricted space on "
-        "that domain, provided the candidate's supplied extension is analytic (the candidate's "
-        "analyticity is not verified here)"
-    )
-
-
-def _run_witness_task(
-    cfg: RunConfig, kernel: Any, f: Any, sequence: Any, certs_dir: Optional[str]
-) -> Dict[str, Any]:
-    grid = tuple(float(c) for c in (cfg.c_grid if cfg.c_grid is not None else default_c_grid()))
-    # Scales are dealt round-robin to the sweeps.  A scale's outcome depends
-    # on its value alone, so outcomes return to grid order by value, repeated
-    # scales included.
-    groups = min(cfg.jobs, len(grid))
-    if cfg.jobs > 1:
-        # imported here: the pool's modules cost a serial run's startup time
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=groups) as pool:
-            sweeps = list(pool.map(_witness_worker, [(cfg, grid[g::groups]) for g in range(groups)]))
-    else:
-        sweeps = [_sweep(cfg, grid, kernel, f, sequence)]
-    built = {cert.c: cert for sweep in sweeps for cert in sweep.certificates}
-    failed = dict(failure for sweep in sweeps for failure in sweep.failures)
-    result = replace(
-        sweeps[0],
-        c_values=grid,
-        certificates=tuple(built[c] for c in grid if c in built),
-        failures=tuple((c, failed[c]) for c in grid if c not in built),
-    )
-    # The windows mostly contain one another, so one table evaluates f once
-    # per distinct stored point; largest first keeps its memory at the
-    # largest certificate's.
-    certificates = result.certificates
-    table = PointTable(f, None, cfg.precision_bits)
-    passed = set()
-    for i in sorted(range(len(certificates)), key=lambda i: -certificates[i].n_points):
-        if verify_certificate(certificates[i], kernel, f, table):
-            passed.add(i)
-    del table  # its values are garbage before serialization starts
-    out = sweep_to_dict(result, cfg.precision_bits, certs_dir)
-    out["verified_scales"] = [
-        number_to_str(cert.c, cfg.precision_bits) for i, cert in enumerate(certificates) if i in passed
-    ]
-    out["all_verified"] = len(passed) == len(grid)
-    out["domain_transfer"] = _domain_transfer_note(cfg, kernel)
-    return out
-
-
-def _run_psd_task(cfg: RunConfig, kernel: Any, sequence: Any) -> List[Dict[str, Any]]:
-    if cfg.psd_points is not None:
-        points = list(cfg.psd_points)
-    else:
-        points = [float(sequence.point(n)) for n in range(1, cfg.psd_num_points + 1)]
-    gram = assemble_gram(kernel, points, cfg.precision_bits)
-    base = psd_to_dict(psd_check(gram), cfg.precision_bits)
-    base["label"] = "gram"
-    base["points"] = [number_to_str(p, cfg.precision_bits) for p in points]
-    control = psd_to_dict(
-        schur_deflation_control(kernel, cfg.psd_control_x0, points, cfg.precision_bits),
-        cfg.precision_bits,
-    )
-    control["label"] = f"schur_control:x0={cfg.psd_control_x0!r}"
-    return [base, control]
-
-
 def _verdict_summary(cfg: RunConfig, results: Dict[str, Any], errors: Dict[str, str]) -> str:
     if "witness" not in cfg.tasks:
         return "diagnostics only: no witness task requested"
@@ -467,59 +637,17 @@ def run(cfg: RunConfig, certs_dir: Optional[str] = None) -> Tuple[Dict[str, Any]
     With ``certs_dir`` the witness task also writes each certificate there as
     a standalone file; a file it cannot write raises OSError.
     """
-    kernel = resolve_kernel(cfg.kernel)
-    f = resolve_function(cfg.function, kernel)
-    sequence = resolve_sequence(cfg.sequence)
+    kernel, f, sequence = _resolve(cfg)
     results: Dict[str, Any] = {}
     errors: Dict[str, str] = {}
-    # Requested tasks run in the fixed ALL_TASKS order, not config order.
-    for task in ALL_TASKS:
-        if task not in cfg.tasks:
+    # Requested tasks run in the fixed _TASKS order, not config order.
+    for name, task in _TASKS.items():
+        if name not in cfg.tasks:
             continue
         try:
-            if task == "psd":
-                results["psd"] = _run_psd_task(cfg, kernel, sequence)
-            elif task == "decay":
-                report = verify_decay(
-                    kernel,
-                    sequence,
-                    cfg.decay_window,
-                    cfg.decay_ell_max,
-                    cfg.decay_threshold,
-                    cfg.precision_bits,
-                )
-                results["decay"] = decay_to_dict(report, cfg.precision_bits)
-            elif task == "witness":
-                results["witness"] = _run_witness_task(cfg, kernel, f, sequence, certs_dir)
-            elif task == "analytic":
-                report = analyticity_envelope(
-                    kernel,
-                    cfg.analytic_norm_bound,
-                    cfg.analytic_n_max,
-                    cfg.precision_bits,
-                    fd_step=cfg.analytic_fd_step,
-                    fd_x=cfg.analytic_fd_x,
-                )
-                results["analytic"] = derivative_report_to_dict(report, cfg.precision_bits)
-            elif task == "interpolant":
-                if cfg.interp_base_points is not None:
-                    base = list(cfg.interp_base_points)
-                else:
-                    base = [float(sequence.point(n)) for n in range(1, 4)]
-                trace = norm_growth_trace(
-                    kernel,
-                    f,
-                    base,
-                    extension_rule=cfg.interp_rule,
-                    steps=cfg.interp_steps,
-                    precision_bits=cfg.precision_bits,
-                    ridge=cfg.interp_ridge,
-                    divergence_factor=cfg.interp_divergence_factor,
-                    sequence=sequence,
-                )
-                results["interpolant"] = norm_trace_to_dict(trace, cfg.precision_bits)
+            results[name] = task.run(cfg, kernel, f, sequence, certs_dir)
         except (ValueError, ArithmeticError, WitnessSearchError) as exc:
-            errors[task] = f"{type(exc).__name__}: {exc}"
+            errors[name] = f"{type(exc).__name__}: {exc}"
     report = {
         "schema": REPORT_SCHEMA,
         "config": cfg.to_dict(),
@@ -537,78 +665,15 @@ def _write_output(path: str, payload: Dict[str, Any]) -> None:
         raise ConfigError(f"cannot write output file {path!r}: {exc}") from exc
 
 
-def _csv_rows(task: str, result: Any) -> List[List[Any]]:
-    """Flatten one task result into a header row plus data rows.
-
-    Real numbers stay in their decimal-string form from the report, so the
-    tables are exactly as reproducible as the JSON they mirror.
-    """
-    if task == "witness":
-        rows: List[List[Any]] = [["c", "status", "n_points", "ell", "r_value", "verified", "detail"]]
-        certs = {cert["c"]: cert for cert in result["certificates"]}
-        failures = {item["c"]: item["reason"] for item in result["failures"]}
-        verified = set(result["verified_scales"])
-        for c in result["c_values"]:
-            if c in certs:
-                cert = certs[c]
-                rows.append(
-                    [
-                        c,
-                        "certificate",
-                        cert["n_points"],
-                        cert["ell"],
-                        cert["r_value"],
-                        "true" if c in verified else "false",
-                        "",
-                    ]
-                )
-            else:
-                rows.append([c, "failure", "", "", "", "", failures.get(c, "")])
-        return rows
-    if task == "decay":
-        rows = [["ell", "max_offdiag"]]
-        rows.extend([ell, v] for ell, v in zip(result["ell_values"], result["max_offdiag"]))
-        return rows
-    if task == "psd":
-        rows = [["label", "is_psd", "min_pivot_or_eigenvalue", "tolerance_used"]]
-        rows.extend(
-            [
-                item["label"],
-                "true" if item["is_psd"] else "false",
-                item["min_pivot_or_eigenvalue"],
-                item["tolerance_used"],
-            ]
-            for item in result
-        )
-        return rows
-    if task == "analytic":
-        rows = [["order", "dnn_value", "exact_bound", "bound_curve", "fd_value"]]
-        fd = result.get("fd_values") or []
-        for i, n in enumerate(result["orders"]):
-            fd_val = fd[n - 1] if 1 <= n <= len(fd) else ""
-            rows.append(
-                [n, result["dnn_values"][i], result["exact_bounds"][i], result["bound_curve"][i], fd_val]
-            )
-        return rows
-    rows = [["step", "num_points", "norm", "precision_bits"]]
-    trace = zip(result["point_sets"], result["norms"], result["precision_bits"])
-    for i, (pts, norm, bits) in enumerate(trace):
-        rows.append([i, len(pts), norm, bits])
-    return rows
-
-
 def _write_csv_tables(directory: str, report: Dict[str, Any]) -> List[str]:
     """One CSV per executed task, written in the fixed task order."""
-    results = report["results"]
     written = []
     try:
         Path(directory).mkdir(parents=True, exist_ok=True)
-        for task in ALL_TASKS:
-            if task not in results:
-                continue
-            path = Path(directory) / f"{task}.csv"
+        for name, result in report["results"].items():  # run fills them in the fixed _TASKS order
+            path = Path(directory) / f"{name}.csv"
             with path.open("w", encoding="utf-8", newline="") as handle:
-                csv.writer(handle).writerows(_csv_rows(task, results[task]))
+                csv.writer(handle).writerows(_TASKS[name].rows(result))
             written.append(str(path))
     except OSError as exc:
         raise ConfigError(f"cannot write csv tables to {directory!r}: {exc}") from exc
@@ -670,14 +735,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     cfg = config_from_dict(_apply_flags({"c_grid": [args.c]}, args))
-    kernel = resolve_kernel(cfg.kernel)
-    f = resolve_function(cfg.function, kernel)
-    sequence = resolve_sequence(cfg.sequence)
     try:
         cert = build_witness(
-            kernel,
-            f,
-            sequence,
+            *_resolve(cfg),
             cfg.c_grid[0],
             alpha=cfg.witness_alpha,
             ell_max=cfg.ell_max,
@@ -729,49 +789,16 @@ def _cmd_task(args: argparse.Namespace) -> int:
     if args.out:
         _write_output(args.out, report)
     if code == 0:
-        (task,) = args.tasks
-        result = report["results"][task]
-        if task == "decay":
-            state = "passed" if result["passed"] else f"failed: {result.get('reason')}"
-            print(f"decay check {state} (evidence: {result['evidence']})")
-        elif task == "psd":
-            states = ", ".join(f"{r['label']}={'PSD' if r['is_psd'] else 'NOT PSD'}" for r in result)
-            print(f"psd check: {states}")
-        elif task == "analytic":
-            print(
-                f"derivative bounds tabulated for orders 0..{result['orders'][-1]}; "
-                "envelope dominates at every order"
-            )
-        elif task == "interpolant":
-            truncated = result.get("truncated_reason")
-            print(
-                f"interpolant norms over {len(result['norms'])} nested sets; "
-                f"divergence evidence: {result['divergence_evidence']}"
-                + (f"; truncated: {truncated}" if truncated else "")
-            )
-    else:
-        for task_name, message in report["task_errors"].items():
-            print(f"task {task_name} errored: {message}", file=sys.stderr)
+        (name,) = args.tasks
+        print(_TASKS[name].line(report["results"][name]))
+    for name, message in report["task_errors"].items():
+        print(f"task {name} errored: {message}", file=sys.stderr)
     return code
 
 
 def _comma_list(text: str) -> List[str]:
     """A comma-separated flag value as its nonempty entries; config_from_dict converts them."""
     return [entry.strip() for entry in text.split(",") if entry.strip()]
-
-
-# The single-task commands: (command, task, help, config keys of its flags).
-_TASK_COMMANDS = (
-    ("decay-check", "decay", "measure off-diagonal kernel decay",
-     ("kernel", "sequence", "decay.window", "decay.ell_max", "decay.threshold", "precision_bits")),
-    ("psd-check", "psd", "PSD test of the kernel Gram matrix",
-     ("kernel", "sequence", "psd.points", "psd.num_points", "psd.control_x0", "precision_bits")),
-    ("derivatives", "analytic", "diagonal derivative bounds and envelope",
-     ("kernel", "analytic.n_max", "analytic.norm_bound", "analytic.fd_step", "analytic.fd_x", "precision_bits")),
-    ("interp-norm", "interpolant", "minimum-norm interpolant growth trace",
-     ("kernel", "function", "sequence", "interpolant.base_points", "interpolant.rule", "interpolant.steps",
-      "interpolant.ridge", "precision_bits")),
-)
 
 
 def _config_flags(parser: argparse.ArgumentParser, keys: Sequence[str], required: bool = False) -> None:
@@ -838,11 +865,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit.add_argument("--out", help="certificate output path")
     p_wit.set_defaults(func=_cmd_witness)
 
-    for command, task, help_text, keys in _TASK_COMMANDS:
-        p_task = sub.add_parser(command, help=help_text)
-        _config_flags(p_task, keys, required=True)
+    for name, task in _TASKS.items():
+        if task.command is None:
+            continue
+        p_task = sub.add_parser(task.command, help=task.help)
+        _config_flags(p_task, task.keys, required=True)
         p_task.add_argument("--out", help="report output path")
-        p_task.set_defaults(func=_cmd_task, tasks=[task])
+        p_task.set_defaults(func=_cmd_task, tasks=[name])
 
     p_ver = sub.add_parser("verify", help="re-check a certificate from its JSON file alone")
     p_ver.add_argument("certificate", help="path to a certificate JSON file")

@@ -246,16 +246,17 @@ def custom_radial_from_expression(source: str, *, kernel_id: Optional[str] = Non
     return custom_radial(_expression_profile(source), kernel_id=kernel_id or f"custom:{source}")
 
 
-BUILTIN_KERNELS: Tuple[str, ...] = ("gaussian", "inverse_quadratic", "laplace", "exp_product")
+# Each built-in kernel's constructor, at its identifier.
+_BUILTIN_MAKERS = {
+    "gaussian": make_gaussian,
+    "inverse_quadratic": make_inverse_quadratic,
+    "laplace": make_laplace,
+    "exp_product": make_exp_product,
+}
+BUILTIN_KERNELS: Tuple[str, ...] = tuple(_BUILTIN_MAKERS)
 
 
 def builtin_kernel(name: str) -> KernelSpec:
-    if name == "gaussian":
-        return make_gaussian()
-    if name == "inverse_quadratic":
-        return make_inverse_quadratic()
-    if name == "laplace":
-        return make_laplace()
-    if name == "exp_product":
-        return make_exp_product()
-    raise ValueError(f"unknown kernel identifier {name!r}")
+    if name not in BUILTIN_KERNELS:  # a tuple's test, so an unhashable name is unknown too
+        raise ValueError(f"unknown kernel identifier {name!r}")
+    return _BUILTIN_MAKERS[name]()

@@ -12,8 +12,9 @@ the non-membership verdict.  Certificates are self-contained: verification
 recomputes r from the stored points and re-checks the size threshold, and
 never trusts the builder.
 
-Window sizes reach 2^17 + 1 at the smallest default scale, where a dense
-Gram matrix is out of reach.  One evaluator computes r as
+Window sizes reach 968,499 points at the smallest default scale (the
+default paper_example at c = 2^-8), where a dense Gram matrix is out of
+reach.  One evaluator computes r as
 n phi(0) + 2 sum_{i<j} phi((x_j - x_i)^2) - c^2 (sum_i f(x_i))^2 for a radial
 profile phi, holding O(N) numbers.  The form is symmetric in the points, so
 a window that is not strictly monotone is evaluated in sorted order.  When

@@ -794,8 +794,9 @@ def test_single_task_summary_line_is_pinned(capsys, argv, line):
 
 _HELP = ("-h", "--help"), "help", "show this help message and exit", False
 _OUT = ("--out",), "out", "report output path", False
-_KERNEL, _SEQUENCE, _BITS = (("--kernel",), "kernel", None, True), (("--sequence",), "sequence", None, False), (
-    ("--precision-bits",), "precision_bits", None, False)
+_KERNEL = ("--kernel",), "kernel", None, True
+_SEQUENCE = ("--sequence",), "sequence", None, False
+_BITS = ("--precision-bits",), "precision_bits", None, False
 _ALPHA = ("--alpha",), "witness.alpha", "declared tail lower bound for the witness task", False
 
 # Each subcommand's help, then (option strings, dest, help, required) of each of its arguments.

@@ -10,6 +10,7 @@ from mpmath.libmp import from_man_exp, round_nearest
 import oracles
 from rkhs_cert.errors import EvaluationError, ProfileDerivativeError
 from rkhs_cert.kernels import (
+    BUILTIN_KERNELS,
     RadialProfile,
     builtin_kernel,
     check_analytic_constants,
@@ -32,6 +33,15 @@ DOUBLE_REFS = {
 BITS = (53, 256)
 
 finite_xy = st.floats(min_value=-20, max_value=20, allow_nan=False)
+
+
+def test_each_builtin_identifier_names_its_kernel():
+    assert BUILTIN_KERNELS == ("gaussian", "inverse_quadratic", "laplace", "exp_product")
+    for name in BUILTIN_KERNELS:
+        assert builtin_kernel(name).kernel_id == name
+    for name in ("Gaussian", "gaussian ", "custom:exp(-r)", ["gaussian"]):
+        with pytest.raises(ValueError, match="unknown kernel identifier"):
+            builtin_kernel(name)
 
 
 @pytest.mark.parametrize("name", sorted(DOUBLE_REFS))

@@ -429,3 +429,66 @@ def test_every_private_function_is_read_somewhere():
     """A private helper nothing reads is dead code: its callers are gone."""
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_private_functions(sources) == []
+
+
+# The CLI module: a task is one record of its table of tasks, never a branch on the task's name.
+TASK_MODULE = "cli.py"
+
+
+def task_name_branches(source: str, names: tuple) -> list:
+    """(line, name) for each function that compares a value against two or more of ``names``.
+
+    A comparison is an ``ast.Compare`` with a string of ``names`` as an
+    operand, or inside a tuple, list or set operand (``task in ("psd",
+    "decay")``), or a ``case`` pattern of one; an if/elif chain on a task's
+    name is such a function.  A function nested in another counts for both.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        compared = set()
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Compare):
+                operands = [inner.left, *inner.comparators]
+            elif isinstance(inner, ast.MatchValue):
+                operands = [inner.value]
+            else:
+                continue
+            for operand in operands:
+                items = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+                compared.update(e.value for e in items if isinstance(e, ast.Constant) and e.value in names)
+        if len(compared) >= 2:
+            found.append((node.lineno, getattr(node, "name", "<lambda>")))
+    return sorted(found)
+
+
+def test_task_branch_check_finds_each_chain():
+    source = (
+        "def run(task):\n"
+        "    if task == 'psd':\n"
+        "        return 1\n"
+        "    elif task == 'decay':\n"
+        "        return 2\n"
+        "def rows(task):\n"
+        "    return 1 if task in ('witness', 'analytic') else 2\n"
+        "def line(task):\n"
+        "    match task:\n"
+        "        case 'psd':\n"
+        "            return 1\n"
+        "        case 'interpolant':\n"
+        "            return 2\n"
+        "def summary(tasks, errors):\n"
+        "    if 'witness' not in tasks:\n"
+        "        return 0\n"
+        "    return 'witness' in errors or tasks == 'kernel'\n"
+    )
+    names = ("psd", "decay", "witness", "analytic", "interpolant")
+    assert task_name_branches(source, names) == [(1, "run"), (6, "rows"), (8, "line")]
+
+
+def test_cli_branches_on_no_task_name():
+    """Each task's run, table and summary line are one record of cli's table of tasks."""
+    source = (PACKAGE / TASK_MODULE).read_text()
+    assert len(cli.ALL_TASKS) == 5
+    assert task_name_branches(source, cli.ALL_TASKS) == []
