@@ -17,16 +17,14 @@ the interpreter's recursion and its parser, not one set here) is refused
 with an ExpressionError naming it, by its first characters and its length
 when it is long.
 
-The libmp form is compiled once into a plain Python function, ``fn_raw``,
+The libmp form is compiled once into a plain Python function, ``fn_mp``,
 whose namespace holds only mpmath's low-level ``libmp`` routines and the
-literals, converted in advance where that is exact.  It takes and returns
-raw ``_mpf_`` values, and it is the one numeric definition of the
-expression: ``fn_mp`` is its one-line wrapper on mpf values, a caller that
-already holds raw values (a radial kernel, ``kernels``) calls it directly,
-and a value wanted as a double (a custom sequence's point, a polynomial's
-tail bound) is its value at 53 bits, converted.  The function calls the
-routines on raw values, reading the working precision and rounding once per
-call from ``mpmath.mp._prec_rounding``:
+literals, converted in advance where that is exact.  It is the one numeric
+definition of the expression: a value wanted as a double (a custom
+sequence's point, a polynomial's tail bound) is this function's value at 53
+bits, converted.  It takes an mpf, calls the routines on its raw ``_mpf_``
+value, reading the working precision and rounding once per call from
+``mpmath.mp._prec_rounding``, and makes one mpf of the result:
 
     ``+ - * /``  mpf_add, mpf_sub, mpf_mul, mpf_div
     unary ``-``  mpf_neg
@@ -43,8 +41,8 @@ between the operations are gone.  One difference is deliberate: where the
 ``mpf`` wrappers silently continue in complex arithmetic (``sqrt`` of a
 negative number), the compiled function raises ``ComplexResult``, a
 ``ValueError``.  Every body compiles to this one template: a body that is
-only the variable or one literal returns its raw value, which ``fn_mp``
-makes a new mpf of.  ``Expression.reads_variable`` records whether
+only the variable or one literal returns a new mpf of its raw value.
+``Expression.reads_variable`` records whether
 the tree names its variable at all; one that does not has the same value at
 every point, so a caller may evaluate it once per precision.
 
@@ -247,11 +245,10 @@ def _lower(node: ast.expr, variable: str, literals: List[Any]) -> Tuple[ast.expr
 class Expression:
     """A validated single-variable expression, compiled to one function.
 
-    ``fn_raw`` takes a raw ``_mpf_`` value and returns one, computed under
-    whatever working precision the caller has set; ``fn_mp`` is the same
-    function on an mpf, returning a new one, and ``eval_mp`` converts its
-    argument first.  No literal is rounded below 53 bits.  ``fn_iv`` takes
-    an ``mpmath.iv`` interval and returns an enclosure of the expression's
+    ``fn_mp`` takes an mpf and returns a new one, computed under whatever
+    working precision the caller has set; ``eval_mp`` converts its argument
+    first.  No literal is rounded below 53 bits.  ``fn_iv`` takes an
+    ``mpmath.iv`` interval and returns an enclosure of the expression's
     values on it, computed at ``iv.prec``.  ``reads_variable`` is False when the tree never
     names the variable: the value then depends on the working precision
     alone, not on the point.
@@ -259,7 +256,6 @@ class Expression:
 
     source: str
     variable: str
-    fn_raw: Callable[[Any], Any] = field(repr=False, compare=False)
     fn_mp: Callable[[Any], Any] = field(repr=False, compare=False)
     fn_iv: Callable[[Any], Any] = field(repr=False, compare=False)
     reads_variable: bool = True
@@ -305,11 +301,13 @@ def _compile(source: str, variable: str) -> Expression:
     fn_source = (
         f"def _fn({variable}):\n"
         "    _prec, _rnd = _prec_rounding\n"
-        f"    return {ast.unparse(libmp_body)}\n"
+        f"    {variable} = {variable}._mpf_\n"
+        f"    return _make_mpf({ast.unparse(libmp_body)})\n"
     )
     namespace = {
         "__builtins__": {},
         "_prec_rounding": mpmath.mp._prec_rounding,
+        "_make_mpf": _make_mpf,
         **_LIBMP_NAMESPACE,
         **{f"_k{i}": k for i, k in enumerate(constants)},
     }
@@ -318,12 +316,10 @@ def _compile(source: str, variable: str) -> Expression:
     iv_namespace = {"__builtins__": {}, **_IV_NAMESPACE, **iv_literals}
     iv_source = f"def _fn({variable}):\n    return {ast.unparse(body)}\n"
     exec(compile(iv_source, f"<interval expression {source!r}>", "exec"), iv_namespace)
-    fn_raw = namespace["_fn"]
     return Expression(
         source=source,
         variable=variable,
-        fn_raw=fn_raw,
-        fn_mp=lambda x: _make_mpf(fn_raw(x._mpf_)),
+        fn_mp=namespace["_fn"],
         fn_iv=iv_namespace["_fn"],
         reads_variable=reads_variable,
     )

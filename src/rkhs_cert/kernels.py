@@ -8,13 +8,10 @@ derivatives at the origin and analytic growth constants (C, R) with
 Every kernel has one numeric definition, ``eval_mp``, on mpmath numbers
 under the caller's working precision.  The built-in radial profiles, like
 custom ones, are each one whitelisted expression in ``r`` (see
-``expressions``), compiled to one function on raw libmp values; only the
-non-radial ``exp_product`` is a plain callable.  A radial kernel computes
-d = x - y, d^2 and phi(d^2) on raw values, with the ``libmp`` routines
-``mpf_sub`` and ``mpf_mul`` that the ``mpf`` operators call at the working
-precision and rounding, and the profile's compiled function, so its bits
-are those of the same steps on ``mpf`` objects; it makes one mpf, the
-result.  A radial kernel's diagonal bound phi(0) is that definition
+``expressions``); only the non-radial ``exp_product`` is a plain callable.
+A radial kernel computes d = x - y and d * d as ``mpf`` operations and
+phi(d^2) with the profile's ``fn_mp``, its result an mpf whatever the
+profile returns.  A radial kernel's diagonal bound phi(0) is that definition
 evaluated at 53 bits.  Symmetry is exact by construction: both orders
 compute the identical floating-point expression.
 
@@ -34,14 +31,11 @@ from typing import Any, Callable, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mpf, nstr, workprec
-from mpmath.libmp import mpf_mul, mpf_sub
 
 from .errors import EvaluationError, ProfileDerivativeError
 from .expressions import Expression, as_mpf, compile_expression, interval_abs_bound
 
 Number = Union[int, float, Fraction]
-
-_make_mpf = mpmath.mp.make_mpf
 
 # Radii r* = 4^k tried by RadialProfile.truncation_radius, k = 0, 1, ...
 _TRUNCATION_LADDER_STEPS = 4000
@@ -55,15 +49,12 @@ class RadialProfile:
     exact integers.  ``analytic_constants = (C, R)`` asserts
     |phi^(n)(0+)| <= C * R^n * n! for all n.  ``fn_iv`` is phi on
     ``mpmath.iv`` intervals (see ``expressions``); without it no bound holds.
-    ``fn_raw`` is ``fn_mp`` on raw libmp values, an expression's compiled
-    function; a profile without one is read through ``fn_mp``.
     """
 
     fn_mp: Callable[[Any], Any]
     deriv_at_zero: Optional[Callable[[int], Number]] = None
     analytic_constants: Optional[Tuple[Number, Number]] = None
     fn_iv: Optional[Callable[[Any], Any]] = None
-    fn_raw: Optional[Callable[[Any], Any]] = None
 
     def value_mp(self, r: Any) -> Any:
         return self.fn_mp(as_mpf(r))
@@ -155,10 +146,9 @@ def check_analytic_constants(profile: RadialProfile, depth: int = 30) -> None:
 def _radial_kernel(kernel_id: str, profile: RadialProfile) -> KernelSpec:
     """K(x, y) = phi((x - y)^2) with diag_sup = phi(0) at 53 bits.
 
-    d = x - y, d^2 and phi(d^2) are computed on raw values, each step's bits
-    those of the ``mpf`` operation (see the module docstring), and one mpf is
-    made of the result.  Raises ValueError unless phi(0) is defined, finite
-    as a double and positive.
+    phi(d^2) is an mpf even from a profile that returns a float or an int
+    (``as_mpf``).  Raises ValueError unless phi(0) is defined, finite as a
+    double and positive.
     """
     with workprec(53):
         try:
@@ -168,13 +158,9 @@ def _radial_kernel(kernel_id: str, profile: RadialProfile) -> KernelSpec:
     if not 0.0 < diag < math.inf:
         raise ValueError(f"radial profile must be positive and finite at the origin, not {diag!r}")
 
-    body = profile.fn_raw or (lambda r: as_mpf(profile.fn_mp(_make_mpf(r)))._mpf_)
-    prec_rounding = mpmath.mp._prec_rounding
-
     def k_mp(x: Any, y: Any) -> Any:
-        prec, rnd = prec_rounding
-        d = mpf_sub(x._mpf_, y._mpf_, prec, rnd)
-        return _make_mpf(body(mpf_mul(d, d, prec, rnd)))
+        d = x - y
+        return as_mpf(profile.fn_mp(d * d))
 
     return KernelSpec(kernel_id=kernel_id, fn_mp=k_mp, diag_sup=diag, profile=profile)
 
@@ -182,7 +168,7 @@ def _radial_kernel(kernel_id: str, profile: RadialProfile) -> KernelSpec:
 def _expression_profile(source: str, **metadata: Any) -> RadialProfile:
     """A profile whose values and enclosures come from one expression in ``r``."""
     expr: Expression = compile_expression(source, "r")
-    return RadialProfile(fn_mp=expr.fn_mp, fn_iv=expr.fn_iv, fn_raw=expr.fn_raw, **metadata)
+    return RadialProfile(fn_mp=expr.fn_mp, fn_iv=expr.fn_iv, **metadata)
 
 
 def _builtin_radial(kernel_id: str, source: str, **metadata: Any) -> KernelSpec:

@@ -17,9 +17,7 @@ unconfirmed suspicion leaves the verdict at "PSD within tolerance".
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 from operator import itemgetter
-from struct import Struct
 from typing import Any, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
@@ -46,13 +44,8 @@ class Block(NamedTuple):
     ``width`` is 0, or else packed in ``values``, one ``bytes``, as fields of
     ``width`` bytes each, little-endian two's complement.
 
-    With ``exp`` None, the terms are raw libmp tuples, an mpf's ``_mpf_``.
-    When ``width`` is 0 they are ``values`` itself.  Else the block holds
-    finite terms as three columns (``column_block``): their signs, one byte
-    each in ``signs``; their mantissas, unsigned fields of ``width`` bytes
-    each in ``values``, one ``bytes``, little-endian; and their exponents,
-    ``exps``.  Each tuple is rebuilt exactly, its bit count being its
-    mantissa's (``raw``).
+    With ``exp`` None, ``values`` are the terms' raw libmp tuples, an
+    mpf's ``_mpf_``.
     """
 
     values: Sequence[Any]
@@ -60,8 +53,6 @@ class Block(NamedTuple):
     top: int = 0
     total: int = 0
     width: int = 0
-    signs: bytes = b""
-    exps: Sequence[int] = ()
 
     def size(self) -> int:
         """How many terms the block holds."""
@@ -74,29 +65,16 @@ class Block(NamedTuple):
         w, data = self.width, self.values
         return [int.from_bytes(data[i : i + w], "little", signed=True) for i in range(lo * w, hi * w, w)]
 
-    def raw(self, lo: int, hi: int) -> Iterable[Any]:
-        """The raw tuples of terms lo, ..., hi - 1 of a block that is not fixed-point.
-
-        A column block rebuilds them in one C-level pass over its columns,
-        decoding only those fields.
-        """
-        if not self.width:
-            return self.values[lo:hi]
-        # a Struct of its own: the module's cache of formats would keep one per cut's length
-        fields = Struct(f"{self.width}s" * (hi - lo)).unpack_from(self.values, lo * self.width)
-        mantissas = list(map(int.from_bytes, fields, repeat("little")))
-        return zip(self.signs[lo:hi], mantissas, self.exps[lo:hi], map(int.bit_length, mantissas))
-
     def low(self) -> int:
         """An exponent no higher than any of its terms': ``exp``, or the lowest exponent held (a zero's is 0)."""
         if self.exp is not None:
             return self.exp
-        return min(self.exps) if self.width else min(map(itemgetter(2), self.values))
+        return min(map(itemgetter(2), self.values))
 
     def cut(self, lo: int, hi: int) -> "Block":
-        """The block of terms lo, ..., hi - 1, holding their ints or raw tuples unpacked."""
+        """The block of terms lo, ..., hi - 1; a fixed-point one holds their ints unpacked."""
         if self.exp is None:
-            return Block(list(self.raw(lo, hi)))
+            return Block(self.values[lo:hi])
         ints = self.ints(lo, hi)
         return self._replace(values=ints, total=sum(ints), width=0)
 
@@ -131,19 +109,6 @@ def fixed_point_block(raw: Sequence[Any], max_bits: int, packed: bool = False) -
         total += q
         data += q.to_bytes(width, "little", signed=True)
     return Block(bytes(data), e, e + bits, total, width)
-
-
-def column_block(raw: Sequence[Any], exps: Sequence[int]) -> Block:
-    """Finite raw libmp values as a Block of columns.
-
-    The signs and the mantissas, in fields as wide as the widest mantissa,
-    are packed here in C-level passes; ``exps`` is the values' exponents as
-    the caller holds them (``sequences.pack`` gives one signed 64-bit word
-    each, or a tuple when one is wider).
-    """
-    width = max(1, (max(map(itemgetter(3), raw)) + 7) // 8)
-    mantissas = b"".join(map(int.to_bytes, map(itemgetter(1), raw), repeat(width), repeat("little")))
-    return Block(mantissas, width=width, signs=bytes(map(itemgetter(0), raw)), exps=exps)
 
 
 def neumaier_sum(terms: Sequence[Any]) -> Any:
@@ -203,10 +168,10 @@ def drops_after(blocks: Sequence[Block], bound: Any) -> bool:
 
 
 def block_terms(blocks: Sequence[Block]) -> Iterator[Any]:
-    """The blocks' terms as raw libmp tuples, in order, one at a time: each int q_i or column rebuilt exactly."""
+    """The blocks' terms as raw libmp tuples, in order, one at a time: each int q_i rebuilt exactly."""
     for b in blocks:
         if b.exp is None:
-            yield from b.raw(0, b.size())
+            yield from b.values
         else:
             for q in b.ints(0, b.size()):
                 yield from_man_exp(q, b.exp)

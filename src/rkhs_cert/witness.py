@@ -94,11 +94,9 @@ drops nothing and rounds the exact sum once, which is the blocks' integer
 sums added and rounded once; a wider window streams the values, rebuilt as
 raw tuples, through mpf_sum.  A block whose ints would take more than
 BLOCK_SPAN_LIMIT bits beyond the precision (a kernel section's values fall
-that fast) holds its values as three packed columns instead: their signs,
-one byte each, their mantissas, fixed-width fields of one bytes object,
-and their exponents, packed as a window is; each raw tuple is rebuilt from
-them exactly, in one C-level pass per block.  Only a block that holds inf
-or nan keeps its raw tuples.
+that fast), or that holds inf or nan, keeps its raw tuples; a search's
+table holds few such values, as its window sums end after the first fill
+whose later values are proved dropped.
 """
 
 from __future__ import annotations
@@ -107,7 +105,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, count, islice, repeat
-from operator import attrgetter, ge, gt, itemgetter, le, lt, sub
+from operator import attrgetter, ge, gt, le, lt, sub
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import mpmath
@@ -118,8 +116,7 @@ from .errors import WitnessSearchError
 from .expressions import as_mpf
 from .functions import DECLARED, CandidateFunction, TailBound, tail_lower_bound
 from .kernels import KernelSpec, undefined_pair
-from .quadform import DEFAULT_PRECISION_BITS, Block, block_terms, column_block, drops_after, finite, fixed_point_block
-from .quadform import neumaier_sum
+from .quadform import DEFAULT_PRECISION_BITS, Block, block_terms, drops_after, fixed_point_block, neumaier_sum
 from .quadform import assemble_gram, quadratic_form  # noqa: F401  unused; perfbench/trace_child.py patches them here
 from .sequences import SequenceSpec, is_packed, joined, offset_ladder, pack
 
@@ -412,12 +409,10 @@ class PointTable:
     value exactly q_i * 2^e, packed in one bytes object with their exact
     sum, about 33 bytes a value at 256 bits against about 140 as raw libmp
     tuples and 220 as mpf values.  A fill whose ints would take more than
-    BLOCK_SPAN_LIMIT bits beyond the precision holds packed columns of
-    signs, mantissas and exponents (``quadform.column_block``), about 42
-    bytes a value at 256 bits; only a fill that holds inf or nan keeps its
-    raw tuples.  ``blocks`` hands a
+    BLOCK_SPAN_LIMIT bits beyond the precision, or that holds inf or nan,
+    keeps its raw tuples.  ``blocks`` hands a
     window's blocks to ``neumaier_sum``, which sums them to the bits of
-    ``mpf_sum`` on the raw tuples, decoding only the fields of a block the
+    ``mpf_sum`` on the raw tuples, decoding only the ints of a block the
     window cuts; ``window`` rebuilds each value's raw tuple exactly.
     A request that neither overlaps nor adjoins a stored range restarts that
     range there, so no index outside a requested window is ever computed;
@@ -594,20 +589,19 @@ BLOCK_SPAN_LIMIT = 64
 
 
 def _value_block(raw: List[Any], prec: int) -> Block:
-    """One fill's raw f values as a Block: packed ints over their lowest exponent, else packed columns.
+    """One fill's raw f values as a Block: packed ints over their lowest exponent, or the raw tuples themselves.
 
-    The values are columns (``column_block``: signs, mantissas and
-    exponents, the exponents packed as a window is) when the ints would
-    take more than prec + BLOCK_SPAN_LIMIT bits, and stay raw tuples only
-    when a value is inf or nan.  The ints are packed as they are made, so
-    only the raw tuples are alive per value meanwhile.  A fill of one value
-    (a function without ``x`` gives one value object for a whole fill)
-    holds one int, in a list of one reference a value.
+    The raw tuples stay when the ints would take more than
+    prec + BLOCK_SPAN_LIMIT bits, or when a value is inf or nan
+    (``fixed_point_block``).  The ints are packed as they are made, so only
+    the raw tuples are alive per value meanwhile.  A fill of one value (a
+    function without ``x`` gives one value object for a whole fill) holds
+    one int, in a list of one reference a value.
     """
     one = raw[-1] is raw[0] and raw.count(raw[0]) == len(raw)
     block = fixed_point_block(raw[:1] if one else raw, prec + BLOCK_SPAN_LIMIT, packed=not one)
     if block is None:
-        return column_block(raw, pack(map(itemgetter(2), raw))) if finite(raw) else Block(raw)
+        return Block(raw)
     if one:
         q = block.values[0]
         return block._replace(values=[q] * len(raw), total=q * len(raw))

@@ -217,6 +217,21 @@ def test_profile_without_interval_form_has_no_bound():
     assert custom_radial(profile).profile.fn_iv is None
 
 
+def test_a_profile_returning_floats_gives_mpf_kernel_values():
+    """A hand-made profile may return a float: the kernel's value is still
+    an mpf, and a search table fills a kernel section over it."""
+    from rkhs_cert.functions import kernel_section
+    from rkhs_cert.sequences import triangular_sequence
+    from rkhs_cert.witness import PointTable
+
+    kernel = custom_radial(RadialProfile(fn_mp=lambda r: 1.0 / (1.0 + float(r))))
+    with workprec(256):
+        value = kernel.eval_mp(1, 3)
+    assert type(value) is mpmath.mpf and value == 0.2
+    blocks = PointTable(kernel_section(kernel, 0.0), triangular_sequence(1), 256).blocks(1, 10)
+    assert sum(b.size() for b in blocks) == 10
+
+
 def test_abs_bound_restores_the_interval_precision():
     saved = mpmath.iv.prec
     with workprec(300):
@@ -269,8 +284,8 @@ _KERNEL_ARGS = (
 @settings(max_examples=60, deadline=None)
 @given(x=_KERNEL_ARGS, y=_KERNEL_ARGS, bits=st.sampled_from([53, 64, 256]))
 def test_radial_kernel_on_raw_values_is_the_mpf_computation(name, x, y, bits):
-    """A radial kernel's value, computed on raw libmp values, has the bits
-    of x - y, its square and phi on ``mpf`` objects, for int, float and mpf
+    """A radial kernel's value has the bits of x - y, its square and phi on
+    ``mpf`` objects, as the oracle computes them, for int, float and mpf
     arguments of any width."""
     kernel = _RAW_KERNELS[name]()
     with workprec(bits):

@@ -18,7 +18,6 @@ from rkhs_cert.quadform import (
     assemble_gram,
     block_terms,
     cholesky_solve,
-    column_block,
     finite,
     fixed_point_block,
     neumaier_sum,
@@ -26,7 +25,6 @@ from rkhs_cert.quadform import (
     quadratic_form,
     schur_deflation_control,
 )
-from rkhs_cert.sequences import pack
 
 
 def _gram_from_rows(rows, bits=256):
@@ -135,23 +133,6 @@ def test_block_sum_is_mpf_sum_of_the_terms(terms, cancel, size, bits, raw_block,
     assert list(block_terms(blocks)) == raw
 
 
-def _columns(raw):
-    """Finite raw values as a column Block, their exponents packed as a window is."""
-    return column_block(raw, pack([exp for _, _, exp, _ in raw]))
-
-
-def _assert_every_cut_rebuilds(raw, bits):
-    block = _columns(raw)
-    assert block.exp is None and block.size() == len(raw)
-    for lo in range(len(raw) + 1):
-        for hi in range(lo, len(raw) + 1):
-            assert list(block_terms([block.cut(lo, hi)])) == raw[lo:hi]
-    assert list(block_terms([block])) == raw
-    with workprec(bits):
-        assert neumaier_sum([block])._mpf_ == mpf_sum(raw, bits, round_nearest)
-    return block
-
-
 @given(
     terms=st.lists(
         st.tuples(st.integers(-(2**300), 2**300), st.integers(-1100, 1100)) | st.just((0, 0)), min_size=1, max_size=12
@@ -159,26 +140,17 @@ def _assert_every_cut_rebuilds(raw, bits):
     bits=st.sampled_from([64, 256]),
 )
 @settings(max_examples=150, deadline=None)
-def test_column_block_rebuilds_every_cut(terms, bits):
-    """A column block of values with zeros, both signs and mantissas of any
-    width gives back each cut's raw tuples exactly, and sums as mpf_sum;
-    its exponents are one packed window."""
-    block = _assert_every_cut_rebuilds([from_man_exp(man, exp) for man, exp in terms], bits)
-    assert type(block.exps) is not tuple
-
-
-def test_column_block_keeps_exponents_beyond_64_bits():
-    """Exponents beyond a signed 64-bit word leave the exponent column a
-    tuple, and every cut still rebuilds the raw tuples."""
-    raw = [
-        from_man_exp(3, 2**70),
-        from_man_exp(-5, -(2**65)),
-        from_man_exp(0, 0),
-        from_man_exp(2**200 + 1, 7),
-        from_man_exp(-1, 2**63),
-    ]
-    block = _assert_every_cut_rebuilds(raw, 256)
-    assert type(block.exps) is tuple
+def test_raw_block_gives_every_cut(terms, bits):
+    """A block of raw values with zeros, both signs and mantissas of any
+    width gives back each cut's raw tuples exactly, and sums as mpf_sum."""
+    raw = [from_man_exp(man, exp) for man, exp in terms]
+    block = Block(raw)
+    assert block.exp is None and block.size() == len(raw)
+    for lo in range(len(raw) + 1):
+        for hi in range(lo, len(raw) + 1):
+            assert list(block_terms([block.cut(lo, hi)])) == raw[lo:hi]
+    with workprec(bits):
+        assert neumaier_sum([block])._mpf_ == mpf_sum(raw, bits, round_nearest)
 
 
 @pytest.mark.parametrize("special", [finf, fninf, fnan], ids=["inf", "-inf", "nan"])

@@ -431,6 +431,66 @@ def test_every_private_function_is_read_somewhere():
     assert unread_private_functions(sources) == []
 
 
+def unread_private_names(source: str) -> list:
+    """(line, name) for each private name a module defines at its top level and never reads.
+
+    A name is private when it starts with one underscore (dunders are left
+    out).  The top level defines it by ``def``, ``class`` or an assignment,
+    plain, annotated or augmented, to it or to a tuple holding it.  It is
+    read where it appears as an ``ast.Name`` that loads it, anywhere in the
+    module but inside its own ``def`` or ``class``; a read by another
+    module, or inside a string, is not seen.
+    """
+    tree = ast.parse(source)
+
+    def loads(node: ast.AST) -> Counter:
+        return Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+    defined = []  # (line, name, the node whose own reads do not count)
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            defined.extend((node.lineno, name, None) for name in names)
+    everywhere = loads(tree)
+    return sorted(
+        {
+            (line, name)
+            for line, name, node in defined
+            if name.startswith("_")
+            and not name.startswith("__")
+            and everywhere[name] == (loads(node)[name] if node else 0)
+        }
+    )
+
+
+def test_unread_private_name_check_finds_each_kind():
+    source = (
+        "import mpmath\n"
+        "_make_mpf = mpmath.mp.make_mpf\n"
+        "_LIMIT: int = 64\n"
+        "_read, _unread = 1, 2\n"
+        "__all__ = ['public']\n"
+        "def _recursive(n):\n"
+        "    return n and _recursive(n - 1)\n"
+        "class _Unused:\n"
+        "    size = _LIMIT\n"
+        "def public(x):\n"
+        "    _local = 3\n"
+        "    return x + _read + _local\n"
+    )
+    assert unread_private_names(source) == [(2, "_make_mpf"), (4, "_unread"), (6, "_recursive"), (8, "_Unused")]
+
+
+def test_every_private_module_name_is_read_in_its_module():
+    """A private module-level name its own module never reads is dead code, or a helper other modules reach into."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    unread = {p.name: found for p in modules if (found := unread_private_names(p.read_text()))}
+    assert unread == {}
+
+
 # The CLI module: a task is one record of its table of tasks, never a branch on the task's name.
 TASK_MODULE = "cli.py"
 

@@ -1491,15 +1491,12 @@ def test_bounded_away_functions_never_ask_for_a_ray_bound(monkeypatch):
 def test_value_blocks_hold_ints_where_the_exponents_are_close():
     """A narrow-range f fills its blocks with ints over one exponent, packed
     in one bytes object; a kernel section, whose values fall by more than 64
-    bits within a block, holds packed columns: signs and mantissas in bytes,
-    exponents in a packed window; a function without x holds one int a
-    block, in a list of its values."""
+    bits within a block, keeps its raw tuples; a function without x holds
+    one int a block, in a list of its values."""
 
     def form(b):
         if b.exp is None:
-            if not b.width:
-                return "raw"
-            return f"{type(b.signs).__name__}, {type(b.values).__name__} and {type(b.exps).__name__} of {b.size()}"
+            return "raw"
         if b.width:
             return f"{type(b.values).__name__} of {b.size()} fields"
         return f"{len({id(q) for q in b.values})} int"
@@ -1518,7 +1515,7 @@ def test_value_blocks_hold_ints_where_the_exponents_are_close():
         kinds[name] = [form(b) for b in blocks]
     assert kinds == {
         "paper_example": ["bytes of 1024 fields", "bytes of 1024 fields"],
-        "kernel_section": ["bytes, bytes and array of 1024", "bytes, bytes and array of 1024"],
+        "kernel_section": ["raw", "raw"],
         "sqrt(2)/7": ["1 int", "1 int"],
     }
 
@@ -1528,17 +1525,16 @@ def test_value_blocks_hold_ints_where_the_exponents_are_close():
     [
         (make_paper_example, 48),
         (lambda: make_expression_function("sqrt(2)/7"), 16),
-        (lambda: kernel_section(make_gaussian(), 0.0), 48),
     ],
-    ids=["paper_example", "without x", "kernel_section"],
+    ids=["paper_example", "without x"],
 )
 def test_point_table_holds_values_as_fixed_point_ints(function, per_value):
     """2^12 f values at 256 bits take at most 48 bytes each in the table for
     paper_example (about 33 packed; about 72 as a list of ints and 138 as
-    raw tuples), at most 16 for a function without x (about 9), whose
-    blocks share one int each, and at most 48 for a kernel section, whose
-    fills are too wide for ints (about 42 as packed columns: a sign byte,
-    32 mantissa bytes and an 8-byte exponent; over 100 as raw tuples)."""
+    raw tuples), and at most 16 for a function without x (about 9), whose
+    blocks share one int each.  A kernel section's fills are too wide for
+    ints; its search holds few of them
+    (``test_kernel_section_searches_hold_one_block_of_values``)."""
     import tracemalloc
 
     f, n = function(), 2**12
@@ -1555,10 +1551,52 @@ def test_point_table_holds_values_as_fixed_point_ints(function, per_value):
     assert held <= per_value * n
 
 
+@pytest.mark.parametrize(
+    "kernel, x0", [(make_gaussian, 0.0), (make_laplace, 1.5)], ids=["gaussian at 0", "laplace at 1.5"]
+)
+def test_kernel_section_searches_hold_one_block_of_values(monkeypatch, kernel, x0):
+    """The positive controls, a kernel section with alpha 0.5 at the scales
+    2^0 ... 2^-3, exhaust the doubling cap at every scale, and their sweep's
+    one table computes and holds at most VALUE_BLOCK f values, at most
+    128 KB of them: each search ends its window sums after the first fill
+    (``PointTable._drops_rest``), so the raw tuples of the wide fills stay
+    few: 9 values, about 1.1 KB, under the gaussian and 576, about 58 KB,
+    under laplace, where without the stop they were 32,833 and 32,839."""
+    import tracemalloc
+
+    from rkhs_cert import witness
+    from rkhs_cert.witness import VALUE_BLOCK
+
+    tables = []
+
+    class Table(PointTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(witness, "PointTable", Table)
+    k = kernel()
+    f, calls = _counting(kernel_section(k, x0))
+    tracemalloc.start()
+    try:
+        result = sweep_c(k, f, triangular_sequence(1), c_grid=(1.0, 0.5, 0.25, 0.125), alpha=0.5)
+        (table,) = tables
+        filled = tracemalloc.get_traced_memory()[0]
+        held, table.value_blocks = table.values_held, []
+        held_bytes = filled - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not result.certificates
+    assert [reason.split(":")[0] for _, reason in result.failures] == ["doubling-cap-exhausted"] * 4
+    assert held <= len(calls) <= VALUE_BLOCK
+    assert held_bytes <= 128 * 1024
+
+
 @pytest.mark.parametrize("special", [finf, fnan], ids=["inf", "nan"])
 def test_a_fill_with_inf_or_nan_keeps_raw_tuples(special):
     """A fill that holds inf or nan keeps its raw tuples, and its block sums
-    as mpf_sum does on them; the same fill without it holds columns."""
+    as mpf_sum does on them; so does the same fill without it where its ints
+    would be too wide."""
     from mpmath.libmp import mpf_sum, round_nearest
 
     from rkhs_cert.quadform import neumaier_sum
@@ -1570,7 +1608,7 @@ def test_a_fill_with_inf_or_nan_keeps_raw_tuples(special):
     assert block == Block(raw)
     with workprec(256):
         assert neumaier_sum([block])._mpf_ == mpf_sum(raw, 256, round_nearest)
-    assert _value_block(finite, 64).width
+    assert _value_block(finite, 64) == Block(finite)
 
 
 WINDOW_POINTS = 2**16
